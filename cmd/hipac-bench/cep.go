@@ -3,7 +3,7 @@
 // signal advances the aggregate template `count(PriceDrop where
 // ticker=$t) >= K within 1m` of each defined rule, so per-signal cost
 // scales with rule fan-out while the live NFA-instance population
-// scales with the ticker count. The cells feed the BENCH_6.json
+// scales with the ticker count. The cells feed the BENCH_10.json
 // baseline alongside C16's.
 package main
 

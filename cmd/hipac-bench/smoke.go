@@ -2,7 +2,7 @@
 // scalability smoke: a fixed set of parallel workloads (point reads,
 // mixed read/write, committed updates in memory and against a no-sync
 // WAL) each measured at GOMAXPROCS 1 and 8. Its per-op results feed
-// -json (the committed BENCH_5.json baseline) and -compare (the CI
+// -json (the committed BENCH_10.json baseline) and -compare (the CI
 // regression gate).
 package main
 

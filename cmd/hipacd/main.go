@@ -6,9 +6,8 @@
 // Usage:
 //
 //	hipacd [-addr 127.0.0.1:4815] [-dir /var/lib/hipac] [-nosync]
-//	       [-group-window 0] [-checkpoint-interval 0]
-//	       [-checkpoint-after-bytes 0] [-checkpoint-compact-every 0]
-//	       [-store-shards 16] [-cep-shards 16] [-metrics :9090]
+//	       [-checkpoint-interval 0] [-checkpoint-after-bytes 0]
+//	       [-metrics :9090]
 //	       [-repl-listen 127.0.0.1:4816] [-replica-of HOST:4816]
 //
 // With -metrics, an HTTP listener serves the engine's counters and
@@ -31,50 +30,49 @@ import (
 	"os/signal"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/repl"
 	"repro/internal/server"
 )
 
+// config is the daemon's engine settings, shared by the primary path
+// and a promoted replica so promotion cannot drop one.
+type config struct {
+	nosync    bool
+	ckptEvery time.Duration
+	ckptBytes uint64
+}
+
+// engineOptions returns the engine options for a store in dir.
+func (c config) engineOptions(dir string) core.Options {
+	return core.Options{Dir: dir, NoSync: c.nosync,
+		CheckpointInterval: c.ckptEvery, CheckpointAfterBytes: c.ckptBytes}
+}
+
 func main() {
+	var cfg config
 	addr := flag.String("addr", "127.0.0.1:4815", "listen address")
 	dir := flag.String("dir", "", "durability directory (empty: in-memory)")
-	nosync := flag.Bool("nosync", false, "disable fsync on the write-ahead log")
-	window := flag.Duration("group-window", 0,
-		"group-commit dwell: flush leaders wait this long to widen batches (0: flush immediately)")
-	ckptEvery := flag.Duration("checkpoint-interval", 0,
+	flag.BoolVar(&cfg.nosync, "nosync", false, "disable fsync on the write-ahead log")
+	flag.DurationVar(&cfg.ckptEvery, "checkpoint-interval", 0,
 		"run a fuzzy checkpoint (snapshot + WAL truncation, no commit quiesce) at this period (0: disabled)")
-	ckptBytes := flag.Uint64("checkpoint-after-bytes", 0,
+	flag.Uint64Var(&cfg.ckptBytes, "checkpoint-after-bytes", 0,
 		"also checkpoint whenever the WAL grows this many bytes past the last checkpoint (0: disabled)")
-	ckptCompact := flag.Int("checkpoint-compact-every", 0,
-		"compact the delta chain into a full snapshot after this many deltas (0: adaptive — compact when delta bytes reach half the snapshot size)")
-	shards := flag.Int("store-shards", 0,
-		"hash partitions of the in-memory heap, rounded up to a power of two (0: default 16)")
-	cepShards := flag.Int("cep-shards", 0,
-		"hash partitions of each composite-event template's correlation-instance map (0: default 16)")
 	metrics := flag.String("metrics", "", "Prometheus /metrics listen address (empty: disabled)")
 	replListen := flag.String("repl-listen", "",
 		"WAL shipping listen address for read replicas (empty: replication disabled)")
 	replicaOf := flag.String("replica-of", "",
 		"run as a read replica of the primary's -repl-listen address (requires -dir)")
-	treeWalk := flag.Bool("tree-walk-queries", false,
-		"evaluate queries and rule conditions with the legacy tree-walk evaluator instead of the cost-based planner")
-	queryPar := flag.Int("query-parallelism", 0,
-		"worker cap for parallel query plan steps (shard-parallel scans, partitioned hash joins); 0: derive from GOMAXPROCS, 1: serial")
 	flag.Parse()
 
 	if *replicaOf != "" {
-		runReplica(*addr, *dir, *replicaOf, *metrics, replicaConfig{
-			nosync: *nosync, shards: *shards, ckptBytes: *ckptBytes, ckptCompact: *ckptCompact,
-			queryPar: *queryPar})
+		runReplica(*addr, *dir, *replicaOf, *metrics, cfg)
 		return
 	}
 
-	eng, err := core.Open(core.Options{Dir: *dir, NoSync: *nosync, GroupCommitWindow: *window,
-		CheckpointInterval: *ckptEvery, CheckpointAfterBytes: *ckptBytes,
-		CheckpointCompactEvery: *ckptCompact, StoreShards: *shards, CEPShards: *cepShards,
-		TreeWalkQueries: *treeWalk, QueryParallelism: *queryPar})
+	eng, err := core.Open(cfg.engineOptions(*dir))
 	if err != nil {
 		log.Fatalf("hipacd: open engine: %v", err)
 	}
@@ -133,25 +131,17 @@ func main() {
 	}
 }
 
-type replicaConfig struct {
-	nosync      bool
-	shards      int
-	ckptBytes   uint64
-	ckptCompact int
-	queryPar    int
-}
-
 // runReplica serves read-only traffic from a replica of the primary
 // until promoted: then it stops the replica server, reopens the data
 // directory as a full engine, and serves writable traffic on the same
-// address.
-func runReplica(addr, dir, primaryAddr, metrics string, cfg replicaConfig) {
+// address with the same engine settings and metrics listener a node
+// started as a primary would have.
+func runReplica(addr, dir, primaryAddr, metrics string, cfg config) {
 	if dir == "" {
 		log.Fatalf("hipacd: -replica-of needs -dir")
 	}
 	rep, err := repl.Open(repl.Options{Dir: dir, PrimaryAddr: primaryAddr,
-		NoSync: cfg.nosync, Shards: cfg.shards,
-		CheckpointAfterBytes: cfg.ckptBytes, CompactEvery: cfg.ckptCompact})
+		NoSync: cfg.nosync, CheckpointAfterBytes: cfg.ckptBytes})
 	if err != nil {
 		log.Fatalf("hipacd: open replica: %v", err)
 	}
@@ -202,12 +192,14 @@ func runReplica(addr, dir, primaryAddr, metrics string, cfg replicaConfig) {
 	// Promotion: the replica store is closed and flushed; reopen it as
 	// a writable engine on the same address. The brief listener gap is
 	// the cost of the manual-failover design.
-	eng, err := core.Open(core.Options{Dir: d, NoSync: cfg.nosync, StoreShards: cfg.shards,
-		QueryParallelism: cfg.queryPar})
+	eng, err := core.Open(cfg.engineOptions(d))
 	if err != nil {
 		log.Fatalf("hipacd: promote: open engine on %s: %v", d, err)
 	}
 	srv := server.New(eng)
+	msrv = serveMetrics(metrics, func(w http.ResponseWriter) error {
+		return eng.WritePrometheus(w)
+	})
 	go func() {
 		<-sigCh
 		log.Printf("hipacd: shutting down")
@@ -215,6 +207,9 @@ func runReplica(addr, dir, primaryAddr, metrics string, cfg replicaConfig) {
 	}()
 	fmt.Printf("hipacd: promoted; serving writes on %s (dir=%q)\n", addr, d)
 	serveErr = srv.ListenAndServe(addr)
+	if msrv != nil {
+		msrv.Close()
+	}
 	if err := eng.Close(); err != nil {
 		log.Printf("hipacd: close: %v", err)
 	}

@@ -40,11 +40,6 @@ type Options struct {
 	Dir string
 	// NoSync disables fsync on the WAL (benchmarks, tests).
 	NoSync bool
-	// GroupCommitWindow widens WAL group-commit batches: the flush
-	// leader dwells this long before snapshotting the batch, trading
-	// commit latency for fewer fsyncs under concurrent load. 0 (the
-	// default) flushes immediately; overlapping commits still batch.
-	GroupCommitWindow time.Duration
 	// CheckpointInterval, when >0 and Dir is set, runs a background
 	// fuzzy checkpoint at this period, bounding WAL growth and recovery
 	// replay time. Checkpoints do not quiesce commits. 0 disables the
@@ -56,35 +51,6 @@ type Options struct {
 	// that tracks the write rate instead of the wall clock. 0 disables
 	// the size trigger.
 	CheckpointAfterBytes uint64
-	// CheckpointCompactEvery, when >0, is the delta-chain length at
-	// which the next checkpoint rewrites a full snapshot instead of
-	// appending another delta. 0 selects adaptive compaction: compact
-	// once the cumulative delta bytes reach half the snapshot's size.
-	CheckpointCompactEvery int
-	// StoreShards is the number of hash partitions of the in-memory
-	// heap (rounded up to a power of two). More shards means less lock
-	// contention between parallel readers and committers; the on-disk
-	// format is unaffected. 0 means storage.DefaultShards.
-	StoreShards int
-	// CEPShards is the number of hash partitions of each composite
-	// (cep) event template's correlation-key instance map (rounded up
-	// to a power of two). Signals for distinct correlation keys
-	// advance their NFA instances under independent shard locks. 0
-	// means cep.DefaultShards.
-	CEPShards int
-	// TreeWalkQueries routes queries and condition evaluation through
-	// the legacy tree-walk evaluator instead of the cost-based
-	// planner. The tree-walk is the differential-testing oracle; the
-	// flag exists so a planner regression can be ruled in or out in
-	// production without a rebuild.
-	TreeWalkQueries bool
-	// QueryParallelism caps the planner executor's degree of
-	// parallelism for queries and condition evaluation: 0 derives it
-	// from GOMAXPROCS, 1 forces serial execution, N>1 allows up to N
-	// workers per parallel plan step. Parallel plans return
-	// bit-identical results to serial ones; the knob only trades CPU
-	// for latency. Ignored when TreeWalkQueries is set.
-	QueryParallelism int
 	// Clock supplies time for temporal events; nil means the wall
 	// clock. Tests pass a *clock.Virtual.
 	Clock clock.Clock
@@ -102,8 +68,7 @@ type AppHandler func(args map[string]datum.Value) (map[string]datum.Value, error
 // Engine is an active DBMS instance.
 type Engine struct {
 	clk      clock.Clock
-	treeWalk bool         // evaluate queries with the tree-walk oracle
-	planOpts plan.Options // parallelism + observer for the planner executor
+	planOpts plan.Options // the planner executor's observer
 
 	Txns       *txn.Manager
 	Locks      *lock.Manager
@@ -160,10 +125,8 @@ func Open(opts Options) (*Engine, error) {
 	txns.SetObserver(o.Metrics())
 	locks.SetObserver(o.Metrics())
 	store, err := storage.Open(txns, storage.Options{Dir: opts.Dir, NoSync: opts.NoSync,
-		GroupWindow: opts.GroupCommitWindow, Obs: o.Metrics(),
+		Obs:                  o.Metrics(),
 		CheckpointAfterBytes: opts.CheckpointAfterBytes,
-		CompactEvery:         opts.CheckpointCompactEvery,
-		Shards:               opts.StoreShards,
 		OnAsyncError:         sink.record})
 	if err != nil {
 		return nil, err
@@ -172,16 +135,13 @@ func Open(opts Options) (*Engine, error) {
 	objects := object.NewManager(store, nil)
 	conds := cond.New(store.ModSeq)
 	conds.SetObserver(o.Metrics())
-	planOpts := plan.Options{Parallelism: opts.QueryParallelism, Obs: o.Metrics()}
-	if !opts.TreeWalkQueries {
-		conds.SetExec(plan.Exec(planOpts))
-	}
+	planOpts := plan.Options{Obs: o.Metrics()}
+	conds.SetExec(plan.Exec(planOpts))
 	rules := rule.NewManager(txns, objects, conds)
 	rules.SetObs(o)
 
 	e := &Engine{
 		clk:        clk,
-		treeWalk:   opts.TreeWalkQueries,
 		planOpts:   planOpts,
 		Txns:       txns,
 		Locks:      locks,
@@ -195,7 +155,6 @@ func Open(opts Options) (*Engine, error) {
 		async:      sink,
 	}
 	det := event.New(clk, rules.HandleEmit)
-	det.SetCEPShards(opts.CEPShards)
 	det.SetObserver(o.Metrics())
 	det.SetAsyncErrorHandler(sink.record)
 	e.Detectors = det
@@ -357,9 +316,6 @@ func (e *Engine) Query(tx *txn.Txn, src string, args map[string]datum.Value) (*q
 	// committers land concurrently.
 	reader := e.Objects.SnapshotReader(tx)
 	defer reader.Close()
-	if e.treeWalk {
-		return query.Eval(q, reader, args)
-	}
 	return plan.Exec(e.planOpts)(q, reader, args)
 }
 

@@ -104,8 +104,7 @@ type Detectors struct {
 	idx     atomic.Pointer[indexSnapshot]
 	obsm    *obs.Metrics // nil-safe emission-latency observer
 
-	cepShards int    // shard count for new cep templates (0 = cep.DefaultShards)
-	cepSubs   []*sub // subscriptions holding a cep template, for stats/GC
+	cepSubs []*sub // subscriptions holding a cep template, for stats/GC
 
 	nDBSignals, nExtSignals, nTemporal, nEmissions atomic.Uint64
 
@@ -146,11 +145,6 @@ func (d *Detectors) publishLocked() {
 	}
 	d.idx.Store(snap)
 }
-
-// SetCEPShards sets the instance-map shard count used by composite
-// (cep) templates defined afterwards. Not safe to call concurrently
-// with Define; the engine calls it once at startup.
-func (d *Detectors) SetCEPShards(n int) { d.cepShards = n }
 
 // SetAsyncErrorHandler installs a handler for errors raised by rule
 // processing of temporal events, which have no signalling caller to
@@ -274,7 +268,7 @@ func (d *Detectors) defineLocked(spec Spec, parent *sub, partIdx int) (*sub, err
 // constituent parts as children with role indices matching the
 // template's part numbering. Caller holds d.mu.
 func (d *Detectors) defineCEPLocked(s *sub, cfg cep.Config, parts ...Spec) error {
-	s.tmpl = cep.New(cfg, d.cepShards)
+	s.tmpl = cep.New(cfg, cep.DefaultShards)
 	for i, part := range parts {
 		child, err := d.defineLocked(part, s, i)
 		if err != nil {

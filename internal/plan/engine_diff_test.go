@@ -283,70 +283,43 @@ func TestParallelScanPinnedLSNUnderCommitters(t *testing.T) {
 }
 
 // TestEngineQueryAndExplain drives the engine's public Query/Explain
-// paths with the planner enabled (the default) and with the tree-walk
-// flag, asserting they agree.
+// paths and asserts Query agrees with the tree-walk oracle evaluated
+// directly on a snapshot reader of the same engine.
 func TestEngineQueryAndExplain(t *testing.T) {
 	e := diffEngine(t)
-	tw, err := core.Open(core.Options{TreeWalkQueries: true})
-	if err != nil {
+	tx := e.Begin()
+	if _, err := e.Create(tx, "Stock", map[string]datum.Value{
+		"symbol": datum.Str("XRX"), "price": datum.Float(48),
+	}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tw.Close() })
-
-	load := func(eng *core.Engine) {
-		tx := eng.Begin()
-		if _, err := eng.Create(tx, "Stock", map[string]datum.Value{
-			"symbol": datum.Str("XRX"), "price": datum.Float(48),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Create(tx, "Holding", map[string]datum.Value{
-			"owner": datum.Str("kim"), "symbol": datum.Str("XRX"), "qty": datum.Int(3),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The tree-walk engine needs its own schema.
-	twx := tw.Begin()
-	for _, c := range []object.Class{
-		{Name: "Stock", Attrs: []object.AttrDef{
-			{Name: "symbol", Kind: datum.KindString, Indexed: true},
-			{Name: "price", Kind: datum.KindFloat, Indexed: true},
-		}},
-		{Name: "Holding", Attrs: []object.AttrDef{
-			{Name: "owner", Kind: datum.KindString, Indexed: true},
-			{Name: "symbol", Kind: datum.KindString},
-			{Name: "qty", Kind: datum.KindInt},
-		}},
-	} {
-		if err := tw.DefineClass(twx, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := twx.Commit(); err != nil {
+	if _, err := e.Create(tx, "Holding", map[string]datum.Value{
+		"owner": datum.Str("kim"), "symbol": datum.Str("XRX"), "qty": datum.Int(3),
+	}); err != nil {
 		t.Fatal(err)
 	}
-	load(e)
-	load(tw)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 
 	const src = "select s.symbol, h.qty from Stock s, Holding h where s.symbol = h.symbol and h.owner = 'kim'"
-	tx := e.Begin()
+	tx = e.Begin()
 	defer tx.Commit()
 	got, err := e.Query(tx, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twTx := tw.Begin()
-	defer twTx.Commit()
-	want, err := tw.Query(twTx, src, nil)
+	sr := e.Objects.SnapshotReader(tx)
+	defer sr.Close()
+	want, err := query.Eval(query.MustParse(src), sr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.Rows, got.Rows) {
-		t.Fatalf("planner engine and tree-walk engine disagree:\nwant %+v\ngot  %+v", want.Rows, got.Rows)
+	if len(want.Rows) != 1 {
+		t.Fatalf("oracle rows = %+v, want the one kim/XRX holding", want.Rows)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("Engine.Query and the tree-walk oracle disagree:\nwant %+v\ngot  %+v", want, got)
 	}
 
 	text, err := e.Explain(tx, src, nil)

@@ -3,19 +3,25 @@ package plan
 import (
 	"errors"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/datum"
 	"repro/internal/query"
 )
 
-// execCtx is the per-Execute state shared by the operator tree: the
-// reader, the expression environment holding the bindings of the
-// current pipeline prefix, and the event arguments (kept so parallel
-// stages can mint per-worker environments).
+// execCtx is the state one goroutine evaluates with: the reader, the
+// expression environment holding the bindings of the current pipeline
+// prefix, and the event arguments (kept so stage workers can fork
+// their own environments).
 type execCtx struct {
 	r    query.Reader
 	env  *query.Env
 	args map[string]datum.Value
+}
+
+// fork returns a context with a private environment for one worker.
+func (x *execCtx) fork() *execCtx {
+	return &execCtx{r: x.r, env: query.NewEnv(x.r, x.args), args: x.args}
 }
 
 // cand is one candidate object produced by a step's access path.
@@ -27,34 +33,22 @@ type cand struct {
 // tuple is one join-output row: a binding per syntactic FROM slot.
 type tuple []cand
 
-// rowSource is the volcano iterator contract. Invariant: after Next
-// returns a tuple, the env holds exactly that tuple's bindings (each
-// step binds its variable as it yields), so residuals and select
-// expressions evaluate against the current row.
-type rowSource interface {
-	Open(x *execCtx) error
-	Next(x *execCtx) (tuple, bool, error)
-	Close(x *execCtx)
-}
-
 // --- step candidates: pin / index scan / extent scan / hash probe ---
 
-// stepCands produces the candidates of one step for the current outer
-// bindings, applying the step's residual filters. Re-Opened per outer
-// row by the enclosing join; the hash table persists across re-Opens.
+// stepCands is the one access-path implementation: Open collects the
+// step's candidates for the current outer bindings, join filters them
+// through the residuals. Every stage worker owns one and re-Opens it
+// per outer row.
 type stepCands struct {
 	s     *step
 	cands []cand
-	i     int
 
-	// table is the hash build side, built on first Open (or injected
-	// pre-built by a parallel probe stage) and immutable afterwards.
+	// table is the hash step's build side, built by the stage before
+	// any probe and immutable afterwards (shared by all its workers).
 	table *hashTable
-	built bool
 }
 
 func (sc *stepCands) Open(x *execCtx) error {
-	sc.i = 0
 	sc.cands = sc.cands[:0]
 	switch sc.s.access {
 	case accessPin:
@@ -137,14 +131,6 @@ func (sc *stepCands) openExtent(x *execCtx) error {
 }
 
 func (sc *stepCands) openHash(x *execCtx) error {
-	if !sc.built {
-		t, err := buildHashSerial(x, sc.s, 1)
-		if err != nil {
-			return err
-		}
-		sc.table = t
-		sc.built = true
-	}
 	v, err := x.env.Eval(sc.s.probeKey)
 	if err != nil {
 		if errors.Is(err, query.ErrNoValue) {
@@ -162,139 +148,39 @@ func (sc *stepCands) openHash(x *execCtx) error {
 	return nil
 }
 
-// Next yields the next candidate that passes the residuals, with the
-// step's variable bound in the env.
-func (sc *stepCands) Next(x *execCtx) (cand, bool, error) {
-	for sc.i < len(sc.cands) {
-		c := sc.cands[sc.i]
-		sc.i++
-		x.env.Bind(sc.s.from.Var, c.oid, c.attrs)
-		pass := true
-		for _, r := range sc.s.residual {
-			ok, err := x.env.EvalBool(r)
-			if err != nil {
-				return cand{}, false, err
-			}
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if pass {
-			return c, true, nil
+// passes binds c to the step's variable and applies the residuals.
+func (s *step) passes(env *query.Env, c cand) (bool, error) {
+	env.Bind(s.from.Var, c.oid, c.attrs)
+	for _, r := range s.residual {
+		if ok, err := env.EvalBool(r); err != nil || !ok {
+			return false, err
 		}
 	}
-	return cand{}, false, nil
+	return true, nil
 }
 
-func (sc *stepCands) Close(x *execCtx) {
-	x.env.Unbind(sc.s.from.Var)
-	sc.cands = nil
-}
-
-// --- join pipeline ---
-
-// baseIter adapts the first step to a rowSource.
-type baseIter struct {
-	sc    stepCands
-	width int
-}
-
-func (b *baseIter) Open(x *execCtx) error { return b.sc.Open(x) }
-
-func (b *baseIter) Next(x *execCtx) (tuple, bool, error) {
-	c, ok, err := b.sc.Next(x)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	t := make(tuple, b.width)
-	t[b.sc.s.slot] = c
-	return t, true, nil
-}
-
-func (b *baseIter) Close(x *execCtx) { b.sc.Close(x) }
-
-// joinIter is the nested-loop join: for each outer tuple it re-Opens
-// the inner step (whose parameterized bounds or hash probe key see the
-// outer bindings through the env) and streams the matches. With an
-// index inner this is an index-nested-loop join; with a hash inner
-// the build happens on the first Open only.
-type joinIter struct {
-	outer     rowSource
-	sc        stepCands
-	cur       tuple
-	haveOuter bool
-}
-
-func (j *joinIter) Open(x *execCtx) error {
-	j.haveOuter = false
-	return j.outer.Open(x)
-}
-
-func (j *joinIter) Next(x *execCtx) (tuple, bool, error) {
-	for {
-		if !j.haveOuter {
-			t, ok, err := j.outer.Next(x)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.cur = t
-			j.haveOuter = true
-			if err := j.sc.Open(x); err != nil {
-				return nil, false, err
-			}
-		}
-		c, ok, err := j.sc.Next(x)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			out := make(tuple, len(j.cur))
-			copy(out, j.cur)
-			out[j.sc.s.slot] = c
-			return out, true, nil
-		}
-		j.haveOuter = false
-	}
-}
-
-func (j *joinIter) Close(x *execCtx) {
-	j.sc.Close(x)
-	j.outer.Close(x)
-}
-
-// emitOnce handles a FROM-less query: the oracle emits exactly one
-// row without consulting the WHERE clause (bug-compatible on purpose).
-type emitOnce struct{ done bool }
-
-func (e *emitOnce) Open(*execCtx) error { e.done = false; return nil }
-func (e *emitOnce) Next(*execCtx) (tuple, bool, error) {
-	if e.done {
-		return nil, false, nil
-	}
-	e.done = true
-	return tuple{}, true, nil
-}
-func (e *emitOnce) Close(*execCtx) {}
-
-// --- execution ---
+// --- staged execution ---
 
 // Execute runs the plan against r with the given event arguments and
-// returns a result identical to query.Eval's. Plans with parallel
-// steps run the staged fan-out pipeline (parallel.go); the canonical
-// sort below makes both production orders emit identically.
+// returns a result identical to query.Eval's. The join output grows
+// stage by stage from one empty tuple: a FROM-less plan has zero stages
+// and emits that tuple as its single row, exactly like the oracle
+// (which never consults WHERE there), and the canonical sort makes any
+// production order emit identically.
 func (p *Plan) Execute(r query.Reader, args map[string]datum.Value) (*query.Result, error) {
 	x := &execCtx{r: r, env: query.NewEnv(r, args), args: args}
-
-	var tuples []tuple
-	var err error
-	if p.maxPar() > 1 {
-		tuples, err = p.joinParallel(x)
-	} else {
-		tuples, err = p.joinSerial(x)
-	}
-	if err != nil {
-		return nil, err
+	tuples := []tuple{make(tuple, len(p.vars))}
+	for i := range p.steps {
+		if len(tuples) == 0 {
+			// No outer rows: every remaining stage is a no-op. The
+			// oracle never visits an inner clause without an outer row,
+			// so a hash build (and any build-key error) is skipped too.
+			break
+		}
+		var err error
+		if tuples, err = p.stage(x, i, tuples); err != nil {
+			return nil, err
+		}
 	}
 	// Restore the oracle's emission order with the canonical sort
 	// (see the package comment).
@@ -311,34 +197,116 @@ func (p *Plan) Execute(r query.Reader, args map[string]datum.Value) (*query.Resu
 	return p.emit(x, tuples)
 }
 
-// joinSerial materializes the join output through the volcano tree.
-func (p *Plan) joinSerial(x *execCtx) ([]tuple, error) {
-	var root rowSource
-	if len(p.steps) == 0 {
-		root = &emitOnce{}
-	} else {
-		root = &baseIter{sc: stepCands{s: p.steps[0]}, width: len(p.vars)}
-		for _, s := range p.steps[1:] {
-			root = &joinIter{outer: root, sc: stepCands{s: s}}
+// joinChunk is the outer-tuple granule stage workers claim.
+const joinChunk = 64
+
+// stage runs step i over the materialized outer tuples and returns the
+// extended tuples in any order. The worker count is the step's planned
+// parallelism capped by the work there is to claim; a single worker
+// runs inline on the caller — no goroutine, no channel, no gather
+// observation — so a small condition query pays only for its
+// candidates. A hash step's build side is constructed first and shared
+// immutably by every prober; pin, index and extent inners re-open per
+// outer row inside each worker (an index-nested-loop join when the
+// bounds are parameterized).
+func (p *Plan) stage(x *execCtx, i int, outer []tuple) ([]tuple, error) {
+	s, placed := p.steps[i], p.steps[:i]
+	if ss, ok := x.r.(ShardScanner); ok && i == 0 && s.access == accessExtent {
+		if workers := min(s.par, ss.ShardCount()); workers > 1 {
+			return p.parallelBase(x, s, ss, workers)
 		}
 	}
-	if err := root.Open(x); err != nil {
-		return nil, err
-	}
-	var tuples []tuple
-	for {
-		t, ok, err := root.Next(x)
-		if err != nil {
-			root.Close(x)
+	sc := stepCands{s: s}
+	if s.access == accessHash {
+		var err error
+		if sc.table, err = p.buildHash(x, s); err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
-		}
-		tuples = append(tuples, t)
 	}
-	root.Close(x)
-	return tuples, nil
+	workers := min(s.par, (len(outer)+joinChunk-1)/joinChunk)
+	if workers <= 1 {
+		var out []tuple
+		err := sc.join(x, placed, outer, func(t tuple) bool {
+			out = append(out, t)
+			return true
+		})
+		return out, err
+	}
+	var next atomic.Int64
+	return p.fanOut(workers, func(_ int, ex *exchange) error {
+		// Private env and candidate buffer; the hash table is shared.
+		wx, wsc, out := x.fork(), sc, outbox{ex: ex}
+		for !ex.stopped() {
+			lo := int(next.Add(1)-1) * joinChunk
+			if lo >= len(outer) {
+				break
+			}
+			hi := min(lo+joinChunk, len(outer))
+			if err := wsc.join(wx, placed, outer[lo:hi], out.add); err != nil {
+				return err
+			}
+		}
+		out.flush()
+		return nil
+	})
+}
+
+// join drives the step over outer on one goroutine: for each outer
+// tuple it binds the placed prefix, re-Opens the access path (whose
+// bounds or probe key see the outer bindings through the env) and
+// hands every surviving extension to emit until emit declines.
+func (sc *stepCands) join(x *execCtx, placed []*step, outer []tuple, emit func(tuple) bool) error {
+	for _, t := range outer {
+		for _, ps := range placed {
+			c := t[ps.slot]
+			x.env.Bind(ps.from.Var, c.oid, c.attrs)
+		}
+		if err := sc.Open(x); err != nil {
+			return err
+		}
+		for _, c := range sc.cands {
+			ok, err := sc.s.passes(x.env, c)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+			nt := make(tuple, len(t))
+			copy(nt, t)
+			nt[sc.s.slot] = c
+			if !emit(nt) {
+				return nil
+			}
+		}
+	}
+	return nil
+}
+
+// bind binds every slot of t to its FROM variable.
+func (p *Plan) bind(env *query.Env, t tuple) {
+	for slot, c := range t {
+		env.Bind(p.vars[slot], c.oid, c.attrs)
+	}
+}
+
+// accumulate feeds t to every select item's aggregate state.
+func (p *Plan) accumulate(env *query.Env, aggs []*query.AggState, t tuple) error {
+	p.bind(env, t)
+	for i, s := range p.Query.Select {
+		if err := env.Accumulate(aggs[i], s.Expr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func newAggStates(n int) []*query.AggState {
+	aggs := make([]*query.AggState, n)
+	for i := range aggs {
+		aggs[i] = &query.AggState{}
+	}
+	return aggs
 }
 
 // emit is the oracle's run() tail: select/aggregate per tuple in
@@ -353,42 +321,31 @@ func (p *Plan) emit(x *execCtx, tuples []tuple) (*query.Result, error) {
 	aggMode := len(q.Select) > 0 && query.HasAggregate(q.Select[0].Expr)
 	var aggs []*query.AggState
 	if aggMode {
-		// Parallel plans try chunked partial aggregation first; it
-		// hands back exact merged states or declines (order-sensitive
-		// accumulation), in which case the serial loop below runs
-		// over the same canonically sorted tuples — bit-identical
-		// either way.
-		if p.maxPar() > 1 {
-			merged, ok, err := p.parallelAggregate(x, tuples)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				aggs = merged
-				tuples = nil // already accumulated; skip the loop
-			}
+		// Wide enough plans try chunked partial aggregation first; it
+		// hands back exact merged states or declines (too few tuples,
+		// or order-sensitive accumulation), in which case the loop
+		// below runs over the same canonically sorted tuples —
+		// bit-identical either way.
+		var err error
+		if aggs, err = p.parallelAggregate(x, tuples); err != nil {
+			return nil, err
 		}
-		if aggs == nil {
-			aggs = make([]*query.AggState, len(q.Select))
-			for i := range aggs {
-				aggs[i] = &query.AggState{}
-			}
+		if aggs != nil {
+			tuples = nil // already accumulated; skip the loop
+		} else {
+			aggs = newAggStates(len(q.Select))
 		}
 	}
 
 	var sortKeys [][]datum.Value
 	for _, t := range tuples {
-		for slot, c := range t {
-			x.env.Bind(p.vars[slot], c.oid, c.attrs)
-		}
 		if aggMode {
-			for i, s := range q.Select {
-				if err := x.env.Accumulate(aggs[i], s.Expr); err != nil {
-					return nil, err
-				}
+			if err := p.accumulate(x.env, aggs, t); err != nil {
+				return nil, err
 			}
 			continue
 		}
+		p.bind(x.env, t)
 		row := make([]datum.Value, len(q.Select))
 		for i, s := range q.Select {
 			v, err := x.env.Eval(s.Expr)

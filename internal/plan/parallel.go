@@ -1,9 +1,10 @@
 package plan
 
-// Parallel execution. A plan whose steps carry par > 1 runs as a
-// staged, materialized pipeline instead of the volcano tree: each
+// Stage fan-out. The executor is a staged, materialized pipeline: each
 // stage consumes the previous stage's tuple slice and produces the
-// next, fanning work out over goroutines where the step allows it.
+// next (exec.go). This file is what a stage with more than one worker
+// adds — the exchange, the shard-parallel base scan, the partitioned
+// hash build, and chunked partial aggregation.
 //
 //	shard 0 ──scan+filter──┐
 //	shard 1 ──scan+filter──┤  bounded      ┌──────────┐
@@ -26,7 +27,6 @@ package plan
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/datum"
@@ -38,7 +38,7 @@ import (
 // shard-parallel extent scans. The object manager's readers implement
 // it against the store's OID-hash shards; the executor type-asserts
 // it from the query.Reader, and any reader may decline by not
-// implementing it — base scans then run serially.
+// implementing it — base scans and hash builds then run on one worker.
 type ShardScanner interface {
 	// ShardCount returns the number of committed-tier shards.
 	ShardCount() int
@@ -52,8 +52,8 @@ type ShardScanner interface {
 	ScanClassShard(si int, class string, lsn uint64, fn func(datum.OID, map[string]datum.Value) bool) error
 }
 
-// maxPar returns the widest step fan-out of the plan (1 when fully
-// serial).
+// maxPar returns the widest step fan-out of the plan (1 when every
+// stage runs inline).
 func (p *Plan) maxPar() int {
 	par := 1
 	for _, s := range p.steps {
@@ -69,7 +69,7 @@ func (p *Plan) maxPar() int {
 // hashTable is the hash-join build side, partitioned by FNV-1a of the
 // join key so parallel build workers merge partition-disjoint (and
 // probe workers read lock-free — the table is immutable after build).
-// One partition degenerates to the serial executor's plain map.
+// One partition degenerates to a plain map.
 type hashTable struct {
 	mask  uint32
 	parts []map[string][]cand
@@ -132,8 +132,8 @@ func (g *gather) done() {
 	g.mu.Unlock()
 }
 
-// observeGather records one parallel stage's fan-out width and gather
-// skew. Nil-safe on p.obs.
+// observeGather records one fan-out's width and gather skew. Nil-safe
+// on p.obs.
 func (p *Plan) observeGather(workers int, g *gather) {
 	if p.obs == nil {
 		return
@@ -161,10 +161,6 @@ type exchange struct {
 	done chan struct{}
 	once sync.Once
 	err  error
-}
-
-func newExchange(workers int) *exchange {
-	return &exchange{ch: make(chan []tuple, 2*workers), done: make(chan struct{})}
 }
 
 func (ex *exchange) fail(err error) {
@@ -196,11 +192,39 @@ func (ex *exchange) send(batch []tuple) bool {
 	}
 }
 
-// runStage drives one fan-out: workers produce batches into the
-// exchange, the calling goroutine gathers. worker must poll
-// ex.stopped() and return promptly once cancelled.
-func (p *Plan) runStage(workers int, worker func(w int, ex *exchange) error) ([]tuple, error) {
-	ex := newExchange(workers)
+// outbox batches one worker's tuples into exchange sends.
+type outbox struct {
+	ex    *exchange
+	batch []tuple
+}
+
+// add queues t, shipping the batch when it fills; false means the
+// exchange was cancelled and the worker should stop producing.
+func (o *outbox) add(t tuple) bool {
+	if o.batch == nil {
+		o.batch = make([]tuple, 0, parallelBatch)
+	}
+	o.batch = append(o.batch, t)
+	if len(o.batch) < parallelBatch {
+		return true
+	}
+	ok := o.ex.send(o.batch)
+	o.batch = nil
+	return ok
+}
+
+func (o *outbox) flush() { o.ex.send(o.batch) }
+
+// fanOut runs workers goroutines and gathers what they send on the
+// calling goroutine; workers that produce something other than tuples
+// (hash partitions, aggregate partials) write to their own slot of a
+// caller-owned slice and send nothing — the channel close orders those
+// writes before fanOut returns. worker must poll ex.stopped() and
+// return promptly once cancelled; the first error wins.
+func (p *Plan) fanOut(workers int, worker func(w int, ex *exchange) error) ([]tuple, error) {
+	// Two batches of slack per worker: a producer keeps scanning while
+	// its previous batch waits for the gather loop.
+	ex := &exchange{ch: make(chan []tuple, 2*workers), done: make(chan struct{})}
 	g := &gather{}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -228,321 +252,123 @@ func (p *Plan) runStage(workers int, worker func(w int, ex *exchange) error) ([]
 	return out, nil
 }
 
-// --- staged pipeline ---
+// --- shard-parallel scans ---
 
-// joinParallel produces the (unsorted) join output of a plan with at
-// least one parallel step, stage by stage.
-func (p *Plan) joinParallel(x *execCtx) ([]tuple, error) {
-	width := len(p.vars)
-	s0 := p.steps[0]
-	var tuples []tuple
-	var err error
-	ss, sharded := x.r.(ShardScanner)
-	if s0.par > 1 && s0.access == accessExtent && sharded {
-		tuples, err = p.parallelBase(x, s0, ss, width)
-	} else {
-		tuples, err = p.serialBase(x, s0, width)
-	}
-	if err != nil {
-		return nil, err
-	}
-	placed := []*step{s0}
-	for _, s := range p.steps[1:] {
-		if len(tuples) == 0 {
-			// No outer rows: every remaining stage is a no-op. The
-			// serial executor never Opens an inner step without an
-			// outer row — a hash build (and any build-key error) is
-			// skipped there too, so skipping here stays identical.
-			break
-		}
-		if s.par > 1 {
-			tuples, err = p.parallelJoin(x, s, placed, tuples)
-		} else {
-			tuples, err = p.serialJoin(x, s, placed, tuples)
-		}
+// scanSlice visits the class's objects in worker w's slice of the
+// shards (w, w+workers, ...) at lsn, until fn declines or the exchange
+// is cancelled.
+func scanSlice(ss ShardScanner, ex *exchange, w, workers int, class string, lsn uint64,
+	fn func(datum.OID, map[string]datum.Value) bool) error {
+
+	stop := false
+	for si := w; si < ss.ShardCount() && !stop && !ex.stopped(); si += workers {
+		err := ss.ScanClassShard(si, class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
+			stop = ex.stopped() || !fn(oid, attrs)
+			return !stop
+		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		placed = append(placed, s)
 	}
-	return tuples, nil
+	return nil
 }
 
-// parallelBase fans the first step's extent scan out one worker per
-// committed-tier shard slice, all pinned at one snapshot LSN. Each
-// worker applies the step's residuals with its own env and ships
-// surviving tuples through the exchange.
-func (p *Plan) parallelBase(x *execCtx, s *step, ss ShardScanner, width int) ([]tuple, error) {
+// parallelBase is the first stage's shard-parallel specialisation: the
+// extent scan fans out over slices of the committed-tier shards, all
+// pinned at one snapshot LSN. Each worker applies the step's residuals
+// with its own env and ships surviving tuples through the exchange.
+func (p *Plan) parallelBase(x *execCtx, s *step, ss ShardScanner, workers int) ([]tuple, error) {
 	lsn, release := ss.PinShards()
 	defer release()
-	nsh := ss.ShardCount()
-	workers := s.par
-	if workers > nsh {
-		workers = nsh
-	}
-	return p.runStage(workers, func(w int, ex *exchange) error {
-		env := query.NewEnv(x.r, x.args)
-		batch := make([]tuple, 0, parallelBatch)
-		for si := w; si < nsh; si += workers {
-			if ex.stopped() {
-				return nil
-			}
-			var evalErr error
-			err := ss.ScanClassShard(si, s.from.Class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
-				if ex.stopped() {
-					return false
-				}
-				env.Bind(s.from.Var, oid, attrs)
-				for _, r := range s.residual {
-					ok, err := env.EvalBool(r)
-					if err != nil {
-						evalErr = err
-						return false
-					}
-					if !ok {
-						return true
-					}
-				}
-				t := make(tuple, width)
-				t[s.slot] = cand{oid: oid, attrs: attrs}
-				batch = append(batch, t)
-				if len(batch) == parallelBatch {
-					if !ex.send(batch) {
-						return false
-					}
-					batch = make([]tuple, 0, parallelBatch)
-				}
-				return true
-			})
-			if err == nil {
-				err = evalErr
-			}
+	return p.fanOut(workers, func(w int, ex *exchange) error {
+		env, out := x.fork().env, outbox{ex: ex}
+		var evalErr error
+		err := scanSlice(ss, ex, w, workers, s.from.Class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
+			c := cand{oid: oid, attrs: attrs}
+			ok, err := s.passes(env, c)
 			if err != nil {
-				return err
-			}
-		}
-		ex.send(batch)
-		return nil
-	})
-}
-
-// serialBase materializes the first step's output on the calling
-// goroutine (the staged equivalent of baseIter).
-func (p *Plan) serialBase(x *execCtx, s *step, width int) ([]tuple, error) {
-	sc := &stepCands{s: s}
-	if err := sc.Open(x); err != nil {
-		return nil, err
-	}
-	defer sc.Close(x)
-	var out []tuple
-	for {
-		c, ok, err := sc.Next(x)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		t := make(tuple, width)
-		t[s.slot] = c
-		out = append(out, t)
-	}
-}
-
-// bindPrefix binds the outer tuple's placed variables into env.
-func bindPrefix(env *query.Env, placed []*step, t tuple) {
-	for _, ps := range placed {
-		c := t[ps.slot]
-		env.Bind(ps.from.Var, c.oid, c.attrs)
-	}
-}
-
-// joinChunk is the outer-tuple granule parallel probe workers claim.
-const joinChunk = 64
-
-// parallelJoin runs one join step over the materialized outer tuples
-// with par probe workers. A hash step's build side is constructed
-// first — shard-parallel and partitioned when the reader allows —
-// then shared immutably by every prober; index and extent inners
-// re-open per outer row inside each worker, exactly like the serial
-// nested loop.
-func (p *Plan) parallelJoin(x *execCtx, s *step, placed []*step, outer []tuple) ([]tuple, error) {
-	var table *hashTable
-	if s.access == accessHash {
-		var err error
-		if table, err = p.buildHash(x, s); err != nil {
-			return nil, err
-		}
-		if len(outer) == 0 {
-			return nil, nil
-		}
-	}
-	workers := s.par
-	if max := (len(outer) + joinChunk - 1) / joinChunk; workers > max {
-		workers = max
-	}
-	var next atomic.Int64
-	return p.runStage(workers, func(w int, ex *exchange) error {
-		env := query.NewEnv(x.r, x.args)
-		wx := &execCtx{r: x.r, env: env, args: x.args}
-		sc := &stepCands{s: s, table: table, built: table != nil}
-		batch := make([]tuple, 0, parallelBatch)
-		for {
-			if ex.stopped() {
-				return nil
-			}
-			lo := int(next.Add(1)-1) * joinChunk
-			if lo >= len(outer) {
-				break
-			}
-			hi := lo + joinChunk
-			if hi > len(outer) {
-				hi = len(outer)
-			}
-			for _, t := range outer[lo:hi] {
-				bindPrefix(env, placed, t)
-				if err := sc.Open(wx); err != nil {
-					return err
-				}
-				for {
-					c, ok, err := sc.Next(wx)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						break
-					}
-					nt := make(tuple, len(t))
-					copy(nt, t)
-					nt[s.slot] = c
-					batch = append(batch, nt)
-					if len(batch) >= parallelBatch {
-						if !ex.send(batch) {
-							return nil
-						}
-						batch = make([]tuple, 0, parallelBatch)
-					}
-				}
-			}
-		}
-		ex.send(batch)
-		return nil
-	})
-}
-
-// serialJoin runs one join step on the calling goroutine (the staged
-// equivalent of joinIter; the hash build persists across outer rows
-// inside sc).
-func (p *Plan) serialJoin(x *execCtx, s *step, placed []*step, outer []tuple) ([]tuple, error) {
-	sc := &stepCands{s: s}
-	var out []tuple
-	for _, t := range outer {
-		bindPrefix(x.env, placed, t)
-		if err := sc.Open(x); err != nil {
-			return nil, err
-		}
-		for {
-			c, ok, err := sc.Next(x)
-			if err != nil {
-				return nil, err
+				evalErr = err
+				return false
 			}
 			if !ok {
-				break
+				return true
 			}
-			nt := make(tuple, len(t))
-			copy(nt, t)
-			nt[s.slot] = c
-			out = append(out, nt)
+			t := make(tuple, len(p.vars))
+			t[s.slot] = c
+			return out.add(t)
+		})
+		if err != nil {
+			return err
 		}
-	}
-	return out, nil
+		out.flush()
+		return evalErr
+	})
 }
 
-// buildHash constructs the partitioned build side of a hash step. With
-// a ShardScanner it fans the build out one worker per shard slice at
-// one pinned LSN, each filling a private partitioned table, then
-// merges per partition — merge workers own disjoint partitions, so
-// the whole build is lock-free. Otherwise one serial scan fills the
-// (still partitioned) table.
-func (p *Plan) buildHash(x *execCtx, s *step) (*hashTable, error) {
-	nparts := s.par
-	ss, sharded := x.r.(ShardScanner)
-	workers := 0
-	var nsh int
-	if sharded {
-		nsh = ss.ShardCount()
-		workers = s.par
-		if workers > nsh {
-			workers = nsh
+// --- partitioned hash build ---
+
+// fillHash runs scan, filing every object it visits in t under its
+// build key. Null and missing keys never equal anything and are left
+// out; a hard key error ends the scan.
+func fillHash(env *query.Env, s *step, t *hashTable,
+	scan func(fn func(datum.OID, map[string]datum.Value) bool) error) error {
+
+	var keyErr error
+	err := scan(func(oid datum.OID, attrs map[string]datum.Value) bool {
+		env.Bind(s.from.Var, oid, attrs)
+		v, err := env.Eval(s.buildKey)
+		if errors.Is(err, query.ErrNoValue) {
+			return true
 		}
+		if err != nil {
+			keyErr = err
+			return false
+		}
+		if !v.IsNull() {
+			t.add(v.Key(), cand{oid: oid, attrs: attrs})
+		}
+		return true
+	})
+	if keyErr != nil {
+		return keyErr
+	}
+	return err
+}
+
+// buildHash constructs the build side of a hash step, partitioned
+// s.par ways. One worker is one inline ScanClass. With a ShardScanner
+// and more workers the build fans out over shard slices at one pinned
+// LSN, each worker filling a private table, then merges per partition
+// — merge workers own disjoint partitions, so the whole build is
+// lock-free.
+func (p *Plan) buildHash(x *execCtx, s *step) (*hashTable, error) {
+	ss, sharded := x.r.(ShardScanner)
+	workers := 1
+	if sharded {
+		workers = min(s.par, ss.ShardCount())
 	}
 	if workers <= 1 {
-		return buildHashSerial(x, s, nparts)
+		t := newHashTable(s.par)
+		return t, fillHash(x.env, s, t, func(fn func(datum.OID, map[string]datum.Value) bool) error {
+			return x.r.ScanClass(s.from.Class, fn)
+		})
 	}
 
 	lsn, release := ss.PinShards()
 	defer release()
 	locals := make([]*hashTable, workers)
-	errs := make([]error, workers)
-	var stop atomic.Bool
-	g := &gather{}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer g.done()
-			env := query.NewEnv(x.r, x.args)
-			t := newHashTable(nparts)
-			locals[w] = t
-			for si := w; si < nsh; si += workers {
-				if stop.Load() {
-					return
-				}
-				var keyErr error
-				err := ss.ScanClassShard(si, s.from.Class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
-					if stop.Load() {
-						return false
-					}
-					env.Bind(s.from.Var, oid, attrs)
-					v, err := env.Eval(s.buildKey)
-					if err != nil {
-						if errors.Is(err, query.ErrNoValue) {
-							return true // a missing key never equals anything
-						}
-						keyErr = err
-						return false
-					}
-					if v.IsNull() {
-						return true // null never equals anything
-					}
-					t.add(v.Key(), cand{oid: oid, attrs: attrs})
-					return true
-				})
-				if err == nil {
-					err = keyErr
-				}
-				if err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	p.observeGather(workers, g)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	_, err := p.fanOut(workers, func(w int, ex *exchange) error {
+		locals[w] = newHashTable(s.par)
+		return fillHash(x.fork().env, s, locals[w], func(fn func(datum.OID, map[string]datum.Value) bool) error {
+			return scanSlice(ss, ex, w, workers, s.from.Class, lsn, fn)
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	merged := newHashTable(nparts)
-	mworkers := workers
-	if mworkers > len(merged.parts) {
-		mworkers = len(merged.parts)
-	}
+	merged := newHashTable(s.par)
+	mworkers := min(workers, len(merged.parts))
 	var mwg sync.WaitGroup
 	for w := 0; w < mworkers; w++ {
 		mwg.Add(1)
@@ -562,96 +388,38 @@ func (p *Plan) buildHash(x *execCtx, s *step) (*hashTable, error) {
 	return merged, nil
 }
 
-// buildHashSerial fills a partitioned table with one ScanClass — the
-// serial executor's openHash build, shared here so both paths agree.
-func buildHashSerial(x *execCtx, s *step, nparts int) (*hashTable, error) {
-	t := newHashTable(nparts)
-	var keyErr error
-	err := x.r.ScanClass(s.from.Class, func(oid datum.OID, attrs map[string]datum.Value) bool {
-		x.env.Bind(s.from.Var, oid, attrs)
-		v, err := x.env.Eval(s.buildKey)
-		x.env.Unbind(s.from.Var)
-		if err != nil {
-			if errors.Is(err, query.ErrNoValue) {
-				return true // a missing key never equals anything
-			}
-			keyErr = err
-			return false
-		}
-		if v.IsNull() {
-			return true // null never equals anything
-		}
-		t.add(v.Key(), cand{oid: oid, attrs: attrs})
-		return true
-	})
-	if keyErr != nil {
-		return nil, keyErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // --- parallel partial aggregation ---
 
 // parallelAggregate accumulates the select items' aggregates over the
 // canonically sorted tuples in contiguous chunks, one worker each,
-// then merges the partials in chunk order. ok is false when any item
+// then merges the partials in chunk order. It declines with nil states
+// when the plan or the input is too narrow to fan out, or when any item
 // refuses an exact merge (order-sensitive accumulation — float sums,
 // averages, incomparable min/max partials); the caller then
-// re-accumulates serially, preserving bit-identical output.
-func (p *Plan) parallelAggregate(x *execCtx, tuples []tuple) ([]*query.AggState, bool, error) {
-	q := p.Query
-	workers := p.maxPar()
-	if chunks := (len(tuples) + joinChunk - 1) / joinChunk; workers > chunks {
-		workers = chunks
-	}
+// accumulates serially, preserving bit-identical output.
+func (p *Plan) parallelAggregate(x *execCtx, tuples []tuple) ([]*query.AggState, error) {
+	workers := min(p.maxPar(), (len(tuples)+joinChunk-1)/joinChunk)
 	if workers <= 1 {
-		return nil, false, nil
+		return nil, nil
 	}
 	per := (len(tuples) + workers - 1) / workers
 	partials := make([][]*query.AggState, workers)
-	errs := make([]error, workers)
-	g := &gather{}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer g.done()
-			lo, hi := w*per, (w+1)*per
-			if hi > len(tuples) {
-				hi = len(tuples)
-			}
-			if lo >= hi {
-				return
-			}
-			env := query.NewEnv(x.r, x.args)
-			aggs := make([]*query.AggState, len(q.Select))
-			for i := range aggs {
-				aggs[i] = &query.AggState{}
-			}
-			partials[w] = aggs
-			for _, t := range tuples[lo:hi] {
-				for slot, c := range t {
-					env.Bind(p.vars[slot], c.oid, c.attrs)
-				}
-				for i, s := range q.Select {
-					if err := env.Accumulate(aggs[i], s.Expr); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	p.observeGather(workers, g)
-	for _, err := range errs {
-		if err != nil {
-			return nil, false, err
+	_, err := p.fanOut(workers, func(w int, _ *exchange) error {
+		lo, hi := w*per, min((w+1)*per, len(tuples))
+		if lo >= hi {
+			return nil
 		}
+		env := x.fork().env
+		partials[w] = newAggStates(len(p.Query.Select))
+		for _, t := range tuples[lo:hi] {
+			if err := p.accumulate(env, partials[w], t); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	var merged []*query.AggState
 	for _, part := range partials {
@@ -662,14 +430,11 @@ func (p *Plan) parallelAggregate(x *execCtx, tuples []tuple) ([]*query.AggState,
 			merged = part
 			continue
 		}
-		for i, s := range q.Select {
+		for i, s := range p.Query.Select {
 			if !query.MergeAggState(merged[i], part[i], s.Expr) {
-				return nil, false, nil
+				return nil, nil
 			}
 		}
 	}
-	if merged == nil {
-		return nil, false, nil
-	}
-	return merged, true, nil
+	return merged, nil
 }

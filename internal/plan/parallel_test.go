@@ -47,6 +47,10 @@ func TestParallelMatchesSerialByteEquality(t *testing.T) {
 		"select count(*) as n, sum(s.x) as sx, min(s.x) as lo, max(s.x) as hi from S s where s.x >= event.lo",
 		"select sum(s.f) as fs, avg(s.f) as fa from S s where s.x < event.hi",
 		"select count(*) as n, sum(s.x) as sx from S s, T t where s.sym = t.sym and t.rank = event.r",
+		// Empty outer: the fanned-out base scan yields nothing, so the
+		// later stages (and the aggregate fan-out) have nothing to claim.
+		"select s.x, t.rank from S s, T t where s.x < 0 and s.sym = t.sym",
+		"select count(*) as n, max(t.rank) as hi from S s, T t where s.x < 0 and s.sym = t.sym",
 	}
 	rng := rand.New(rand.NewSource(7))
 	f := parFake(300)

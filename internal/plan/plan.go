@@ -1,7 +1,9 @@
-// Package plan is the physical query engine: a volcano-style operator
+// Package plan is the physical query engine: one staged, materialized
 // pipeline (identity pin, index scan, extent scan, filter,
 // nested-loop/index-nested-loop join, hash join, aggregate,
-// order/limit) behind a small cost-based planner.
+// order/limit) behind a small cost-based planner. Every FROM clause is
+// a join stage over the previous stage's tuples; the planner gives each
+// stage a worker count, and a one-worker stage runs inline.
 //
 // The planner chooses an access path per FROM clause — identity pin,
 // secondary-index probe, hash-table build, or extent scan — and a
@@ -20,8 +22,9 @@
 //     deduplicated and sorted, a pin visits one), so the emission
 //     sequence of (oid_1, ..., oid_n) tuples is the lexicographic
 //     order of the distinct tuples it produces. The executor
-//     therefore materializes the join output of *any* operator tree
-//     and restores that order with one canonical sort.
+//     therefore materializes the join output of *any* step order and
+//     worker interleaving and restores that order with one canonical
+//     sort.
 //   - Access paths never decide membership: the conjunct that chose a
 //     pin, probe, or hash bucket is re-applied as a residual filter,
 //     so index false positives and hash-key collisions (int/float
@@ -71,13 +74,12 @@ type Options struct {
 	DisableHash bool
 	// ForceOrder keeps the syntactic FROM order.
 	ForceOrder bool
-	// Parallelism caps the executor's degree of parallelism: 0
-	// derives it from GOMAXPROCS (capped at maxParallelism), 1 forces
-	// serial execution, N>1 allows up to N workers per parallel step.
-	// Parallel plans return bit-identical results to serial ones: the
-	// canonical OID sort fixes tuple order regardless of production
-	// order, and order-sensitive aggregates re-accumulate serially
-	// (see MergeAggState).
+	// Parallelism caps the workers per stage: 0 derives it from
+	// GOMAXPROCS (capped at maxParallelism), 1 runs every stage inline
+	// on the caller, N>1 allows up to N workers per stage. The worker
+	// count never changes the result: the canonical OID sort fixes
+	// tuple order regardless of production order, and order-sensitive
+	// aggregates re-accumulate on one goroutine (see MergeAggState).
 	Parallelism int
 	// ParallelThreshold is the estimated input cardinality (extent
 	// size for scans and hash builds, outer rows for joins) a step
@@ -147,8 +149,9 @@ type step struct {
 	estRows float64 // cumulative output rows after this step
 	estCost float64 // cost charged for this step
 
-	// par is the step's degree of parallelism (0 or 1 means serial):
-	// shard workers for a base extent scan, probe workers for a join.
+	// par is the stage's worker cap (0 or 1 means inline on the
+	// caller): shard workers for a base extent scan or a hash build,
+	// probe workers for a join.
 	par int
 }
 
@@ -264,7 +267,7 @@ func resolveParallelism(n int) int {
 // out when the work it distributes — the extent for a base scan or a
 // hash build, the outer tuples for a join probe — is estimated past
 // the threshold. The decision is cost-gated so tiny queries stay
-// serial; it never affects results (see the package comment), only
+// inline; it never affects results (see the package comment), only
 // how the executor produces them.
 func markParallel(p *Plan, cat Catalog, opt Options) {
 	dop := resolveParallelism(opt.Parallelism)

@@ -2,8 +2,10 @@ package plan
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -24,6 +26,7 @@ type fakeReader struct {
 	vanish  bool                   // LookupRange always answers ok=false
 
 	scans, lookups, fetches atomic.Int64
+	scanned                 sync.Map // class -> struct{}: extents visited by any scan
 }
 
 func newFake() *fakeReader {
@@ -44,6 +47,7 @@ func (f *fakeReader) index(class, attr string) { f.indexes[class+"."+attr] = tru
 
 func (f *fakeReader) ScanClass(class string, fn func(datum.OID, map[string]datum.Value) bool) error {
 	f.scans.Add(1)
+	f.scanned.Store(class, struct{}{})
 	for _, r := range f.classes[class] {
 		if !fn(r.oid, r.attrs) {
 			break
@@ -62,6 +66,7 @@ func (f *fakeReader) PinShards() (uint64, func()) { return 1, func() {} }
 
 func (f *fakeReader) ScanClassShard(si int, class string, _ uint64, fn func(datum.OID, map[string]datum.Value) bool) error {
 	f.scans.Add(1)
+	f.scanned.Store(class, struct{}{})
 	for _, r := range f.classes[class] {
 		if int(r.oid)&(fakeShards-1) != si {
 			continue
@@ -306,13 +311,58 @@ func TestJoinEdgeCases(t *testing.T) {
 		{"duplicate keys multiply", []datum.Value{datum.Int(7), datum.Int(7)}, []datum.Value{datum.Int(7), datum.Int(7), datum.Int(7)}, 6},
 		{"int and float keys cross-match", []datum.Value{datum.Int(2)}, []datum.Value{datum.Float(2)}, 1},
 	}
+	// stagePlan picks the shape the edge cases are about — S's extent
+	// as the outer stage, H hashed as the inner — at a given worker
+	// count. Enumerated, because the cost model will not choose a hash
+	// build over a near-empty extent.
+	stagePlan := func(src string, f *fakeReader, workers int) *Plan {
+		t.Helper()
+		for _, p := range Enumerate(query.MustParse(src), f, nil, Options{Parallelism: workers, ParallelThreshold: -1}) {
+			if s0, s1 := p.steps[0], p.steps[1]; s0.from.Class == "S" && s0.access == accessExtent && s1.access == accessHash {
+				return p
+			}
+		}
+		t.Fatal("no S -> hash H plan enumerated")
+		return nil
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := checkAll(t, join, joinFake(tc.s, tc.h), nil)
+			f := joinFake(tc.s, tc.h)
+			got := checkAll(t, join, f, nil)
 			if len(got.Rows) != tc.nTuple {
 				t.Fatalf("join rows = %d, want %d: %+v", len(got.Rows), tc.nTuple, got.Rows)
 			}
+			for _, workers := range []int{1, 4} {
+				f.scanned.Delete("H")
+				res, err := stagePlan(join, f, workers).Execute(f, nil)
+				if err != nil || !reflect.DeepEqual(got, res) {
+					t.Fatalf("workers=%d: %+v (%v), want %+v", workers, res, err, got)
+				}
+				// An empty outer skips the inner hash build entirely.
+				if _, built := f.scanned.Load("H"); built != (len(tc.s) > 0) {
+					t.Fatalf("workers=%d: H build scanned = %v with %d outer rows", workers, built, len(tc.s))
+				}
+			}
 		})
+	}
+
+	// A hard error in the inner stage's residual is reported at every
+	// worker count once an outer row reaches it — and, like the build,
+	// never evaluated behind an empty outer.
+	const poisoned = "select s, h from S s, H h where s.k = h.k and 1 / (h.tag - h.tag) > 0"
+	keys := make([]datum.Value, 200) // > joinChunk outer rows: the N-worker probe really fans out
+	for i := range keys {
+		keys[i] = datum.Int(int64(i % 5))
+	}
+	for _, workers := range []int{1, 4} {
+		f := joinFake(keys, keys[:5])
+		if _, err := stagePlan(poisoned, f, workers).Execute(f, nil); err == nil {
+			t.Fatalf("workers=%d: inner-stage division by zero was swallowed", workers)
+		}
+		f = joinFake(nil, keys[:5])
+		if res, err := stagePlan(poisoned, f, workers).Execute(f, nil); err != nil || len(res.Rows) != 0 {
+			t.Fatalf("workers=%d: empty outer must not reach the inner stage: %+v (%v)", workers, res, err)
+		}
 	}
 }
 
@@ -419,15 +469,71 @@ func TestFromlessQueryEmitsOneRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Build(q, f, args, Options{}).Execute(f, args)
-	if err != nil {
-		t.Fatal(err)
+	// Zero stages at any worker setting: the seed tuple is the row.
+	for _, opt := range []Options{{}, {Parallelism: 1}, {Parallelism: 8, ParallelThreshold: -1}} {
+		got, err := Build(q, f, args, opt).Execute(f, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%+v: want %+v, got %+v", opt, want, got)
+		}
+		if len(got.Rows) != 1 {
+			t.Fatalf("%+v: FROM-less query rows = %d, want 1", opt, len(got.Rows))
+		}
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("want %+v, got %+v", want, got)
-	}
-	if len(got.Rows) != 1 {
-		t.Fatalf("FROM-less query rows = %d, want 1", len(got.Rows))
+}
+
+// goroutineProbe samples the goroutine count from inside the reader
+// calls an executing plan makes.
+type goroutineProbe struct {
+	*fakeReader
+	peak int
+}
+
+func (g *goroutineProbe) sample() { g.peak = max(g.peak, runtime.NumGoroutine()) }
+
+func (g *goroutineProbe) ScanClass(class string, fn func(datum.OID, map[string]datum.Value) bool) error {
+	g.sample()
+	return g.fakeReader.ScanClass(class, fn)
+}
+
+func (g *goroutineProbe) LookupRange(class, attr string, lo, hi *datum.Value, loInc, hiInc bool) ([]datum.OID, bool) {
+	g.sample()
+	return g.fakeReader.LookupRange(class, attr, lo, hi, loInc, hiInc)
+}
+
+func (g *goroutineProbe) Fetch(oid datum.OID) (string, map[string]datum.Value, bool) {
+	g.sample()
+	return g.fakeReader.Fetch(oid)
+}
+
+// TestInlinePlanStartsNoGoroutine: a plan whose every stage has one
+// worker — what the cardinality gate gives a rule condition — runs
+// wholly on the caller: index probe, hash build and probe, extent
+// join and the aggregate tail start no goroutine.
+func TestInlinePlanStartsNoGoroutine(t *testing.T) {
+	g := &goroutineProbe{fakeReader: saaFake(520)}
+	args := map[string]datum.Value{"owner": datum.Str("ownerc")}
+	for _, src := range []string{
+		"select s, h from Stock s, Holding h where s.symbol = h.symbol and h.owner = event.owner",
+		"select count(*) as n, sum(h.qty) as q from Stock s, Holding h, Stock u where s.symbol = h.symbol and u.price <= s.price",
+	} {
+		q := query.MustParse(src)
+		for _, opt := range []Options{{}, {Parallelism: 1, ParallelThreshold: -1}, {DisableIndex: true}} {
+			p := Build(q, g, args, opt)
+			if p.maxPar() != 1 {
+				t.Fatalf("fixture plan is not all-inline:\n%s", p.Explain())
+			}
+			g.peak = 0
+			base := runtime.NumGoroutine()
+			if _, err := p.Execute(g, args); err != nil {
+				t.Fatal(err)
+			}
+			if g.peak == 0 || g.peak > base {
+				t.Fatalf("goroutines during Execute peaked at %d, baseline %d\n%s", g.peak, base, p.Explain())
+			}
+		}
 	}
 }
 

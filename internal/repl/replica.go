@@ -44,12 +44,9 @@ type Options struct {
 	PrimaryAddr string
 	// NoSync disables fsync on the replica's own WAL.
 	NoSync bool
-	// Shards is the store shard count (0: storage.DefaultShards).
-	Shards int
-	// CheckpointAfterBytes / CompactEvery tune the replica's own
-	// checkpoints, which bound its local WAL exactly as on a primary.
+	// CheckpointAfterBytes triggers the replica's own checkpoints,
+	// which bound its local WAL exactly as on a primary.
 	CheckpointAfterBytes uint64
-	CompactEvery         int
 	// Obs receives the replica's histograms (repl_lag and the store's
 	// usual set); nil builds a default-enabled one.
 	Obs *obs.Obs
@@ -148,9 +145,8 @@ func Open(opts Options) (*Replica, error) {
 // the transaction path here — batches arrive via ApplyReplicated.
 func (r *Replica) openStoreAt(dir string) (*storage.Store, error) {
 	return storage.Open(r.txns, storage.Options{
-		Dir: dir, NoSync: r.opts.NoSync, Shards: r.opts.Shards,
+		Dir: dir, NoSync: r.opts.NoSync,
 		CheckpointAfterBytes: r.opts.CheckpointAfterBytes,
-		CompactEvery:         r.opts.CompactEvery,
 		Obs:                  r.o.Metrics(),
 		OnAsyncError: func(err error) {
 			r.mu.Lock()
