@@ -40,6 +40,43 @@ func setupEngine(b *testing.B) *core.Engine {
 	return e
 }
 
+// --- C22: signal cost vs rules per event, event-argument conditions ---
+
+// BenchmarkSignalGuarded signals quotes at an event with n trading
+// rules, one per symbol, whose conditions test the quote's symbol and
+// price: the dispatch table's predicate index leaves one candidate per
+// signal and schedules a firing for the one quote in a hundred that
+// reaches the limit, whatever n is.
+func BenchmarkSignalGuarded(b *testing.B) {
+	for _, n := range []int{1, 64, 1024, 10_000} {
+		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
+			e := setupEngine(b)
+			_, err := workload.SeedStocks(e, 1)
+			mustB(b, err)
+			mustB(b, workload.QuoteBuyRules(e, n, 50, "noop"))
+			syms := make([]datum.Value, n)
+			for i := range syms {
+				syms[i] = datum.Str(workload.QuoteSymbol(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				price := 49.0
+				if i%100 == 0 {
+					price = 51
+				}
+				mustB(b, e.SignalEvent(nil, workload.QuoteEvent, map[string]datum.Value{
+					"sym": syms[i%n], "price": datum.Float(price)}))
+			}
+			e.Quiesce()
+			b.StopTimer()
+			if st := e.Stats().Rules; st.Triggered != st.ActionsExecuted || st.Triggered != uint64((b.N+99)/100) {
+				b.Fatalf("%d signals scheduled %d firings and ran %d actions", b.N, st.Triggered, st.ActionsExecuted)
+			}
+		})
+	}
+}
+
 // --- C1: coupling-mode cost (one rule, one update per iteration) ---
 
 func BenchmarkCouplingModes(b *testing.B) {

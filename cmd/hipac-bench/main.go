@@ -4,14 +4,14 @@
 //
 // Usage:
 //
-//	hipac-bench [-run all|F41|F42|C1|...|C21] [-quick]
+//	hipac-bench [-run all|F41|F42|C1|...|C22] [-quick]
 //	           [-json out.json] [-compare baseline.json] [-regress-threshold 0.20]
 //
 // -json writes the metrics recorded during the run (today: C16's
 // parallel-scalability cells, C17's composite-event cells, C18's
 // snapshot-scan race cells, C19's replication cells, C20's
-// planner-vs-tree-walk join cells, and C21's parallel-executor
-// cells) as a flat name -> ns/op map; the committed BENCH_10.json
+// planner-vs-tree-walk join cells, C21's parallel-executor cells, and
+// C22's signal-cost cells) as a flat name -> ns/op map; the committed BENCH_10.json
 // baseline is produced with `make bench-baseline`. -compare
 // re-measures and fails (exit 1) if any metric shared with the
 // baseline regressed beyond the threshold — CI runs the bench smoke
@@ -43,7 +43,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment ids (F41, F42, C1..C21), comma-separated, or all")
+	run := flag.String("run", "all", "experiment ids (F41, F42, C1..C22), comma-separated, or all")
 	quick := flag.Bool("quick", false, "smaller iteration counts")
 	jsonPath := flag.String("json", "", "write recorded metrics (name -> ns/op) to this file")
 	comparePath := flag.String("compare", "", "fail if recorded metrics regress beyond the threshold vs this baseline JSON")
@@ -116,6 +116,7 @@ var titles = map[string]string{
 	"C19": "WAL shipping: replica read throughput and lag vs primary commit rate",
 	"C20": "query planning: join-heavy condition over 1M holdings, planner vs tree-walk",
 	"C21": "parallel execution: scan, 3-way hash join, and aggregate at plan parallelism 1/2/8",
+	"C22": "rule discrimination: signal cost vs rules per event, event-argument conditions at 1% selectivity",
 }
 
 var experiments = map[string]func(quick bool) error{
@@ -125,7 +126,7 @@ var experiments = map[string]func(quick bool) error{
 	"C9": expC9, "C10": expC10, "C11": expC11, "C12": expC12,
 	"C13": expC13, "C14": expC14, "C15": expC15, "C16": expC16,
 	"C17": expC17, "C18": expC18, "C19": expC19, "C20": expC20,
-	"C21": expC21,
+	"C21": expC21, "C22": expC22,
 }
 
 // measure warms the path up, then runs fn iters times and returns

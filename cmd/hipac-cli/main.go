@@ -367,6 +367,10 @@ func (s *shell) exec(line string) error {
 		fmt.Fprintf(s.out, "%-5s %-7s %-7s %s\n", "REFS", "CACHED", "EVFREE", "QUERY")
 		for _, n := range nodes {
 			fmt.Fprintf(s.out, "%-5d %-7v %-7v %s\n", n.Refs, n.Cached, n.EventFree, n.Query)
+			if len(n.Guards) > 0 {
+				// Tested at signal time: a false one skips the firing.
+				fmt.Fprintf(s.out, "%-21s guards: %s\n", "", strings.Join(n.Guards, ", "))
+			}
 		}
 		return nil
 

@@ -191,7 +191,7 @@ func TestShellGraphAndStats(t *testing.T) {
 	def := rule.Def{
 		Name:      "g",
 		Event:     "modify(Stock)",
-		Condition: []string{"select s from Stock s where s.price > 5"},
+		Condition: []string{"select s from Stock s where s.price > 5 and event.new_price >= 50"},
 		Action:    []rule.Step{{Kind: rule.StepAbort}},
 		EC:        "immediate", CA: "immediate",
 	}
@@ -199,13 +199,20 @@ func TestShellGraphAndStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.json")
 	os.WriteFile(path, raw, 0o644)
 	run(t, sh, "rule "+path, "graph")
-	if !strings.Contains(out.String(), "s.price > 5") {
+	if !strings.Contains(out.String(), "s.price > 5") || !strings.Contains(out.String(), "guards: (event.new_price >= 50)") {
 		t.Fatalf("graph output:\n%s", out.String())
 	}
+	// An update below the guard's limit is filtered, not fired.
+	out.Reset()
+	run(t, sh, "create Stock price=10")
+	oid := strings.TrimSpace(strings.TrimPrefix(out.String(), "created "))
+	run(t, sh, "modify "+oid+" price=20")
 	out.Reset()
 	run(t, sh, "stats")
-	if !strings.Contains(out.String(), "Rules") {
-		t.Fatalf("stats output:\n%s", out.String())
+	for _, want := range []string{"Rules", `"Filtered": 1`, `"Triggered": 0`} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("stats output lacks %s:\n%s", want, out.String())
+		}
 	}
 }
 

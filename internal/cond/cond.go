@@ -9,8 +9,11 @@
 // appearing in a thousand rules is evaluated once per event — the
 // "multiple query optimization" of §5.5 in spirit. Nodes whose
 // queries reference no event arguments can additionally be cached
-// across events and invalidated by class modification counters
-// (incremental evaluation).
+// across events, tagged with the snapshot LSN they were computed at
+// and invalidated by per-class commit LSNs (incremental evaluation).
+// Beside each node live its query's guards (query.Guards): the
+// event-only conjuncts the Rule Manager tests at signal time, so that
+// most unsatisfiable firings never reach Evaluate at all.
 //
 // Evaluation reads the database through a query.Reader supplied by
 // the caller. The rule manager passes a snapshot-pinned reader
@@ -111,19 +114,33 @@ type qnode struct {
 	footprint query.Footprint
 	eventFree bool
 
+	// guards are the query's event-only conjuncts, compiled once per
+	// node and shared by every rule that uses the query.
+	guards []query.Guard
+
 	// Cross-event cache, used only for event-free queries evaluated
-	// by "clean" readers (transactions with no uncommitted writes).
-	cached     *query.Result
-	cachedSeqs map[string]uint64
+	// by "clean" readers (transactions with no uncommitted writes)
+	// pinned to one snapshot: the result as of commit LSN cachedAt.
+	cached   *query.Result
+	cachedAt uint64
 }
 
 type ruleEntry struct {
 	nodes []*qnode
 }
 
-// ModSeqFunc reports a counter that advances whenever the class is
-// written; the storage layer provides it.
-type ModSeqFunc func(class string) uint64
+// CommitLSNFunc reports the newest commit LSN that wrote the class,
+// raised no later than the moment a snapshot can first see that
+// commit; the storage layer provides it (Store.ClassCommitLSN).
+type CommitLSNFunc func(class string) uint64
+
+// snapshotReader is the part of object.SnapshotReader the cross-event
+// cache needs: the single commit LSN all of the reader's committed
+// reads resolve at. A reader without it is never served from, and
+// never fills, the cache — there is no telling which state it saw.
+type snapshotReader interface {
+	SnapshotLSN() uint64
+}
 
 // Evaluator is the condition evaluator. It is safe for concurrent
 // use. The activity counters are atomics, not mu-guarded state:
@@ -131,12 +148,12 @@ type ModSeqFunc func(class string) uint64
 // concurrently, e.g. composite-event bursts) would otherwise
 // serialize on the evaluator mutex just to count shared hits.
 type Evaluator struct {
-	mu     sync.Mutex
-	nodes  map[string]*qnode
-	rules  map[uint64]*ruleEntry
-	modSeq ModSeqFunc
-	obsm   *obs.Metrics // nil-safe evaluation-latency observer
-	exec   ExecFunc     // nil means query.Eval (tree-walk)
+	mu       sync.Mutex
+	nodes    map[string]*qnode
+	rules    map[uint64]*ruleEntry
+	classLSN CommitLSNFunc
+	obsm     *obs.Metrics // nil-safe evaluation-latency observer
+	exec     ExecFunc     // nil means query.Eval (tree-walk)
 
 	nEvals, nShared, nCache atomic.Uint64
 }
@@ -159,35 +176,42 @@ func (e *Evaluator) SetExec(fn ExecFunc) { e.exec = fn }
 // call concurrently with evaluation.
 func (e *Evaluator) SetObserver(o *obs.Metrics) { e.obsm = o }
 
-// New returns an evaluator using modSeq for incremental-cache
+// New returns an evaluator using classLSN for incremental-cache
 // invalidation (pass nil to disable cross-event caching).
-func New(modSeq ModSeqFunc) *Evaluator {
+func New(classLSN CommitLSNFunc) *Evaluator {
 	return &Evaluator{
-		nodes:  map[string]*qnode{},
-		rules:  map[uint64]*ruleEntry{},
-		modSeq: modSeq,
+		nodes:    map[string]*qnode{},
+		rules:    map[uint64]*ruleEntry{},
+		classLSN: classLSN,
 	}
 }
 
 // AddRule registers a rule's condition in the graph (§5.5 "Add
 // Rule"). Queries identical to ones already in the graph share their
-// node.
-func (e *Evaluator) AddRule(id uint64, c Condition) {
+// node. It returns the condition's guards, the union over its
+// queries: the condition needs every query non-empty, so one guard
+// that is definitely false on a signal's bindings rules the whole
+// condition out for that signal.
+func (e *Evaluator) AddRule(id uint64, c Condition) []query.Guard {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	entry := &ruleEntry{}
+	var guards []query.Guard
 	for _, q := range c.Queries {
 		key := q.String()
 		n := e.nodes[key]
 		if n == nil {
 			fp := q.ComputeFootprint()
-			n = &qnode{q: q, canonical: key, footprint: fp, eventFree: len(fp.EventArgs) == 0}
+			n = &qnode{q: q, canonical: key, footprint: fp, eventFree: len(fp.EventArgs) == 0,
+				guards: query.Guards(q)}
 			e.nodes[key] = n
 		}
 		n.refs++
 		entry.nodes = append(entry.nodes, n)
+		guards = append(guards, n.guards...)
 	}
 	e.rules[id] = entry
+	return guards
 }
 
 // RemoveRule unregisters a rule (§5.5 "Delete Rule"), dropping
@@ -223,6 +247,9 @@ type NodeInfo struct {
 	Refs      int    `json:"refs"`      // rules sharing the node
 	EventFree bool   `json:"eventFree"` // eligible for the cross-event cache
 	Cached    bool   `json:"cached"`    // currently holds a cached result
+	// Guards are the query's event-only conjuncts, tested at signal
+	// time before a firing is scheduled.
+	Guards []string `json:"guards,omitempty"`
 }
 
 // Nodes returns the condition graph's nodes sorted by descending
@@ -232,12 +259,16 @@ func (e *Evaluator) Nodes() []NodeInfo {
 	defer e.mu.Unlock()
 	out := make([]NodeInfo, 0, len(e.nodes))
 	for _, n := range e.nodes {
-		out = append(out, NodeInfo{
+		info := NodeInfo{
 			Query:     n.canonical,
 			Refs:      n.refs,
 			EventFree: n.eventFree,
 			Cached:    n.cached != nil,
-		})
+		}
+		for _, g := range n.guards {
+			info.Guards = append(info.Guards, g.Expr.String())
+		}
+		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Refs != out[j].Refs {
@@ -262,8 +293,9 @@ func (e *Evaluator) Stats() Stats {
 // transaction chosen by the coupling mode; eventArgs are the signal's
 // bindings; clean declares that the reader's transaction (including
 // ancestors) has no uncommitted writes, enabling the cross-event
-// cache. Each distinct query node is evaluated at most once per call
-// regardless of how many rules share it.
+// cache when the reader is pinned to one snapshot LSN. Each distinct
+// query node is evaluated at most once per call regardless of how
+// many rules share it.
 func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Value,
 	clean bool, ruleIDs []uint64) (map[uint64]*Outcome, error) {
 
@@ -278,6 +310,14 @@ func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Val
 	}
 	e.mu.Unlock()
 
+	// at is the commit LSN the cross-event cache serves and fills at;
+	// cache is false when this call must bypass it.
+	var at uint64
+	cache := false
+	if sr, ok := reader.(snapshotReader); ok && clean && e.classLSN != nil {
+		at, cache = sr.SnapshotLSN(), true
+	}
+
 	memo := map[*qnode]*query.Result{}
 	out := make(map[uint64]*Outcome, len(plan))
 	for id, nodes := range plan {
@@ -288,7 +328,7 @@ func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Val
 				e.nShared.Add(1)
 			} else {
 				var err error
-				res, err = e.evalNode(n, reader, eventArgs, clean)
+				res, err = e.evalNode(n, reader, eventArgs, cache, at)
 				if err != nil {
 					return nil, fmt.Errorf("cond: rule %d query %q: %w", id, n.canonical, err)
 				}
@@ -309,11 +349,12 @@ func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Val
 }
 
 func (e *Evaluator) evalNode(n *qnode, reader query.Reader,
-	eventArgs map[string]datum.Value, clean bool) (*query.Result, error) {
+	eventArgs map[string]datum.Value, cache bool, at uint64) (*query.Result, error) {
 
-	if clean && n.eventFree && e.modSeq != nil {
+	cache = cache && n.eventFree
+	if cache {
 		e.mu.Lock()
-		if n.cached != nil && e.cacheFreshLocked(n) {
+		if n.cached != nil && e.unchangedSinceLocked(n, min(at, n.cachedAt)) {
 			res := n.cached
 			e.nCache.Add(1)
 			e.mu.Unlock()
@@ -333,26 +374,29 @@ func (e *Evaluator) evalNode(n *qnode, reader query.Reader,
 	}
 	tm.Done()
 	e.nEvals.Add(1)
-	if clean && n.eventFree && e.modSeq != nil {
+	if cache {
+		// The result is tagged with the LSN it was computed at, not
+		// with anything read now: a commit that landed while the query
+		// ran is invisible to res, and must invalidate it for the
+		// next, later-pinned reader.
 		e.mu.Lock()
-		seqs := make(map[string]uint64, len(n.footprint.Classes))
-		for cls := range n.footprint.Classes {
-			seqs[cls] = e.modSeq(cls)
+		if n.cached == nil || at >= n.cachedAt {
+			n.cached, n.cachedAt = res, at
 		}
-		n.cached = res
-		n.cachedSeqs = seqs
 		e.mu.Unlock()
 	}
 	return res, nil
 }
 
-// cacheFreshLocked reports whether no class in the node's footprint
-// has been written since the cache was filled. Caller holds e.mu.
-func (e *Evaluator) cacheFreshLocked(n *qnode) bool {
-	for cls, seq := range n.cachedSeqs {
-		if e.modSeq(cls) != seq {
+// unchangedSinceLocked reports whether no class in the node's
+// footprint has been committed to after lsn: every snapshot at or
+// above lsn then sees the same extents, so a result computed at one
+// serves a reader pinned at another. Caller holds e.mu.
+func (e *Evaluator) unchangedSinceLocked(n *qnode, lsn uint64) bool {
+	for cls := range n.footprint.Classes {
+		if e.classLSN(cls) > lsn {
 			return false
 		}
 	}
-	return len(n.cachedSeqs) == len(n.footprint.Classes)
+	return true
 }

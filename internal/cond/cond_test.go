@@ -8,11 +8,15 @@ import (
 	"repro/internal/query"
 )
 
-// memReader is a tiny in-memory query.Reader with a scan counter.
+// memReader is a tiny in-memory query.Reader with a scan counter,
+// pinned (like object.SnapshotReader) to the commit LSN in lsn.
 type memReader struct {
 	classes map[string][]row
 	scans   int
+	lsn     uint64
 }
+
+func (m *memReader) SnapshotLSN() uint64 { return m.lsn }
 
 type row struct {
 	oid   datum.OID
@@ -239,10 +243,11 @@ func TestRemoveRuleDropsUnreferencedNodes(t *testing.T) {
 }
 
 func TestCrossEventCache(t *testing.T) {
-	seq := map[string]uint64{"Stock": 1}
+	seq := map[string]uint64{"Stock": 1} // newest commit LSN per class
 	e := New(func(class string) uint64 { return seq[class] })
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
 	m := stockReader()
+	m.lsn = 1
 
 	if _, err := e.Evaluate(m, nil, true, []uint64{1}); err != nil {
 		t.Fatal(err)
@@ -256,13 +261,43 @@ func TestCrossEventCache(t *testing.T) {
 	if e.Stats().CacheHits != 1 {
 		t.Fatalf("stats = %+v", e.Stats())
 	}
-	// A write to the class invalidates.
-	seq["Stock"] = 2
+	// A commit to another class moves the snapshot, not the result.
+	seq["Other"], m.lsn = 2, 2
+	if _, err := e.Evaluate(m, nil, true, []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if m.scans != 1 {
+		t.Fatalf("scans = %d; a commit outside the footprint must not invalidate", m.scans)
+	}
+	// A commit to the class invalidates for readers that can see it...
+	seq["Stock"], m.lsn = 3, 3
 	if _, err := e.Evaluate(m, nil, true, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
 	if m.scans != 2 {
-		t.Fatalf("scans = %d; modSeq change must invalidate cache", m.scans)
+		t.Fatalf("scans = %d; a commit to the class must invalidate the cache", m.scans)
+	}
+	// ...and a reader pinned below it is not served the newer result.
+	m.lsn = 2
+	if _, err := e.Evaluate(m, nil, true, []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if m.scans != 3 {
+		t.Fatalf("scans = %d; an older snapshot must not read a newer cached result", m.scans)
+	}
+}
+
+func TestUnpinnedReaderBypassesCache(t *testing.T) {
+	// A reader that cannot name the commit LSN it reads at neither
+	// fills nor hits the cache.
+	e := New(func(string) uint64 { return 0 })
+	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
+	m := stockReader()
+	unpinned := struct{ query.Reader }{m}
+	e.Evaluate(unpinned, nil, true, []uint64{1})
+	e.Evaluate(unpinned, nil, true, []uint64{1})
+	if m.scans != 2 || e.Stats().CacheHits != 0 {
+		t.Fatalf("scans = %d, stats = %+v; unpinned reader must evaluate every time", m.scans, e.Stats())
 	}
 }
 
@@ -271,6 +306,7 @@ func TestDirtyReaderBypassesCache(t *testing.T) {
 	e := New(func(class string) uint64 { return seq[class] })
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
 	m := stockReader()
+	m.lsn = 1
 	e.Evaluate(m, nil, true, []uint64{1})  // fills cache
 	e.Evaluate(m, nil, false, []uint64{1}) // dirty: must re-evaluate
 	if m.scans != 2 {
@@ -283,6 +319,7 @@ func TestEventQueriesNeverCached(t *testing.T) {
 	e := New(func(class string) uint64 { return seq[class] })
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.symbol = event.sym"))
 	m := stockReader()
+	m.lsn = 1
 	args := map[string]datum.Value{"sym": datum.Str("XRX")}
 	e.Evaluate(m, args, true, []uint64{1})
 	args2 := map[string]datum.Value{"sym": datum.Str("IBM")}
@@ -346,10 +383,10 @@ var _ query.Reader = (*memReader)(nil)
 
 func TestCachePropertyUnderRandomInvalidation(t *testing.T) {
 	// Property: under a random interleaving of clean evaluations and
-	// class writes, a cached answer is served ONLY when no relevant
+	// class commits, a cached answer is served ONLY when no relevant
 	// class changed since it was computed — i.e. the evaluator's
 	// answer always matches a fresh evaluation.
-	seq := map[string]uint64{"Stock": 0, "Other": 0}
+	seq := map[string]uint64{"Stock": 0, "Other": 0} // newest commit LSN per class
 	e := New(func(class string) uint64 { return seq[class] })
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
 
@@ -365,9 +402,11 @@ func TestCachePropertyUnderRandomInvalidation(t *testing.T) {
 				price = 150
 			}
 			m.classes["Stock"][1].attrs["price"] = datum.Float(price)
-			seq["Stock"]++
+			m.lsn++
+			seq["Stock"] = m.lsn
 		case 1: // mutate an unrelated class: must NOT invalidate
-			seq["Other"]++
+			m.lsn++
+			seq["Other"] = m.lsn
 		default: // clean evaluation
 			out, err := e.Evaluate(m, nil, true, []uint64{1})
 			if err != nil {

@@ -83,10 +83,10 @@ func TestPlannerExecPinnedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner := cond.New(e.Store.ModSeq)
+	planner := cond.New(e.Store.ClassCommitLSN)
 	planner.SetExec(plan.Run)
 	planner.AddRule(1, c)
-	treewalk := cond.New(e.Store.ModSeq)
+	treewalk := cond.New(e.Store.ClassCommitLSN)
 	treewalk.AddRule(1, c)
 
 	// Pin the snapshot, THEN commit two more matching holdings. The
@@ -168,10 +168,10 @@ func TestPlannerExecJoinConditionMatchesTreeWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner := cond.New(e.Store.ModSeq)
+	planner := cond.New(e.Store.ClassCommitLSN)
 	planner.SetExec(plan.Run)
 	planner.AddRule(7, c)
-	treewalk := cond.New(e.Store.ModSeq)
+	treewalk := cond.New(e.Store.ClassCommitLSN)
 	treewalk.AddRule(7, c)
 
 	for _, args := range []map[string]datum.Value{

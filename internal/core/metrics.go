@@ -37,6 +37,7 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 		{"hipac_cond_cache_hits_total", s.Conditions.CacheHits},
 		{"hipac_rule_signals_total", s.Rules.Signals},
 		{"hipac_rule_triggered_total", s.Rules.Triggered},
+		{"hipac_rule_filtered_total", s.Rules.Filtered},
 		{"hipac_rule_immediate_firings_total", s.Rules.ImmediateFirings},
 		{"hipac_rule_deferred_firings_total", s.Rules.DeferredFirings},
 		{"hipac_rule_separate_firings_total", s.Rules.SeparateFirings},

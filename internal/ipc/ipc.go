@@ -380,6 +380,9 @@ type GraphNode struct {
 	Refs      int    `json:"refs"`
 	EventFree bool   `json:"eventFree"`
 	Cached    bool   `json:"cached"`
+	// Guards are the query's event-only conjuncts, tested at signal
+	// time before a firing is scheduled.
+	Guards []string `json:"guards,omitempty"`
 }
 
 // GraphRep lists the condition graph.

@@ -135,6 +135,12 @@ type stripe struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	locks map[Item]*entry
+	// xfers counts the lock inheritances (TransferToParent) applied to
+	// this stripe's items. A transfer is the one way a waiter acquires
+	// a new waits-for edge it did not register itself, so a waiter
+	// re-runs the deadlock probe only when xfers moved since its last
+	// one; see Acquire.
+	xfers uint64
 }
 
 // Manager is the lock manager. It is safe for concurrent use.
@@ -159,7 +165,8 @@ type Manager struct {
 	held sync.Map // TxnID -> *heldSet
 
 	nAcquired, nWaited, nDeadlocks atomic.Uint64
-	obsm                           *obs.Metrics // nil-safe wait-latency observer
+	nProbes                        atomic.Uint64 // deadlock probes run; tests hold it against nWaited
+	obsm                           *obs.Metrics  // nil-safe wait-latency observer
 }
 
 // SetObserver installs a wait-latency observer. Not safe to call
@@ -201,6 +208,7 @@ func (m *Manager) Acquire(tx TxnID, item Item, mode Mode) error {
 	// the common never-blocked grant skips the registry mutex.
 	var waitTimer obs.Timer
 	waited := false
+	var probed uint64 // st.xfers at this request's last deadlock probe
 	for {
 		if m.isCanceled(tx) {
 			if waited {
@@ -233,38 +241,58 @@ func (m *Manager) Acquire(tx TxnID, item Item, mode Mode) error {
 			waitTimer.Done()
 			return nil
 		}
-		// Register the wait before probing for deadlock: the probe of
-		// whichever waiter closes a cycle must be able to see every
-		// other edge. The canceled re-read inside registerWait closes
-		// the race with a concurrent Cancel that looked up our (not
-		// yet registered) wait record and broadcast nothing.
-		first, canceled := m.registerWait(tx, item, mode)
-		waited = true
-		if first {
-			m.nWaited.Add(1)
-			waitTimer = m.obsm.Timer(obs.HLockWait)
-		}
-		if canceled {
-			continue // loop top returns ErrCanceled
-		}
-		// The cycle probe takes stripes one at a time, so it must not
-		// hold ours. Releasing the stripe opens a window in which the
-		// request may become grantable (or a Cancel may land); the
-		// re-locked loop top re-checks both before sleeping, and any
-		// later change broadcasts under st.mu, so the sleep cannot
-		// miss its wakeup.
-		st.mu.Unlock()
-		dead := m.inCycle(tx)
-		st.mu.Lock()
-		if dead {
-			m.clearWait(tx)
-			m.nDeadlocks.Add(1)
+		// A blocked request probes for deadlock when it first blocks
+		// and again whenever a lock inheritance touched the stripe —
+		// not on every wakeup. A release only removes edges. A fresh
+		// grant adds an edge from each remaining waiter to the new
+		// holder, but that holder is running: it is not waiting, and
+		// it has no active descendants (a transaction with active
+		// children is suspended and acquires nothing), so it has no
+		// outgoing edge and cannot close a cycle until it blocks
+		// itself, when its own probe sees these edges. Inheritance is
+		// different: it moves a lock to a suspended parent that may
+		// have other descendants waiting. Probing on every wakeup
+		// made a hot item collapse: each release woke every waiter,
+		// and each re-froze the whole wait registry under wmu — a
+		// quadratic handoff that grew with the queue it caused.
+		if !waited || st.xfers != probed {
+			// Register the wait before probing for deadlock: the probe
+			// of whichever waiter closes a cycle must be able to see
+			// every other edge. The canceled re-read inside
+			// registerWait closes the race with a concurrent Cancel
+			// that looked up our (not yet registered) wait record and
+			// broadcast nothing.
+			first, canceled := m.registerWait(tx, item, mode)
+			waited = true
+			if first {
+				m.nWaited.Add(1)
+				waitTimer = m.obsm.Timer(obs.HLockWait)
+			}
+			if canceled {
+				continue // loop top returns ErrCanceled
+			}
+			// The cycle probe takes stripes one at a time, so it must
+			// not hold ours. Releasing the stripe opens a window in
+			// which the request may become grantable, a Cancel may
+			// land, or an inheritance may add an edge the probe did
+			// not see; the re-locked check below sends all three back
+			// to the loop top before sleeping, and any later change
+			// broadcasts under st.mu, so the sleep cannot miss its
+			// wakeup.
+			probed = st.xfers
 			st.mu.Unlock()
-			waitTimer.Done()
-			return fmt.Errorf("%w (txn %d, item %q, mode %s)", ErrDeadlock, tx, item, mode)
-		}
-		if m.isCanceled(tx) || m.grantable(st.locks[item], tx, mode) {
-			continue
+			dead := m.inCycle(tx)
+			st.mu.Lock()
+			if dead {
+				m.clearWait(tx)
+				m.nDeadlocks.Add(1)
+				st.mu.Unlock()
+				waitTimer.Done()
+				return fmt.Errorf("%w (txn %d, item %q, mode %s)", ErrDeadlock, tx, item, mode)
+			}
+			if st.xfers != probed || m.isCanceled(tx) || m.grantable(st.locks[item], tx, mode) {
+				continue
+			}
 		}
 		st.cond.Wait()
 	}
@@ -375,6 +403,7 @@ func (m *Manager) grantable(e *entry, tx TxnID, mode Mode) bool {
 // snapshot up front, and each visited item's holders are read under
 // that item's stripe, one stripe at a time.
 func (m *Manager) inCycle(start TxnID) bool {
+	m.nProbes.Add(1)
 	m.wmu.Lock()
 	waits := make(map[TxnID]waitRecord, len(m.waits))
 	for tx, w := range m.waits {
@@ -477,6 +506,7 @@ func (m *Manager) TransferToParent(child, parent TxnID) {
 					// hold, so lists stay duplicate-free.
 					inherited = append(inherited, item)
 				}
+				st.xfers++
 				st.cond.Broadcast()
 			}
 		}

@@ -365,3 +365,92 @@ func TestSharedThenManyReaders(t *testing.T) {
 		t.Fatal("readers should never block each other")
 	}
 }
+
+// waitBlocked spins until tx is registered as waiting.
+func waitBlocked(t *testing.T, m *Manager, tx TxnID) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		m.wmu.Lock()
+		_, waiting := m.waits[tx]
+		m.wmu.Unlock()
+		if waiting {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("txn %d never blocked", tx)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestInheritanceClosedCycleIsDetected(t *testing.T) {
+	// A cycle can be closed by lock inheritance instead of by a new
+	// wait: 1 waits for a held by child 11; 12, another child of 10,
+	// waits for b held by 1. Nothing is wrong until 11 commits and a
+	// passes to the suspended parent 10 — then 1 -> 10 -> 12 -> 1.
+	// The woken waiter must notice, although it was already blocked
+	// and probed clean before.
+	topo := newTopo()
+	topo.setParent(11, 10)
+	topo.setParent(12, 10)
+	m := NewManager(topo)
+	if err := m.Acquire(11, "a", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(1, "b", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- m.Acquire(12, "b", Exclusive) }()
+	waitBlocked(t, m, 12)
+	go func() { errs <- m.Acquire(1, "a", Exclusive) }()
+	waitBlocked(t, m, 1)
+	select {
+	case err := <-errs:
+		t.Fatalf("a wait resolved before the cycle existed: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	m.TransferToParent(11, 10)
+	select {
+	case err := <-errs:
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("waiter resolved with %v, want a deadlock", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cycle closed by inheritance went undetected")
+	}
+}
+
+func TestHotItemHandoffDoesNotReprobe(t *testing.T) {
+	// Many transactions queue for one item while each holder keeps it
+	// a little: a release wakes them all, and each goes back to sleep
+	// without freezing the wait registry again. (Probing on every
+	// wakeup made one handoff cost milliseconds at 512 waiters.)
+	const waiters, rounds = 256, 4
+	m := NewManager(newTopo())
+	var wg sync.WaitGroup
+	for g := 0; g < waiters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				tx := TxnID(1 + g + i*waiters)
+				if err := m.Acquire(tx, "hot", Exclusive); err != nil {
+					t.Error(err)
+					return
+				}
+				time.Sleep(20 * time.Microsecond)
+				m.ReleaseAll(tx)
+			}
+		}(g)
+	}
+	wg.Wait()
+	// One probe per request that blocked, none per wakeup.
+	st := m.Stats()
+	if st.Acquired != waiters*rounds || st.Waited < waiters/2 {
+		t.Fatalf("stats = %+v: the item was not contended", st)
+	}
+	if probes := m.nProbes.Load(); probes != st.Waited {
+		t.Fatalf("%d deadlock probes for %d blocked requests", probes, st.Waited)
+	}
+}

@@ -26,8 +26,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/datum"
 	"repro/internal/event"
@@ -89,7 +91,19 @@ type Manager struct {
 	mu      sync.RWMutex
 	byName  map[string]datum.OID // class name -> schema record OID (may be uncommitted)
 	sinkOff bool
+
+	// decoded memoizes decodeClass on the encoded definition, which
+	// every Create and Modify would otherwise unmarshal again. The key
+	// is the JSON text, so the entry is right for whichever record —
+	// committed or not, of whichever transaction — carries that text.
+	// Its classes share their Attrs slices: read-only.
+	decoded  sync.Map // definition JSON -> Class
+	nDecoded atomic.Int64
 }
+
+// maxDecodedClasses bounds Manager.decoded; DDL churn past it empties
+// the map and starts over.
+const maxDecodedClasses = 1024
 
 // NewManager returns an Object Manager over the store. Pass a nil
 // sink to run without event detection (it can be set later with
@@ -251,13 +265,27 @@ func (m *Manager) classRecord(tx *txn.Txn, name string) (storage.Record, error) 
 	return found, nil
 }
 
-// lookupClass returns the class definition visible to tx.
+// lookupClass returns the class definition visible to tx. The result
+// shares its Attrs with other callers and must not be modified.
 func (m *Manager) lookupClass(tx *txn.Txn, name string) (Class, error) {
 	rec, err := m.classRecord(tx, name)
 	if err != nil {
 		return Class{}, err
 	}
-	return decodeClass(rec)
+	def := rec.Attrs["def"].AsString()
+	if c, ok := m.decoded.Load(def); ok {
+		return c.(Class), nil
+	}
+	c, err := decodeClass(rec)
+	if err != nil {
+		return Class{}, err
+	}
+	if m.nDecoded.Add(1) > maxDecodedClasses {
+		m.decoded.Range(func(k, _ any) bool { m.decoded.Delete(k); return true })
+		m.nDecoded.Store(1)
+	}
+	m.decoded.Store(def, c)
+	return c, nil
 }
 
 // GetClass returns the class definition visible to tx (taking a
@@ -266,7 +294,9 @@ func (m *Manager) GetClass(tx *txn.Txn, name string) (Class, error) {
 	if err := tx.Lock(classItem(name), lock.Shared); err != nil {
 		return Class{}, err
 	}
-	return m.lookupClass(tx, name)
+	c, err := m.lookupClass(tx, name)
+	c.Attrs = slices.Clone(c.Attrs)
+	return c, err
 }
 
 // Classes lists the class definitions visible to tx, in name order.

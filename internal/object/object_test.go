@@ -461,3 +461,73 @@ func TestNullClearsAttribute(t *testing.T) {
 		t.Fatalf("clearing required: %v", err)
 	}
 }
+
+func TestClassDecodingIsMemoizedPerDefinition(t *testing.T) {
+	// The memo is keyed by the definition text, so it cannot leak one
+	// transaction's view of a class name into another's: a redefinition
+	// still uncommitted in tx2 validates tx2's creates against the new
+	// attributes and everybody else's against the old.
+	m, tm, _ := setup(t)
+	mustDefine(t, m, tm, Class{Name: "C", Attrs: []AttrDef{{Name: "x", Kind: datum.KindInt}}})
+	tx1 := tm.Begin()
+	oid, err := m.Create(tx1, "C", map[string]datum.Value{"x": datum.Int(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx1.Commit()
+
+	// Empty the extent, then redefine with a different attribute.
+	drop := tm.Begin()
+	if err := m.Delete(drop, oid); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DropClass(drop, "C"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DefineClass(drop, Class{Name: "C", Attrs: []AttrDef{{Name: "y", Kind: datum.KindString}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create(drop, "C", map[string]datum.Value{"y": datum.Str("new")}); err != nil {
+		t.Fatalf("create against the uncommitted redefinition: %v", err)
+	}
+	if _, err := m.Create(drop, "C", map[string]datum.Value{"x": datum.Int(3)}); !errors.Is(err, ErrSchema) {
+		t.Fatalf("old attribute after redefinition: %v, want a schema error", err)
+	}
+	drop.Abort()
+	after := tm.Begin()
+	defer after.Commit()
+	if _, err := m.Create(after, "C", map[string]datum.Value{"x": datum.Int(4)}); err != nil {
+		t.Fatalf("create after the redefinition aborted: %v", err)
+	}
+
+	// A caller that edits what GetClass returned does not edit the
+	// memoized definition.
+	c, err := m.GetClass(after, "C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Attrs[0].Name = "mutated"
+	if _, err := m.Create(after, "C", map[string]datum.Value{"x": datum.Int(5)}); err != nil {
+		t.Fatalf("shared definition was mutated through GetClass: %v", err)
+	}
+}
+
+func TestClassDecodingMemoIsBounded(t *testing.T) {
+	m, tm, _ := setup(t)
+	tx := tm.Begin()
+	defer tx.Commit()
+	for i := 0; i < maxDecodedClasses+10; i++ {
+		name := fmt.Sprintf("C%d", i)
+		if err := m.DefineClass(tx, Class{Name: name, Attrs: []AttrDef{{Name: "x", Kind: datum.KindInt}}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Create(tx, name, map[string]datum.Value{"x": datum.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	m.decoded.Range(func(any, any) bool { n++; return true })
+	if n == 0 || n > maxDecodedClasses {
+		t.Fatalf("memo holds %d definitions, bound is %d", n, maxDecodedClasses)
+	}
+}

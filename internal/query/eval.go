@@ -480,7 +480,12 @@ func (e *evaluator) evalUnary(u *Unary) (datum.Value, error) {
 	if err != nil {
 		return datum.Null(), err
 	}
-	switch u.Op {
+	return unaryValue(u.Op, x)
+}
+
+// unaryValue applies a unary operator to a present value.
+func unaryValue(op UnOp, x datum.Value) (datum.Value, error) {
+	switch op {
 	case OpNot:
 		if x.Kind() != datum.KindBool {
 			return datum.Null(), fmt.Errorf("query: not applied to %s", x.Kind())
@@ -496,7 +501,7 @@ func (e *evaluator) evalUnary(u *Unary) (datum.Value, error) {
 			return datum.Null(), fmt.Errorf("query: negation of %s", x.Kind())
 		}
 	default:
-		return datum.Null(), fmt.Errorf("query: unknown unary op %q", u.Op)
+		return datum.Null(), fmt.Errorf("query: unknown unary op %q", op)
 	}
 }
 
@@ -542,8 +547,7 @@ func (e *evaluator) evalBinary(b *Binary) (datum.Value, error) {
 	}
 	rMissing := err != nil
 
-	switch b.Op {
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+	if isComparison(b.Op) {
 		if lMissing || rMissing || l.IsNull() || r.IsNull() {
 			// Comparisons against missing/null are unknown (false),
 			// except inequality against a known value.
@@ -552,46 +556,65 @@ func (e *evaluator) evalBinary(b *Binary) (datum.Value, error) {
 			}
 			return datum.Bool(false), nil
 		}
-		c, err := datum.Compare(l, r)
-		if err != nil {
-			if b.Op == OpEq {
-				return datum.Bool(false), nil
-			}
-			if b.Op == OpNe {
-				return datum.Bool(true), nil
-			}
-			return datum.Null(), fmt.Errorf("query: %v %s %v: %w", l, b.Op, r, err)
-		}
-		switch b.Op {
-		case OpEq:
-			return datum.Bool(c == 0), nil
-		case OpNe:
-			return datum.Bool(c != 0), nil
-		case OpLt:
-			return datum.Bool(c < 0), nil
-		case OpLe:
-			return datum.Bool(c <= 0), nil
-		case OpGt:
-			return datum.Bool(c > 0), nil
-		case OpGe:
-			return datum.Bool(c >= 0), nil
-		}
+		return compareValues(b.Op, l, r)
 	}
-
 	if lMissing || rMissing {
 		return datum.Null(), fmt.Errorf("%w: operand of %s", ErrNoValue, b.Op)
 	}
+	return arithValues(b.Op, l, r)
+}
 
-	switch b.Op {
+func isComparison(op BinOp) bool {
+	switch op {
+	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+		return true
+	}
+	return false
+}
+
+// compareValues applies a comparison operator to two present,
+// non-null values. Incomparable kinds are unequal; ordering them is a
+// hard error.
+func compareValues(op BinOp, l, r datum.Value) (datum.Value, error) {
+	c, err := datum.Compare(l, r)
+	if err != nil {
+		if op == OpEq {
+			return datum.Bool(false), nil
+		}
+		if op == OpNe {
+			return datum.Bool(true), nil
+		}
+		return datum.Null(), fmt.Errorf("query: %v %s %v: %w", l, op, r, err)
+	}
+	switch op {
+	case OpEq:
+		return datum.Bool(c == 0), nil
+	case OpNe:
+		return datum.Bool(c != 0), nil
+	case OpLt:
+		return datum.Bool(c < 0), nil
+	case OpLe:
+		return datum.Bool(c <= 0), nil
+	case OpGt:
+		return datum.Bool(c > 0), nil
+	default: // OpGe
+		return datum.Bool(c >= 0), nil
+	}
+}
+
+// arithValues applies an arithmetic operator (or string
+// concatenation) to two present values.
+func arithValues(op BinOp, l, r datum.Value) (datum.Value, error) {
+	switch op {
 	case OpAdd:
 		if l.Kind() == datum.KindString && r.Kind() == datum.KindString {
 			return datum.Str(l.AsString() + r.AsString()), nil
 		}
-		return numericOp(l, r, b.Op)
+		return numericOp(l, r, op)
 	case OpSub, OpMul, OpDiv, OpMod:
-		return numericOp(l, r, b.Op)
+		return numericOp(l, r, op)
 	}
-	return datum.Null(), fmt.Errorf("query: unknown binary op %q", b.Op)
+	return datum.Null(), fmt.Errorf("query: unknown binary op %q", op)
 }
 
 func numericOp(l, r datum.Value, op BinOp) (datum.Value, error) {
@@ -649,7 +672,12 @@ func (e *evaluator) evalCall(c *Call) (datum.Value, error) {
 	if err != nil {
 		return datum.Null(), err
 	}
-	switch c.Fn {
+	return scalarCall(c.Fn, v)
+}
+
+// scalarCall applies a one-argument builtin to a present value.
+func scalarCall(fn string, v datum.Value) (datum.Value, error) {
+	switch fn {
 	case "abs":
 		switch v.Kind() {
 		case datum.KindInt:
@@ -675,7 +703,7 @@ func (e *evaluator) evalCall(c *Call) (datum.Value, error) {
 		}
 		return datum.Int(int64(len(v.AsString()))), nil
 	default:
-		return datum.Null(), fmt.Errorf("query: unknown function %q", c.Fn)
+		return datum.Null(), fmt.Errorf("query: unknown function %q", fn)
 	}
 }
 

@@ -3,7 +3,9 @@ package rule
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cond"
 	"repro/internal/datum"
@@ -30,6 +32,7 @@ type CallFunc func(tx *txn.Txn, bindings map[string]datum.Value) error
 type Stats struct {
 	Signals             uint64 // event signals handled
 	Triggered           uint64 // rule firings scheduled
+	Filtered            uint64 // subscribed rules a signal skipped: a guard was definitely false
 	ImmediateFirings    uint64
 	DeferredFirings     uint64
 	SeparateFirings     uint64
@@ -54,6 +57,11 @@ const FiringOverflowKey = "__other__"
 
 // Manager is the Rule Manager. It maps events to rules and schedules
 // condition evaluation and action execution per the coupling modes.
+//
+// mu serializes the rule lifecycle (register, unregister, enable,
+// disable) and guards the maps it maintains. Signal processing takes
+// no manager lock: HandleEmit reads the subscription's dispatch table
+// through an atomic pointer, and the counters are atomics.
 type Manager struct {
 	txns    *txn.Manager
 	objects *object.Manager
@@ -61,19 +69,32 @@ type Manager struct {
 	det     *event.Detectors // set via SetDetectors after construction
 	met     *obs.Metrics     // nil-safe latency observer
 	tr      *obs.Tracer      // nil-safe firing-tree tracer
+	app     AppDispatcher
+	onErr   func(rule string, err error)
 
 	mu       sync.RWMutex
 	rules    map[datum.OID]*Rule
 	byName   map[string]datum.OID
-	bySub    map[event.SubID]map[datum.OID]*Rule
 	specSubs map[string]event.SubID // canonical spec -> shared subscription
-	calls    map[string]CallFunc
-	app      AppDispatcher
-	onErr    func(rule string, err error)
-	stats    Stats
-	fired    map[string]uint64 // per-rule action executions (capped)
+
+	subs  sync.Map // event.SubID -> *subscription
+	calls sync.Map // callback name -> CallFunc
+
+	n struct {
+		signals, triggered, filtered            atomic.Uint64
+		immediate, deferred, separate           atomic.Uint64
+		satisfied, actionsExecuted, asyncErrors atomic.Uint64
+	}
 
 	sep sync.WaitGroup // in-flight separate firings
+}
+
+// subscription is the Rule Manager's side of one detector
+// subscription, shared by every rule with the same event
+// specification.
+type subscription struct {
+	rules int                           // registered rules, enabled or not; guarded by Manager.mu
+	table atomic.Pointer[dispatchTable] // the enabled ones; never nil
 }
 
 // NewManager returns a Rule Manager. Call SetDetectors once the event
@@ -86,9 +107,7 @@ func NewManager(txns *txn.Manager, objects *object.Manager, eval *cond.Evaluator
 		eval:     eval,
 		rules:    map[datum.OID]*Rule{},
 		byName:   map[string]datum.OID{},
-		bySub:    map[event.SubID]map[datum.OID]*Rule{},
 		specSubs: map[string]event.SubID{},
-		calls:    map[string]CallFunc{},
 	}
 }
 
@@ -113,44 +132,43 @@ func (m *Manager) SetObs(o *obs.Obs) {
 func (m *Manager) SetErrorHandler(f func(rule string, err error)) { m.onErr = f }
 
 // RegisterCall registers a Go callback usable by "call" action steps.
-func (m *Manager) RegisterCall(name string, fn CallFunc) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.calls[name] = fn
-}
+func (m *Manager) RegisterCall(name string, fn CallFunc) { m.calls.Store(name, fn) }
 
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats {
+	st := Stats{
+		Signals:             m.n.signals.Load(),
+		Triggered:           m.n.triggered.Load(),
+		Filtered:            m.n.filtered.Load(),
+		ImmediateFirings:    m.n.immediate.Load(),
+		DeferredFirings:     m.n.deferred.Load(),
+		SeparateFirings:     m.n.separate.Load(),
+		ConditionsSatisfied: m.n.satisfied.Load(),
+		ActionsExecuted:     m.n.actionsExecuted.Load(),
+		AsyncErrors:         m.n.asyncErrors.Load(),
+	}
+	// Per-rule counts live on the rules; the cardinality cap is applied
+	// here, in name order so the named set is stable between snapshots.
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	st := m.stats
-	if len(m.fired) > 0 {
-		st.RuleFirings = make(map[string]uint64, len(m.fired))
-		for name, n := range m.fired {
-			st.RuleFirings[name] = n
+	var fired []*Rule
+	for _, r := range m.rules {
+		if r.fired.Load() > 0 {
+			fired = append(fired, r)
+		}
+	}
+	m.mu.RUnlock()
+	if len(fired) > 0 {
+		sort.Slice(fired, func(i, j int) bool { return fired[i].Name < fired[j].Name })
+		st.RuleFirings = make(map[string]uint64, min(len(fired), MaxFiringCounters+1))
+		for i, r := range fired {
+			name := r.Name
+			if i >= MaxFiringCounters {
+				name = FiringOverflowKey
+			}
+			st.RuleFirings[name] += r.fired.Load()
 		}
 	}
 	return st
-}
-
-// countFiring bumps the per-rule firing counter, spilling into the
-// overflow bucket once the cardinality cap is reached.
-func (m *Manager) countFiring(name string) {
-	m.mu.Lock()
-	if m.fired == nil {
-		m.fired = map[string]uint64{}
-	}
-	if _, ok := m.fired[name]; !ok && len(m.fired) >= MaxFiringCounters {
-		name = FiringOverflowKey
-	}
-	m.fired[name]++
-	m.mu.Unlock()
-}
-
-func (m *Manager) bump(f func(*Stats)) {
-	m.mu.Lock()
-	f(&m.stats)
-	m.mu.Unlock()
 }
 
 // traceAnchor finds the span a signal raised inside t should hang
@@ -166,12 +184,9 @@ func (m *Manager) traceAnchor(t *txn.Txn) *obs.Span {
 }
 
 func (m *Manager) reportAsync(rule string, err error) {
-	m.bump(func(s *Stats) { s.AsyncErrors++ })
-	m.mu.RLock()
-	h := m.onErr
-	m.mu.RUnlock()
-	if h != nil {
-		h(rule, err)
+	m.n.asyncErrors.Add(1)
+	if m.onErr != nil {
+		m.onErr(rule, err)
 	}
 }
 
@@ -239,55 +254,61 @@ func (m *Manager) CreateRule(def Def) (*Rule, error) {
 }
 
 // register installs a compiled rule into the runtime maps, the
-// condition graph, and the event detectors. Rules with identical
-// event specifications SHARE one detector subscription: a single
-// occurrence then triggers them together, and per §3.2 "for rules
-// with the same event and E-C coupling mode, the condition evaluation
-// transactions will execute concurrently" as siblings.
+// condition graph, the event detectors and its subscription's
+// dispatch table. Rules with identical event specifications SHARE one
+// detector subscription: a single occurrence then triggers them
+// together, and per §3.2 "for rules with the same event and E-C
+// coupling mode, the condition evaluation transactions will execute
+// concurrently" as siblings. The whole registration is one critical
+// section, so racing creators of one new specification cannot define
+// it twice.
 func (m *Manager) register(r *Rule) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.registerLocked(r)
+}
+
+func (m *Manager) registerLocked(r *Rule) error {
 	if m.det == nil {
 		return errors.New("rule: detectors not wired")
 	}
 	key := r.Spec.String()
-	m.mu.Lock()
 	sub, shared := m.specSubs[key]
-	m.mu.Unlock()
 	if !shared {
 		var err error
-		sub, err = m.det.Define(r.Spec)
-		if err != nil {
+		if sub, err = m.det.Define(r.Spec); err != nil {
 			return err
 		}
+		m.specSubs[key] = sub
+		st := &subscription{}
+		st.table.Store(&dispatchTable{})
+		m.subs.Store(sub, st)
 	}
 	r.sub = sub
-	m.eval.AddRule(uint64(r.OID), r.Condition)
-	m.mu.Lock()
+	r.guards = m.eval.AddRule(uint64(r.OID), r.Condition)
+	r.access = chooseAccess(r.guards)
 	m.rules[r.OID] = r
 	m.byName[r.Name] = r.OID
-	if m.bySub[sub] == nil {
-		m.bySub[sub] = map[datum.OID]*Rule{}
+	st := m.subscription(sub)
+	st.rules++
+	if r.Enabled {
+		st.table.Store(st.table.Load().with(r))
 	}
-	m.bySub[sub][r.OID] = r
-	m.specSubs[key] = sub
-	m.mu.Unlock()
-	m.syncSubEnablement(sub)
+	m.syncSubEnablementLocked(sub)
 	return nil
 }
 
-// syncSubEnablement enables the detector subscription iff any rule
-// sharing it is enabled; automatic firing of individually disabled
-// rules is filtered in HandleEmit.
-func (m *Manager) syncSubEnablement(sub event.SubID) {
-	m.mu.RLock()
-	any := false
-	for _, r := range m.bySub[sub] {
-		if r.Enabled {
-			any = true
-			break
-		}
-	}
-	m.mu.RUnlock()
-	if any {
+func (m *Manager) subscription(sub event.SubID) *subscription {
+	v, _ := m.subs.Load(sub)
+	st, _ := v.(*subscription)
+	return st
+}
+
+// syncSubEnablementLocked enables the detector subscription iff any
+// rule sharing it is enabled; individually disabled rules are simply
+// absent from the dispatch table.
+func (m *Manager) syncSubEnablementLocked(sub event.SubID) {
+	if m.subscription(sub).table.Load().size() > 0 {
 		m.det.Enable(sub)
 	} else {
 		m.det.Disable(sub)
@@ -301,7 +322,6 @@ func (m *Manager) syncSubEnablement(sub event.SubID) {
 func (m *Manager) DeleteRule(name string) error {
 	m.mu.RLock()
 	oid, ok := m.byName[name]
-	r := m.rules[oid]
 	m.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("rule: no rule %q", name)
@@ -315,29 +335,34 @@ func (m *Manager) DeleteRule(name string) error {
 	if err := t.Commit(); err != nil {
 		return err
 	}
-	m.unregister(r)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// Looked up again: an update may have replaced the rule since.
+	if r := m.rules[oid]; r != nil {
+		m.unregisterLocked(r)
+	}
 	return nil
 }
 
-// unregister removes a rule from the runtime maps, the condition
-// graph, and — when it was the last rule on its event — the detectors
-// (§5.3: detection ceases when the last rule using the event is
-// deleted).
-func (m *Manager) unregister(r *Rule) {
+// unregisterLocked removes a rule from the runtime maps, the condition
+// graph, the dispatch table, and — when it was the last rule on its
+// event — the detectors (§5.3: detection ceases when the last rule
+// using the event is deleted).
+func (m *Manager) unregisterLocked(r *Rule) {
 	m.eval.RemoveRule(uint64(r.OID))
-	m.mu.Lock()
 	delete(m.rules, r.OID)
 	delete(m.byName, r.Name)
-	delete(m.bySub[r.sub], r.OID)
-	last := len(m.bySub[r.sub]) == 0
-	if last {
-		delete(m.bySub, r.sub)
+	st := m.subscription(r.sub)
+	if r.Enabled {
+		st.table.Store(st.table.Load().without(r))
+	}
+	if st.rules--; st.rules == 0 {
+		m.subs.Delete(r.sub)
 		delete(m.specSubs, r.Spec.String())
-	}
-	m.mu.Unlock()
-	if last {
 		m.det.Delete(r.sub)
+		return
 	}
+	m.syncSubEnablementLocked(r.sub)
 }
 
 // UpdateRule replaces an existing rule's definition in place (§2.2
@@ -347,7 +372,6 @@ func (m *Manager) unregister(r *Rule) {
 func (m *Manager) UpdateRule(def Def) (*Rule, error) {
 	m.mu.RLock()
 	oid, ok := m.byName[def.Name]
-	old := m.rules[oid]
 	m.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("rule: no rule %q", def.Name)
@@ -370,8 +394,13 @@ func (m *Manager) UpdateRule(def Def) (*Rule, error) {
 		return nil, err
 	}
 	r.OID = oid
-	m.unregister(old)
-	if err := m.register(r); err != nil {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if old := m.rules[oid]; old != nil {
+		r.fired.Store(old.fired.Load())
+		m.unregisterLocked(old)
+	}
+	if err := m.registerLocked(r); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -382,7 +411,6 @@ func (m *Manager) UpdateRule(def Def) (*Rule, error) {
 func (m *Manager) setEnabled(name string, enabled bool) error {
 	m.mu.RLock()
 	oid, ok := m.byName[name]
-	r := m.rules[oid]
 	m.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("rule: no rule %q", name)
@@ -397,9 +425,20 @@ func (m *Manager) setEnabled(name string, enabled bool) error {
 		return err
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	// Looked up again: an update may have replaced the rule since.
+	r := m.rules[oid]
+	if r == nil || r.Enabled == enabled {
+		return nil
+	}
 	r.Enabled = enabled
-	m.mu.Unlock()
-	m.syncSubEnablement(r.sub)
+	st := m.subscription(r.sub)
+	if enabled {
+		st.table.Store(st.table.Load().with(r))
+	} else {
+		st.table.Store(st.table.Load().without(r))
+	}
+	m.syncSubEnablementLocked(r.sub)
 	return nil
 }
 
@@ -421,16 +460,12 @@ func (m *Manager) GetRule(name string) (*Rule, bool) {
 // Rules lists registered rules in name order.
 func (m *Manager) Rules() []*Rule {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := make([]*Rule, 0, len(m.rules))
 	for _, r := range m.rules {
 		out = append(out, r)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	m.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -517,32 +552,28 @@ func (d *deferredSet) drain() []deferredEntry {
 // It runs synchronously on the goroutine where the event occurred, so
 // the triggering operation is suspended until immediate processing
 // completes; its error return propagates to that operation.
+//
+// Which rules the occurrence triggers is read off the subscription's
+// dispatch table: every enabled rule without guards, plus the guarded
+// ones the signal's bindings do not rule out. A rule whose guard is
+// definitely false costs a lookup here — no goroutine, transaction,
+// rule lock or snapshot.
 func (m *Manager) HandleEmit(sub event.SubID, sig event.Signal) error {
-	m.mu.RLock()
-	var triggered []*Rule
-	for _, r := range m.bySub[sub] {
-		if r.Enabled {
-			triggered = append(triggered, r)
-		}
+	m.n.signals.Add(1)
+	st := m.subscription(sub)
+	if st == nil {
+		return nil // deleted since the detectors matched it
 	}
-	m.mu.RUnlock()
-	m.bump(func(s *Stats) { s.Signals++; s.Triggered += uint64(len(triggered)) })
-	if len(triggered) == 0 {
+	groups, filtered := st.table.Load().match(sig.Bindings)
+	immediate, deferred, separate := groups[Immediate], groups[Deferred], groups[Separate]
+	if filtered > 0 {
+		m.n.filtered.Add(uint64(filtered))
+	}
+	triggered := len(immediate) + len(deferred) + len(separate)
+	if triggered == 0 {
 		return nil
 	}
-
-	// Group by E-C coupling mode.
-	var immediate, deferred, separate []*Rule
-	for _, r := range triggered {
-		switch r.EC {
-		case Immediate:
-			immediate = append(immediate, r)
-		case Deferred:
-			deferred = append(deferred, r)
-		case Separate:
-			separate = append(separate, r)
-		}
-	}
+	m.n.triggered.Add(uint64(triggered))
 
 	trigger, haveTxn := m.txns.Find(sig.Txn)
 	if haveTxn {
@@ -584,7 +615,7 @@ func (m *Manager) HandleEmit(sub event.SubID, sig event.Signal) error {
 				trigger.DeferredData = set
 			}
 			set.add(deferredEntry{sig: sig, rules: deferred})
-			m.bump(func(s *Stats) { s.DeferredFirings += uint64(len(deferred)) })
+			m.n.deferred.Add(uint64(len(deferred)))
 			for _, r := range deferred {
 				sp.Mark("deferred-queue", r.Name, "deferred", "", 0, 0)
 			}
@@ -600,7 +631,7 @@ func (m *Manager) HandleEmit(sub event.SubID, sig event.Signal) error {
 	// which is suspended until they all terminate.
 	if len(immediate) > 0 {
 		if haveTxn {
-			m.bump(func(s *Stats) { s.ImmediateFirings += uint64(len(immediate)) })
+			m.n.immediate.Add(uint64(len(immediate)))
 			if err := m.fireGroup(trigger, immediate, sig, sp, "immediate"); err != nil {
 				sp.End("aborted")
 				return err
@@ -667,7 +698,7 @@ func (m *Manager) fireGroup(parent *txn.Txn, rules []*Rule, sig event.Signal, sp
 			csp.Mark("rule", r.Name, r.CA.String(), "not-satisfied", 0, 0)
 			continue
 		}
-		m.bump(func(s *Stats) { s.ConditionsSatisfied++ })
+		m.n.satisfied.Add(1)
 		switch r.CA {
 		case Immediate:
 			wave1 = append(wave1, firing{r, sig})
@@ -732,7 +763,7 @@ func (m *Manager) runWave(parent *txn.Txn, wave []firing, outcomes map[uint64]*c
 // spawnSeparate runs one rule firing in its own top-level
 // transaction, concurrent with the trigger (§3.2 separate coupling).
 func (m *Manager) spawnSeparate(r *Rule, sig event.Signal) {
-	m.bump(func(s *Stats) { s.SeparateFirings++ })
+	m.n.separate.Add(1)
 	m.sep.Add(1)
 	go func() {
 		defer m.sep.Done()
@@ -762,7 +793,7 @@ func (m *Manager) spawnSeparate(r *Rule, sig event.Signal) {
 			sp.End("not-satisfied")
 			return
 		}
-		m.bump(func(s *Stats) { s.ConditionsSatisfied++ })
+		m.n.satisfied.Add(1)
 		switch r.CA {
 		case Immediate, Deferred:
 			// Condition and action together in the separate
@@ -939,8 +970,8 @@ func (m *Manager) Fire(tx *txn.Txn, name string, args map[string]datum.Value) er
 func (m *Manager) execAction(tx *txn.Txn, r *Rule, sig event.Signal, primary *query.Result) error {
 	tm := m.met.Timer(obs.HActionExec)
 	defer tm.Done()
-	m.bump(func(s *Stats) { s.ActionsExecuted++ })
-	m.countFiring(r.Name)
+	m.n.actionsExecuted.Add(1)
+	r.fired.Add(1)
 	rows := 1
 	if primary != nil {
 		rows = len(primary.Rows)
@@ -1008,27 +1039,22 @@ func (m *Manager) execStep(tx *txn.Txn, r *Rule, st compiledStep,
 		return err
 
 	case StepRequest:
-		m.mu.RLock()
-		app := m.app
-		m.mu.RUnlock()
-		if app == nil {
+		if m.app == nil {
 			return fmt.Errorf("no application serves operation %q", st.op)
 		}
 		args, err := evalExprs(st.args, reader, vars, eventArgs)
 		if err != nil {
 			return err
 		}
-		_, err = app.Dispatch(st.op, args)
+		_, err = m.app.Dispatch(st.op, args)
 		return err
 
 	case StepCall:
-		m.mu.RLock()
-		fn := m.calls[st.fn]
-		m.mu.RUnlock()
+		fn, _ := m.calls.Load(st.fn)
 		if fn == nil {
 			return fmt.Errorf("no registered callback %q", st.fn)
 		}
-		return fn(tx, mergedBindings(vars, eventArgs))
+		return fn.(CallFunc)(tx, mergedBindings(vars, eventArgs))
 
 	case StepAbort:
 		return fmt.Errorf("%w (rule %q)", AbortRequested, r.Name)

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/cond"
 	"repro/internal/datum"
@@ -133,6 +134,14 @@ type Rule struct {
 
 	def Def // original definition, for persistence and display
 	sub event.SubID
+
+	// guards are the condition's event-only conjuncts and access is
+	// where the dispatch table files the rule under them; both are set
+	// at registration and immutable afterwards.
+	guards []query.Guard
+	access access
+
+	fired atomic.Uint64 // action executions
 }
 
 // Definition returns the rule's original definition.

@@ -646,6 +646,7 @@ func (s *session) handle(req *ipc.Message) {
 		for _, n := range eng.Conditions.Nodes() {
 			rep.Nodes = append(rep.Nodes, ipc.GraphNode{
 				Query: n.Query, Refs: n.Refs, EventFree: n.EventFree, Cached: n.Cached,
+				Guards: n.Guards,
 			})
 		}
 		s.reply(req, rep, nil)

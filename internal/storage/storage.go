@@ -166,6 +166,7 @@ type Store struct {
 	shardMask uint64
 	dirty     sync.Map // lock.TxnID -> *txnDirty
 	modSeq    sync.Map // class string -> *atomic.Uint64
+	classLSN  sync.Map // class string -> *atomic.Uint64 (newest commit LSN installed)
 	extentN   sync.Map // class string -> *atomic.Int64 (extent cardinality)
 	// statsSeed holds the per-class extent cardinalities carried by the
 	// newest snapshot-chain element loaded at Open: checkpoint-time
@@ -460,6 +461,17 @@ func (s *Store) bumpSeq(class string) {
 	v.(*atomic.Uint64).Add(1)
 }
 
+// raiseClassLSN records that commit clsn wrote the class.
+func (s *Store) raiseClassLSN(class string, clsn uint64) {
+	v, ok := s.classLSN.Load(class)
+	if !ok {
+		v, _ = s.classLSN.LoadOrStore(class, &atomic.Uint64{})
+	}
+	a := v.(*atomic.Uint64)
+	for cur := a.Load(); cur < clsn && !a.CompareAndSwap(cur, clsn); cur = a.Load() {
+	}
+}
+
 // Put installs rec as tx's uncommitted version of the object,
 // replacing any prior version tx wrote. The caller must already hold
 // the appropriate exclusive lock.
@@ -489,9 +501,8 @@ func (s *Store) Put(tx lock.TxnID, rec Record) {
 	e.umu.Unlock()
 	s.extentAdd(sh, rec.Class, rec.OID)
 	sh.mu.Unlock()
-	// Bump after the write so a stale ModSeq read can only under-claim
-	// freshness (forcing a harmless re-evaluation), never cache stale
-	// data under a new sequence number.
+	// Bump after the write, so whoever sees the new sequence number
+	// also sees the write.
 	s.bumpSeq(rec.Class)
 	s.noteDirty(tx, rec.OID)
 }
@@ -895,10 +906,25 @@ func (s *Store) IndexCandidates(tx lock.TxnID, class, attr string, lo, hi btree.
 }
 
 // ModSeq returns a counter that increases whenever the class is
-// written (by any transaction). The condition evaluator uses it to
-// reuse cached results when nothing relevant changed.
+// written (by any transaction, committed or not). A replica watches
+// the catalog class with it. It cannot validate a cached read: see
+// ClassCommitLSN.
 func (s *Store) ModSeq(class string) uint64 {
 	if v, ok := s.modSeq.Load(class); ok {
+		return v.(*atomic.Uint64).Load()
+	}
+	return 0
+}
+
+// ClassCommitLSN returns the newest commit LSN that wrote the class (0
+// when none has since Open). It is raised when the commit installs —
+// before its LSN publishes — so once a snapshot can see a commit, the
+// class already reports an LSN at or above it: a result computed at
+// snapshot LSN a equals the one at snapshot LSN b for every class
+// whose ClassCommitLSN is at most min(a, b). Unlike ModSeq it ignores
+// uncommitted writes, which no other transaction's snapshot can see.
+func (s *Store) ClassCommitLSN(class string) uint64 {
+	if v, ok := s.classLSN.Load(class); ok {
 		return v.(*atomic.Uint64).Load()
 	}
 	return 0
@@ -1184,6 +1210,7 @@ func (s *Store) maybeKickCheckpoint() {
 // modification counter is bumped by the caller (after its shard
 // section) — see Put for the ordering argument.
 func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Record, clsn uint64) {
+	s.raiseClassLSN(rec.Class, clsn)
 	if s.loading {
 		if rec.Deleted {
 			sh.objects.Delete(rec.OID)

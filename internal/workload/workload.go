@@ -235,3 +235,37 @@ func Spin(iters int) int64 {
 	}
 	return acc
 }
+
+// QuoteEvent is the external event of the rule-discrimination
+// workloads (experiment C22): a price quote for one symbol.
+const QuoteEvent = "Quote"
+
+// QuoteSymbol names the symbol the i-th QuoteBuyRules rule buys.
+func QuoteSymbol(i int) string { return fmt.Sprintf("S%05d", i) }
+
+// QuoteBuyRules defines QuoteEvent(sym, price) and installs n
+// separate-coupled trading rules on it, the paper's "buy when the
+// price reaches 50" once per symbol: rule i calls the registered
+// callback fn when a quote for QuoteSymbol(i) is at or above limit.
+// Both tests are on event arguments, so a quote can satisfy at most
+// one of the n rules, and none below the limit. The row test reads
+// the Stock class, which must hold at least one object.
+func QuoteBuyRules(e *core.Engine, n int, limit float64, fn string) error {
+	if err := e.DefineEvent(QuoteEvent, "sym", "price"); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		if _, err := e.CreateRule(rule.Def{
+			Name:  fmt.Sprintf("buy-%05d", i),
+			Event: "external(" + QuoteEvent + ")",
+			Condition: []string{fmt.Sprintf(
+				"select s from Stock s where s.price >= 0 and event.sym = '%s' and event.price >= %g",
+				QuoteSymbol(i), limit)},
+			Action: []rule.Step{{Kind: rule.StepCall, Fn: fn}},
+			EC:     "separate", CA: "immediate",
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
