@@ -576,6 +576,66 @@ func BenchmarkIndexVsScan(b *testing.B) {
 	b.Run("scan", func(b *testing.B) { run(b, false) })
 }
 
+// BenchmarkScanClass walks a 10 000-row extent through the query
+// reader, the path every extent scan, hash build and condition takes:
+// serial is the k-way merge of the shard runs (ScanClass), per-shard
+// the fan-out surface of the parallel executor, one shard after another
+// at one pinned LSN. Both borrow the stored versions: allocations are
+// per scan, not per row.
+func BenchmarkScanClass(b *testing.B) {
+	const rows = 10_000
+	e := setupEngine(b)
+	_, err := workload.SeedStocks(e, rows)
+	mustB(b, err)
+	tx := e.Begin()
+	defer tx.Commit()
+	r := e.Objects.SnapshotReader(tx)
+	defer r.Close()
+	n := 0
+	visit := func(datum.OID, map[string]datum.Value) bool { n++; return true }
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n = 0
+			mustB(b, r.ScanClass("Stock", visit))
+			if n != rows {
+				b.Fatalf("scan visited %d rows", n)
+			}
+		}
+	})
+	b.Run("per-shard", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n = 0
+			for si := 0; si < r.ShardCount(); si++ {
+				mustB(b, r.ScanClassShard(si, "Stock", r.SnapshotLSN(), visit))
+			}
+			if n != rows {
+				b.Fatalf("shard scans visited %d rows", n)
+			}
+		}
+	})
+}
+
+// BenchmarkFetch reads one committed object by OID through the query
+// reader — the index-probe and identity-pin path — which hands out the
+// stored version without allocating.
+func BenchmarkFetch(b *testing.B) {
+	e := setupEngine(b)
+	oids, err := workload.SeedStocks(e, 1024)
+	mustB(b, err)
+	tx := e.Begin()
+	defer tx.Commit()
+	r := e.Objects.Reader(tx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := r.Fetch(oids[(i*31)%len(oids)]); !ok {
+			b.Fatal("object not found")
+		}
+	}
+}
+
 // BenchmarkObsOverhead ablates the observability subsystem: the same
 // rule-firing update loop with histograms+tracing on (the default)
 // and fully disabled. The enabled/disabled delta is the total

@@ -209,7 +209,7 @@ func TestShellGraphAndStats(t *testing.T) {
 	run(t, sh, "modify "+oid+" price=20")
 	out.Reset()
 	run(t, sh, "stats")
-	for _, want := range []string{"Rules", `"Filtered": 1`, `"Triggered": 0`} {
+	for _, want := range []string{"Rules", `"Filtered": 1`, `"Triggered": 0`, `"RowsScanned":`} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("stats output lacks %s:\n%s", want, out.String())
 		}

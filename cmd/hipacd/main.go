@@ -147,7 +147,6 @@ func runReplica(addr, dir, primaryAddr, metrics string, cfg config) {
 	}
 
 	var promotedDir atomic.Value // string: set once Promote succeeds
-	promoteCh := make(chan struct{})
 	readSrv := repl.NewServer(rep, func() (uint64, error) {
 		applied := uint64(rep.AppliedLSN())
 		d, err := rep.Promote()
@@ -155,7 +154,6 @@ func runReplica(addr, dir, primaryAddr, metrics string, cfg config) {
 			return 0, err
 		}
 		promotedDir.Store(d)
-		close(promoteCh)
 		return applied, nil
 	})
 
@@ -169,7 +167,7 @@ func runReplica(addr, dir, primaryAddr, metrics string, cfg config) {
 		select {
 		case <-sigCh:
 			log.Printf("hipacd: shutting down")
-		case <-promoteCh:
+		case <-readSrv.Promoted():
 			log.Printf("hipacd: promoted; restarting as primary")
 		}
 		readSrv.Close()

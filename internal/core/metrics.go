@@ -20,6 +20,7 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 		{"hipac_store_puts_total", s.Store.Puts},
 		{"hipac_store_gets_total", s.Store.Gets},
 		{"hipac_store_scans_total", s.Store.Scans},
+		{"hipac_store_rows_scanned_total", s.Store.RowsScanned},
 		{"hipac_store_index_probes_total", s.Store.IndexProbes},
 		{"hipac_store_top_commits_total", s.Store.TopCommits},
 		{"hipac_store_wal_bytes_total", s.Store.WALBytes},

@@ -441,6 +441,8 @@ func (m *Manager) Modify(tx *txn.Txn, oid datum.OID, updates map[string]datum.Va
 		"class": datum.Str(rec.Class),
 		"oid":   datum.ID(oid),
 	}
+	// rec.Attrs is the stored version (shared, read-only); this copy is
+	// the next version's map, and Put takes it over.
 	newAttrs := datum.CloneMap(rec.Attrs)
 	if newAttrs == nil {
 		newAttrs = map[string]datum.Value{}
@@ -493,11 +495,17 @@ func (m *Manager) Delete(tx *txn.Txn, oid datum.OID) error {
 // shard mutex. Writers are still correct without the lock because a
 // transaction that intends to write takes its exclusive lock first,
 // and the previous writer's commit published before releasing it.
+//
+// Get and GetForUpdate are where a record leaves the engine (Engine.Get,
+// the ipc get verb): the result is a private copy the caller may keep
+// and modify. Inside the engine — queries, conditions, Modify — versions
+// are read by reference, never copied.
 func (m *Manager) Get(tx *txn.Txn, oid datum.OID) (storage.Record, error) {
 	rec, ok := m.store.Get(tx.ID(), oid)
 	if !ok {
 		return storage.Record{}, fmt.Errorf("%w: %v", ErrNoSuchObject, oid)
 	}
+	rec.Attrs = datum.CloneMap(rec.Attrs)
 	return rec, nil
 }
 
@@ -513,11 +521,7 @@ func (m *Manager) GetForUpdate(tx *txn.Txn, oid datum.OID) (storage.Record, erro
 	if err := tx.Lock(objItem(oid), lock.Exclusive); err != nil {
 		return storage.Record{}, err
 	}
-	rec, ok := m.store.Get(tx.ID(), oid)
-	if !ok {
-		return storage.Record{}, fmt.Errorf("%w: %v", ErrNoSuchObject, oid)
-	}
-	return rec, nil
+	return m.Get(tx, oid)
 }
 
 // Store exposes the underlying store (for the engine's recovery and

@@ -12,7 +12,9 @@ import (
 // through the store's MVCC path — no shared locks, no shard mutexes:
 // each ScanClass pins its own snapshot LSN for the duration of the
 // scan, and Fetch reads at the latest published commit. tx's own
-// uncommitted writes are always visible. For a reader whose *every*
+// uncommitted writes are always visible. Attribute maps are the stored
+// versions, handed out by reference (query.Reader's read-only
+// contract); only Manager.Get copies. For a reader whose *every*
 // read must observe one consistent snapshot (condition evaluation,
 // multi-query requests), use SnapshotReader.
 func (m *Manager) Reader(tx *txn.Txn) query.Reader {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/datum"
+	"repro/internal/query"
 )
 
 // TestSnapshotReaderConsistentMidScan: a pinned SnapshotReader
@@ -71,5 +72,38 @@ func TestSnapshotReaderConsistentMidScan(t *testing.T) {
 	fresh := m.Reader(rtx)
 	if _, attrs, ok := fresh.Fetch(oids[0]); !ok || attrs["volume"].AsInt() != 1 {
 		t.Fatalf("fresh Fetch = %v %v, want volume=1", attrs, ok)
+	}
+}
+
+// TestFetchSharesTheStoredVersion: the query path borrows versions —
+// Fetch of a committed object allocates nothing and hands out the map
+// the store holds — while Get, where a record leaves the engine, returns
+// a copy the caller may write.
+func TestFetchSharesTheStoredVersion(t *testing.T) {
+	m, tm, _ := setup(t)
+	mustDefine(t, m, tm, stockClass)
+	tx := tm.Begin()
+	oid, err := m.Create(tx, "Stock", map[string]datum.Value{"symbol": datum.Str("XRX"), "volume": datum.Int(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rtx := tm.Begin()
+	defer rtx.Commit()
+	for name, r := range map[string]query.Reader{"reader": m.Reader(rtx), "snapshot reader": m.SnapshotReader(rtx)} {
+		if n := testing.AllocsPerRun(100, func() { r.Fetch(oid) }); n != 0 {
+			t.Errorf("%s: Fetch of a committed object allocates %v times, want 0", name, n)
+		}
+	}
+	rec, err := m.Get(rtx, oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Attrs["volume"] = datum.Int(-1)
+	delete(rec.Attrs, "symbol")
+	if _, attrs, ok := m.Reader(rtx).Fetch(oid); !ok || attrs["volume"].AsInt() != 7 || attrs["symbol"].AsString() != "XRX" {
+		t.Fatalf("writing Get's result changed what Fetch reads: %v", attrs)
 	}
 }

@@ -76,7 +76,8 @@ const (
 	// HWALGroup.
 	HVersionChain
 	// HSnapshotRead: one snapshot class scan (pin through last record
-	// resolved), the lock-free MVCC read path.
+	// resolved), the lock-free MVCC read path. The scan streams, so the
+	// caller's per-row callback runs inside the interval.
 	HSnapshotRead
 	// HReplBatch: redo-payload bytes shipped in one replication batch
 	// frame. A count histogram like HWALGroup.

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -225,6 +226,14 @@ func TestDifferentialRandomized(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		rng := rand.New(rand.NewSource(int64(round) * 7919))
 		f, sc, args := genRound(rng)
+		// The reader hands its maps out by reference, as the store does
+		// (query.Reader): no plan and no oracle run may write one.
+		pristine := map[string][]map[string]datum.Value{}
+		for class, rows := range f.classes {
+			for _, r := range rows {
+				pristine[class] = append(pristine[class], datum.CloneMap(r.attrs))
+			}
+		}
 		for qi := 0; qi < 4; qi++ {
 			src := genQuery(rng, sc, args)
 			func() {
@@ -237,6 +246,14 @@ func TestDifferentialRandomized(t *testing.T) {
 			}()
 			if t.Failed() {
 				t.Fatalf("round %d diverged (seed %d): %s", round, int64(round)*7919, src)
+			}
+		}
+		for class, rows := range f.classes {
+			for i, r := range rows {
+				if !reflect.DeepEqual(r.attrs, pristine[class][i]) {
+					t.Fatalf("round %d: %s %v was written during evaluation: %v, was %v",
+						round, class, r.oid, r.attrs, pristine[class][i])
+				}
 			}
 		}
 	}

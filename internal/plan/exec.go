@@ -1,8 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/datum"
@@ -24,7 +25,9 @@ func (x *execCtx) fork() *execCtx {
 	return &execCtx{r: x.r, env: query.NewEnv(x.r, x.args), args: x.args}
 }
 
-// cand is one candidate object produced by a step's access path.
+// cand is one candidate object produced by a step's access path. attrs
+// is the reader's map: the stored version, shared and read-only
+// (query.Reader), held by reference in hash tables and tuples.
 type cand struct {
 	oid   datum.OID
 	attrs map[string]datum.Value
@@ -32,6 +35,34 @@ type cand struct {
 
 // tuple is one join-output row: a binding per syntactic FROM slot.
 type tuple []cand
+
+// compareTuples is the canonical order: slot-wise by OID.
+func compareTuples(a, b tuple) int {
+	for i := range a {
+		if a[i].oid != b[i].oid {
+			return cmp.Compare(a[i].oid, b[i].oid)
+		}
+	}
+	return 0
+}
+
+// tupleSlab carves a stage worker's output tuples out of shared backing
+// arrays — doubling up to parallelBatch rows, so a one-row condition
+// query still allocates one row — instead of one allocation per tuple.
+type tupleSlab struct {
+	rows int
+	buf  []cand
+}
+
+func (s *tupleSlab) next(width int) tuple {
+	if len(s.buf) < width {
+		s.rows = min(max(2*s.rows, 1), parallelBatch)
+		s.buf = make([]cand, width*s.rows)
+	}
+	t := tuple(s.buf[:width:width])
+	s.buf = s.buf[width:]
+	return t
+}
 
 // --- step candidates: pin / index scan / extent scan / hash probe ---
 
@@ -182,18 +213,14 @@ func (p *Plan) Execute(r query.Reader, args map[string]datum.Value) (*query.Resu
 			return nil, err
 		}
 	}
-	// Restore the oracle's emission order with the canonical sort
-	// (see the package comment).
-	sort.SliceStable(tuples, func(a, b int) bool {
-		ta, tb := tuples[a], tuples[b]
-		for i := range ta {
-			if ta[i].oid != tb[i].oid {
-				return ta[i].oid < tb[i].oid
-			}
-		}
-		return false
-	})
-
+	// Restore the oracle's emission order with the canonical sort (see
+	// the package comment) unless production already followed it: access
+	// paths yield ascending OIDs and an inline nested loop extends its
+	// outer tuples in order, so plans that join in FROM order do. Equal
+	// tuples bind the same objects in every slot: no need for stability.
+	if !slices.IsSortedFunc(tuples, compareTuples) {
+		slices.SortFunc(tuples, compareTuples)
+	}
 	return p.emit(x, tuples)
 }
 
@@ -256,6 +283,7 @@ func (p *Plan) stage(x *execCtx, i int, outer []tuple) ([]tuple, error) {
 // bounds or probe key see the outer bindings through the env) and
 // hands every surviving extension to emit until emit declines.
 func (sc *stepCands) join(x *execCtx, placed []*step, outer []tuple, emit func(tuple) bool) error {
+	var slab tupleSlab
 	for _, t := range outer {
 		for _, ps := range placed {
 			c := t[ps.slot]
@@ -272,7 +300,7 @@ func (sc *stepCands) join(x *execCtx, placed []*step, outer []tuple, emit func(t
 			if !ok {
 				continue
 			}
-			nt := make(tuple, len(t))
+			nt := slab.next(len(t))
 			copy(nt, t)
 			nt[sc.s.slot] = c
 			if !emit(nt) {
@@ -379,33 +407,6 @@ func (p *Plan) emit(x *execCtx, tuples []tuple) (*query.Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	if len(q.OrderBy) > 0 {
-		idx := make([]int, len(res.Rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ka, kb := sortKeys[idx[a]], sortKeys[idx[b]]
-			for c, o := range q.OrderBy {
-				if datum.Equal(ka[c], kb[c]) {
-					continue
-				}
-				less := datum.Less(ka[c], kb[c])
-				if o.Desc {
-					return !less
-				}
-				return less
-			}
-			return false
-		})
-		sorted := make([][]datum.Value, len(res.Rows))
-		for i, j := range idx {
-			sorted[i] = res.Rows[j]
-		}
-		res.Rows = sorted
-	}
-	if q.Limit >= 0 && len(res.Rows) > q.Limit {
-		res.Rows = res.Rows[:q.Limit]
-	}
+	query.OrderAndLimit(q, res, sortKeys)
 	return res, nil
 }

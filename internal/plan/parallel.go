@@ -57,9 +57,7 @@ type ShardScanner interface {
 func (p *Plan) maxPar() int {
 	par := 1
 	for _, s := range p.steps {
-		if s.par > par {
-			par = s.par
-		}
+		par = max(par, s.par)
 	}
 	return par
 }
@@ -282,6 +280,7 @@ func (p *Plan) parallelBase(x *execCtx, s *step, ss ShardScanner, workers int) (
 	defer release()
 	return p.fanOut(workers, func(w int, ex *exchange) error {
 		env, out := x.fork().env, outbox{ex: ex}
+		var slab tupleSlab
 		var evalErr error
 		err := scanSlice(ss, ex, w, workers, s.from.Class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
 			c := cand{oid: oid, attrs: attrs}
@@ -293,7 +292,7 @@ func (p *Plan) parallelBase(x *execCtx, s *step, ss ShardScanner, workers int) (
 			if !ok {
 				return true
 			}
-			t := make(tuple, len(p.vars))
+			t := slab.next(len(p.vars))
 			t[s.slot] = c
 			return out.add(t)
 		})

@@ -18,7 +18,7 @@
 //
 //   - The tree-walk emits join tuples in lexicographic OID order of
 //     the syntactic FROM variables: every level visits strictly
-//     ascending OIDs (extent scans sort by OID, index candidates are
+//     ascending OIDs (extents are OID-ordered, index candidates are
 //     deduplicated and sorted, a pin visits one), so the emission
 //     sequence of (oid_1, ..., oid_n) tuples is the lexicographic
 //     order of the distinct tuples it produces. The executor

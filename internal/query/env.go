@@ -68,6 +68,13 @@ func ReferencesAny(e Expr, vars map[string]bool) bool { return referencesAny(e, 
 // (a < b == b > a); non-comparison ops are returned unchanged.
 func FlipOp(op BinOp) BinOp { return flipOp(op) }
 
+// OrderAndLimit applies q's ORDER BY — a stable sort of res.Rows on
+// sortKeys, the ORDER BY expressions evaluated per row in emission
+// order — and then its LIMIT, exactly as Eval does.
+func OrderAndLimit(q *Query, res *Result, sortKeys [][]datum.Value) {
+	orderAndLimit(q, res, sortKeys)
+}
+
 // AggState accumulates one select item's aggregate over emitted rows.
 // Accumulation order matters for float sums: the executor feeds rows
 // in the tree-walk emission order so results are bit-identical.

@@ -13,15 +13,22 @@ import (
 // transaction by the Object Manager. Implementations must expose a
 // transaction-consistent snapshot (own writes visible, ancestors'
 // writes visible, others' invisible).
+//
+// The attribute maps ScanClass and Fetch hand out are the stored
+// versions themselves, shared with every concurrent reader: the
+// evaluator (and any other caller) may keep them for the reader's
+// lifetime but must never write them.
 type Reader interface {
-	// ScanClass visits every live object of the class in OID order.
+	// ScanClass visits every live object of the class in OID order,
+	// stopping as soon as fn returns false. attrs is read-only.
 	ScanClass(class string, fn func(oid datum.OID, attrs map[string]datum.Value) bool) error
 	// LookupRange returns candidate OIDs with lo <= attrs[attr] <= hi
 	// (bounds optional). ok is false when no index exists on
 	// class.attr; candidates may include false positives but must not
 	// miss any visible match.
 	LookupRange(class, attr string, lo, hi *datum.Value, loInc, hiInc bool) (oids []datum.OID, ok bool)
-	// Fetch returns a live object's attributes by OID.
+	// Fetch returns a live object's attributes by OID. attrs is
+	// read-only.
 	Fetch(oid datum.OID) (class string, attrs map[string]datum.Value, ok bool)
 }
 
@@ -134,9 +141,16 @@ func (e *evaluator) run(q *Query) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
+	orderAndLimit(q, res, sortKeys)
+	return res, nil
+}
+
+// orderAndLimit is the tail of every execution: ORDER BY as a stable
+// sort of the rows on their precomputed keys (datum.Less is a total
+// order, so heterogeneous keys still sort deterministically), then
+// LIMIT.
+func orderAndLimit(q *Query, res *Result, sortKeys [][]datum.Value) {
 	if len(q.OrderBy) > 0 {
-		// Stable sort on the precomputed keys (datum.Less is a total
-		// order, so heterogeneous keys still sort deterministically).
 		idx := make([]int, len(res.Rows))
 		for i := range idx {
 			idx[i] = i
@@ -164,7 +178,6 @@ func (e *evaluator) run(q *Query) (*Result, error) {
 	if q.Limit >= 0 && len(res.Rows) > q.Limit {
 		res.Rows = res.Rows[:q.Limit]
 	}
-	return res, nil
 }
 
 // loop performs the nested-loop join over the remaining FROM clauses,

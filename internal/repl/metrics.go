@@ -65,6 +65,7 @@ func (r *Replica) WritePrometheus(w io.Writer) error {
 			{"hipac_store_live_snapshots", uint64(s.LiveSnapshots)},
 			{"hipac_store_gets_total", s.Gets},
 			{"hipac_store_scans_total", s.Scans},
+			{"hipac_store_rows_scanned_total", s.RowsScanned},
 		}
 		for _, g := range gauges {
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.value); err != nil {

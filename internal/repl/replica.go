@@ -328,13 +328,11 @@ func (r *Replica) Get(oid datum.OID) (storage.Record, error) {
 	}
 	t := txns.Begin()
 	defer t.Commit()
-	sr := m.SnapshotReader(t)
-	defer sr.Close()
-	class, attrs, ok := sr.Fetch(oid)
-	if !ok {
+	rec, err := m.Get(t, oid)
+	if err != nil {
 		return storage.Record{}, fmt.Errorf("repl: no object %d", oid)
 	}
-	return storage.Record{OID: oid, Class: class, Attrs: attrs}, nil
+	return rec, nil
 }
 
 // Classes lists the replicated class catalog.

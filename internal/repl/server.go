@@ -28,6 +28,10 @@ type Server struct {
 	// engine, start a writable server). It returns the applied LSN the
 	// promoted store recovered to.
 	onPromote func() (uint64, error)
+	// promoted is closed once a successful OpPromote has been answered;
+	// the daemon waits for it before closing this server, so the reply
+	// is not lost with the connection.
+	promoted chan struct{}
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -41,8 +45,12 @@ type Server struct {
 // reports its applied LSN, leaving the caller to reopen the returned
 // directory out of band.
 func NewServer(rep *Replica, onPromote func() (uint64, error)) *Server {
-	return &Server{rep: rep, onPromote: onPromote, conns: map[net.Conn]struct{}{}}
+	return &Server{rep: rep, onPromote: onPromote, promoted: make(chan struct{}),
+		conns: map[net.Conn]struct{}{}}
 }
+
+// Promoted is closed after a successful promotion's reply is written.
+func (s *Server) Promoted() <-chan struct{} { return s.promoted }
 
 // Serve accepts client connections on ln until Close.
 func (s *Server) Serve(ln net.Listener) error {
@@ -289,6 +297,7 @@ func (s *replSession) handle(req *ipc.Message) {
 				return
 			}
 			s.reply(req, ipc.PromoteRep{AppliedLSN: applied}, nil)
+			close(s.srv.promoted) // Promote succeeds at most once
 			return
 		}
 		applied := uint64(rep.AppliedLSN())
@@ -297,6 +306,7 @@ func (s *replSession) handle(req *ipc.Message) {
 			return
 		}
 		s.reply(req, ipc.PromoteRep{AppliedLSN: applied}, nil)
+		close(s.srv.promoted)
 
 	default:
 		s.reply(req, nil, errReadOnly)

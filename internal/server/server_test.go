@@ -104,6 +104,10 @@ func TestDataAndTransactionOperations(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// What Get returned is the client's own: writing it changes nothing
+	// a later Get reads.
+	obj.Attrs["price"] = datum.Float(-1)
+	delete(obj.Attrs, "symbol")
 	// Abort works too.
 	tx2, _ := c.Begin()
 	c.Modify(tx2, oid, map[string]datum.Value{"price": datum.Float(99)})
@@ -112,8 +116,8 @@ func TestDataAndTransactionOperations(t *testing.T) {
 	}
 	tx3, _ := c.Begin()
 	obj, _ = c.Get(tx3, oid)
-	if obj.Attrs["price"].AsFloat() != 50 {
-		t.Fatal("abort did not roll back")
+	if obj.Attrs["price"].AsFloat() != 50 || obj.Attrs["symbol"].AsString() != "XRX" {
+		t.Fatalf("abort did not roll back, or the client's write reached the store: %v", obj.Attrs)
 	}
 	tx3.Commit()
 }

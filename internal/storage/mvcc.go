@@ -30,6 +30,7 @@
 package storage
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -67,6 +68,25 @@ type mvEntry struct {
 	nUnc atomic.Int32
 }
 
+// setUnc replaces the uncommitted tier, keeping the nUnc mirror in step.
+// Caller holds e.umu.
+func (e *mvEntry) setUnc(unc []version) {
+	e.unc = unc
+	e.nUnc.Store(int32(len(unc)))
+}
+
+// dropOwner removes owner's uncommitted version (a transaction holds at
+// most one per object) and returns it. Caller holds e.umu.
+func (e *mvEntry) dropOwner(owner lock.TxnID) (version, bool) {
+	for i, v := range e.unc {
+		if v.owner == owner {
+			e.setUnc(slices.Delete(e.unc, i, i+1))
+			return v, true
+		}
+	}
+	return version{}, false
+}
+
 // visibleAt returns the newest committed version with lsn <= snap,
 // or nil. Lock-free.
 func (e *mvEntry) visibleAt(snap uint64) *mvVersion {
@@ -78,26 +98,42 @@ func (e *mvEntry) visibleAt(snap uint64) *mvVersion {
 	return nil
 }
 
+// newestClass returns the class of e's newest version, uncommitted
+// ones first ("" for an empty entry).
+func (e *mvEntry) newestClass() string {
+	if e.nUnc.Load() > 0 {
+		e.umu.Lock()
+		defer e.umu.Unlock()
+		if n := len(e.unc); n > 0 {
+			return e.unc[n-1].rec.Class
+		}
+	}
+	if hv := e.head.Load(); hv != nil {
+		return hv.rec.Class
+	}
+	return ""
+}
+
 // resolve returns the record of e visible to tx at snapshot snap:
 // tx's own (or an ancestor's) uncommitted version first, else the
 // committed version at snap. The returned bool is false for a
 // tombstone or no visible version; the record is still returned for
-// tombstones so callers can see the class.
+// tombstones so callers can see the class. The record is the version
+// as stored — no copy; versions are never written after Put.
 func (s *Store) resolve(e *mvEntry, tx lock.TxnID, snap uint64) (Record, bool) {
 	if tx != committedOwner && e.nUnc.Load() > 0 {
 		e.umu.Lock()
 		for i := len(e.unc) - 1; i >= 0; i-- {
 			v := e.unc[i]
 			if v.owner == tx || s.topo.IsAncestorOrSelf(v.owner, tx) {
-				rec := v.rec.clone()
 				e.umu.Unlock()
-				return rec, !rec.Deleted
+				return v.rec, !v.rec.Deleted
 			}
 		}
 		e.umu.Unlock()
 	}
 	if v := e.visibleAt(snap); v != nil {
-		return v.rec.clone(), !v.rec.Deleted
+		return v.rec, !v.rec.Deleted
 	}
 	return Record{}, false
 }

@@ -16,21 +16,29 @@
 //
 // The heap is hash-partitioned: object entries, per-class extents,
 // and secondary btree indexes are co-located in N shards keyed by
-// OID. Reads of committed data are lock-free: entries live in
-// sync.Maps, version heads are atomic pointers, and readers resolve
-// visibility against a snapshot LSN without ever taking the shard
-// mutex or the lock table. Writers (Put, install, abort, GC) take the
-// shard mutex to keep the index/extent/dirty bookkeeping coherent.
-// Isolation still comes from the lock manager driven by the layers
-// above.
+// OID. Reads of committed data are lock-free: entries live in a
+// sync.Map, extents are OID-ordered chunk directories (extent.go),
+// version heads are atomic pointers, and readers resolve visibility
+// against a snapshot LSN without ever taking the shard mutex or the
+// lock table. Writers (Put, install, abort, GC) take the shard mutex
+// to keep the index/extent/dirty bookkeeping coherent. Isolation still
+// comes from the lock manager driven by the layers above.
+//
+// Versions are immutable and shared: Put takes ownership of the
+// attribute map it is handed, and every read — Get, GetAt, the scans —
+// returns the stored Record itself, map included. Nothing on the read
+// path copies; the Object Manager copies where a record leaves the
+// engine.
 package storage
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,6 +62,10 @@ const frameOverheadBytes = 8
 
 // Record is one object state: its identity, class, attribute values,
 // and whether this version is a deletion tombstone.
+//
+// A Record read from the store is the stored version: Attrs is shared
+// with every other reader of that version and must not be written.
+// Build a new map (datum.CloneMap) to derive the next state.
 type Record struct {
 	OID     datum.OID
 	Class   string
@@ -61,16 +73,13 @@ type Record struct {
 	Deleted bool
 }
 
-// clone returns a deep-enough copy (Values are immutable).
-func (r Record) clone() Record {
-	r.Attrs = datum.CloneMap(r.Attrs)
-	return r
-}
-
 // Topology resolves transaction ancestry for visibility; the
 // transaction manager implements it.
 type Topology interface {
 	IsAncestorOrSelf(anc, desc lock.TxnID) bool
+	// Parent returns tx's parent; false for a top-level (or unknown)
+	// transaction.
+	Parent(tx lock.TxnID) (lock.TxnID, bool)
 }
 
 // version is one uncommitted object state, tagged by the transaction
@@ -138,13 +147,13 @@ type Options struct {
 // shard is one hash partition of the heap: the object entries whose
 // OIDs map here, the slices of every class extent and secondary index
 // covering those OIDs, and the partition's delta-checkpoint dirty and
-// GC candidate sets. objects and extents are concurrent maps read
-// lock-free by the MVCC read path; mu guards their membership
-// mutations plus indexes, ckptDirty, and gcCand.
+// GC candidate sets. objects and extents are read lock-free by the
+// MVCC read path; mu guards their membership mutations plus indexes,
+// ckptDirty, and gcCand.
 type shard struct {
 	mu        sync.RWMutex
 	objects   sync.Map                          // datum.OID -> *mvEntry
-	extents   sync.Map                          // class string -> *sync.Map (datum.OID -> struct{})
+	extents   sync.Map                          // class string -> *extent
 	indexes   map[string]map[string]*btree.Tree // class -> attr -> committed-tier index, this shard
 	ckptDirty map[datum.OID]string              // OIDs committed since the last checkpoint -> class
 	gcCand    map[datum.OID]struct{}            // chains that may hold collectible versions
@@ -251,6 +260,7 @@ type Store struct {
 	// Counters are atomic: reads (Get/Scan) bump them while holding
 	// no lock at all.
 	nPuts, nGets, nScans, nProbes, nCommits, nWALBytes atomic.Uint64
+	nRows                                              atomic.Uint64
 	nCheckpoints, nFullCkpts, nDeltaCkpts              atomic.Uint64
 	nWALReclaimed                                      atomic.Uint64
 	nGCRuns, nGCReclaimed                              atomic.Uint64
@@ -258,9 +268,13 @@ type Store struct {
 
 // Stats counts store activity.
 type Stats struct {
-	Puts        uint64
-	Gets        uint64
-	Scans       uint64
+	Puts  uint64
+	Gets  uint64
+	Scans uint64
+	// RowsScanned counts extent slots the class scans resolved (Scans
+	// counts only whole-class scans, this also the per-shard ones):
+	// against the rows a query returned it is the scan's selectivity.
+	RowsScanned uint64
 	IndexProbes uint64
 	TopCommits  uint64
 	WALBytes    uint64
@@ -450,56 +464,48 @@ func (s *Store) raiseNextOID(oid datum.OID) {
 	}
 }
 
-// bumpSeq advances the class's modification counter. Lock-free after
-// the class's first write.
-func (s *Store) bumpSeq(class string) {
-	if v, ok := s.modSeq.Load(class); ok {
-		v.(*atomic.Uint64).Add(1)
-		return
+// loadOrNew returns the *T filed under key in m, filing a zero T on
+// first use. Lock-free once the key exists.
+func loadOrNew[T any](m *sync.Map, key any) *T {
+	if v, ok := m.Load(key); ok {
+		return v.(*T)
 	}
-	v, _ := s.modSeq.LoadOrStore(class, &atomic.Uint64{})
-	v.(*atomic.Uint64).Add(1)
+	v, _ := m.LoadOrStore(key, new(T))
+	return v.(*T)
+}
+
+// bumpSeq advances the class's modification counter.
+func (s *Store) bumpSeq(class string) {
+	loadOrNew[atomic.Uint64](&s.modSeq, class).Add(1)
 }
 
 // raiseClassLSN records that commit clsn wrote the class.
 func (s *Store) raiseClassLSN(class string, clsn uint64) {
-	v, ok := s.classLSN.Load(class)
-	if !ok {
-		v, _ = s.classLSN.LoadOrStore(class, &atomic.Uint64{})
-	}
-	a := v.(*atomic.Uint64)
+	a := loadOrNew[atomic.Uint64](&s.classLSN, class)
 	for cur := a.Load(); cur < clsn && !a.CompareAndSwap(cur, clsn); cur = a.Load() {
 	}
 }
 
 // Put installs rec as tx's uncommitted version of the object,
 // replacing any prior version tx wrote. The caller must already hold
-// the appropriate exclusive lock.
+// the appropriate exclusive lock. The store takes ownership of
+// rec.Attrs — the map becomes the version readers share, so the caller
+// must not touch it again. Every caller hands over a map it just built:
+// the Object Manager (coerce, encodeClass, Modify's one CloneMap) and
+// the replication benchmark's literals; replica apply and recovery
+// install what the redo decoder just allocated.
 func (s *Store) Put(tx lock.TxnID, rec Record) {
-	rec = rec.clone()
 	s.nPuts.Add(1)
 	sh := s.shardOf(rec.OID)
 	sh.mu.Lock()
 	e := s.entryLocked(sh, rec.OID)
 	e.umu.Lock()
-	replaced := false
-	for i := range e.unc {
-		if e.unc[i].owner == tx {
-			// Replace in place, but keep recency: move to the end so
-			// the newest write wins within this owner tier.
-			v := e.unc[i]
-			v.rec = rec
-			e.unc = append(append(e.unc[:i:i], e.unc[i+1:]...), v)
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		e.unc = append(e.unc, version{owner: tx, rec: rec})
-	}
-	e.nUnc.Store(int32(len(e.unc)))
+	// A rewrite moves to the end: the newest write wins within the
+	// owner tier.
+	e.dropOwner(tx)
+	e.setUnc(append(e.unc, version{owner: tx, rec: rec}))
 	e.umu.Unlock()
-	s.extentAdd(sh, rec.Class, rec.OID)
+	s.extentAdd(sh, rec.Class, rec.OID, e)
 	sh.mu.Unlock()
 	// Bump after the write, so whoever sees the new sequence number
 	// also sees the write.
@@ -519,90 +525,33 @@ func (s *Store) entryLocked(sh *shard, oid datum.OID) *mvEntry {
 }
 
 func (s *Store) noteDirty(tx lock.TxnID, oid datum.OID) {
-	d := s.dirtySet(tx)
+	d := loadOrNew[txnDirty](&s.dirty, tx)
 	d.mu.Lock()
+	if d.oids == nil {
+		d.oids = map[datum.OID]struct{}{}
+	}
 	d.oids[oid] = struct{}{}
 	d.mu.Unlock()
 }
 
-// dirtySet returns tx's write-set entry, creating it if needed.
-func (s *Store) dirtySet(tx lock.TxnID) *txnDirty {
-	if v, ok := s.dirty.Load(tx); ok {
-		return v.(*txnDirty)
-	}
-	v, _ := s.dirty.LoadOrStore(tx, &txnDirty{oids: map[datum.OID]struct{}{}})
-	return v.(*txnDirty)
-}
-
-// takeDirty removes and returns tx's write set (sorted), or nil.
-func (s *Store) takeDirty(tx lock.TxnID) []datum.OID {
-	v, ok := s.dirty.LoadAndDelete(tx)
-	if !ok {
-		return nil
-	}
-	d := v.(*txnDirty)
+// sorted returns the write set in OID order.
+func (d *txnDirty) sorted() []datum.OID {
 	d.mu.Lock()
 	oids := make([]datum.OID, 0, len(d.oids))
 	for oid := range d.oids {
 		oids = append(oids, oid)
 	}
 	d.mu.Unlock()
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+	slices.Sort(oids)
 	return oids
 }
 
-// extentAdd records oid as a (possible) member of class's extent.
-// Membership is a superset: resolution filters tombstones and
-// invisible versions. sync.Map writes are safe without sh.mu, but all
-// callers hold it anyway (they are mutating the entry too).
-func (s *Store) extentAdd(sh *shard, class string, oid datum.OID) {
-	var set *sync.Map
-	if v, ok := sh.extents.Load(class); ok {
-		set = v.(*sync.Map)
-	} else {
-		v, _ := sh.extents.LoadOrStore(class, &sync.Map{})
-		set = v.(*sync.Map)
+// takeDirty removes and returns tx's write set (sorted), or nil.
+func (s *Store) takeDirty(tx lock.TxnID) []datum.OID {
+	if v, ok := s.dirty.LoadAndDelete(tx); ok {
+		return v.(*txnDirty).sorted()
 	}
-	if _, present := set.LoadOrStore(oid, struct{}{}); !present {
-		s.extentCounter(class).Add(1)
-	}
-}
-
-// extentDel removes oid from class's extent membership, keeping the
-// cardinality counter in step. Caller holds sh.mu exclusively.
-func (s *Store) extentDel(sh *shard, class string, oid datum.OID) {
-	if ev, ok := sh.extents.Load(class); ok {
-		if _, present := ev.(*sync.Map).LoadAndDelete(oid); present {
-			s.extentCounter(class).Add(-1)
-		}
-	}
-}
-
-func (s *Store) extentCounter(class string) *atomic.Int64 {
-	if v, ok := s.extentN.Load(class); ok {
-		return v.(*atomic.Int64)
-	}
-	v, _ := s.extentN.LoadOrStore(class, &atomic.Int64{})
-	return v.(*atomic.Int64)
-}
-
-// ExtentEstimate returns the approximate cardinality of class's
-// extent: the number of extent-membership entries across all shards,
-// maintained O(1) at insert/remove, falling back to the cardinality
-// the newest loaded snapshot header recorded at checkpoint time. It
-// over-counts live rows by uncommitted inserts and not-yet-GC'd
-// tombstone-headed chains, which is fine for its purpose — planner
-// cost estimation.
-func (s *Store) ExtentEstimate(class string) int {
-	if v, ok := s.extentN.Load(class); ok {
-		if n := v.(*atomic.Int64).Load(); n > 0 {
-			return int(n)
-		}
-	}
-	if n, ok := s.statsSeed[class]; ok {
-		return int(n)
-	}
-	return 0
+	return nil
 }
 
 // SeededStats returns a copy of the per-class extent cardinalities the
@@ -613,24 +562,7 @@ func (s *Store) SeededStats() map[string]uint64 {
 	if len(s.statsSeed) == 0 {
 		return nil
 	}
-	out := make(map[string]uint64, len(s.statsSeed))
-	for k, v := range s.statsSeed {
-		out[k] = v
-	}
-	return out
-}
-
-// classCards captures the live per-class extent cardinalities — the
-// planner statistics a checkpoint persists in its header.
-func (s *Store) classCards() map[string]uint64 {
-	cards := map[string]uint64{}
-	s.extentN.Range(func(k, v any) bool {
-		if n := v.(*atomic.Int64).Load(); n > 0 {
-			cards[k.(string)] = uint64(n)
-		}
-		return true
-	})
-	return cards
+	return maps.Clone(s.statsSeed)
 }
 
 // IndexEstimate counts committed-tier index entries on class.attr in
@@ -644,20 +576,32 @@ func (s *Store) IndexEstimate(class, attr string, lo, hi btree.Bound, limit int)
 		return 0, false
 	}
 	n := 0
+	s.scanIndex(class, attr, lo, hi, func(datum.OID) bool {
+		n++
+		return limit <= 0 || n < limit
+	})
+	return n, true
+}
+
+// scanIndex visits the committed-tier index entries of class.attr in
+// [lo, hi], shard by shard, until fn declines. Each btree probe takes a
+// brief shard read-lock (trees are mutated in place by installs and the
+// GC).
+func (s *Store) scanIndex(class, attr string, lo, hi btree.Bound, fn func(datum.OID) bool) {
+	more := true
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		if t := sh.indexes[class][attr]; t != nil {
-			t.Scan(lo, hi, func(string, datum.OID) bool {
-				n++
-				return limit <= 0 || n < limit
+			t.Scan(lo, hi, func(_ string, oid datum.OID) bool {
+				more = fn(oid)
+				return more
 			})
 		}
 		sh.mu.RUnlock()
-		if limit > 0 && n >= limit {
-			break
+		if !more {
+			return
 		}
 	}
-	return n, true
 }
 
 // Get returns the version of the object visible to tx: the newest
@@ -665,7 +609,8 @@ func (s *Store) IndexEstimate(class, attr string, lo, hi btree.Bound, limit int)
 // committed version. Lock-free for committed data — no shard mutex,
 // no lock table. The second result is false if no visible version
 // exists or the visible version is a deletion tombstone (the record
-// is still returned so callers can see the tombstone's class).
+// is still returned so callers can see the tombstone's class). The
+// record is the stored version, shared and read-only (see Record).
 //
 // Reading at the latest published LSN (rather than a pinned snapshot)
 // keeps writers correct under two-phase locking: a transaction
@@ -698,90 +643,13 @@ func (s *Store) GetAt(tx lock.TxnID, oid datum.OID, snap uint64) (Record, bool) 
 	return s.resolve(v.(*mvEntry), tx, snap)
 }
 
-// ScanClass calls fn for every live (visible, non-deleted) object of
-// the class, in ascending OID order, against a snapshot pinned for
-// the whole scan: the result set is a consistent point-in-time view
-// even while committers land concurrently. Scanning stops if fn
-// returns false. The scan holds no shard lock at any point (the
-// extent and entries are read lock-free), so committers are never
-// blocked and fn may re-enter the store.
-func (s *Store) ScanClass(tx lock.TxnID, class string, fn func(Record) bool) {
-	h := s.AcquireSnapshot()
-	defer h.Release()
-	s.ScanClassAt(tx, class, h.lsn, fn)
-}
-
-// ScanClassAt is ScanClass against an explicit snapshot LSN. The
-// caller is responsible for keeping a Snapshot registered at or below
-// snap while it runs (otherwise the version GC may unlink versions
-// the scan needs).
-func (s *Store) ScanClassAt(tx lock.TxnID, class string, snap uint64, fn func(Record) bool) {
-	s.nScans.Add(1)
-	tm := s.obsm.Timer(obs.HSnapshotRead)
-	var recs []Record
-	for _, sh := range s.shards {
-		recs = s.collectClassShard(sh, tx, class, snap, recs)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].OID < recs[j].OID })
-	tm.Done()
-	for _, rec := range recs {
-		if !fn(rec) {
-			return
-		}
-	}
-}
-
-// collectClassShard appends one shard's visible records of class at
-// snap to recs — the lock-free resolve walk shared by the whole-extent
-// scan and the per-shard parallel iterator.
-func (s *Store) collectClassShard(sh *shard, tx lock.TxnID, class string, snap uint64, recs []Record) []Record {
-	ev, ok := sh.extents.Load(class)
-	if !ok {
-		return recs
-	}
-	ev.(*sync.Map).Range(func(k, _ any) bool {
-		oid := k.(datum.OID)
-		if v, ok := sh.objects.Load(oid); ok {
-			if rec, ok := s.resolve(v.(*mvEntry), tx, snap); ok && rec.Class == class {
-				recs = append(recs, rec)
-			}
-		}
-		return true
-	})
-	return recs
-}
-
-// ScanClassShardAt visits shard si's slice of class's extent, in
-// ascending OID order within the shard, at snapshot snap. It is the
-// per-shard MVCC extent iterator behind the parallel query executor:
-// one worker per shard, every worker at the same pinned LSN, no locks
-// taken at any point, so N workers and concurrent committers never
-// contend. The caller owns the snapshot-pin obligation of ScanClassAt
-// (keep a Snapshot registered at or below snap across *all* workers);
-// out-of-range si visits nothing. Scanning stops if fn returns false.
-func (s *Store) ScanClassShardAt(tx lock.TxnID, si int, class string, snap uint64, fn func(Record) bool) {
-	if si < 0 || si >= len(s.shards) {
-		return
-	}
-	recs := s.collectClassShard(s.shards[si], tx, class, snap, nil)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].OID < recs[j].OID })
-	for _, rec := range recs {
-		if !fn(rec) {
-			return
-		}
-	}
-}
-
 // RegisterIndex declares (and builds, from the committed tier) a
 // secondary index on class.attr. Idempotent. Each shard gets its own
 // tree covering the shard's slice of the extent.
 func (s *Store) RegisterIndex(class, attr string) {
 	s.imu.Lock()
 	defer s.imu.Unlock()
-	s.shards[0].mu.RLock()
-	exists := s.shards[0].indexes[class][attr] != nil
-	s.shards[0].mu.RUnlock()
-	if exists {
+	if s.HasIndex(class, attr) {
 		return
 	}
 	for _, sh := range s.shards {
@@ -793,31 +661,21 @@ func (s *Store) RegisterIndex(class, attr string) {
 		}
 		t := btree.New()
 		byAttr[attr] = t
-		ev, ok := sh.extents.Load(class)
-		if !ok {
-			sh.mu.Unlock()
-			continue
-		}
-		ev.(*sync.Map).Range(func(k, _ any) bool {
-			oid := k.(datum.OID)
-			cv, ok := sh.objects.Load(oid)
-			if !ok {
-				return true
-			}
+		for c := sh.cursor(class); !c.done(); {
+			sl := c.pop()
 			// Index every committed version, not just the head: a
 			// snapshot pinned below the head must still find its rows
 			// (the btree dedups (key, oid) pairs; stale entries are
 			// false positives callers re-verify, removed by the GC).
-			for v := cv.(*mvEntry).head.Load(); v != nil; v = v.prev.Load() {
+			for v := sl.e.head.Load(); v != nil; v = v.prev.Load() {
 				if v.rec.Deleted || v.rec.Class != class {
 					continue
 				}
 				if val, ok := v.rec.Attrs[attr]; ok {
-					t.Insert(val.Key(), oid)
+					t.Insert(val.Key(), sl.oid)
 				}
 			}
-			return true
-		})
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -836,73 +694,31 @@ func (s *Store) HasIndex(class, attr string) bool {
 // the predicate against the visible record (at their snapshot);
 // candidates may include false positives — including entries for
 // older versions not yet garbage-collected — but never miss a match
-// visible at any live snapshot. The btree probe itself takes a brief
-// shard read-lock (trees are mutated in place by installs and the
-// GC); the subsequent record resolution is lock-free.
+// visible at any live snapshot. The subsequent record resolution is
+// lock-free.
 func (s *Store) IndexCandidates(tx lock.TxnID, class, attr string, lo, hi btree.Bound) []datum.OID {
 	s.nProbes.Add(1)
 	if !s.HasIndex(class, attr) {
 		return nil
 	}
-	seen := map[datum.OID]struct{}{}
 	var out []datum.OID
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		if t := sh.indexes[class][attr]; t != nil {
-			t.Scan(lo, hi, func(_ string, oid datum.OID) bool {
-				if _, dup := seen[oid]; !dup {
-					seen[oid] = struct{}{}
-					out = append(out, oid)
-				}
-				return true
-			})
-		}
-		sh.mu.RUnlock()
-	}
-	// Uncommitted writes by tx's tree are invisible to the committed
-	// index; add every dirty object of this class whose writer is
-	// visible to tx.
-	s.dirty.Range(func(k, v any) bool {
-		owner := k.(lock.TxnID)
-		if owner != tx && !s.topo.IsAncestorOrSelf(owner, tx) {
-			return true
-		}
-		d := v.(*txnDirty)
-		d.mu.Lock()
-		oids := make([]datum.OID, 0, len(d.oids))
-		for oid := range d.oids {
-			oids = append(oids, oid)
-		}
-		d.mu.Unlock()
-		for _, oid := range oids {
-			if _, dup := seen[oid]; dup {
-				continue
-			}
-			cv, ok := s.shardOf(oid).objects.Load(oid)
-			if !ok {
-				continue
-			}
-			e := cv.(*mvEntry)
-			var cls string
-			e.umu.Lock()
-			if n := len(e.unc); n > 0 {
-				cls = e.unc[n-1].rec.Class
-			}
-			e.umu.Unlock()
-			if cls == "" {
-				if hv := e.head.Load(); hv != nil {
-					cls = hv.rec.Class
-				}
-			}
-			if cls == class {
-				seen[oid] = struct{}{}
+	s.scanIndex(class, attr, lo, hi, func(oid datum.OID) bool {
+		out = append(out, oid)
+		return true
+	})
+	// Uncommitted writes are invisible to the committed index: add the
+	// objects of this class that tx or one of its ancestors has dirty.
+	for id, ok := tx, tx != committedOwner; ok; id, ok = s.topo.Parent(id) {
+		for _, oid := range s.DirtyOIDs(id) {
+			if cv, ok := s.shardOf(oid).objects.Load(oid); ok && cv.(*mvEntry).newestClass() == class {
 				out = append(out, oid)
 			}
 		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	}
+	// An OID repeats when several of its versions (or its dirty version)
+	// fall in the range; sorting brings the repeats together.
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ModSeq returns a counter that increases whenever the class is
@@ -933,22 +749,23 @@ func (s *Store) ClassCommitLSN(class string) uint64 {
 // Stats returns a snapshot of the activity counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Puts:        s.nPuts.Load(),
-		Gets:        s.nGets.Load(),
-		Scans:       s.nScans.Load(),
-		IndexProbes: s.nProbes.Load(),
-		TopCommits:  s.nCommits.Load(),
-		WALBytes:    s.nWALBytes.Load(),
-		Shards:      len(s.shards),
+		Puts:              s.nPuts.Load(),
+		Gets:              s.nGets.Load(),
+		Scans:             s.nScans.Load(),
+		RowsScanned:       s.nRows.Load(),
+		IndexProbes:       s.nProbes.Load(),
+		TopCommits:        s.nCommits.Load(),
+		WALBytes:          s.nWALBytes.Load(),
+		Shards:            len(s.shards),
+		Checkpoints:       s.nCheckpoints.Load(),
+		FullCheckpoints:   s.nFullCkpts.Load(),
+		DeltaCheckpoints:  s.nDeltaCkpts.Load(),
+		WALBytesReclaimed: s.nWALReclaimed.Load(),
+		PublishedLSN:      s.published.Load(),
+		GCRuns:            s.nGCRuns.Load(),
+		VersionsReclaimed: s.nGCReclaimed.Load(),
 	}
-	st.Checkpoints = s.nCheckpoints.Load()
-	st.FullCheckpoints = s.nFullCkpts.Load()
-	st.DeltaCheckpoints = s.nDeltaCkpts.Load()
-	st.WALBytesReclaimed = s.nWALReclaimed.Load()
-	st.PublishedLSN = s.published.Load()
 	st.OldestSnapshotLSN, st.LiveSnapshots = s.oldestSnapshotLSN()
-	st.GCRuns = s.nGCRuns.Load()
-	st.VersionsReclaimed = s.nGCReclaimed.Load()
 	if s.log != nil {
 		st.WALFsyncs = s.log.Fsyncs()
 		st.WALSyncRequests = s.log.SyncRequests()
@@ -959,19 +776,10 @@ func (s *Store) Stats() Stats {
 // DirtyOIDs returns the objects tx itself has written (not
 // ancestors'), sorted. The rule manager uses it for delta queries.
 func (s *Store) DirtyOIDs(tx lock.TxnID) []datum.OID {
-	v, ok := s.dirty.Load(tx)
-	if !ok {
-		return nil
+	if v, ok := s.dirty.Load(tx); ok {
+		return v.(*txnDirty).sorted()
 	}
-	d := v.(*txnDirty)
-	d.mu.Lock()
-	out := make([]datum.OID, 0, len(d.oids))
-	for oid := range d.oids {
-		out = append(out, oid)
-	}
-	d.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return nil
 }
 
 // --- txn.Participant ---
@@ -988,27 +796,14 @@ func (s *Store) CommitNested(child, parent lock.TxnID) error {
 		// and the parent cannot roll back to it independently), then
 		// re-tag the child's version as the parent's.
 		e.umu.Lock()
-		kept := e.unc[:0]
-		var childV *version
-		for i := range e.unc {
-			switch e.unc[i].owner {
-			case parent:
-				// superseded
-			case child:
-				cv := e.unc[i]
-				childV = &cv
-			default:
-				kept = append(kept, e.unc[i])
-			}
+		cv, written := e.dropOwner(child)
+		if written {
+			e.dropOwner(parent)
+			cv.owner = parent
+			e.setUnc(append(e.unc, cv))
 		}
-		e.unc = kept
-		if childV != nil {
-			childV.owner = parent
-			e.unc = append(e.unc, *childV)
-		}
-		e.nUnc.Store(int32(len(e.unc)))
 		e.umu.Unlock()
-		if childV != nil {
+		if written {
 			s.noteDirty(parent, oid)
 		}
 	}
@@ -1033,8 +828,8 @@ func (s *Store) CommitNested(child, parent lock.TxnID) error {
 //
 // The write-ahead invariant holds: no version installs before its log
 // record is durable. Reading the prepared records outside the shard
-// locks is safe because records are immutable once Put (Put clones
-// its input, readers clone on the way out), tx's own versions cannot
+// locks is safe because records are immutable once Put (the store
+// owns the map, readers only borrow it), tx's own versions cannot
 // change while its single commit goroutine is here, and tx still
 // holds its exclusive locks, so no other committer touches the same
 // objects.
@@ -1104,49 +899,7 @@ func (s *Store) CommitTop(tx lock.TxnID) error {
 		s.cmu.Unlock()
 	}
 
-	// Install, shard by shard: group the write set so each shard lock
-	// is taken once. Single-record commits (the common OLTP shape)
-	// skip the grouping maps entirely.
-	var nShards int
-	if len(recs) == 1 {
-		rec := recs[0]
-		sh := s.shardOf(rec.OID)
-		sh.mu.Lock()
-		s.installCommitted(sh, tx, rec, clsn)
-		if s.dir != "" {
-			// Mark for the next delta snapshot. The mark rides the
-			// same critical section as the install, so a checkpoint
-			// scan sees the version and the mark together or neither.
-			sh.ckptDirty[rec.OID] = rec.Class
-		}
-		sh.installs.Add(1)
-		sh.mu.Unlock()
-		s.bumpSeq(rec.Class)
-		nShards = 1
-	} else {
-		groups := map[*shard][]Record{}
-		for _, rec := range recs {
-			sh := s.shardOf(rec.OID)
-			groups[sh] = append(groups[sh], rec)
-		}
-		classes := map[string]struct{}{}
-		for sh, group := range groups {
-			sh.mu.Lock()
-			for _, rec := range group {
-				s.installCommitted(sh, tx, rec, clsn)
-				if s.dir != "" {
-					sh.ckptDirty[rec.OID] = rec.Class
-				}
-				classes[rec.Class] = struct{}{}
-			}
-			sh.installs.Add(uint64(len(group)))
-			sh.mu.Unlock()
-		}
-		for class := range classes {
-			s.bumpSeq(class)
-		}
-		nShards = len(groups)
-	}
+	nShards := s.installAll(tx, recs, clsn)
 	s.obsm.ObserveN(obs.HCommitShards, uint64(nShards))
 
 	// Publish: deregister the WAL LSN and complete the commit LSN only
@@ -1165,6 +918,45 @@ func (s *Store) CommitTop(tx lock.TxnID) error {
 	}
 	s.maybeKickGC()
 	return nil
+}
+
+// installAll pushes one commit's records onto their chains at clsn,
+// taking each shard lock once, and returns how many shards it locked.
+// The mark for the next delta snapshot rides the same critical section
+// as the install, so a checkpoint scan sees the version and the mark
+// together or neither.
+func (s *Store) installAll(owner lock.TxnID, recs []Record, clsn uint64) int {
+	install := func(sh *shard, group []Record) {
+		sh.mu.Lock()
+		for _, rec := range group {
+			s.installCommitted(sh, owner, rec, clsn)
+			if s.dir != "" {
+				sh.ckptDirty[rec.OID] = rec.Class
+			}
+		}
+		sh.installs.Add(uint64(len(group)))
+		sh.mu.Unlock()
+	}
+	if len(recs) == 1 {
+		// The common OLTP shape skips the grouping maps.
+		install(s.shardOf(recs[0].OID), recs)
+		s.bumpSeq(recs[0].Class)
+		return 1
+	}
+	groups := map[*shard][]Record{}
+	classes := map[string]struct{}{}
+	for _, rec := range recs {
+		sh := s.shardOf(rec.OID)
+		groups[sh] = append(groups[sh], rec)
+		classes[rec.Class] = struct{}{}
+	}
+	for sh, group := range groups {
+		install(sh, group)
+	}
+	for class := range classes {
+		s.bumpSeq(class)
+	}
+	return len(groups)
 }
 
 // maybeKickCheckpoint starts a background checkpoint when the WAL has
@@ -1221,20 +1013,13 @@ func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Record, clsn u
 		nv := &mvVersion{lsn: clsn, rec: rec}
 		nv.depth.Store(1)
 		e.head.Store(nv)
-		s.extentAdd(sh, rec.Class, rec.OID)
+		s.extentAdd(sh, rec.Class, rec.OID, e)
 		return
 	}
 	e := s.entryLocked(sh, rec.OID)
 	if owner != committedOwner {
 		e.umu.Lock()
-		kept := e.unc[:0]
-		for i := range e.unc {
-			if e.unc[i].owner != owner {
-				kept = append(kept, e.unc[i])
-			}
-		}
-		e.unc = kept
-		e.nUnc.Store(int32(len(e.unc)))
+		e.dropOwner(owner)
 		e.umu.Unlock()
 	}
 	old := e.head.Load()
@@ -1246,7 +1031,7 @@ func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Record, clsn u
 	}
 	nv.depth.Store(depth)
 	// The head store is the publication point for this version: the
-	// record was cloned at Put and is immutable from here on, so a
+	// store has owned the record since Put and nothing writes it, so a
 	// lock-free reader that loads the new head sees it fully built.
 	// (Visibility to *snapshots* additionally waits for the commit
 	// LSN to publish — see CommitTop.)
@@ -1254,7 +1039,7 @@ func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Record, clsn u
 	s.obsm.ObserveN(obs.HVersionChain, uint64(depth))
 	if !rec.Deleted {
 		indexInsert(sh, rec)
-		s.extentAdd(sh, rec.Class, rec.OID)
+		s.extentAdd(sh, rec.Class, rec.OID, e)
 	}
 	if old != nil || rec.Deleted {
 		// Inline trim: with no snapshot registered anywhere, versions
@@ -1293,18 +1078,9 @@ func (s *Store) AbortTxn(tx lock.TxnID) {
 		}
 		e := v.(*mvEntry)
 		e.umu.Lock()
-		kept := e.unc[:0]
-		var class string
-		for i := range e.unc {
-			if e.unc[i].owner == tx {
-				class = e.unc[i].rec.Class
-				continue
-			}
-			kept = append(kept, e.unc[i])
-		}
-		e.unc = kept
-		e.nUnc.Store(int32(len(kept)))
-		empty := len(kept) == 0 && e.head.Load() == nil
+		dropped, _ := e.dropOwner(tx)
+		class := dropped.rec.Class
+		empty := len(e.unc) == 0 && e.head.Load() == nil
 		e.umu.Unlock()
 		if empty {
 			// Never committed and no other writer: drop the entry.
@@ -1441,20 +1217,10 @@ func (s *Store) ApplyReplicated(primaryLSN wal.LSN, payload []byte) (wal.LSN, er
 	}
 	s.nWALBytes.Add(uint64(len(payload)))
 	failpoint.Hit("repl.beforeInstall")
-	classes := map[string]struct{}{}
 	for _, rec := range recs {
 		s.raiseNextOID(rec.OID)
-		sh := s.shardOf(rec.OID)
-		sh.mu.Lock()
-		s.installCommitted(sh, committedOwner, rec, clsn)
-		sh.ckptDirty[rec.OID] = rec.Class
-		sh.installs.Add(1)
-		sh.mu.Unlock()
-		classes[rec.Class] = struct{}{}
 	}
-	for class := range classes {
-		s.bumpSeq(class)
-	}
+	s.installAll(committedOwner, recs, clsn)
 	s.nCommits.Add(1)
 	s.cmu.Lock()
 	delete(s.inflight, lsn)
@@ -1480,16 +1246,11 @@ func (s *Store) applyRedo(payload []byte) error {
 	s.cmu.Unlock()
 	for _, rec := range recs {
 		s.raiseNextOID(rec.OID)
-		sh := s.shardOf(rec.OID)
-		sh.mu.Lock()
-		s.installCommitted(sh, committedOwner, rec, clsn)
-		// Replayed records are newer than the on-disk chain (their
-		// LSNs are at or above its watermark), so the next delta must
-		// carry them.
-		sh.ckptDirty[rec.OID] = rec.Class
-		sh.mu.Unlock()
-		s.bumpSeq(rec.Class)
 	}
+	// Replayed records are newer than the on-disk chain (their LSNs are
+	// at or above its watermark): installAll marks them for the next
+	// delta like any live commit.
+	s.installAll(committedOwner, recs, clsn)
 	s.endCommit(clsn)
 	return nil
 }
@@ -1585,9 +1346,9 @@ func (s *Store) checkpoint(forceFull bool) (CheckpointResult, error) {
 	// record from every future delta.
 	var recs []Record
 	var taken []map[datum.OID]string
-	if full {
-		for _, sh := range s.shards {
-			sh.mu.Lock()
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		if full {
 			// The capture reads each chain's newest installed head —
 			// published or not. An unpublished head's WAL record is
 			// already durable (write-ahead) and its LSN is still in
@@ -1598,27 +1359,23 @@ func (s *Store) checkpoint(forceFull bool) (CheckpointResult, error) {
 				}
 				return true
 			})
-			taken = append(taken, sh.ckptDirty)
-			sh.ckptDirty = make(map[datum.OID]string, 8)
-			sh.mu.Unlock()
-		}
-	} else {
-		for _, sh := range s.shards {
-			sh.mu.Lock()
+		} else {
 			for oid, class := range sh.ckptDirty {
-				if rec, ok := committedInShard(sh, oid); ok {
-					recs = append(recs, rec)
-				} else {
-					// Deleted since the last checkpoint: the delta must
-					// carry the tombstone or recovery would resurrect
-					// the object from an older chain element.
-					recs = append(recs, Record{OID: oid, Class: class, Deleted: true})
+				// Deleted since the last checkpoint (or gone with its
+				// chain): the delta must carry the tombstone or recovery
+				// would resurrect the object from an older chain element.
+				rec := Record{OID: oid, Class: class, Deleted: true}
+				if v, ok := sh.objects.Load(oid); ok {
+					if hv := v.(*mvEntry).head.Load(); hv != nil && !hv.rec.Deleted {
+						rec = hv.rec
+					}
 				}
+				recs = append(recs, rec)
 			}
-			taken = append(taken, sh.ckptDirty)
-			sh.ckptDirty = make(map[datum.OID]string, 8)
-			sh.mu.Unlock()
 		}
+		taken = append(taken, sh.ckptDirty)
+		sh.ckptDirty = make(map[datum.OID]string, 8)
+		sh.mu.Unlock()
 	}
 	// An empty delta at an unmoved watermark would extend the chain
 	// with nothing; skip the file but still attempt the truncate (a
@@ -1715,21 +1472,6 @@ func (s *Store) checkpoint(forceFull bool) (CheckpointResult, error) {
 	}
 	tm.Done()
 	return res, nil
-}
-
-// committedInShard returns oid's newest committed version (tombstones
-// read as absent). Caller holds sh.mu (read or write); sh is oid's
-// shard.
-func committedInShard(sh *shard, oid datum.OID) (Record, bool) {
-	v, ok := sh.objects.Load(oid)
-	if !ok {
-		return Record{}, false
-	}
-	hv := v.(*mvEntry).head.Load()
-	if hv == nil || hv.rec.Deleted {
-		return Record{}, false
-	}
-	return hv.rec, true
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.

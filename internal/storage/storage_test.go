@@ -41,6 +41,13 @@ func (f *topo) IsAncestorOrSelf(anc, desc lock.TxnID) bool {
 	}
 }
 
+func (f *topo) Parent(tx lock.TxnID) (lock.TxnID, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	p, ok := f.parent[tx]
+	return p, ok
+}
+
 func ephemeral(t *testing.T) (*Store, *topo) {
 	t.Helper()
 	tp := newTopo()

@@ -281,15 +281,22 @@ func checkShardInvariants(t *testing.T, s *Store) {
 			}
 			return true
 		})
-		sh.extents.Range(func(ck, ev any) bool {
+		sh.extents.Range(func(ck, _ any) bool {
 			cls := ck.(string)
-			ev.(*sync.Map).Range(func(ok2, _ any) bool {
-				oid := ok2.(datum.OID)
-				if s.shardOf(oid) != sh {
-					t.Errorf("shard %d extent %q: oid %v hashes elsewhere", i, cls, oid)
+			last := datum.OID(0)
+			for c := sh.cursor(cls); !c.done(); {
+				sl := c.pop()
+				if s.shardOf(sl.oid) != sh {
+					t.Errorf("shard %d extent %q: oid %v hashes elsewhere", i, cls, sl.oid)
 				}
-				return true
-			})
+				if sl.oid <= last {
+					t.Errorf("shard %d extent %q: oid %v after %v", i, cls, sl.oid, last)
+				}
+				if v, ok := sh.objects.Load(sl.oid); !ok || v.(*mvEntry) != sl.e {
+					t.Errorf("shard %d extent %q: oid %v slot does not hold its entry", i, cls, sl.oid)
+				}
+				last = sl.oid
+			}
 			return true
 		})
 		sh.mu.RUnlock()

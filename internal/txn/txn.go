@@ -169,6 +169,15 @@ func (m *Manager) IsAncestorOrSelf(anc, desc lock.TxnID) bool {
 	return false
 }
 
+// Parent implements storage.Topology: the id of tx's parent, false for
+// a top-level or no longer live transaction.
+func (m *Manager) Parent(tx lock.TxnID) (lock.TxnID, bool) {
+	if v, ok := m.live.Load(tx); ok && v.(*Txn).parent != nil {
+		return v.(*Txn).parent.id, true
+	}
+	return 0, false
+}
+
 // Find returns the live transaction with the given id. The Rule
 // Manager uses it to locate the triggering transaction of an event
 // signal; since signals are processed synchronously on the
