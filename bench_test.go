@@ -636,6 +636,36 @@ func BenchmarkFetch(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryCycle runs the query shapes of the repo benchmark's
+// analytic_query workload, one sub-benchmark per shape and one for the
+// ten-query cycle, through Engine.Query — parse, plan, compile and
+// execute — over workload.SeedPortfolio's data with no writer beside
+// them. -benchmem shows what a scanned row allocates.
+func BenchmarkQueryCycle(b *testing.B) {
+	e, _ := workload.MustEngine()
+	b.Cleanup(func() { e.Close() })
+	mustB(b, workload.SeedPortfolio(e))
+	args := workload.PortfolioArgs()
+	run := func(b *testing.B, shapes ...int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, qi := range shapes {
+				tx := e.Begin()
+				res, err := e.Query(tx, workload.PortfolioQueries[qi].Src, args)
+				mustB(b, err)
+				if len(res.Rows) == 0 {
+					b.Fatalf("%s returned no rows", workload.PortfolioQueries[qi].Name)
+				}
+				mustB(b, tx.Commit())
+			}
+		}
+	}
+	for qi, q := range workload.PortfolioQueries {
+		b.Run(q.Name, func(b *testing.B) { run(b, qi) })
+	}
+	b.Run("cycle", func(b *testing.B) { run(b, workload.PortfolioCycle...) })
+}
+
 // BenchmarkObsOverhead ablates the observability subsystem: the same
 // rule-firing update loop with histograms+tracing on (the default)
 // and fully disabled. The enabled/disabled delta is the total

@@ -10,6 +10,7 @@
 package datum
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -322,57 +323,43 @@ func Less(a, b Value) bool {
 // as an index key: for values a, b of the same (or both numeric)
 // kinds, Compare(a,b) < 0 iff Key(a) < Key(b) bytewise.
 func (v Value) Key() string {
-	var sb strings.Builder
-	v.appendKey(&sb)
-	return sb.String()
+	var buf [32]byte // scalar keys fit: the string is the one allocation
+	return string(v.AppendKey(buf[:0]))
 }
 
-func (v Value) appendKey(sb *strings.Builder) {
+// AppendKey appends Key's encoding to dst and returns the extended
+// buffer, so a caller probing a map with m[string(buf)] builds no
+// string at all.
+func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		sb.WriteByte(0x00)
+		return append(dst, 0x00)
 	case KindBool:
-		sb.WriteByte(0x01)
-		sb.WriteByte(byte(v.i))
+		return append(dst, 0x01, byte(v.i))
 	case KindInt, KindFloat:
 		// Encode all numerics through the float64 total order so int
 		// and float keys interleave correctly.
-		sb.WriteByte(0x02)
 		bits := math.Float64bits(v.AsFloat())
 		if bits&(1<<63) != 0 {
 			bits = ^bits // negative: flip all bits
 		} else {
 			bits |= 1 << 63 // positive: set sign bit
 		}
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (56 - 8*i))
-		}
-		sb.Write(buf[:])
+		return binary.BigEndian.AppendUint64(append(dst, 0x02), bits)
 	case KindString:
-		sb.WriteByte(0x03)
-		sb.WriteString(v.s)
-		sb.WriteByte(0x00)
-	case KindTime:
-		sb.WriteByte(0x04)
-		appendOrderedInt64(sb, v.i)
-	case KindOID:
-		sb.WriteByte(0x05)
-		appendOrderedInt64(sb, v.i)
-	case KindList:
-		sb.WriteByte(0x06)
-		for _, e := range v.l {
-			e.appendKey(sb)
+		return append(append(append(dst, 0x03), v.s...), 0x00)
+	case KindTime, KindOID:
+		tag := byte(0x04)
+		if v.kind == KindOID {
+			tag = 0x05
 		}
-		sb.WriteByte(0x00)
+		return binary.BigEndian.AppendUint64(append(dst, tag), uint64(v.i)^(1<<63))
+	case KindList:
+		dst = append(dst, 0x06)
+		for _, e := range v.l {
+			dst = e.AppendKey(dst)
+		}
+		return append(dst, 0x00)
 	}
-}
-
-func appendOrderedInt64(sb *strings.Builder, i int64) {
-	u := uint64(i) ^ (1 << 63)
-	var buf [8]byte
-	for k := 0; k < 8; k++ {
-		buf[k] = byte(u >> (56 - 8*k))
-	}
-	sb.Write(buf[:])
+	return dst
 }

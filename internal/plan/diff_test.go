@@ -231,7 +231,7 @@ func TestDifferentialRandomized(t *testing.T) {
 		pristine := map[string][]map[string]datum.Value{}
 		for class, rows := range f.classes {
 			for _, r := range rows {
-				pristine[class] = append(pristine[class], datum.CloneMap(r.attrs))
+				pristine[class] = append(pristine[class], datum.CloneMap(r.Attrs))
 			}
 		}
 		for qi := 0; qi < 4; qi++ {
@@ -250,9 +250,9 @@ func TestDifferentialRandomized(t *testing.T) {
 		}
 		for class, rows := range f.classes {
 			for i, r := range rows {
-				if !reflect.DeepEqual(r.attrs, pristine[class][i]) {
+				if !reflect.DeepEqual(r.Attrs, pristine[class][i]) {
 					t.Fatalf("round %d: %s %v was written during evaluation: %v, was %v",
-						round, class, r.oid, r.attrs, pristine[class][i])
+						round, class, r.OID, r.Attrs, pristine[class][i])
 				}
 			}
 		}

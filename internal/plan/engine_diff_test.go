@@ -19,6 +19,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/workload"
 )
 
 func diffEngine(t *testing.T) *core.Engine {
@@ -329,6 +330,54 @@ func TestEngineQueryAndExplain(t *testing.T) {
 	for _, needle := range []string{"plan (cost=", "Holding", "Stock"} {
 		if !strings.Contains(text, needle) {
 			t.Fatalf("explain missing %q:\n%s", needle, text)
+		}
+	}
+}
+
+// TestQueryAllocations holds the executor to its allocation budget on
+// the benchmark's heavy shapes, built and run inline (Parallelism 1)
+// over the real store: a scanned row may cost at most a tenth of an
+// allocation — slabs, doubling buffers, one string per distinct hash
+// key — never one of its own. Each result is first held to the oracle.
+func TestQueryAllocations(t *testing.T) {
+	e, err := core.Open(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	if err := workload.SeedPortfolio(e); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.Begin()
+	defer tx.Commit()
+	sr := e.Objects.SnapshotReader(tx)
+	defer sr.Close()
+	args := workload.PortfolioArgs()
+	for _, tc := range []struct {
+		shape   string
+		scanned int // extent rows the plan visits
+	}{{"scan", 10_000}, {"agg", 10_000}, {"agg_filtered", 10_000}, {"join3", 10_000 + 512 + 16}} {
+		var q *query.Query
+		for _, pq := range workload.PortfolioQueries {
+			if pq.Name == tc.shape {
+				q = query.MustParse(pq.Src)
+			}
+		}
+		run := func() *query.Result {
+			res, err := plan.Build(q, sr, args, plan.Options{Parallelism: 1}).Execute(sr, args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		if want, err := query.Eval(q, sr, args); err != nil || !reflect.DeepEqual(want, run()) {
+			t.Fatalf("%s: the plan differs from the oracle (%v)", tc.shape, err)
+		}
+		allocs := testing.AllocsPerRun(5, func() { run() })
+		if perRow := allocs / float64(tc.scanned); perRow > 0.1 {
+			t.Errorf("%s: %.0f allocations for %d scanned rows (%.3f per row, budget 0.1)", tc.shape, allocs, tc.scanned, perRow)
+		} else {
+			t.Logf("%s: %.0f allocations, %.4f per scanned row", tc.shape, allocs, perRow)
 		}
 	}
 }

@@ -24,6 +24,7 @@ func Enumerate(q *query.Query, cat Catalog, args map[string]datum.Value, opt Opt
 		known[f.Var] = true
 	}
 	conjuncts := query.SplitConjuncts(q.Where)
+	fc := query.NewFrameCompiler(vars, args)
 
 	var orders [][]int
 	idx := make([]int, len(q.From))
@@ -38,8 +39,7 @@ func Enumerate(q *query.Query, cat Catalog, args map[string]datum.Value, opt Opt
 
 	var plans []*Plan
 	for _, order := range orders {
-		boundEnv := query.NewEnv(nil, args)
-		constEnv := query.NewEnv(nil, args)
+		bound := map[string]bool{}
 		var rec func(pos int, steps []*step, outRows float64)
 		rec = func(pos int, steps []*step, outRows float64) {
 			if len(plans) >= enumerateCap {
@@ -48,19 +48,13 @@ func Enumerate(q *query.Query, cat Catalog, args map[string]datum.Value, opt Opt
 			if pos == len(order) {
 				p := &Plan{Query: q, vars: vars, stats: cat != nil}
 				// Steps are shared across enumerated plans, so copy
-				// before the per-plan residual and parallelism marks.
+				// before the per-plan residuals, parallelism marks and
+				// compiled expressions.
 				for _, s := range steps {
 					dup := *s
-					dup.residual = nil
-					dup.par = 0
 					p.steps = append(p.steps, &dup)
 				}
-				for _, s := range p.steps {
-					p.cost += s.estCost
-				}
-				assignResiduals(p, conjuncts, known)
-				p.obs = opt.Obs
-				markParallel(p, cat, opt)
+				p.finish(conjuncts, fc, cat, opt)
 				plans = append(plans, p)
 				return
 			}
@@ -69,13 +63,13 @@ func Enumerate(q *query.Query, cat Catalog, args map[string]datum.Value, opt Opt
 			// Hash joins need an outer side; skip the option set's
 			// hash entries at position 0 (accessOptions already omits
 			// them when the probe key has no bound variable).
-			opts := accessOptions(f, slot, conjuncts, boundEnv, cat, Options{})
-			boundEnv.Bind(f.Var, 0, nil)
+			opts := accessOptions(f, slot, conjuncts, bound, cat, Options{})
+			bound[f.Var] = true
 			for _, s := range opts {
-				costStep(s, conjuncts, known, boundEnv, constEnv, cat, outRows)
+				costStep(s, conjuncts, known, bound, fc, cat, outRows)
 				rec(pos+1, append(steps, s), s.estRows)
 			}
-			boundEnv.Unbind(f.Var)
+			delete(bound, f.Var)
 		}
 		rec(0, nil, 1)
 		if len(plans) >= enumerateCap {
@@ -102,4 +96,14 @@ func permutations(idx []int) [][]int {
 		}
 	}
 	return out
+}
+
+// maxPar returns the widest step fan-out of the plan (1 when every
+// stage runs inline).
+func (p *Plan) maxPar() int {
+	par := 1
+	for _, s := range p.steps {
+		par = max(par, s.par)
+	}
+	return par
 }

@@ -3,8 +3,6 @@ package plan
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/query"
 )
 
 // Explain renders the plan as text: one line per pipeline step (join
@@ -23,14 +21,14 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&sb, "  %d. %s %s as %s", i+1, s.access, s.from.Class, s.from.Var)
 		switch s.access {
 		case accessPin:
-			fmt.Fprintf(&sb, ": %s = %s", s.from.Var, s.pin.String())
+			fmt.Fprintf(&sb, ": %s = %s", s.from.Var, s.key.String())
 		case accessIndex:
 			fmt.Fprintf(&sb, " on %s: %s", s.attr, boundsString(s))
 			if s.param {
 				sb.WriteString(" [per outer row]")
 			}
 		case accessHash:
-			fmt.Fprintf(&sb, ": build %s, probe %s", s.buildKey.String(), s.probeKey.String())
+			fmt.Fprintf(&sb, ": build %s, probe %s", s.buildKey.String(), s.key.String())
 		}
 		if s.par > 1 {
 			fmt.Fprintf(&sb, " parallel=%d", s.par)
@@ -48,19 +46,13 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&sb, "  canonical sort (%s)\n", strings.Join(p.vars, ", "))
 	}
 	q := p.Query
-	if len(q.Select) > 0 && query.HasAggregate(q.Select[0].Expr) {
-		items := make([]string, len(q.Select))
-		for i, s := range q.Select {
-			items[i] = s.Expr.String()
+	items, label := make([]string, len(q.Select)), "select"
+	for i, s := range q.Select {
+		if items[i] = s.Name(); p.aggs != nil {
+			items[i], label = s.Expr.String(), "aggregate"
 		}
-		fmt.Fprintf(&sb, "  aggregate: %s\n", strings.Join(items, ", "))
-	} else {
-		items := make([]string, len(q.Select))
-		for i, s := range q.Select {
-			items[i] = s.Name()
-		}
-		fmt.Fprintf(&sb, "  select: %s\n", strings.Join(items, ", "))
 	}
+	fmt.Fprintf(&sb, "  %s: %s\n", label, strings.Join(items, ", "))
 	if len(q.OrderBy) > 0 {
 		items := make([]string, len(q.OrderBy))
 		for i, o := range q.OrderBy {

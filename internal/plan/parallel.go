@@ -1,32 +1,29 @@
 package plan
 
 // Stage fan-out. The executor is a staged, materialized pipeline: each
-// stage consumes the previous stage's tuple slice and produces the
-// next (exec.go). This file is what a stage with more than one worker
-// adds — the exchange, the shard-parallel base scan, the partitioned
-// hash build, and chunked partial aggregation.
+// stage consumes the previous stage's batch and produces the next
+// (exec.go). This file is what a stage with more than one worker adds:
+// the fan-out, the shard-parallel base scan, the partitioned hash build
+// and the merge of the workers' runs.
 //
-//	shard 0 ──scan+filter──┐
-//	shard 1 ──scan+filter──┤  bounded      ┌──────────┐
-//	   ...                 ├─ channel  ──▶ │ gather / │ ─▶ canonical ─▶ emit
-//	shard N ──scan+filter──┘  exchange     │  merge   │     OID sort
-//	                                       └──────────┘
-//
-// Correctness rides entirely on three facts (see the package
-// comment): tuple production order is free because the canonical
-// slot-wise OID sort restores the oracle's emission order; access
-// paths never decide membership, so residual re-filtering in any
-// worker is exactly the oracle's check; and every worker of a base
-// scan or hash build reads at ONE pinned snapshot LSN, so the union
-// of the shard scans equals one serial scan of the same snapshot.
-// Aggregation stays bit-identical through query.MergeAggState: exact
-// partial merges (count, min/max, integer sums) run chunk-parallel,
-// order-sensitive ones (float sums, avg) fall back to one serial
-// re-accumulation over the already-sorted tuples.
+// Correctness rides on three facts (see the package comment): tuple
+// production order is free, because the canonical slot-wise OID order
+// is restored before emission — by merging the workers' sorted runs
+// where there are few, by Execute's sort otherwise; access paths never
+// decide membership, so residual re-filtering in any worker is exactly
+// the oracle's check; and every worker of a base scan or hash build
+// reads at ONE pinned snapshot LSN, so the union of the shard scans
+// equals one serial scan of that snapshot. Aggregates stay bit-identical
+// through query.Aggregate.Merge: the workers' partial states are the
+// answer only when merging them is exact, else the ordered tuples are
+// accumulated serially.
 
 import (
-	"errors"
+	"cmp"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/datum"
@@ -34,11 +31,10 @@ import (
 	"repro/internal/query"
 )
 
-// ShardScanner is the optional reader fan-out surface for
-// shard-parallel extent scans. The object manager's readers implement
-// it against the store's OID-hash shards; the executor type-asserts
-// it from the query.Reader, and any reader may decline by not
-// implementing it — base scans and hash builds then run on one worker.
+// ShardScanner is the optional reader surface for shard-parallel extent
+// scans. The object manager's readers implement it against the store's
+// OID-hash shards; a reader without it gets base scans and hash builds
+// on one worker.
 type ShardScanner interface {
 	// ShardCount returns the number of committed-tier shards.
 	ShardCount() int
@@ -52,25 +48,29 @@ type ShardScanner interface {
 	ScanClassShard(si int, class string, lsn uint64, fn func(datum.OID, map[string]datum.Value) bool) error
 }
 
-// maxPar returns the widest step fan-out of the plan (1 when every
-// stage runs inline).
-func (p *Plan) maxPar() int {
-	par := 1
-	for _, s := range p.steps {
-		par = max(par, s.par)
-	}
-	return par
-}
-
 // --- partitioned hash table ---
 
 // hashTable is the hash-join build side, partitioned by FNV-1a of the
 // join key so parallel build workers merge partition-disjoint (and
 // probe workers read lock-free — the table is immutable after build).
-// One partition degenerates to a plain map.
+// Keys are datum key bytes (Value.AppendKey) in a buffer the caller
+// reuses: a probe allocates nothing, a build one string per distinct key.
 type hashTable struct {
 	mask  uint32
-	parts []map[string][]cand
+	parts []hashPart
+}
+
+// hashPart chains the candidates of one key through an entry arena, in
+// insertion order, so a bucket costs no allocation of its own.
+type hashPart struct {
+	heads map[string]int32 // key → first entry of its chain
+	ents  []hashEnt
+}
+
+type hashEnt struct {
+	c    cand
+	next int32 // next entry of the chain, -1 at its end
+	last int32 // in a chain's first entry: the chain's last
 }
 
 func newHashTable(nparts int) *hashTable {
@@ -78,195 +78,185 @@ func newHashTable(nparts int) *hashTable {
 	for n < nparts {
 		n <<= 1
 	}
-	parts := make([]map[string][]cand, n)
+	parts := make([]hashPart, n)
 	for i := range parts {
-		parts[i] = map[string][]cand{}
+		parts[i].heads = map[string]int32{}
 	}
 	return &hashTable{mask: uint32(n - 1), parts: parts}
 }
 
-// fnvHash is FNV-1a over the datum key bytes.
-func fnvHash(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
+// part returns the partition of key: FNV-1a over the key bytes.
+func (h *hashTable) part(key []byte) *hashPart {
+	sum := uint32(2166136261)
+	for _, b := range key {
+		sum = (sum ^ uint32(b)) * 16777619
 	}
-	return h
+	return &h.parts[sum&h.mask]
 }
 
-func (h *hashTable) bucket(key string) map[string][]cand {
-	if h.mask == 0 {
-		return h.parts[0]
+// push appends c to the chain that starts at head, or starts one when
+// head is negative, and returns the chain's head.
+func (p *hashPart) push(head int32, c cand) int32 {
+	n := int32(len(p.ents))
+	p.ents = append(room(p.ents, 1), hashEnt{c: c, next: -1, last: n})
+	if head < 0 {
+		return n
 	}
-	return h.parts[fnvHash(key)&h.mask]
+	p.ents[p.ents[head].last].next = n
+	p.ents[head].last = n
+	return head
 }
 
-func (h *hashTable) add(key string, c cand) {
-	b := h.bucket(key)
-	b[key] = append(b[key], c)
-}
-
-func (h *hashTable) get(key string) []cand { return h.bucket(key)[key] }
-
-// --- gather instrumentation ---
-
-// gather records worker completion times; the skew between the first
-// and last arrival is how long the gather node idled on stragglers.
-type gather struct {
-	mu          sync.Mutex
-	first, last time.Time
-	n           int
-}
-
-func (g *gather) done() {
-	now := time.Now()
-	g.mu.Lock()
-	if g.n == 0 {
-		g.first = now
+func (p *hashPart) add(key []byte, c cand) {
+	if head, ok := p.heads[string(key)]; ok {
+		p.push(head, c)
+	} else {
+		p.heads[string(key)] = p.push(-1, c)
 	}
-	g.n++
-	g.last = now
-	g.mu.Unlock()
 }
 
-// observeGather records one fan-out's width and gather skew. Nil-safe
-// on p.obs.
-func (p *Plan) observeGather(workers int, g *gather) {
-	if p.obs == nil {
-		return
+// appendTo appends the candidates filed under key to dst.
+func (h *hashTable) appendTo(dst []cand, key []byte) []cand {
+	p := h.part(key)
+	if head, ok := p.heads[string(key)]; ok {
+		for i := head; i >= 0; i = p.ents[i].next {
+			dst = append(dst, p.ents[i].c)
+		}
 	}
-	p.obs.ObserveN(obs.HPlanFanout, uint64(workers))
-	g.mu.Lock()
-	skew := g.last.Sub(g.first)
-	g.mu.Unlock()
-	p.obs.Observe(obs.HPlanGatherWait, skew)
+	return dst
 }
 
-// --- bounded-channel exchange ---
+// --- fan-out ---
 
-// parallelBatch is the tuple batch size shipped per exchange send.
-const parallelBatch = 128
-
-// exchange is the bounded channel between stage workers and the
-// gather loop. The first error cancels everything: fail closes done,
-// workers abort their scans on the next stopped() poll, blocked
-// senders fall out of send, and the gather loop keeps draining until
-// the closer goroutine (wg.Wait → close(ch)) ends the range — so no
-// worker can leak blocked on a full channel.
-type exchange struct {
-	ch   chan []tuple
-	done chan struct{}
+// stopper cancels a fan-out: the first error sets it, and workers abort
+// their scans on the next stopped() poll.
+type stopper struct {
+	stop atomic.Bool
 	once sync.Once
 	err  error
 }
 
-func (ex *exchange) fail(err error) {
-	ex.once.Do(func() {
-		ex.err = err
-		close(ex.done)
+func (st *stopper) fail(err error) {
+	st.once.Do(func() {
+		st.err = err
+		st.stop.Store(true)
 	})
 }
 
-func (ex *exchange) stopped() bool {
-	select {
-	case <-ex.done:
-		return true
-	default:
-		return false
-	}
-}
+func (st *stopper) stopped() bool { return st.stop.Load() }
 
-// send ships one batch, abandoning it when the exchange is cancelled.
-func (ex *exchange) send(batch []tuple) bool {
-	if len(batch) == 0 {
-		return !ex.stopped()
-	}
-	select {
-	case ex.ch <- batch:
-		return true
-	case <-ex.done:
-		return false
-	}
-}
-
-// outbox batches one worker's tuples into exchange sends.
-type outbox struct {
-	ex    *exchange
-	batch []tuple
-}
-
-// add queues t, shipping the batch when it fills; false means the
-// exchange was cancelled and the worker should stop producing.
-func (o *outbox) add(t tuple) bool {
-	if o.batch == nil {
-		o.batch = make([]tuple, 0, parallelBatch)
-	}
-	o.batch = append(o.batch, t)
-	if len(o.batch) < parallelBatch {
-		return true
-	}
-	ok := o.ex.send(o.batch)
-	o.batch = nil
-	return ok
-}
-
-func (o *outbox) flush() { o.ex.send(o.batch) }
-
-// fanOut runs workers goroutines and gathers what they send on the
-// calling goroutine; workers that produce something other than tuples
-// (hash partitions, aggregate partials) write to their own slot of a
-// caller-owned slice and send nothing — the channel close orders those
-// writes before fanOut returns. worker must poll ex.stopped() and
-// return promptly once cancelled; the first error wins.
-func (p *Plan) fanOut(workers int, worker func(w int, ex *exchange) error) ([]tuple, error) {
-	// Two batches of slack per worker: a producer keeps scanning while
-	// its previous batch waits for the gather loop.
-	ex := &exchange{ch: make(chan []tuple, 2*workers), done: make(chan struct{})}
-	g := &gather{}
+// fanOut runs workers goroutines to completion. Each writes what it
+// produces — a batch, hash partitions — to its own slot of a
+// caller-owned slice; the wait orders those writes before fanOut
+// returns. worker must poll stop.stopped() and return promptly once
+// cancelled; the first error wins. Between granules of work (a shard, a
+// chunk of outer tuples) a worker also yields the processor: a scan
+// that held every P for its whole length would make a signal's firing
+// wait for it, and event-to-action latency is what an active DBMS is
+// for. The observer gets the width and the skew between the first and
+// the last worker to finish: how long the caller idled on stragglers.
+func (p *Plan) fanOut(workers int, worker func(w int, stop *stopper) error) error {
+	stop := &stopper{}
+	done := make([]time.Time, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			defer g.done()
-			if err := worker(w, ex); err != nil {
-				ex.fail(err)
+			if err := worker(w, stop); err != nil {
+				stop.fail(err)
 			}
-		}(w)
+			done[w] = time.Now()
+		}()
 	}
-	go func() {
-		wg.Wait()
-		close(ex.ch)
-	}()
-	var out []tuple
-	for batch := range ex.ch {
-		out = append(out, batch...)
+	wg.Wait()
+	if p.obs != nil {
+		p.obs.ObserveN(obs.HPlanFanout, uint64(workers))
+		first, last := slices.MinFunc(done, time.Time.Compare), slices.MaxFunc(done, time.Time.Compare)
+		p.obs.Observe(obs.HPlanGatherWait, last.Sub(first))
 	}
-	p.observeGather(workers, g)
-	if ex.err != nil {
-		return nil, ex.err
+	return stop.err
+}
+
+// maxRuns bounds the sorted runs mergeRuns merges: the shard count of the
+// store, and the widest fan-out.
+const maxRuns = maxParallelism
+
+// run is an ascending stretch of a worker's output: tuples i..end of b.
+// oid caches the head tuple's first OID, which decides most comparisons.
+type run struct {
+	b      *batch
+	i, end int
+	oid    datum.OID
+}
+
+// mergeRuns flattens the workers' outputs. A shard scan ascends and a
+// join worker follows the outer order, so a stage that joins in FROM
+// order outputs a few runs already in canonical order; those are merged
+// — the smallest run head per tuple, a linear pass that at this width
+// costs what a heap would. Outputs too scrambled for that (a reordered
+// join) are concatenated and left to Execute's sort.
+func mergeRuns(outs []batch) batch {
+	var runs []run
+	n := 0
+	for k := range outs {
+		b := &outs[k]
+		n += b.n
+		for i := 0; i < b.n && len(runs) <= maxRuns; {
+			end := i + 1
+			for end < b.n && compareTuples(b.tuple(end-1), b.tuple(end)) <= 0 {
+				end++
+			}
+			runs, i = append(runs, run{b, i, end, b.cells[i*b.w].OID}), end
+		}
 	}
-	return out, nil
+	out := batch{w: outs[0].w, cells: make([]cand, 0, n*outs[0].w)}
+	if outs[0].rows != nil {
+		out.rows = make([][]datum.Value, 0, n)
+	}
+	if len(runs) > maxRuns {
+		for k := range outs {
+			out.cells, out.rows = append(out.cells, outs[k].cells...), append(out.rows, outs[k].rows...)
+		}
+		out.n = n
+		return out
+	}
+	for len(runs) > 0 {
+		m := &runs[0]
+		for k := 1; k < len(runs); k++ {
+			if r := &runs[k]; r.oid < m.oid || r.oid == m.oid && compareTuples(r.b.tuple(r.i), m.b.tuple(m.i)) < 0 {
+				m = r
+			}
+		}
+		out.take(m.b, m.i)
+		if m.i++; m.i < m.end {
+			m.oid = m.b.cells[m.i*m.b.w].OID
+		} else {
+			*m = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+	}
+	return out
 }
 
 // --- shard-parallel scans ---
 
 // scanSlice visits the class's objects in worker w's slice of the
-// shards (w, w+workers, ...) at lsn, until fn declines or the exchange
+// shards (w, w+workers, ...) at lsn, until fn declines or the fan-out
 // is cancelled.
-func scanSlice(ss ShardScanner, ex *exchange, w, workers int, class string, lsn uint64,
+func scanSlice(ss ShardScanner, stop *stopper, w, workers int, class string, lsn uint64,
 	fn func(datum.OID, map[string]datum.Value) bool) error {
 
-	stop := false
-	for si := w; si < ss.ShardCount() && !stop && !ex.stopped(); si += workers {
+	done := false
+	for si := w; si < ss.ShardCount() && !done && !stop.stopped(); si += workers {
 		err := ss.ScanClassShard(si, class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
-			stop = ex.stopped() || !fn(oid, attrs)
-			return !stop
+			done = !fn(oid, attrs)
+			return !done
 		})
 		if err != nil {
 			return err
 		}
+		runtime.Gosched() // see fanOut
 	}
 	return nil
 }
@@ -274,34 +264,27 @@ func scanSlice(ss ShardScanner, ex *exchange, w, workers int, class string, lsn 
 // parallelBase is the first stage's shard-parallel specialisation: the
 // extent scan fans out over slices of the committed-tier shards, all
 // pinned at one snapshot LSN. Each worker applies the step's residuals
-// with its own env and ships surviving tuples through the exchange.
-func (p *Plan) parallelBase(x *execCtx, s *step, ss ShardScanner, workers int) ([]tuple, error) {
+// and keeps the surviving tuples, one ascending run per shard.
+func (p *Plan) parallelBase(s *step, ss ShardScanner, workers int) (batch, error) {
 	lsn, release := ss.PinShards()
 	defer release()
-	return p.fanOut(workers, func(w int, ex *exchange) error {
-		env, out := x.fork().env, outbox{ex: ex}
-		var slab tupleSlab
+	outs := make([]batch, workers)
+	err := p.fanOut(workers, func(w int, stop *stopper) error {
+		out, t := p.newSink(s, s.extent/float64(workers)), make(tuple, len(p.vars))
 		var evalErr error
-		err := scanSlice(ss, ex, w, workers, s.from.Class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
-			c := cand{oid: oid, attrs: attrs}
-			ok, err := s.passes(env, c)
-			if err != nil {
-				evalErr = err
-				return false
+		err := scanSlice(ss, stop, w, workers, s.from.Class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
+			t[s.slot] = cand{OID: oid, Attrs: attrs}
+			ok, err := s.passes(t)
+			if ok {
+				err = out.add(t)
 			}
-			if !ok {
-				return true
-			}
-			t := slab.next(len(p.vars))
-			t[s.slot] = c
-			return out.add(t)
+			evalErr = err
+			return err == nil
 		})
-		if err != nil {
-			return err
-		}
-		out.flush()
-		return evalErr
+		outs[w] = out.batch
+		return cmp.Or(err, evalErr)
 	})
+	return p.settle(outs, err)
 }
 
 // --- partitioned hash build ---
@@ -309,57 +292,50 @@ func (p *Plan) parallelBase(x *execCtx, s *step, ss ShardScanner, workers int) (
 // fillHash runs scan, filing every object it visits in t under its
 // build key. Null and missing keys never equal anything and are left
 // out; a hard key error ends the scan.
-func fillHash(env *query.Env, s *step, t *hashTable,
+func (p *Plan) fillHash(s *step, t *hashTable,
 	scan func(fn func(datum.OID, map[string]datum.Value) bool) error) error {
 
 	var keyErr error
+	var key []byte
+	row := make(tuple, len(p.vars))
 	err := scan(func(oid datum.OID, attrs map[string]datum.Value) bool {
-		env.Bind(s.from.Var, oid, attrs)
-		v, err := env.Eval(s.buildKey)
-		if errors.Is(err, query.ErrNoValue) {
-			return true
+		row[s.slot] = cand{OID: oid, Attrs: attrs}
+		v, err := s.buildFn(row)
+		if err == nil && !v.IsNull() {
+			key = v.AppendKey(key[:0])
+			t.part(key).add(key, row[s.slot])
 		}
-		if err != nil {
-			keyErr = err
-			return false
-		}
-		if !v.IsNull() {
-			t.add(v.Key(), cand{oid: oid, attrs: attrs})
-		}
-		return true
+		keyErr = hard(err)
+		return keyErr == nil
 	})
-	if keyErr != nil {
-		return keyErr
-	}
-	return err
+	return cmp.Or(keyErr, err)
 }
 
 // buildHash constructs the build side of a hash step, partitioned
-// s.par ways. One worker is one inline ScanClass. With a ShardScanner
-// and more workers the build fans out over shard slices at one pinned
-// LSN, each worker filling a private table, then merges per partition
-// — merge workers own disjoint partitions, so the whole build is
-// lock-free.
-func (p *Plan) buildHash(x *execCtx, s *step) (*hashTable, error) {
-	ss, sharded := x.r.(ShardScanner)
+// s.par ways. One worker is one inline ScanClass. More fan out over
+// shard slices at one pinned LSN, each filling a private table, then
+// merge per partition — merge workers own disjoint partitions, so the
+// whole build is lock-free.
+func (p *Plan) buildHash(r query.Reader, s *step) (*hashTable, error) {
+	ss, sharded := r.(ShardScanner)
 	workers := 1
 	if sharded {
 		workers = min(s.par, ss.ShardCount())
 	}
 	if workers <= 1 {
 		t := newHashTable(s.par)
-		return t, fillHash(x.env, s, t, func(fn func(datum.OID, map[string]datum.Value) bool) error {
-			return x.r.ScanClass(s.from.Class, fn)
+		return t, p.fillHash(s, t, func(fn func(datum.OID, map[string]datum.Value) bool) error {
+			return r.ScanClass(s.from.Class, fn)
 		})
 	}
 
 	lsn, release := ss.PinShards()
 	defer release()
 	locals := make([]*hashTable, workers)
-	_, err := p.fanOut(workers, func(w int, ex *exchange) error {
+	err := p.fanOut(workers, func(w int, stop *stopper) error {
 		locals[w] = newHashTable(s.par)
-		return fillHash(x.fork().env, s, locals[w], func(fn func(datum.OID, map[string]datum.Value) bool) error {
-			return scanSlice(ss, ex, w, workers, s.from.Class, lsn, fn)
+		return p.fillHash(s, locals[w], func(fn func(datum.OID, map[string]datum.Value) bool) error {
+			return scanSlice(ss, stop, w, workers, s.from.Class, lsn, fn)
 		})
 	})
 	if err != nil {
@@ -374,66 +350,27 @@ func (p *Plan) buildHash(x *execCtx, s *step) (*hashTable, error) {
 		go func(w int) {
 			defer mwg.Done()
 			for pi := w; pi < len(merged.parts); pi += mworkers {
-				dst := merged.parts[pi]
+				dst, n := &merged.parts[pi], 0
 				for _, lt := range locals {
-					for k, cs := range lt.parts[pi] {
-						dst[k] = append(dst[k], cs...)
+					n += len(lt.parts[pi].ents)
+				}
+				dst.ents = make([]hashEnt, 0, n)
+				for _, lt := range locals {
+					src := &lt.parts[pi]
+					for key, from := range src.heads {
+						head, ok := dst.heads[key]
+						if !ok {
+							head = -1
+						}
+						for i := from; i >= 0; i = src.ents[i].next {
+							head = dst.push(head, src.ents[i].c)
+						}
+						dst.heads[key] = head
 					}
 				}
 			}
 		}(w)
 	}
 	mwg.Wait()
-	return merged, nil
-}
-
-// --- parallel partial aggregation ---
-
-// parallelAggregate accumulates the select items' aggregates over the
-// canonically sorted tuples in contiguous chunks, one worker each,
-// then merges the partials in chunk order. It declines with nil states
-// when the plan or the input is too narrow to fan out, or when any item
-// refuses an exact merge (order-sensitive accumulation — float sums,
-// averages, incomparable min/max partials); the caller then
-// accumulates serially, preserving bit-identical output.
-func (p *Plan) parallelAggregate(x *execCtx, tuples []tuple) ([]*query.AggState, error) {
-	workers := min(p.maxPar(), (len(tuples)+joinChunk-1)/joinChunk)
-	if workers <= 1 {
-		return nil, nil
-	}
-	per := (len(tuples) + workers - 1) / workers
-	partials := make([][]*query.AggState, workers)
-	_, err := p.fanOut(workers, func(w int, _ *exchange) error {
-		lo, hi := w*per, min((w+1)*per, len(tuples))
-		if lo >= hi {
-			return nil
-		}
-		env := x.fork().env
-		partials[w] = newAggStates(len(p.Query.Select))
-		for _, t := range tuples[lo:hi] {
-			if err := p.accumulate(env, partials[w], t); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var merged []*query.AggState
-	for _, part := range partials {
-		if part == nil {
-			continue
-		}
-		if merged == nil {
-			merged = part
-			continue
-		}
-		for i, s := range p.Query.Select {
-			if !query.MergeAggState(merged[i], part[i], s.Expr) {
-				return nil, nil
-			}
-		}
-	}
 	return merged, nil
 }

@@ -86,8 +86,8 @@ func TestParallelMatchesSerialByteEquality(t *testing.T) {
 // TestParallelCancellationNoGoroutineLeak fails a residual filter mid
 // shard-scan (division by zero on one row) and asserts that the error
 // surfaces, every worker shuts down, and repeated failing executions
-// leave the goroutine count at its baseline — no worker may stay
-// blocked on the exchange channel.
+// leave the goroutine count at its baseline — no worker may outlive
+// the fan-out.
 func TestParallelCancellationNoGoroutineLeak(t *testing.T) {
 	f := parFake(400)
 	// One poisoned row per shard region: x = 0 divides by zero.
@@ -145,6 +145,22 @@ func TestParallelCancellationNoGoroutineLeak(t *testing.T) {
 				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+
+	// The last stage evaluates the select list and the aggregates: an
+	// error there fails the query under every worker count, without
+	// touching the half-written batches (FuzzPlan found the panic).
+	for _, src := range []string{
+		"select 100 / s.x from S s",
+		"select sum(100 / s.x) from S s",
+		"select s.x, 100 / (t.rank - t.rank) from S s, T t where s.sym = t.sym",
+	} {
+		for _, par := range []int{1, 4} {
+			q := query.MustParse(src)
+			if _, err := Build(q, f, args, Options{Parallelism: par, ParallelThreshold: -1}).Execute(f, args); err == nil {
+				t.Fatalf("%s at parallelism %d must fail", src, par)
+			}
+		}
 	}
 }
 

@@ -30,15 +30,25 @@
 //     so index false positives and hash-key collisions (int/float
 //     keys encode through the same float64 order) are filtered
 //     identically to the oracle's residual re-check.
-//   - Expression evaluation, null/missing-value comparison, and
-//     aggregate accumulation run through the query package's own
-//     evaluator (query.Env), in canonical order — so float sums
-//     accumulate in the oracle's order and ORDER BY's stable sort
-//     starts from the oracle's input sequence.
+//   - Expressions are compiled once per plan (query.FrameCompiler) into
+//     closures over the join tuple itself — a range variable is a slot,
+//     the event arguments are constants — with the oracle's
+//     null/missing-value rules and its operator and aggregate kernels;
+//     the differential tests hold the compiled forms to the oracle's
+//     tree walk. Rows come out in canonical order, where ORDER BY's
+//     stable sort starts, and aggregates are accumulated in it unless
+//     the order provably cannot show (query.Aggregate.Merge).
 //
-// The invariance holds for queries that evaluate without hard errors
-// (type errors and division by zero); a failing query fails under
-// every plan, but which row triggers the error first can differ.
+// Evaluation order. The order in which the conjuncts of a WHERE clause
+// are evaluated is unspecified, and a query fails only if a conjunct
+// that is evaluated fails. A plan places each conjunct on the earliest
+// step that binds its variables and stops at the first false one, the
+// Rule Manager tests event-only conjuncts (guards) before there is a
+// query at all, and the oracle walks them left to right: when one
+// conjunct is false and another would raise a hard error (a type
+// error, a division by zero), the query comes back empty or fails
+// depending on which was reached first. Queries that evaluate without
+// hard errors are invariant.
 package plan
 
 import (
@@ -77,16 +87,15 @@ type Options struct {
 	// Parallelism caps the workers per stage: 0 derives it from
 	// GOMAXPROCS (capped at maxParallelism), 1 runs every stage inline
 	// on the caller, N>1 allows up to N workers per stage. The worker
-	// count never changes the result: the canonical OID sort fixes
-	// tuple order regardless of production order, and order-sensitive
-	// aggregates re-accumulate on one goroutine (see MergeAggState).
+	// count never changes the result: the canonical OID order is
+	// restored whatever the production order, and order-sensitive
+	// aggregates accumulate on one goroutine (query.Aggregate.Merge).
 	Parallelism int
 	// ParallelThreshold is the estimated input cardinality (extent
 	// size for scans and hash builds, outer rows for joins) a step
-	// must reach before it fans out; below it worker setup and the
-	// exchange cost more than they save. 0 means the default
-	// (defaultParallelThreshold); negative removes the floor so every
-	// eligible step parallelizes — for tests.
+	// must reach before it fans out; below it worker setup costs more
+	// than it saves. 0 means defaultParallelThreshold; negative removes
+	// the floor so every eligible step parallelizes — for tests.
 	ParallelThreshold int
 	// Obs receives the executor's fan-out width and gather-skew
 	// observations; nil records nothing.
@@ -123,8 +132,9 @@ type step struct {
 
 	access access
 
-	// accessPin: expression yielding the object identity.
-	pin query.Expr
+	// key is accessPin's expression yielding the object identity, or
+	// accessHash's probe key; both constant w.r.t. the outer bindings.
+	key query.Expr
 
 	// accessIndex: bounds on the from.Class index over attr. Nil
 	// means unbounded; param marks bounds referencing outer range
@@ -135,10 +145,8 @@ type step struct {
 	loInc, hiInc bool
 	param        bool
 
-	// accessHash: build key (a path on this step's variable) and the
-	// probe key (constant w.r.t. the outer bindings).
+	// accessHash: the build key, a path on this step's variable.
 	buildKey query.Expr
-	probeKey query.Expr
 
 	// residual predicates applied after this step's variable binds.
 	// Every WHERE conjunct lands in exactly one step's residual list —
@@ -146,6 +154,7 @@ type step struct {
 	// positives from any path are re-filtered.
 	residual []query.Expr
 
+	extent  float64 // the class's estimated extent size
 	estRows float64 // cumulative output rows after this step
 	estCost float64 // cost charged for this step
 
@@ -153,6 +162,12 @@ type step struct {
 	// caller): shard workers for a base extent scan or a hash build,
 	// probe workers for a join.
 	par int
+
+	// The expressions above compiled over the join tuple, filled in for
+	// the steps of a finished plan (Plan.finish): keyFn is the pin or
+	// the probe key, passFn the residuals.
+	keyFn, loFn, hiFn, buildFn query.ValueFunc
+	passFn                     []query.PredFunc
 }
 
 // Plan is a compiled physical plan. It is immutable after Build and
@@ -163,6 +178,12 @@ type Plan struct {
 	steps []*step  // join order
 	cost  float64
 	stats bool // a Catalog informed the estimates
+
+	// The select list compiled over the join tuple: proj is the items
+	// followed by the ORDER BY keys, what the last stage evaluates per
+	// tuple; an aggregate query has aggs instead.
+	proj []query.ValueFunc
+	aggs []*query.Aggregate
 
 	obs *obs.Metrics // fan-out/gather-skew observer; nil-safe
 }
@@ -180,7 +201,7 @@ const (
 
 	// maxParallelism caps the derived degree of parallelism: past the
 	// store's shard count and typical core counts, more workers only
-	// add exchange traffic.
+	// add merge work.
 	maxParallelism = 16
 	// defaultParallelThreshold is the estimated input cardinality at
 	// which a step starts fanning out (see Options.ParallelThreshold).
@@ -190,18 +211,18 @@ const (
 // Build compiles a physical plan for q. cat may be nil (no
 // statistics: the planner keeps the syntactic order and mimics the
 // tree-walk's access heuristics). args are the event arguments —
-// available at plan time on every call path, they let the planner
-// evaluate literal/event-only index bounds for real range counts.
+// available at plan time on every call path, they are compiled into the
+// plan's expressions as constants and let the planner evaluate
+// literal/event-only index bounds for real range counts.
 func Build(q *query.Query, cat Catalog, args map[string]datum.Value, opt Options) *Plan {
 	p := &Plan{Query: q, stats: cat != nil}
+	known := map[string]bool{}
 	for _, f := range q.From {
 		p.vars = append(p.vars, f.Var)
+		known[f.Var] = true
 	}
 	conjuncts := query.SplitConjuncts(q.Where)
-	known := map[string]bool{}
-	for _, v := range p.vars {
-		known[v] = true
-	}
+	fc := query.NewFrameCompiler(p.vars, args)
 
 	// Greedy join-order + access-path selection: repeatedly place the
 	// remaining clause whose best access yields the smallest
@@ -209,8 +230,7 @@ func Build(q *query.Query, cat Catalog, args map[string]datum.Value, opt Options
 	// output cardinality, not step cost, is what makes the greedy
 	// choose a selective index probe over a cheap-but-wide outer
 	// extent scan.
-	boundEnv := query.NewEnv(nil, args) // placed vars bound (dummies)
-	constEnv := query.NewEnv(nil, args) // nothing bound: plan-time eval
+	bound := map[string]bool{} // the variables of the placed clauses
 	remaining := make([]query.FromClause, len(q.From))
 	slots := make([]int, len(q.From))
 	copy(remaining, q.From)
@@ -226,26 +246,65 @@ func Build(q *query.Query, cat Catalog, args map[string]datum.Value, opt Options
 			n = 1 // only the syntactically next clause
 		}
 		for i := 0; i < n; i++ {
-			opts := accessOptions(remaining[i], slots[i], conjuncts, boundEnv, cat, opt)
+			opts := accessOptions(remaining[i], slots[i], conjuncts, bound, cat, opt)
 			for _, s := range opts {
-				costStep(s, conjuncts, known, boundEnv, constEnv, cat, outRows)
+				costStep(s, conjuncts, known, bound, fc, cat, outRows)
 				if best == nil || betterStep(s, best) {
 					best, bestI = s, i
 				}
 			}
 		}
 		p.steps = append(p.steps, best)
-		p.cost += best.estCost
 		outRows = best.estRows
-		boundEnv.Bind(best.from.Var, 0, nil)
+		bound[best.from.Var] = true
 		remaining = append(remaining[:bestI], remaining[bestI+1:]...)
 		slots = append(slots[:bestI], slots[bestI+1:]...)
 	}
+	p.finish(conjuncts, fc, cat, opt)
+	return p
+}
 
-	assignResiduals(p, conjuncts, known)
+// finish turns a chosen step sequence into an executable plan: cost,
+// residual placement, parallelism, and the compiled expressions.
+func (p *Plan) finish(conjuncts []query.Expr, fc *query.FrameCompiler, cat Catalog, opt Options) {
+	for _, s := range p.steps {
+		p.cost += s.estCost
+	}
+	assignResiduals(p, conjuncts)
 	p.obs = opt.Obs
 	markParallel(p, cat, opt)
-	return p
+
+	compile := func(x query.Expr) query.ValueFunc {
+		if x == nil {
+			return nil
+		}
+		return fc.Value(x)
+	}
+	for _, s := range p.steps {
+		s.loFn, s.buildFn = compile(s.lo), compile(s.buildKey)
+		if s.hiFn = s.loFn; s.hi != s.lo {
+			s.hiFn = compile(s.hi)
+		}
+		s.keyFn = compile(s.key)
+		for _, r := range s.residual {
+			s.passFn = append(s.passFn, fc.Pred(r))
+		}
+	}
+	q := p.Query
+	if len(q.Select) > 0 && query.HasAggregate(q.Select[0].Expr) {
+		// An aggregate query: one output row accumulated over the join.
+		for _, it := range q.Select {
+			p.aggs = append(p.aggs, fc.Aggregate(it.Expr))
+		}
+		return
+	}
+	p.proj = make([]query.ValueFunc, 0, len(q.Select)+len(q.OrderBy))
+	for _, it := range q.Select {
+		p.proj = append(p.proj, fc.Value(it.Expr))
+	}
+	for _, o := range q.OrderBy {
+		p.proj = append(p.proj, fc.Value(o.Expr))
+	}
 }
 
 // resolveParallelism turns Options.Parallelism into a concrete worker
@@ -254,13 +313,7 @@ func resolveParallelism(n int) int {
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n > maxParallelism {
-		n = maxParallelism
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(n, maxParallelism))
 }
 
 // markParallel assigns each step's degree of parallelism: a step fans
@@ -281,10 +334,7 @@ func markParallel(p *Plan, cat Catalog, opt Options) {
 		thr = 0
 	}
 	for i, s := range p.steps {
-		extent := float64(defaultExtent)
-		if cat != nil {
-			extent = math.Max(1, float64(cat.ExtentEstimate(s.from.Class)))
-		}
+		extent := s.extent
 		switch {
 		case i == 0:
 			// Only an unselective base extent scan benefits; pins and
@@ -310,7 +360,7 @@ func markParallel(p *Plan, cat Catalog, opt Options) {
 // given the currently bound variables. The first option is always the
 // extent scan (the universal fallback), so the list is never empty.
 func accessOptions(f query.FromClause, slot int, conjuncts []query.Expr,
-	bound *query.Env, cat Catalog, opt Options) []*step {
+	bound map[string]bool, cat Catalog, opt Options) []*step {
 
 	mk := func(a access) *step {
 		return &step{from: f, slot: slot, access: a}
@@ -323,23 +373,22 @@ func accessOptions(f query.FromClause, slot int, conjuncts []query.Expr,
 		}
 		// Identity pin: f.Var = <const w.r.t. bound>.
 		if !opt.DisableIndex && b.Op == query.OpEq {
-			if v, ok := b.L.(*query.VarRef); ok && v.Name == f.Var && bound.IsConstWrt(b.R) {
-				s := mk(accessPin)
-				s.pin = b.R
-				opts = append(opts, s)
-			} else if v, ok := b.R.(*query.VarRef); ok && v.Name == f.Var && bound.IsConstWrt(b.L) {
-				s := mk(accessPin)
-				s.pin = b.L
-				opts = append(opts, s)
+			for _, side := range [][2]query.Expr{{b.L, b.R}, {b.R, b.L}} {
+				if v, ok := side[0].(*query.VarRef); ok && v.Name == f.Var && constWrt(side[1], bound) {
+					s := mk(accessPin)
+					s.key = side[1]
+					opts = append(opts, s)
+					break
+				}
 			}
 		}
 		// Sargable path comparison: f.Var.attr OP <const w.r.t. bound>.
 		var path *query.Path
 		var constExpr query.Expr
 		op := b.Op
-		if pp, ok := b.L.(*query.Path); ok && pp.Var == f.Var && bound.IsConstWrt(b.R) {
+		if pp, ok := b.L.(*query.Path); ok && pp.Var == f.Var && constWrt(b.R, bound) {
 			path, constExpr = pp, b.R
-		} else if pp, ok := b.R.(*query.Path); ok && pp.Var == f.Var && bound.IsConstWrt(b.L) {
+		} else if pp, ok := b.R.(*query.Path); ok && pp.Var == f.Var && constWrt(b.L, bound) {
 			path, constExpr = pp, b.L
 			op = query.FlipOp(op)
 		}
@@ -375,7 +424,7 @@ func accessOptions(f query.FromClause, slot int, conjuncts []query.Expr,
 		if !opt.DisableHash && b.Op == query.OpEq && !isEventConst(constExpr) {
 			s := mk(accessHash)
 			s.buildKey = path
-			s.probeKey = constExpr
+			s.key = constExpr
 			opts = append(opts, s)
 		}
 	}
@@ -395,28 +444,36 @@ func betterStep(a, b *step) bool {
 	return a.estCost < b.estCost
 }
 
-// isEventConst reports whether e is constant w.r.t. an empty binding
-// set — only literals and event references.
-func isEventConst(e query.Expr) bool {
-	empty := query.NewEnv(nil, nil)
-	return empty.IsConstWrt(e)
+// constWrt reports whether e is evaluable from the bound range
+// variables alone: literals, event references and paths on bound
+// variables qualify; a variable that is not bound — not placed yet, or
+// not in FROM at all — does not.
+func constWrt(e query.Expr, bound map[string]bool) bool {
+	ok := true
+	walkVars(e, func(name string) { ok = ok && bound[name] })
+	return ok
 }
 
+// isEventConst reports whether e is constant w.r.t. an empty binding
+// set — only literals and event references.
+func isEventConst(e query.Expr) bool { return constWrt(e, nil) }
+
 // costStep fills s.estCost and s.estRows (cumulative after the step).
-func costStep(s *step, conjuncts []query.Expr, known map[string]bool,
-	bound, constEnv *query.Env, cat Catalog, outRows float64) {
+func costStep(s *step, conjuncts []query.Expr, known, bound map[string]bool,
+	fc *query.FrameCompiler, cat Catalog, outRows float64) {
 
 	extent := float64(defaultExtent)
 	if cat != nil {
 		extent = math.Max(1, float64(cat.ExtentEstimate(s.from.Class)))
 	}
+	s.extent = extent
 	var perOuter, cost float64
 	switch s.access {
 	case accessPin:
 		perOuter = 1
 		cost = outRows * (1 + fetchCost)
 	case accessIndex:
-		k := indexRows(s, constEnv, cat, extent)
+		k := indexRows(s, fc, cat, extent)
 		perOuter = k
 		cost = outRows * (1 + fetchCost*k)
 	case accessHash:
@@ -431,7 +488,7 @@ func costStep(s *step, conjuncts []query.Expr, known map[string]bool,
 	// checkable once this variable binds.
 	sel := 1.0
 	for _, c := range conjuncts {
-		if usesVar(c, s.from.Var, known) && checkableAfter(c, s.from.Var, bound, known) {
+		if checkableAfter(c, s.from.Var, known, bound) {
 			if b, ok := c.(*query.Binary); ok {
 				switch b.Op {
 				case query.OpEq:
@@ -455,7 +512,7 @@ func costStep(s *step, conjuncts []query.Expr, known map[string]bool,
 }
 
 // indexRows estimates candidates per probe of s's index bounds.
-func indexRows(s *step, constEnv *query.Env, cat Catalog, extent float64) float64 {
+func indexRows(s *step, fc *query.FrameCompiler, cat Catalog, extent float64) float64 {
 	eq := s.lo != nil && s.hi != nil
 	if s.param || cat == nil {
 		if eq {
@@ -463,21 +520,19 @@ func indexRows(s *step, constEnv *query.Env, cat Catalog, extent float64) float6
 		}
 		return math.Max(1, extent/4)
 	}
-	// Bounds are literal/event-only: evaluate and count for real.
-	var loV, hiV *datum.Value
-	if s.lo != nil {
-		v, err := constEnv.Eval(s.lo)
-		if err != nil {
-			return 1 // missing event arg: the residual rejects everything
+	// Bounds are literal/event-only, so they compile to constants:
+	// evaluate (there is no frame to read) and count for real.
+	constant := func(x query.Expr) (*datum.Value, bool) {
+		if x == nil {
+			return nil, true
 		}
-		loV = &v
+		v, err := fc.Value(x)(nil)
+		return &v, err == nil
 	}
-	if s.hi != nil {
-		v, err := constEnv.Eval(s.hi)
-		if err != nil {
-			return 1
-		}
-		hiV = &v
+	loV, loOK := constant(s.lo)
+	hiV, hiOK := constant(s.hi)
+	if !loOK || !hiOK {
+		return 1 // missing event arg: the residual rejects everything
 	}
 	if n, ok := cat.IndexEstimate(s.from.Class, s.attr, loV, hiV, s.loInc, s.hiInc, indexCountCap); ok {
 		return math.Max(1, float64(n))
@@ -492,66 +547,50 @@ func indexRows(s *step, constEnv *query.Env, cat Catalog, extent float64) float6
 // which all the range variables it references are bound (unknown
 // variables never bind: such a conjunct evaluates to unknown=false at
 // its earliest position, exactly like the oracle).
-func assignResiduals(p *Plan, conjuncts []query.Expr, known map[string]bool) {
+func assignResiduals(p *Plan, conjuncts []query.Expr) {
 	boundAt := map[string]int{}
 	for i, s := range p.steps {
 		boundAt[s.from.Var] = i
 	}
 	for _, c := range conjuncts {
 		at := 0
-		for v := range varsOf(c, known) {
-			if i, ok := boundAt[v]; ok && i > at {
-				at = i
-			}
-		}
+		walkVars(c, func(name string) { at = max(at, boundAt[name]) })
 		if len(p.steps) > 0 {
 			p.steps[at].residual = append(p.steps[at].residual, c)
 		}
 	}
 }
 
-// varsOf collects the known range variables referenced by e.
-func varsOf(e query.Expr, known map[string]bool) map[string]bool {
-	out := map[string]bool{}
-	var walk func(query.Expr)
-	walk = func(e query.Expr) {
-		switch v := e.(type) {
-		case *query.VarRef:
-			if known[v.Name] {
-				out[v.Name] = true
-			}
-		case *query.Path:
-			if known[v.Var] {
-				out[v.Var] = true
-			}
-		case *query.Binary:
-			walk(v.L)
-			walk(v.R)
-		case *query.Unary:
-			walk(v.X)
-		case *query.Call:
-			for _, a := range v.Args {
-				walk(a)
-			}
+// walkVars calls fn with the range variable of every VarRef and Path
+// in e.
+func walkVars(e query.Expr, fn func(name string)) {
+	switch v := e.(type) {
+	case *query.VarRef:
+		fn(v.Name)
+	case *query.Path:
+		fn(v.Var)
+	case *query.Binary:
+		walkVars(v.L, fn)
+		walkVars(v.R, fn)
+	case *query.Unary:
+		walkVars(v.X, fn)
+	case *query.Call:
+		for _, a := range v.Args {
+			walkVars(a, fn)
 		}
 	}
-	walk(e)
-	return out
 }
 
-func usesVar(e query.Expr, name string, known map[string]bool) bool {
-	return varsOf(e, known)[name]
-}
-
-// checkableAfter reports whether conjunct c becomes fully evaluable
-// once name binds on top of the current bound set.
-func checkableAfter(c query.Expr, name string, bound *query.Env, known map[string]bool) bool {
-	for v := range varsOf(c, known) {
-		if v != name && !bound.Bound(v) {
-			return false
-		}
-	}
-	return true
+// checkableAfter reports whether conjunct c references name and
+// becomes fully evaluable once name binds on top of the bound set
+// (variables outside FROM never bind and are ignored).
+func checkableAfter(c query.Expr, name string, known, bound map[string]bool) bool {
+	uses, ok := false, true
+	walkVars(c, func(v string) {
+		uses = uses || v == name
+		ok = ok && (v == name || bound[v] || !known[v])
+	})
+	return uses && ok
 }
 
 // Run plans and executes q against r in one call — the engine's

@@ -38,8 +38,8 @@ func newFake() *fakeReader {
 }
 
 func (f *fakeReader) add(class string, oid datum.OID, attrs map[string]datum.Value) {
-	rows := append(f.classes[class], cand{oid: oid, attrs: attrs})
-	sort.Slice(rows, func(a, b int) bool { return rows[a].oid < rows[b].oid })
+	rows := append(f.classes[class], cand{OID: oid, Attrs: attrs})
+	sort.Slice(rows, func(a, b int) bool { return rows[a].OID < rows[b].OID })
 	f.classes[class] = rows
 }
 
@@ -49,7 +49,7 @@ func (f *fakeReader) ScanClass(class string, fn func(datum.OID, map[string]datum
 	f.scans.Add(1)
 	f.scanned.Store(class, struct{}{})
 	for _, r := range f.classes[class] {
-		if !fn(r.oid, r.attrs) {
+		if !fn(r.OID, r.Attrs) {
 			break
 		}
 	}
@@ -68,10 +68,10 @@ func (f *fakeReader) ScanClassShard(si int, class string, _ uint64, fn func(datu
 	f.scans.Add(1)
 	f.scanned.Store(class, struct{}{})
 	for _, r := range f.classes[class] {
-		if int(r.oid)&(fakeShards-1) != si {
+		if int(r.OID)&(fakeShards-1) != si {
 			continue
 		}
-		if !fn(r.oid, r.attrs) {
+		if !fn(r.OID, r.Attrs) {
 			break
 		}
 	}
@@ -85,7 +85,7 @@ func (f *fakeReader) ScanClassShard(si int, class string, _ uint64, fn func(datu
 func (f *fakeReader) inRange(class, attr string, lo, hi *datum.Value, loInc, hiInc bool) []datum.OID {
 	var out []datum.OID
 	for _, r := range f.classes[class] {
-		v, ok := r.attrs[attr]
+		v, ok := r.Attrs[attr]
 		if !ok || v.IsNull() {
 			continue
 		}
@@ -101,7 +101,7 @@ func (f *fakeReader) inRange(class, attr string, lo, hi *datum.Value, loInc, hiI
 				continue
 			}
 		}
-		out = append(out, r.oid)
+		out = append(out, r.OID)
 	}
 	return out
 }
@@ -130,8 +130,8 @@ func (f *fakeReader) Fetch(oid datum.OID) (string, map[string]datum.Value, bool)
 	f.fetches.Add(1)
 	for class, rows := range f.classes {
 		for _, r := range rows {
-			if r.oid == oid {
-				return class, r.attrs, true
+			if r.OID == oid {
+				return class, r.Attrs, true
 			}
 		}
 	}
@@ -644,5 +644,83 @@ func TestExplainOutput(t *testing.T) {
 	text = Build(q, nil, nil, Options{}).Explain()
 	if !strings.Contains(text, "no statistics") {
 		t.Fatalf("explain should flag missing statistics:\n%s", text)
+	}
+}
+
+// TestConjunctEvaluationOrder pins the rule the package comment states:
+// the order in which a WHERE clause's conjuncts are evaluated is
+// unspecified, and a query fails only if a conjunct that is evaluated
+// fails. One query, three conjuncts — a division by event.zero on s, a
+// test on h, an event-only test — under the three evaluators that
+// order them differently.
+func TestConjunctEvaluationOrder(t *testing.T) {
+	const src = "select s, h from S s, H h where s.p / event.zero > 0 and h.k = event.k and event.go = 1"
+	q := query.MustParse(src)
+	f := newFake()
+	for i := 1; i <= 3; i++ {
+		f.add("S", datum.OID(i), map[string]datum.Value{"p": datum.Int(int64(i))})
+	}
+	f.add("H", 10, map[string]datum.Value{"k": datum.Int(7)})
+	plans := func(args map[string]datum.Value) (sFirst, hFirst *Plan) {
+		for _, p := range Enumerate(q, f, args, Options{}) {
+			if p.steps[0].access == accessExtent && p.steps[1].access == accessExtent {
+				if p.steps[0].from.Var == "s" {
+					sFirst = p
+				} else {
+					hFirst = p
+				}
+			}
+		}
+		return sFirst, hFirst
+	}
+	const failed, empty, oneRowEach, notEvaluated = "failed", "empty", "3 rows", "not evaluated"
+	for _, tc := range []struct {
+		name                         string
+		zero, k, goArg               int64
+		oracle, sFirst, hFirst, rule string
+	}{
+		// Every conjunct is evaluated under every order: all fail.
+		{"nothing decides first", 0, 7, 1, failed, failed, failed, failed},
+		// The oracle and a plan in FROM order reach the division on the
+		// first s; a plan that scans H first finds no h and never
+		// evaluates it.
+		{"an earlier-placed residual is false", 0, 8, 1, failed, failed, empty, failed},
+		// The guard is false: the Rule Manager schedules no firing, so
+		// the query is not evaluated at all. Evaluated anyway (Fire,
+		// the CLI), the event-only conjunct is a residual of whichever
+		// step comes first, after the conjuncts written before it.
+		{"a guard is false", 0, 7, 0, failed, failed, empty, notEvaluated},
+		{"a guard and a residual are false", 0, 8, 0, failed, failed, empty, notEvaluated},
+		// Without the hard error every order agrees.
+		{"no error", 1, 7, 1, oneRowEach, oneRowEach, oneRowEach, oneRowEach},
+		{"no error, guard false", 1, 7, 0, empty, empty, empty, notEvaluated},
+	} {
+		args := map[string]datum.Value{"zero": datum.Int(tc.zero), "k": datum.Int(tc.k), "go": datum.Int(tc.goArg)}
+		outcome := func(res *query.Result, err error) string {
+			switch {
+			case err != nil:
+				return failed
+			case len(res.Rows) == 0:
+				return empty
+			}
+			return oneRowEach
+		}
+		sFirst, hFirst := plans(args)
+		if sFirst == nil || hFirst == nil {
+			t.Fatal("the enumeration lacks one of the two scan orders")
+		}
+		oracle := outcome(query.Eval(q, f, args))
+		// What a rule with this condition does on a signal: its guards
+		// first, the query only if none rejects.
+		rule := oracle
+		for _, g := range query.Guards(q) {
+			if g.Rejects(args) {
+				rule = notEvaluated
+			}
+		}
+		got := []string{oracle, outcome(sFirst.Execute(f, args)), outcome(hFirst.Execute(f, args)), rule}
+		if want := []string{tc.oracle, tc.sFirst, tc.hFirst, tc.rule}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: oracle, S-first plan, H-first plan, rule = %v, want %v", tc.name, got, want)
+		}
 	}
 }

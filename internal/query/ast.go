@@ -276,20 +276,21 @@ var aggregates = map[string]bool{
 // IsAggregate reports whether the call is an aggregate.
 func (c *Call) IsAggregate() bool { return aggregates[c.Fn] }
 
-// hasAggregate reports whether the expression contains an aggregate
-// call.
-func hasAggregate(e Expr) bool {
+// HasAggregate reports whether the expression contains an aggregate
+// call. A query whose first select item has one runs in aggregate mode:
+// one output row accumulated over the join.
+func HasAggregate(e Expr) bool {
 	switch v := e.(type) {
 	case *Binary:
-		return hasAggregate(v.L) || hasAggregate(v.R)
+		return HasAggregate(v.L) || HasAggregate(v.R)
 	case *Unary:
-		return hasAggregate(v.X)
+		return HasAggregate(v.X)
 	case *Call:
 		if v.IsAggregate() {
 			return true
 		}
 		for _, a := range v.Args {
-			if hasAggregate(a) {
+			if HasAggregate(a) {
 				return true
 			}
 		}

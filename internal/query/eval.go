@@ -53,8 +53,9 @@ func (r *Result) RowBindings(i int) map[string]datum.Value {
 	return m
 }
 
-// ErrNoValue marks evaluation against a missing attribute or event
-// argument; comparisons treat it as null.
+// ErrNoValue marks evaluation against a missing attribute, binding or
+// event argument; comparisons treat it as null. The tree-walk wraps it
+// with what was missing; compiled expressions return it as is.
 var ErrNoValue = errors.New("query: no value")
 
 // Eval runs the query against r with the given event-argument
@@ -81,23 +82,17 @@ func (e *evaluator) run(q *Query) (*Result, error) {
 		res.Columns = append(res.Columns, s.Name())
 	}
 
-	conjuncts := splitConjuncts(q.Where)
+	conjuncts := SplitConjuncts(q.Where)
 	e.env = make(map[string]object, len(q.From))
 
-	aggMode := len(q.Select) > 0 && hasAggregate(q.Select[0].Expr)
-	var aggs []*aggState
-	if aggMode {
-		aggs = make([]*aggState, len(q.Select))
-		for i := range aggs {
-			aggs[i] = &aggState{}
-		}
-	}
+	aggMode := len(q.Select) > 0 && HasAggregate(q.Select[0].Expr)
+	aggs := make([]AggState, len(q.Select))
 
 	var sortKeys [][]datum.Value
 	emit := func() error {
 		if aggMode {
 			for i, s := range q.Select {
-				if err := e.accumulate(aggs[i], s.Expr); err != nil {
+				if err := e.accumulate(&aggs[i], s.Expr); err != nil {
 					return err
 				}
 			}
@@ -133,7 +128,7 @@ func (e *evaluator) run(q *Query) (*Result, error) {
 	if aggMode {
 		row := make([]datum.Value, len(q.Select))
 		for i, s := range q.Select {
-			v, err := finishAggregate(aggs[i], s.Expr)
+			v, err := finishAggregate(&aggs[i], s.Expr)
 			if err != nil {
 				return nil, err
 			}
@@ -141,15 +136,15 @@ func (e *evaluator) run(q *Query) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	orderAndLimit(q, res, sortKeys)
+	OrderAndLimit(q, res, sortKeys)
 	return res, nil
 }
 
-// orderAndLimit is the tail of every execution: ORDER BY as a stable
-// sort of the rows on their precomputed keys (datum.Less is a total
-// order, so heterogeneous keys still sort deterministically), then
-// LIMIT.
-func orderAndLimit(q *Query, res *Result, sortKeys [][]datum.Value) {
+// OrderAndLimit is the tail of every execution: ORDER BY as a stable
+// sort of res.Rows on sortKeys — the ORDER BY expressions evaluated per
+// row in emission order (datum.Less is a total order, so heterogeneous
+// keys still sort deterministically) — then LIMIT.
+func OrderAndLimit(q *Query, res *Result, sortKeys [][]datum.Value) {
 	if len(q.OrderBy) > 0 {
 		idx := make([]int, len(res.Rows))
 		for i := range idx {
@@ -321,7 +316,7 @@ func (e *evaluator) indexProbe(f FromClause, conjuncts []Expr) ([]datum.OID, boo
 			path, constExpr = p, b.R
 		} else if p, ok := b.R.(*Path); ok && p.Var == f.Var && isConstWrt(b.L, e.env) {
 			path, constExpr = p, b.L
-			op = flipOp(op)
+			op = FlipOp(op)
 		} else {
 			continue
 		}
@@ -384,7 +379,9 @@ func isConstWrt(e Expr, bound map[string]object) bool {
 	}
 }
 
-func flipOp(op BinOp) BinOp {
+// FlipOp mirrors a comparison operator for swapped operands
+// (a < b == b > a); other operators are returned unchanged.
+func FlipOp(op BinOp) BinOp {
 	switch op {
 	case OpLt:
 		return OpGt
@@ -399,13 +396,14 @@ func flipOp(op BinOp) BinOp {
 	}
 }
 
-// splitConjuncts flattens top-level ANDs.
-func splitConjuncts(e Expr) []Expr {
+// SplitConjuncts flattens the top-level ANDs of a WHERE clause (nil
+// yields nil).
+func SplitConjuncts(e Expr) []Expr {
 	if e == nil {
 		return nil
 	}
 	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
+		return append(SplitConjuncts(b.L), SplitConjuncts(b.R)...)
 	}
 	return []Expr{e}
 }
@@ -433,17 +431,22 @@ func referencesAny(e Expr, vars map[string]bool) bool {
 // --- expression evaluation ---
 
 func (e *evaluator) evalBool(x Expr) (bool, error) {
-	v, err := e.eval(x)
-	if err != nil {
-		if errors.Is(err, ErrNoValue) {
-			return false, nil // missing value: predicate is unknown = false
-		}
+	ok, err := truth(e.eval(x))
+	if errors.Is(err, ErrNoValue) {
+		return false, nil // missing value: predicate is unknown = false
+	}
+	return ok, err
+}
+
+// truth is a predicate's reading of a value: null is as unknown as a
+// missing value (ErrNoValue), anything else must be a bool.
+func truth(v datum.Value, err error) (bool, error) {
+	switch {
+	case err != nil:
 		return false, err
-	}
-	if v.Kind() == datum.KindNull {
-		return false, nil
-	}
-	if v.Kind() != datum.KindBool {
+	case v.IsNull():
+		return false, ErrNoValue
+	case v.Kind() != datum.KindBool:
 		return false, fmt.Errorf("query: predicate yielded %s, want bool", v.Kind())
 	}
 	return v.AsBool(), nil
@@ -481,8 +484,6 @@ func (e *evaluator) eval(x Expr) (datum.Value, error) {
 		return e.evalBinary(v)
 	case *Call:
 		return e.evalCall(v)
-	case *errExpr:
-		return datum.Null(), v.err
 	default:
 		return datum.Null(), fmt.Errorf("query: cannot evaluate %T", x)
 	}
@@ -519,34 +520,14 @@ func unaryValue(op UnOp, x datum.Value) (datum.Value, error) {
 }
 
 func (e *evaluator) evalBinary(b *Binary) (datum.Value, error) {
-	// Short-circuit logic first.
-	switch b.Op {
-	case OpAnd:
-		l, err := e.evalBool(b.L)
-		if err != nil {
-			return datum.Null(), err
+	// Short-circuit logic first: the left operand decides an `or` when
+	// true, an `and` when false.
+	if b.Op == OpAnd || b.Op == OpOr {
+		ok, err := e.evalBool(b.L)
+		if err == nil && ok != (b.Op == OpOr) {
+			ok, err = e.evalBool(b.R)
 		}
-		if !l {
-			return datum.Bool(false), nil
-		}
-		r, err := e.evalBool(b.R)
-		if err != nil {
-			return datum.Null(), err
-		}
-		return datum.Bool(r), nil
-	case OpOr:
-		l, err := e.evalBool(b.L)
-		if err != nil {
-			return datum.Null(), err
-		}
-		if l {
-			return datum.Bool(true), nil
-		}
-		r, err := e.evalBool(b.R)
-		if err != nil {
-			return datum.Null(), err
-		}
-		return datum.Bool(r), nil
+		return datum.Bool(ok), err
 	}
 
 	l, err := e.eval(b.L)
@@ -561,15 +542,12 @@ func (e *evaluator) evalBinary(b *Binary) (datum.Value, error) {
 	rMissing := err != nil
 
 	if isComparison(b.Op) {
+		k := cmpOf(b.Op)
 		if lMissing || rMissing || l.IsNull() || r.IsNull() {
-			// Comparisons against missing/null are unknown (false),
-			// except inequality against a known value.
-			if b.Op == OpNe && lMissing != rMissing {
-				return datum.Bool(true), nil
-			}
-			return datum.Bool(false), nil
+			return datum.Bool(k.unknown(lMissing, rMissing)), nil
 		}
-		return compareValues(b.Op, l, r)
+		ok, err := k.apply(l, r)
+		return datum.Bool(ok), err
 	}
 	if lMissing || rMissing {
 		return datum.Null(), fmt.Errorf("%w: operand of %s", ErrNoValue, b.Op)
@@ -585,49 +563,47 @@ func isComparison(op BinOp) bool {
 	return false
 }
 
-// compareValues applies a comparison operator to two present,
-// non-null values. Incomparable kinds are unequal; ordering them is a
-// hard error.
-func compareValues(op BinOp, l, r datum.Value) (datum.Value, error) {
+// cmp is a comparison operator, resolved once: its outcome for each
+// result of datum.Compare.
+type cmp struct {
+	op  BinOp
+	out [3]bool // indexed by datum.Compare's result + 1
+}
+
+func cmpOf(op BinOp) cmp {
+	lt, eq, gt := op == OpLt || op == OpLe, op == OpEq || op == OpLe || op == OpGe, op == OpGt || op == OpGe
+	if op == OpNe {
+		lt, gt = true, true
+	}
+	return cmp{op: op, out: [3]bool{lt, eq, gt}}
+}
+
+// apply compares two present, non-null values. Incomparable kinds are
+// unequal; ordering them is a hard error.
+func (k *cmp) apply(l, r datum.Value) (bool, error) {
 	c, err := datum.Compare(l, r)
 	if err != nil {
-		if op == OpEq {
-			return datum.Bool(false), nil
+		if k.op == OpEq || k.op == OpNe {
+			return k.op == OpNe, nil
 		}
-		if op == OpNe {
-			return datum.Bool(true), nil
-		}
-		return datum.Null(), fmt.Errorf("query: %v %s %v: %w", l, op, r, err)
+		return false, fmt.Errorf("query: %v %s %v: %w", l, k.op, r, err)
 	}
-	switch op {
-	case OpEq:
-		return datum.Bool(c == 0), nil
-	case OpNe:
-		return datum.Bool(c != 0), nil
-	case OpLt:
-		return datum.Bool(c < 0), nil
-	case OpLe:
-		return datum.Bool(c <= 0), nil
-	case OpGt:
-		return datum.Bool(c > 0), nil
-	default: // OpGe
-		return datum.Bool(c >= 0), nil
-	}
+	return k.out[c+1], nil
+}
+
+// unknown is the outcome when an operand is missing or null: false,
+// except inequality between a missing operand and one that is not.
+func (k *cmp) unknown(lMissing, rMissing bool) bool {
+	return k.op == OpNe && lMissing != rMissing
 }
 
 // arithValues applies an arithmetic operator (or string
 // concatenation) to two present values.
 func arithValues(op BinOp, l, r datum.Value) (datum.Value, error) {
-	switch op {
-	case OpAdd:
-		if l.Kind() == datum.KindString && r.Kind() == datum.KindString {
-			return datum.Str(l.AsString() + r.AsString()), nil
-		}
-		return numericOp(l, r, op)
-	case OpSub, OpMul, OpDiv, OpMod:
-		return numericOp(l, r, op)
+	if op == OpAdd && l.Kind() == datum.KindString && r.Kind() == datum.KindString {
+		return datum.Str(l.AsString() + r.AsString()), nil
 	}
-	return datum.Null(), fmt.Errorf("query: unknown binary op %q", op)
+	return numericOp(l, r, op)
 }
 
 func numericOp(l, r datum.Value, op BinOp) (datum.Value, error) {
@@ -703,38 +679,45 @@ func scalarCall(fn string, v datum.Value) (datum.Value, error) {
 				return datum.Float(-v.AsFloat()), nil
 			}
 			return v, nil
-		default:
-			return datum.Null(), fmt.Errorf("query: abs of %s", v.Kind())
 		}
-	case "lower":
-		return datum.Str(strings.ToLower(v.AsString())), nil
-	case "upper":
+	case "lower", "upper":
+		if v.Kind() != datum.KindString {
+			break
+		}
+		if fn == "lower" {
+			return datum.Str(strings.ToLower(v.AsString())), nil
+		}
 		return datum.Str(strings.ToUpper(v.AsString())), nil
 	case "len":
-		if v.Kind() == datum.KindList {
+		switch v.Kind() {
+		case datum.KindList:
 			return datum.Int(int64(len(v.AsList()))), nil
+		case datum.KindString:
+			return datum.Int(int64(len(v.AsString()))), nil
 		}
-		return datum.Int(int64(len(v.AsString()))), nil
 	default:
 		return datum.Null(), fmt.Errorf("query: unknown function %q", fn)
 	}
+	return datum.Null(), fmt.Errorf("query: %s of %s", fn, v.Kind())
 }
 
 // --- aggregates ---
 
-type aggState struct {
+// AggState accumulates one select item's aggregate over emitted rows.
+// Accumulation order matters for float sums: plans feed rows in the
+// tree-walk's emission order unless Aggregate.Merge proves it cannot show.
+type AggState struct {
 	count int64
 	sum   float64
 	sumI  int64
 	isInt bool
-	first bool
 	min   datum.Value
 	max   datum.Value
 	init  bool
 }
 
-// accumulate feeds one row into every aggregate inside expr.
-func (e *evaluator) accumulate(st *aggState, expr Expr) error {
+// accumulate feeds one row into the aggregate inside expr.
+func (e *evaluator) accumulate(st *AggState, expr Expr) error {
 	call := findAggregate(expr)
 	if call == nil {
 		return nil
@@ -749,12 +732,18 @@ func (e *evaluator) accumulate(st *aggState, expr Expr) error {
 	v, err := e.eval(call.Args[0])
 	if err != nil {
 		if errors.Is(err, ErrNoValue) {
-			return nil // nulls don't participate
+			return nil // missing values don't participate
 		}
 		return err
 	}
+	st.add(v)
+	return nil
+}
+
+// add accumulates one argument value; nulls don't participate.
+func (st *AggState) add(v datum.Value) {
 	if v.IsNull() {
-		return nil
+		return
 	}
 	st.count++
 	if !st.init {
@@ -775,67 +764,36 @@ func (e *evaluator) accumulate(st *aggState, expr Expr) error {
 	if c, err := datum.Compare(v, st.max); err == nil && c > 0 {
 		st.max = v
 	}
-	return nil
 }
 
-// mergeAggState folds src — the partial aggregate of a later,
-// contiguous chunk of the emission sequence — into dst. It reports
-// false when the merged state could differ bitwise from accumulating
-// both chunks serially, in which case dst is left unspecified and the
-// caller must fall back to serial accumulation:
-//
-//   - sum over floats and avg read the float64 running sum, whose
-//     value depends on accumulation order (addition is not
-//     associative);
-//   - min/max candidates that datum.Compare cannot order (cross-kind
-//     values outside the numeric family) keep whichever value came
-//     first, so partials from different chunks cannot be reconciled.
-//
-// count, min/max over comparable values, and sum over ints (int64
-// wraparound addition is associative) merge exactly.
-func mergeAggState(dst, src *aggState, expr Expr) bool {
-	call := findAggregate(expr)
-	if call == nil || src.count == 0 {
-		return true // nothing to merge (count(*) bumps count without init)
-	}
-	if dst.count == 0 {
-		*dst = *src // the serial run would have accumulated src alone
-		return true
-	}
-	switch call.Fn {
+// result is the final value of aggregate fn over what st accumulated.
+func (st *AggState) result(fn string) (datum.Value, error) {
+	switch fn {
+	case "count":
+		return datum.Int(st.count), nil
 	case "sum":
-		if !dst.isInt || !src.isInt {
-			return false // finish would read the order-sensitive float sum
+		switch {
+		case st.count == 0:
+			return datum.Int(0), nil
+		case st.isInt:
+			return datum.Int(st.sumI), nil
 		}
+		return datum.Float(st.sum), nil
 	case "avg":
-		return false // always finishes through the float sum
-	case "count", "min", "max":
-	default:
-		return false // unknown aggregate: let the serial path report it
+		if st.count == 0 {
+			return datum.Null(), nil
+		}
+		return datum.Float(st.sum / float64(st.count)), nil
+	case "min", "max":
+		switch {
+		case !st.init:
+			return datum.Null(), nil
+		case fn == "min":
+			return st.min, nil
+		}
+		return st.max, nil
 	}
-	if src.init && dst.init {
-		cMin, errMin := datum.Compare(src.min, dst.min)
-		cMax, errMax := datum.Compare(src.max, dst.max)
-		if errMin != nil || errMax != nil {
-			return false // incomparable partials are order-sensitive
-		}
-		// Strict inequality keeps the serial "first value wins ties"
-		// behavior: dst holds the earlier chunk.
-		if cMin < 0 {
-			dst.min = src.min
-		}
-		if cMax > 0 {
-			dst.max = src.max
-		}
-	} else if src.init {
-		dst.init = true
-		dst.min, dst.max = src.min, src.max
-	}
-	dst.count += src.count
-	dst.sumI += src.sumI
-	dst.sum += src.sum
-	dst.isInt = dst.isInt && src.isInt
-	return true
+	return datum.Null(), fmt.Errorf("query: unknown aggregate %q", fn)
 }
 
 func findAggregate(expr Expr) *Call {
@@ -863,43 +821,14 @@ func findAggregate(expr Expr) *Call {
 // finishAggregate computes the final value of an aggregate select
 // item. Expressions over an aggregate (e.g. count(*) + 1) are
 // evaluated by substituting the aggregate's value.
-func finishAggregate(st *aggState, expr Expr) (datum.Value, error) {
+func finishAggregate(st *AggState, expr Expr) (datum.Value, error) {
 	call := findAggregate(expr)
 	if call == nil {
 		return datum.Null(), errors.New("query: aggregate select item without aggregate")
 	}
-	var val datum.Value
-	switch call.Fn {
-	case "count":
-		val = datum.Int(st.count)
-	case "sum":
-		if st.count == 0 {
-			val = datum.Int(0)
-		} else if st.isInt {
-			val = datum.Int(st.sumI)
-		} else {
-			val = datum.Float(st.sum)
-		}
-	case "avg":
-		if st.count == 0 {
-			val = datum.Null()
-		} else {
-			val = datum.Float(st.sum / float64(st.count))
-		}
-	case "min":
-		if !st.init {
-			val = datum.Null()
-		} else {
-			val = st.min
-		}
-	case "max":
-		if !st.init {
-			val = datum.Null()
-		} else {
-			val = st.max
-		}
-	default:
-		return datum.Null(), fmt.Errorf("query: unknown aggregate %q", call.Fn)
+	val, err := st.result(call.Fn)
+	if err != nil {
+		return datum.Null(), err
 	}
 	// Substitute and evaluate the surrounding expression, if any.
 	if expr == Expr(call) {

@@ -8,96 +8,44 @@ import (
 	"repro/internal/datum"
 )
 
-// genEventExpr builds a random event-only expression: event arguments
-// a..d and literals of every kind under comparisons (cross-kind
-// included), boolean connectives, arithmetic and the scalar builtins.
-func genEventExpr(rng *rand.Rand, depth int) Expr {
-	if depth <= 0 || rng.Intn(4) == 0 {
-		if rng.Intn(2) == 0 {
-			return &EventRef{Name: string(rune('a' + rng.Intn(4)))}
-		}
-		return &Literal{Val: genValue(rng)}
-	}
-	sub := func() Expr { return genEventExpr(rng, depth-1) }
-	switch rng.Intn(10) {
-	case 0, 1, 2, 3:
-		ops := []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
-		return &Binary{Op: ops[rng.Intn(len(ops))], L: sub(), R: sub()}
-	case 4:
-		return &Binary{Op: OpAnd, L: sub(), R: sub()}
-	case 5:
-		return &Binary{Op: OpOr, L: sub(), R: sub()}
-	case 6:
-		return &Unary{Op: OpNot, X: sub()}
-	case 7:
-		ops := []BinOp{OpAdd, OpSub, OpMul, OpDiv, OpMod}
-		return &Binary{Op: ops[rng.Intn(len(ops))], L: sub(), R: sub()}
-	case 8:
-		return &Unary{Op: OpNeg, X: sub()}
-	default:
-		fns := []string{"abs", "lower", "upper", "len"}
-		return &Call{Fn: fns[rng.Intn(len(fns))], Args: []Expr{sub()}}
-	}
-}
-
-func genValue(rng *rand.Rand) datum.Value {
-	switch rng.Intn(7) {
-	case 0:
-		return datum.Null()
-	case 1:
-		return datum.Bool(rng.Intn(2) == 0)
-	case 2, 3:
-		return datum.Int(int64(rng.Intn(7) - 3))
-	case 4:
-		return datum.Float(float64(rng.Intn(13)-6) / 2)
-	default:
-		return datum.Str([]string{"", "x", "X", "yy"}[rng.Intn(4)])
-	}
-}
-
-func genBindings(rng *rand.Rand) map[string]datum.Value {
-	args := map[string]datum.Value{}
-	for _, name := range []string{"a", "b", "c", "d"} {
-		if rng.Intn(4) != 0 { // a quarter of the arguments are missing
-			args[name] = genValue(rng)
-		}
-	}
-	return args
-}
-
-func TestCompiledEventExprMatchesEvaluator(t *testing.T) {
-	// Whenever the closure calls a value definite it is the tree-walk
-	// evaluator's value, and whenever a guard rejects, the evaluator
-	// finds the predicate false without an error.
+func TestGuardsMatchEvaluator(t *testing.T) {
+	// A guard never rejects unless the tree-walk evaluator finds the
+	// conjunct false without an error; when every argument is present
+	// and not null it rejects exactly then.
 	rng := rand.New(rand.NewSource(13))
-	definite, rejected := 0, 0
+	rejected, definite := 0, 0
 	for round := 0; round < 2000; round++ {
-		x := genEventExpr(rng, 4)
-		fn, ok := compileEventExpr(x)
-		if !ok {
-			t.Fatalf("event-only expression %s did not compile", x)
+		x := genExpr(rng, 4, true, eventLeaf(rng))
+		// `x or false` decides as x does, and is one conjunct whatever x is.
+		gs := Guards(&Query{Select: []SelectItem{{Expr: &VarRef{Name: "s"}}}, From: []FromClause{{Class: "S", Var: "s"}},
+			Where: &Binary{Op: OpOr, L: x, R: &Literal{Val: datum.Bool(false)}}})
+		if len(gs) != 1 {
+			t.Fatalf("event-only expression %s is not a guard", x)
 		}
-		g := Guard{Expr: x, eval: fn}
 		for i := 0; i < 8; i++ {
-			args := genBindings(rng)
-			env := NewEnv(nil, args)
-			if v, ok := fn(args); ok {
-				definite++
-				want, err := env.Eval(x)
-				if err != nil || !reflect.DeepEqual(v, want) {
-					t.Fatalf("%s on %v: closure says %v, evaluator %v, %v", x, args, v, want, err)
-				}
+			args := genBindings(rng, "a", "b", "c", "d")
+			if i%2 == 0 {
+				args = map[string]datum.Value{"a": datum.Int(1), "b": datum.Float(-0.5), "c": datum.Str("x"), "d": datum.Bool(true)}
 			}
-			if g.Rejects(args) {
+			ev := evaluator{event: args}
+			pass, err := ev.evalBool(x)
+			got := gs[0].Rejects(args)
+			if got && (pass || err != nil) {
+				t.Fatalf("%s on %v: guard rejects, evaluator says %v, %v", x, args, pass, err)
+			}
+			if got {
 				rejected++
-				if pass, err := env.EvalBool(x); pass || err != nil {
-					t.Fatalf("%s on %v: guard rejects, evaluator says %v, %v", x, args, pass, err)
+			}
+			if i%2 == 0 {
+				definite++
+				if want := err == nil && !pass; got != want {
+					t.Fatalf("%s on %v: guard rejects = %v, evaluator says %v, %v", x, args, got, pass, err)
 				}
 			}
 		}
 	}
 	if definite < 1000 || rejected < 200 {
-		t.Fatalf("generator too weak: %d definite values, %d rejections", definite, rejected)
+		t.Fatalf("generator too weak: %d definite evaluations, %d rejections", definite, rejected)
 	}
 }
 
@@ -152,10 +100,11 @@ func TestGuardsClassification(t *testing.T) {
 			t.Errorf("%s: guards = %v, want none", q, g)
 		}
 	}
-	// A range variable or an aggregate keeps an expression out.
+	// A range variable or an aggregate keeps a conjunct out.
 	for _, x := range []Expr{&Path{Var: "s", Attr: "p"}, &VarRef{Name: "s"},
 		&Call{Fn: "count", Star: true}, &Binary{Op: OpEq, L: &EventRef{Name: "a"}, R: &VarRef{Name: "s"}}} {
-		if _, ok := compileEventExpr(x); ok {
+		q := &Query{Select: []SelectItem{{Expr: &VarRef{Name: "s"}}}, From: []FromClause{{Class: "S", Var: "s"}}, Where: x}
+		if g := Guards(q); len(g) != 0 {
 			t.Errorf("%s compiled as event-only", x)
 		}
 	}

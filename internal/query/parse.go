@@ -321,14 +321,14 @@ func (p *parser) parseQuery() (*Query, error) {
 	// Aggregate shape: if any select item aggregates, all must.
 	agg := 0
 	for _, s := range q.Select {
-		if hasAggregate(s.Expr) {
+		if HasAggregate(s.Expr) {
 			agg++
 		}
 	}
 	if agg > 0 && agg != len(q.Select) {
 		return nil, fmt.Errorf("query: cannot mix aggregate and non-aggregate select items in %q", p.src)
 	}
-	if q.Where != nil && hasAggregate(q.Where) {
+	if q.Where != nil && HasAggregate(q.Where) {
 		return nil, fmt.Errorf("query: aggregates are not allowed in where (%q)", p.src)
 	}
 	if agg > 0 && len(q.OrderBy) > 0 {

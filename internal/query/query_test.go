@@ -621,23 +621,51 @@ func TestScalarFunctionErrors(t *testing.T) {
 		"select abs(s.symbol) from Stock s", // abs of string
 		"select nosuchfn(s.price) from Stock s",
 		"select abs(s.price, s.price) from Stock s", // arity
+		// lower, upper and len of the wrong kind used to yield "" and 0.
+		"select lower(s.price) from Stock s",
+		"select upper(42) from Stock s",
+		"select len(s.price) from Stock s",
+		"select s from Stock s where upper(null) = ''",
+		"select s from Stock s where len(s) = 0",
 	}
 	for _, src := range bad {
 		if _, err := Eval(MustParse(src), m, nil); err == nil {
 			t.Errorf("Eval(%q) should fail", src)
 		}
 	}
+	// The kernel is shared: guards and rule actions agree.
+	for _, src := range []string{"lower(42)", "len(n)", "upper(null)"} {
+		x, err := ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := CompileExpr(x).Eval(nil, map[string]datum.Value{"n": datum.Int(42)}, nil); err == nil {
+			t.Errorf("action %s = %v, want a type error", src, v)
+		}
+	}
+	g := Guards(MustParse("select s from Stock s where len(event.n) = 0"))[0]
+	if g.Rejects(map[string]datum.Value{"n": datum.Int(42)}) {
+		t.Error("a guard with a type error must not reject")
+	}
+	res, err := Eval(MustParse("select len(s.symbol) as n, upper(s.symbol) as u, len(event.l) as m from Stock s where s.symbol = 'GM'"),
+		m, map[string]datum.Value{"l": datum.List(datum.Int(1), datum.Int(2))})
+	if err != nil || res.Rows[0][0].AsInt() != 2 || res.Rows[0][1].AsString() != "GM" || res.Rows[0][2].AsInt() != 2 {
+		t.Fatalf("builtins over strings and lists: %+v, %v", res, err)
+	}
 }
 
-func TestEvalExprDereferencesThroughReader(t *testing.T) {
+func TestActionExprDereferencesThroughReader(t *testing.T) {
 	m := stockReader()
-	e, err := ParseExpr("s.price * 2")
-	if err != nil {
-		t.Fatal(err)
+	eval := func(src string, r Reader, vars, args map[string]datum.Value) (datum.Value, error) {
+		x, err := ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return CompileExpr(x).Eval(r, vars, args)
 	}
-	// Bind s to the GM object's OID value; EvalExpr must fetch its
-	// attrs through the reader.
-	v, err := EvalExpr(e, m, map[string]datum.Value{"s": datum.ID(4)}, nil)
+	// Bind s to the GM object's OID value; the expression must fetch
+	// its attrs through the reader.
+	v, err := eval("s.price * 2", m, map[string]datum.Value{"s": datum.ID(4)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,26 +673,24 @@ func TestEvalExprDereferencesThroughReader(t *testing.T) {
 		t.Fatalf("deref = %v", v)
 	}
 	// Unbound variable: evaluates to null (action semantics).
-	v, err = EvalExpr(e, m, nil, nil)
+	v, err = eval("s.price * 2", m, nil, nil)
 	if err != nil || !v.IsNull() {
 		t.Fatalf("unbound = %v (%v)", v, err)
 	}
 	// Dereferencing a non-OID binding errors.
-	if _, err := EvalExpr(e, m, map[string]datum.Value{"s": datum.Int(3)}, nil); err == nil {
+	if _, err := eval("s.price * 2", m, map[string]datum.Value{"s": datum.Int(3)}, nil); err == nil {
 		t.Fatal("deref of non-OID should error")
 	}
 	// Dereferencing without a reader errors.
-	if _, err := EvalExpr(e, nil, map[string]datum.Value{"s": datum.ID(4)}, nil); err == nil {
+	if _, err := eval("s.price * 2", nil, map[string]datum.Value{"s": datum.ID(4)}, nil); err == nil {
 		t.Fatal("deref without reader should error")
 	}
 	// Functions and comparisons over resolved bindings work.
-	e2, _ := ParseExpr("upper(sym) + '!'")
-	v, err = EvalExpr(e2, nil, map[string]datum.Value{"sym": datum.Str("gm")}, nil)
+	v, err = eval("upper(sym) + '!'", nil, map[string]datum.Value{"sym": datum.Str("gm")}, nil)
 	if err != nil || v.AsString() != "GM!" {
 		t.Fatalf("call over binding = %v (%v)", v, err)
 	}
-	e3, _ := ParseExpr("qty >= 100 and event.go")
-	v, err = EvalExpr(e3, nil,
+	v, err = eval("qty >= 100 and event.go", nil,
 		map[string]datum.Value{"qty": datum.Int(500)},
 		map[string]datum.Value{"go": datum.Bool(true)})
 	if err != nil || !v.AsBool() {

@@ -1004,7 +1004,7 @@ func (m *Manager) execStep(tx *txn.Txn, r *Rule, st compiledStep,
 		return err
 
 	case StepModify:
-		target, err := query.EvalExpr(st.target, reader, vars, eventArgs)
+		target, err := st.target.Eval(reader, vars, eventArgs)
 		if err != nil {
 			return err
 		}
@@ -1018,7 +1018,7 @@ func (m *Manager) execStep(tx *txn.Txn, r *Rule, st compiledStep,
 		return m.objects.Modify(tx, target.AsOID(), attrs)
 
 	case StepDelete:
-		target, err := query.EvalExpr(st.target, reader, vars, eventArgs)
+		target, err := st.target.Eval(reader, vars, eventArgs)
 		if err != nil {
 			return err
 		}

@@ -159,11 +159,11 @@ func (r *Rule) EventString() string {
 type compiledStep struct {
 	kind   StepKind
 	class  string
-	target query.Expr
-	attrs  map[string]query.Expr
+	target query.ActionExpr
+	attrs  map[string]query.ActionExpr
 	event  string
 	op     string
-	args   map[string]query.Expr
+	args   map[string]query.ActionExpr
 	fn     string
 }
 
@@ -244,7 +244,7 @@ func compileStep(s Step) (compiledStep, error) {
 		if s.Target == "" {
 			return cs, fmt.Errorf("%s step needs a target expression", s.Kind)
 		}
-		if cs.target, err = query.ParseExpr(s.Target); err != nil {
+		if cs.target, err = compileExpr(s.Target); err != nil {
 			return cs, fmt.Errorf("target: %w", err)
 		}
 	case StepSignal:
@@ -264,22 +264,31 @@ func compileStep(s Step) (compiledStep, error) {
 		return cs, fmt.Errorf("unknown step kind %q", s.Kind)
 	}
 	if len(s.Attrs) > 0 {
-		cs.attrs = map[string]query.Expr{}
+		cs.attrs = map[string]query.ActionExpr{}
 		for k, src := range s.Attrs {
-			if cs.attrs[k], err = query.ParseExpr(src); err != nil {
+			if cs.attrs[k], err = compileExpr(src); err != nil {
 				return cs, fmt.Errorf("attribute %q: %w", k, err)
 			}
 		}
 	}
 	if len(s.Args) > 0 {
-		cs.args = map[string]query.Expr{}
+		cs.args = map[string]query.ActionExpr{}
 		for k, src := range s.Args {
-			if cs.args[k], err = query.ParseExpr(src); err != nil {
+			if cs.args[k], err = compileExpr(src); err != nil {
 				return cs, fmt.Errorf("argument %q: %w", k, err)
 			}
 		}
 	}
 	return cs, nil
+}
+
+// compileExpr parses and compiles one expression of an action step.
+func compileExpr(src string) (query.ActionExpr, error) {
+	x, err := query.ParseExpr(src)
+	if err != nil {
+		return query.ActionExpr{}, err
+	}
+	return query.CompileExpr(x), nil
 }
 
 // encodeDef serializes a definition for the "__rule" object.
@@ -311,11 +320,11 @@ var AbortRequested = errors.New("rule: action requested abort")
 
 // evalExprs evaluates a map of compiled expressions against the
 // bindings.
-func evalExprs(exprs map[string]query.Expr, reader query.Reader,
+func evalExprs(exprs map[string]query.ActionExpr, reader query.Reader,
 	vars, eventArgs map[string]datum.Value) (map[string]datum.Value, error) {
 	out := make(map[string]datum.Value, len(exprs))
 	for k, e := range exprs {
-		v, err := query.EvalExpr(e, reader, vars, eventArgs)
+		v, err := e.Eval(reader, vars, eventArgs)
 		if err != nil {
 			return nil, fmt.Errorf("expression for %q: %w", k, err)
 		}

@@ -269,3 +269,86 @@ func QuoteBuyRules(e *core.Engine, n int, limit float64, fn string) error {
 	}
 	return nil
 }
+
+// PortfolioQueries are the query shapes of the repo benchmark's
+// analytic_query cycle (benchmark/analytic.go) over SeedPortfolio's
+// data: three indexed, one unselective scan, two full-extent
+// aggregates and a three-way hash join. Cycle lists the ten-query
+// cycle as indexes into it.
+var PortfolioQueries = []struct{ Name, Src string }{
+	{"index_join", "select s, h from Stock s, Holding h where s.symbol = h.symbol and h.owner = event.owner"},
+	{"index_range", "select s.symbol as sym, s.price as p from Stock s where s.price >= event.lo and s.price < event.hi order by s.price limit 10"},
+	{"agg", "select count(*) as n, sum(h.qty) as total, min(h.qty) as lo, max(h.qty) as hi from Holding h"},
+	{"scan", "select h.qty from Holding h where h.qty >= event.min"},
+	{"agg_filtered", "select count(*) as n, sum(h.qty) as total from Holding h where h.qty >= 0"},
+	{"join3", "select h.qty, s.price, c.boost from Holding h, Stock s, Sector c where h.symbol = s.symbol and s.sector = c.name"},
+}
+
+// PortfolioCycle is the benchmark's ten-query cycle over
+// PortfolioQueries.
+var PortfolioCycle = []int{0, 1, 2, 0, 1, 3, 0, 1, 4, 5}
+
+// PortfolioArgs binds the event arguments PortfolioQueries reference.
+func PortfolioArgs() map[string]datum.Value {
+	return map[string]datum.Value{
+		"owner": datum.Str("acct0042"),
+		"lo":    datum.Float(40),
+		"hi":    datum.Float(45),
+		"min":   datum.Int(15),
+	}
+}
+
+// SeedPortfolio defines and loads the analytic_query schema at the
+// benchmark's size: 16 sectors, 512 stocks (symbol and price indexed)
+// and 10 000 holdings (owner indexed) of 5 000 owners.
+func SeedPortfolio(e *core.Engine) error {
+	tx := e.Begin()
+	for _, cls := range []object.Class{
+		{Name: "Stock", Attrs: []object.AttrDef{
+			{Name: "symbol", Kind: datum.KindString, Required: true, Indexed: true},
+			{Name: "sector", Kind: datum.KindString, Required: true},
+			{Name: "price", Kind: datum.KindFloat, Indexed: true},
+		}},
+		{Name: "Holding", Attrs: []object.AttrDef{
+			{Name: "owner", Kind: datum.KindString, Required: true, Indexed: true},
+			{Name: "symbol", Kind: datum.KindString, Required: true},
+			{Name: "qty", Kind: datum.KindInt, Required: true},
+		}},
+		{Name: "Sector", Attrs: []object.AttrDef{
+			{Name: "name", Kind: datum.KindString, Required: true},
+			{Name: "boost", Kind: datum.KindInt, Required: true},
+		}},
+	} {
+		if err := e.DefineClass(tx, cls); err != nil {
+			tx.Abort()
+			return err
+		}
+	}
+	var err error
+	create := func(class string, attrs map[string]datum.Value) {
+		if err == nil {
+			_, err = e.Create(tx, class, attrs)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		create("Sector", map[string]datum.Value{
+			"name": datum.Str(fmt.Sprintf("sector%02d", i)), "boost": datum.Int(int64(i))})
+	}
+	for i := 0; i < 512; i++ {
+		create("Stock", map[string]datum.Value{
+			"symbol": datum.Str(fmt.Sprintf("S%04d", i)),
+			"sector": datum.Str(fmt.Sprintf("sector%02d", i%16)),
+			"price":  datum.Float(float64(10 + i%90))})
+	}
+	for i := 0; i < 10_000; i++ {
+		create("Holding", map[string]datum.Value{
+			"owner":  datum.Str(fmt.Sprintf("acct%04d", i%5000)),
+			"symbol": datum.Str(fmt.Sprintf("S%04d", i%512)),
+			"qty":    datum.Int(int64(1000 + i%100))})
+	}
+	if err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit()
+}
