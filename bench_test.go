@@ -1,12 +1,14 @@
-// Benchmarks regenerating the experiments in DESIGN.md's
-// per-experiment index (C1..C12, plus the SAA pipeline of F4.2).
-// cmd/hipac-bench runs the same workloads as parameter sweeps and
-// prints the tables recorded in EXPERIMENTS.md.
+// Per-claim microbenchmarks for DESIGN.md's per-experiment index: run
+// one with `go test -run '^$' -bench <name> .`, sweep processors with
+// -cpu 1,2,4,8 and compare two commits with benchstat. End-to-end
+// claims are measured by the repo benchmark (BENCHMARK.json,
+// benchmark/); bars that need no clock are tests.
 package hipac_test
 
 import (
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,9 +19,11 @@ import (
 	"repro/internal/datum"
 	"repro/internal/feed"
 	"repro/internal/obs"
+	"repro/internal/repl"
 	"repro/internal/rule"
 	"repro/internal/saa"
 	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
@@ -779,16 +783,17 @@ func BenchmarkParallelRead(b *testing.B) {
 }
 
 // BenchmarkCheckpointDuringCommits measures how much a running fuzzy
-// checkpointer perturbs the commit path (C14). Sub-runs toggle the
-// background checkpointer against the same parallel-commit workload;
-// the non-quiescent design is held to commit p99 within 2x of the
-// checkpointer-off baseline. Reported extras: checkpoints taken during
-// the run and the commit-stall p99 from the engine's histograms.
+// checkpointer perturbs the commit path. Sub-runs toggle the timed
+// checkpointer (C14) and the WAL-growth trigger (C15: a tighter byte
+// budget raises the delta count, not the commit tail) against the same
+// parallel-commit workload; the non-quiescent design is held to commit
+// p99 within 2x of the checkpointer-off baseline. Reported extras:
+// checkpoints and deltas taken, commit-stall p99 from the histograms.
 func BenchmarkCheckpointDuringCommits(b *testing.B) {
-	run := func(b *testing.B, noSync bool, interval time.Duration) {
+	run := func(b *testing.B, noSync bool, interval time.Duration, afterBytes uint64) {
 		e, err := core.Open(core.Options{Dir: b.TempDir(), NoSync: noSync,
-			CheckpointInterval: interval,
-			Clock:              hipac.NewVirtualClock(workload.Epoch)})
+			CheckpointInterval: interval, CheckpointAfterBytes: afterBytes,
+			Clock: hipac.NewVirtualClock(workload.Epoch)})
 		mustB(b, err)
 		b.Cleanup(func() { e.Close() })
 		mustB(b, workload.DefineBase(e))
@@ -810,14 +815,89 @@ func BenchmarkCheckpointDuringCommits(b *testing.B) {
 		b.StopTimer()
 		st := e.Store.Stats()
 		b.ReportMetric(float64(st.Checkpoints), "checkpoints")
+		b.ReportMetric(float64(st.DeltaCheckpoints), "deltas")
 		if h := e.Obs.Snapshot().Hist["commit_stall"]; h.Count > 0 {
 			b.ReportMetric(float64(h.Quantile(0.99).Nanoseconds()), "stall-p99-ns")
 		}
+		if errs := e.AsyncErrors(); len(errs) > 0 {
+			b.Fatal(errs[0])
+		}
 	}
-	b.Run("nosync-ckpt-off", func(b *testing.B) { run(b, true, 0) })
-	b.Run("nosync-ckpt-5ms", func(b *testing.B) { run(b, true, 5*time.Millisecond) })
-	b.Run("fsync-ckpt-off", func(b *testing.B) { run(b, false, 0) })
-	b.Run("fsync-ckpt-25ms", func(b *testing.B) { run(b, false, 25*time.Millisecond) })
+	b.Run("nosync-ckpt-off", func(b *testing.B) { run(b, true, 0, 0) })
+	b.Run("nosync-ckpt-5ms", func(b *testing.B) { run(b, true, 5*time.Millisecond, 0) })
+	b.Run("fsync-ckpt-off", func(b *testing.B) { run(b, false, 0, 0) })
+	b.Run("fsync-ckpt-25ms", func(b *testing.B) { run(b, false, 25*time.Millisecond, 0) })
+	b.Run("fsync-trigger=64KiB", func(b *testing.B) { run(b, false, 0, 64<<10) })
+	b.Run("fsync-trigger=16KiB", func(b *testing.B) { run(b, false, 0, 16<<10) })
+}
+
+// BenchmarkReplicaReadsUnderCommits (C19) reads points on a
+// WAL-shipping replica, at its applied frontier, while four committers
+// drive the durable primary at full rate: ns/op is one replica read,
+// lag_p99_us the p99 of the replica's own repl_lag histogram (a batch's
+// send-to-apply latency). The replica must converge once commits stop.
+func BenchmarkReplicaReadsUnderCommits(b *testing.B) {
+	const objects, committers = 2048, 4
+	txns, _ := txn.NewSystem()
+	store, err := storage.Open(txns, storage.Options{Dir: b.TempDir(), NoSync: true})
+	mustB(b, err)
+	defer store.Close()
+	txns.Register(store)
+	prim := repl.NewPrimary(store, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	mustB(b, err)
+	go prim.Serve(ln)
+	defer prim.Close()
+	o := obs.New(obs.Options{})
+	rep, err := repl.Open(repl.Options{Dir: b.TempDir(), PrimaryAddr: ln.Addr().String(), NoSync: true, Obs: o})
+	mustB(b, err)
+	defer rep.Close()
+	put := func(tx *txn.Txn, oid datum.OID, v int64) {
+		store.Put(tx.ID(), storage.Record{OID: oid, Class: "S",
+			Attrs: map[string]datum.Value{"v": datum.Int(v)}})
+	}
+	seed := txns.Begin() // one transaction, so one shipped batch
+	for i := 1; i <= objects; i++ {
+		put(seed, datum.OID(i), 0)
+	}
+	mustB(b, seed.Commit())
+	if !rep.WaitApplied(store.WAL().End(), 10*time.Second) {
+		b.Fatalf("replica never caught up to the seed: %+v", rep.Status())
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 1; w <= committers; w++ {
+		wg.Add(1)
+		go func(oid datum.OID) {
+			defer wg.Done()
+			for i := int64(1); !stop.Load(); i++ {
+				tx := txns.Begin()
+				put(tx, oid, i)
+				if err := tx.Commit(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(datum.OID(w))
+	}
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := int(next.Add(1)) * 509; pb.Next(); i++ {
+			if _, err := rep.Get(datum.OID(i%objects + 1)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
+	if !rep.WaitApplied(store.WAL().End(), time.Minute) {
+		b.Fatalf("replica never converged after the run: %+v", rep.Status())
+	}
+	b.ReportMetric(float64(o.Snapshot().Hist["repl_lag"].Quantile(0.99).Microseconds()), "lag_p99_us")
 }
 
 // BenchmarkWALDurability ablates the write-ahead log: committed

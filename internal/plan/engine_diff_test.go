@@ -285,10 +285,27 @@ func TestParallelScanPinnedLSNUnderCommitters(t *testing.T) {
 
 // TestEngineQueryAndExplain drives the engine's public Query/Explain
 // paths and asserts Query agrees with the tree-walk oracle evaluated
-// directly on a snapshot reader of the same engine.
+// directly on a snapshot reader of the same engine — and, by the
+// store's counters, that the planned join's cost follows its result
+// rows where the oracle's syntactic order follows the extents (C20).
 func TestEngineQueryAndExplain(t *testing.T) {
 	e := diffEngine(t)
 	tx := e.Begin()
+	for i := 0; i < 5000; i++ {
+		if i < 200 {
+			if _, err := e.Create(tx, "Stock", map[string]datum.Value{
+				"symbol": datum.Str(fmt.Sprintf("S%03d", i)), "price": datum.Float(10),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Create(tx, "Holding", map[string]datum.Value{
+			"owner":  datum.Str(fmt.Sprintf("acct%02d", i%50)),
+			"symbol": datum.Str(fmt.Sprintf("S%03d", i%200)), "qty": datum.Int(1),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := e.Create(tx, "Stock", map[string]datum.Value{
 		"symbol": datum.Str("XRX"), "price": datum.Float(48),
 	}); err != nil {
@@ -306,15 +323,28 @@ func TestEngineQueryAndExplain(t *testing.T) {
 	const src = "select s.symbol, h.qty from Stock s, Holding h where s.symbol = h.symbol and h.owner = 'kim'"
 	tx = e.Begin()
 	defer tx.Commit()
+	s0 := e.Store.Stats()
 	got, err := e.Query(tx, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1 := e.Store.Stats()
 	sr := e.Objects.SnapshotReader(tx)
 	defer sr.Close()
+	s2 := e.Store.Stats()
 	want, err := query.Eval(query.MustParse(src), sr, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	s3 := e.Store.Stats()
+	// Extent rows the planned join resolved, and rows read (resolved
+	// or fetched by OID) by the planned join and by the oracle.
+	scanned := s1.RowsScanned - s0.RowsScanned
+	planned := scanned + s1.Gets - s0.Gets
+	walked := s3.RowsScanned - s2.RowsScanned + s3.Gets - s2.Gets
+	if scanned >= uint64(len(got.Rows)) || walked < 100*planned {
+		t.Fatalf("planned join resolved %d extent rows and did %d row reads for %d result rows; the oracle did %d",
+			scanned, planned, len(got.Rows), walked)
 	}
 	if len(want.Rows) != 1 {
 		t.Fatalf("oracle rows = %+v, want the one kim/XRX holding", want.Rows)

@@ -278,6 +278,11 @@ func (s *session) appCall(op string, args map[string]datum.Value) (map[string]da
 		s.mu.Unlock()
 		return nil, err
 	}
+	// A stopped timer is collectable at once; an unstopped one (and
+	// time.After's, under this module's go 1.22 timer semantics) stays
+	// live until it fires, CallTimeout after every answered call.
+	timeout := time.NewTimer(CallTimeout)
+	defer timeout.Stop()
 	select {
 	case m, ok := <-ch:
 		if !ok {
@@ -291,7 +296,7 @@ func (s *session) appCall(op string, args map[string]datum.Value) (map[string]da
 			return nil, err
 		}
 		return rep.Reply, nil
-	case <-time.After(CallTimeout):
+	case <-timeout.C:
 		s.mu.Lock()
 		delete(s.pending, id)
 		s.mu.Unlock()

@@ -8,6 +8,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -379,6 +380,40 @@ func TestAppCallWithNoServerFails(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	tx2.Abort()
+}
+
+// TestAnsweredAppCallsRetainNothing: an application call that was
+// answered must leave nothing behind on the server — in particular not
+// its CallTimeout timer, which under go 1.22 timer semantics stays
+// live until it fires unless stopped.
+func TestAnsweredAppCallsRetainNothing(t *testing.T) {
+	srv, addr := startServer(t)
+	app := dial(t, addr)
+	if err := app.Serve(map[string]client.Handler{
+		"echo": func(args map[string]datum.Value) (map[string]datum.Value, error) { return args, nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	calls := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := srv.Dispatch("echo", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heapObjects := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	calls(100) // grow the connections' buffers before the baseline
+	const n = 10_000
+	before := heapObjects()
+	calls(n)
+	if after := heapObjects(); after >= before+n {
+		t.Fatalf("%d answered calls left %d heap objects behind", n, after-before)
+	}
 }
 
 func TestRoundRobinAcrossServers(t *testing.T) {

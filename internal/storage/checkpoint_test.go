@@ -124,22 +124,28 @@ func TestDeltaCheckpointWritesOnlyDirty(t *testing.T) {
 	}
 }
 
-// TestCompactionEveryK checks the chain cadence with CompactEvery=2:
-// full, delta, delta, full (compaction), and that compaction removes
-// the now-subsumed delta files.
-func TestCompactionEveryK(t *testing.T) {
+// TestCompactDropsChain checks a forced compaction over a live chain:
+// full, delta, delta, then Compact writes a full snapshot while the
+// deltas are still far below the size threshold, and removes the
+// now-subsumed delta files.
+func TestCompactDropsChain(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(newTopo(), Options{Dir: dir, NoSync: true, CompactEvery: 2})
+	s, err := Open(newTopo(), Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	padBase(t, 100, s)
 	wantKinds := []string{"full", "delta", "delta", "full"}
 	for i, want := range wantKinds {
 		oid := s.AllocOID()
 		commitOne(t, s, lock.TxnID(i+1), rec(oid, "C",
 			map[string]datum.Value{"v": datum.Int(int64(i))}))
-		res, err := s.Checkpoint()
+		ckpt := s.Checkpoint
+		if i == len(wantKinds)-1 {
+			ckpt = s.Compact
+		}
+		res, err := ckpt()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,11 +162,9 @@ func TestCompactionEveryK(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCompaction checks the byte-threshold mode (CompactEvery
-// left zero): small deltas extend the chain indefinitely, but once the
-// cumulative delta bytes reach half the full snapshot's size the next
-// checkpoint compacts. The fixed-K cadence must not kick in (more than
-// 8 small deltas survive).
+// TestAdaptiveCompaction checks the byte threshold: small deltas
+// extend the chain indefinitely, but once the cumulative delta bytes
+// reach half the full snapshot's size the next checkpoint compacts.
 func TestAdaptiveCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(newTopo(), Options{Dir: dir, NoSync: true})
@@ -179,8 +183,7 @@ func TestAdaptiveCompaction(t *testing.T) {
 	if res, err := s.Checkpoint(); err != nil || res.Kind != "full" {
 		t.Fatalf("first checkpoint = %+v (err %v), want full", res, err)
 	}
-	// 10 one-record deltas: under the old fixed-8 default the 9th
-	// would have compacted; adaptively they all stay deltas.
+	// 10 one-record deltas all stay deltas.
 	for i := 0; i < 10; i++ {
 		commitOne(t, s, lock.TxnID(1000+i), rec(oids[i], "C",
 			map[string]datum.Value{"v": datum.Int(int64(-1 - i))}))

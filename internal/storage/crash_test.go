@@ -79,9 +79,10 @@ func TestCrashInjectionMatrix(t *testing.T) {
 		if ckptSite(site) {
 			hits = 1 + rng.Intn(3)
 		}
-		// Vary the chain shape: mostly-delta chains, frequent
-		// compactions, and (except for the compaction site, which
-		// needs compactions to fire at all) chains that never compact.
+		// Vary the chain shape: frequent compactions, mostly-delta
+		// chains, and (except for the compaction site, which needs
+		// compactions to fire often) chains only the size threshold
+		// compacts.
 		compactEvery := []int{2, 4, 1000}[rng.Intn(3)]
 		if site == "storage.midCompaction" && compactEvery > 4 {
 			compactEvery = 2
@@ -92,12 +93,31 @@ func TestCrashInjectionMatrix(t *testing.T) {
 	}
 }
 
+// padBase commits, as transaction tx of each store, a 256-row class
+// nobody updates: deltas of a few records then stay far below the
+// stores' size threshold, and a chain compacts only when the test
+// calls Compact.
+func padBase(t *testing.T, tx lock.TxnID, stores ...*Store) {
+	t.Helper()
+	for _, s := range stores {
+		for i := 0; i < 256; i++ {
+			s.Put(tx, rec(datum.OID(1000+i), "Pad", map[string]datum.Value{"v": datum.Int(int64(i))}))
+		}
+		if err := s.CommitTop(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// runCrashRound's checkpointer forces a compaction after every
+// compactEvery deltas.
 func runCrashRound(t *testing.T, site string, hits, compactEvery int) {
 	dir := t.TempDir()
-	s, err := Open(newTopo(), Options{Dir: dir, CompactEvery: compactEvery})
+	s, err := Open(newTopo(), Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	padBase(t, 1, s)
 
 	const writers = 4
 	var mu sync.Mutex
@@ -187,15 +207,26 @@ func runCrashRound(t *testing.T, site string, hits, compactEvery int) {
 	ckptDone := make(chan struct{})
 	go func() {
 		defer close(ckptDone)
-		for {
+		for deltas := 0; ; {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if _, err := s.Checkpoint(); err != nil {
+			ckpt := s.Checkpoint
+			if deltas >= compactEvery {
+				ckpt = s.Compact
+			}
+			res, err := ckpt()
+			if err != nil {
 				t.Error(err)
 				return
+			}
+			switch {
+			case res.Kind == "full":
+				deltas = 0
+			case res.Records > 0: // an idle checkpoint writes no delta
+				deltas++
 			}
 		}
 	}()
@@ -277,7 +308,7 @@ func TestDeltaChainCrashSites(t *testing.T) {
 		site               string
 		hits, compactEvery int
 	}{
-		// The chain never compacts; the fifth delta write crashes with
+		// No forced compaction; the fifth delta write crashes with
 		// deltas 1-4 durable.
 		{"storage.midDelta", 5, 1000},
 		{"storage.afterDeltaRename", 5, 1000},

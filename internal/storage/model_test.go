@@ -365,18 +365,14 @@ func runChainEquivalenceRound(t *testing.T, seed int64) {
 	topo := newTopo()
 	rng := rand.New(rand.NewSource(0x5eed0000 + seed))
 	dirA, dirB := t.TempDir(), t.TempDir()
-	// Short chains force frequent automatic compaction; 1000
-	// effectively disables it so the chain only compacts via the
-	// explicit Compact calls in the schedule.
-	compactEvery := []int{1, 2, 3, 1000}[rng.Intn(4)]
-	open := func(dir string, k int) *Store {
-		s, err := Open(topo, Options{Dir: dir, NoSync: true, CompactEvery: k})
+	open := func(dir string) *Store {
+		s, err := Open(topo, Options{Dir: dir, NoSync: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	a, b := open(dirA, compactEvery), open(dirB, 1000)
+	a, b := open(dirA), open(dirB)
 	defer func() { a.Close(); b.Close() }()
 
 	oidPool := make([]datum.OID, 10)
@@ -385,6 +381,15 @@ func runChainEquivalenceRound(t *testing.T, seed int64) {
 	}
 	live := map[datum.OID]bool{}
 	next := lock.TxnID(1)
+
+	// Over the ten-object pool alone a delta is as large as the full
+	// snapshot, so the chain compacts every checkpoint or two. Half the
+	// rounds pad the base first, so the chain only compacts via the
+	// explicit Compact calls in the schedule.
+	if rng.Intn(2) == 0 {
+		padBase(t, next, a, b)
+		next++
+	}
 
 	for step := 0; step < 120; step++ {
 		switch r := rng.Intn(20); {
@@ -436,19 +441,19 @@ func runChainEquivalenceRound(t *testing.T, seed int64) {
 			if err := a.Close(); err != nil {
 				t.Fatal(err)
 			}
-			a = open(dirA, compactEvery)
+			a = open(dirA)
 		default: // reopen of the replay-only twin
 			if err := b.Close(); err != nil {
 				t.Fatal(err)
 			}
-			b = open(dirB, 1000)
+			b = open(dirB)
 		}
 	}
 
 	// Final reopen of both, then byte-equality of the extents.
 	a.Close()
 	b.Close()
-	a, b = open(dirA, compactEvery), open(dirB, 1000)
+	a, b = open(dirA), open(dirB)
 	dump := func(s *Store) []byte {
 		var recs []Record
 		s.ScanClass(0, "E", func(r Record) bool { recs = append(recs, r); return true })

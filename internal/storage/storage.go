@@ -42,7 +42,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/btree"
 	"repro/internal/datum"
@@ -89,12 +88,11 @@ type version struct {
 	rec   Record
 }
 
-// compactFraction sets the adaptive compaction threshold: when
-// CompactEvery is zero, the chain compacts once the cumulative delta
-// bytes written since the last full snapshot reach 1/compactFraction
-// of that snapshot's size. Compaction work then tracks actual churn —
-// a write-heavy store compacts often, a quiet one lets its (cheap)
-// chain grow — instead of a fixed element cadence.
+// compactFraction sets the compaction threshold: the chain compacts
+// once the cumulative delta bytes written since the last full snapshot
+// reach 1/compactFraction of that snapshot's size. Compaction work
+// then tracks actual churn — a write-heavy store compacts often, a
+// quiet one lets its (cheap) chain grow.
 const compactFraction = 2
 
 // DefaultShards is the committed-tier partition count when Options
@@ -118,23 +116,12 @@ type Options struct {
 	// DefaultShards. Purely an in-memory concurrency knob: the on-disk
 	// format is shard-oblivious, so the count may change across opens.
 	Shards int
-	// GroupWindow widens WAL group-commit batches: a flush leader
-	// dwells this long before snapshotting the batch when followers
-	// are queuing (a lone committer never dwells). 0 disables the
-	// dwell (batching still happens whenever commits overlap).
-	GroupWindow time.Duration
 	// CheckpointAfterBytes, when >0, kicks a background checkpoint
 	// whenever the WAL has grown by at least this many bytes since the
 	// last checkpoint finished. The check runs after each commit's
 	// group flush; the checkpoint itself runs on its own goroutine so
 	// the triggering commit is never stalled.
 	CheckpointAfterBytes uint64
-	// CompactEvery, when >0, bounds the delta chain by element count:
-	// after this many delta checkpoints, the next Checkpoint writes a
-	// full snapshot and drops the chain. 0 selects adaptive
-	// compaction: the chain compacts once the cumulative delta bytes
-	// reach 1/2 of the last full snapshot's size.
-	CompactEvery int
 	// OnAsyncError receives errors from background (size-triggered)
 	// checkpoints. nil discards them.
 	OnAsyncError func(error)
@@ -238,10 +225,9 @@ type Store struct {
 	chainCRC       uint32
 	haveFull       bool
 	deltaSeq       int
-	compactEvery   int
-	// fullBytes/deltaBytes drive adaptive compaction (compactEvery ==
-	// 0): the last full snapshot's encoded size and the bytes of delta
-	// files written (or reloaded) since. Guarded by ckptMu.
+	// fullBytes/deltaBytes drive compaction: the last full snapshot's
+	// encoded size and the bytes of delta files written (or reloaded)
+	// since. Guarded by ckptMu.
 	fullBytes  uint64
 	deltaBytes uint64
 
@@ -326,10 +312,6 @@ func roundShards(n int) int {
 // snapshot chain (full snapshot plus deltas, if present), replays the
 // WAL, and will log all future top-level commits there.
 func Open(topo Topology, opts Options) (*Store, error) {
-	compactEvery := opts.CompactEvery
-	if compactEvery < 0 {
-		compactEvery = 0
-	}
 	nShards := roundShards(opts.Shards)
 	s := &Store{
 		topo:           topo,
@@ -338,7 +320,6 @@ func Open(topo Topology, opts Options) (*Store, error) {
 		inflight:       map[wal.LSN]struct{}{},
 		nextCommit:     1,
 		pending:        map[uint64]struct{}{},
-		compactEvery:   compactEvery,
 		ckptAfterBytes: opts.CheckpointAfterBytes,
 		onAsyncErr:     opts.OnAsyncError,
 		dir:            opts.Dir,
@@ -369,7 +350,7 @@ func Open(topo Topology, opts Options) (*Store, error) {
 		return nil, err
 	}
 	l, err := wal.Open(filepath.Join(opts.Dir, "wal"),
-		wal.Options{NoSync: opts.NoSync, GroupWindow: opts.GroupWindow, Obs: opts.Obs})
+		wal.Options{NoSync: opts.NoSync, Obs: opts.Obs})
 	if err != nil {
 		return nil, err
 	}
@@ -1271,9 +1252,8 @@ type CheckpointResult struct {
 // and compaction is not yet due, it writes a *delta* snapshot holding
 // only the records committed since the last checkpoint — O(dirty),
 // not O(store) — chained to its parent by the parent's watermark LSN
-// and CRC. When compaction is due (adaptive byte threshold or the
-// fixed CompactEvery cadence — see compactDueLocked — or on the first
-// checkpoint of a directory, or via Compact) it rewrites a full
+// and CRC. When compaction is due (see compactDueLocked), on the first
+// checkpoint of a directory, or via Compact, it rewrites a full
 // snapshot and drops the chain. Either way it then truncates the WAL
 // prefix the chain covers.
 //
@@ -1303,16 +1283,11 @@ func (s *Store) Compact() (CheckpointResult, error) {
 }
 
 // compactDueLocked reports whether the next checkpoint must rewrite a
-// full snapshot instead of extending the chain. Fixed-K mode
-// (CompactEvery > 0) counts chain elements; adaptive mode (the
-// default) compacts once the cumulative delta bytes reach
-// 1/compactFraction of the full snapshot's size, so a chain never
-// costs recovery more than a bounded multiple of a fresh snapshot
-// read. Caller holds ckptMu.
+// full snapshot instead of extending the chain: once the cumulative
+// delta bytes reach 1/compactFraction of the full snapshot's size, so
+// a chain never costs recovery more than a bounded multiple of a fresh
+// snapshot read. Caller holds ckptMu.
 func (s *Store) compactDueLocked() bool {
-	if s.compactEvery > 0 {
-		return s.deltaSeq >= s.compactEvery
-	}
 	return s.deltaBytes*compactFraction >= s.fullBytes
 }
 

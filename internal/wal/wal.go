@@ -36,7 +36,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/failpoint"
 	"repro/internal/obs"
@@ -76,9 +75,8 @@ type Log struct {
 	base   LSN // LSN of the first record in the file
 	end    LSN // LSN at which the next record will be written
 	closed bool
-	sync   bool          // fsync on Sync() when true
-	window time.Duration // leader dwell before snapshotting the batch
-	obsm   *obs.Metrics  // nil-safe fsync latency + group size observer
+	sync   bool         // fsync on Sync() when true
+	obsm   *obs.Metrics // nil-safe fsync latency + group size observer
 
 	// Group-flush state, guarded by fmu (never held across the fsync
 	// itself). flushed is the durable prefix; flushing marks a leader
@@ -111,12 +109,6 @@ type Options struct {
 	// benchmarks and tests where durability across OS crashes is not
 	// required.
 	NoSync bool
-	// GroupWindow, when >0, makes a group-flush leader dwell that long
-	// before snapshotting the batch, widening groups under load. The
-	// dwell is adaptive: it applies only when followers are already
-	// queuing behind the leader, so a lone committer pays no added
-	// latency. 0 flushes as soon as the leader runs.
-	GroupWindow time.Duration
 	// Obs, when non-nil, receives fsync latencies and group sizes.
 	Obs *obs.Metrics
 }
@@ -129,7 +121,7 @@ func Open(path string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	l := &Log{f: f, path: path, sync: !opts.NoSync, window: opts.GroupWindow, obsm: opts.Obs}
+	l := &Log{f: f, path: path, sync: !opts.NoSync, obsm: opts.Obs}
 	l.fcond = sync.NewCond(&l.fmu)
 	if err := l.readHeader(); err != nil {
 		f.Close()
@@ -292,14 +284,11 @@ func (l *Log) SyncTo(target LSN) error {
 		}
 		// Leader: flush once for every record already in the file.
 		// The batch is everyone pending now; late arrivals form the
-		// next batch (they observe flushing == true and park). The
-		// group-window dwell is adaptive: a leader dwells only when
-		// followers are already queuing (pending > 1), so widening
-		// batches under load never taxes a lone committer.
+		// next batch (they observe flushing == true and park).
 		l.flushing = true
 		group := l.pending
 		l.fmu.Unlock()
-		end, err := l.flushOnce(group > 1)
+		end, err := l.flushOnce()
 		l.fmu.Lock()
 		l.flushing = false
 		l.fgen++
@@ -318,15 +307,11 @@ func (l *Log) SyncTo(target LSN) error {
 	return nil
 }
 
-// flushOnce performs one physical flush: optionally dwell for the
-// group window (only when the leader saw followers queuing), snapshot
-// the append frontier, fsync, and report the frontier that is now
-// durable. Runs outside both mutexes so concurrent Appends (growing
-// the next batch) are never blocked by the disk.
-func (l *Log) flushOnce(dwell bool) (LSN, error) {
-	if dwell && l.window > 0 {
-		time.Sleep(l.window)
-	}
+// flushOnce performs one physical flush: snapshot the append
+// frontier, fsync, and report the frontier that is now durable. Runs
+// outside both mutexes so concurrent Appends (growing the next batch)
+// are never blocked by the disk.
+func (l *Log) flushOnce() (LSN, error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

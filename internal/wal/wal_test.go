@@ -499,35 +499,6 @@ func TestTruncateBeforeKeepsDurabilityPromise(t *testing.T) {
 	}
 }
 
-func TestGroupWindowStillDurable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "window.wal")
-	l, err := Open(path, Options{GroupWindow: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			payload := []byte(fmt.Sprintf("w%d", w))
-			lsn, err := l.Append(payload)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := l.SyncTo(lsn + LSN(8+len(payload))); err != nil {
-				t.Error(err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if l.Fsyncs() == 0 {
-		t.Fatal("no fsync issued")
-	}
-}
-
 func BenchmarkAppendNoSync(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.wal")
 	l, err := Open(path, Options{NoSync: true})

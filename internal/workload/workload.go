@@ -1,6 +1,6 @@
 // Package workload builds the synthetic schemas, data, and rule sets
-// used by the benchmark harness (bench_test.go and cmd/hipac-bench)
-// to regenerate the experiments in DESIGN.md's per-experiment index.
+// the per-claim microbenchmarks (bench_test.go) use to regenerate the
+// experiments in DESIGN.md's per-experiment index.
 package workload
 
 import (
