@@ -290,6 +290,9 @@ func BenchmarkActiveDisabled(b *testing.B) {
 
 // --- C6: composite event detection ---
 
+// BenchmarkCompositeDetection signals A, B, A, ... at one immediate
+// rule on a composite event from every goroutine, each in its own
+// transaction; a -cpu 1,2 sweep shows whether detection serializes.
 func BenchmarkCompositeDetection(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -310,17 +313,19 @@ func BenchmarkCompositeDetection(b *testing.B) {
 				EC:     "immediate", CA: "immediate",
 			})
 			mustB(b, err)
-			tx := e.Begin()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				name := "A"
-				if i%2 == 1 {
-					name = "B"
+			b.RunParallel(func(pb *testing.PB) {
+				tx := e.Begin()
+				for i := 0; pb.Next(); i++ {
+					if err := e.SignalEvent(tx, []string{"A", "B"}[i%2], nil); err != nil {
+						b.Error(err)
+						return
+					}
 				}
-				mustB(b, e.SignalEvent(tx, name, nil))
-			}
-			b.StopTimer()
-			mustB(b, tx.Commit())
+				if err := tx.Commit(); err != nil {
+					b.Error(err)
+				}
+			})
 		})
 	}
 }

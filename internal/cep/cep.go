@@ -1,8 +1,9 @@
-// Package cep is the composite-event runtime: it runs the windowed,
-// interval, and aggregate event operators that extend the paper's
-// disjunction/sequence algebra (the operator space mapped by the
-// Reaction RuleML classification — interval relations, count windows,
-// aggregation over sliding time windows).
+// Package cep is the composite-event runtime: it runs every composite
+// event operator — the paper's disjunction and sequence, our
+// conjunction, and the windowed, interval, and aggregate operators
+// that extend them (the operator space mapped by the Reaction RuleML
+// classification — interval relations, count windows, aggregation over
+// sliding time windows). Each kind names its consumption policy.
 //
 // A Template is the compiled form of one operator occurrence in an
 // event specification. At runtime the template maintains NFA
@@ -10,7 +11,8 @@
 // `count(PriceDrop where ticker=$t) >= 10 within 1m`), hash-sharded
 // so that occurrences for different keys advance their automata in
 // parallel under independent shard locks — detection parallelizes the
-// same way the store's heap partitions do.
+// same way the store's heap partitions do. A disjunction keeps no
+// state and takes no lock at all.
 //
 // All temporal reasoning uses the logical occurrence times stamped by
 // the detector's clock (internal/clock), never the wall clock, so
@@ -37,7 +39,10 @@ type Kind int
 // The composite-event operator kinds.
 const (
 	// KWithin: the parts must occur in order, all within Window of the
-	// first part's occurrence (sequence-within-duration).
+	// first part's occurrence (sequence-within-duration). Window 0 is
+	// the plain sequence: no expiry. At most MaxPartials matches are
+	// open per instance; a part-0 occurrence beyond that drops the
+	// oldest, so MaxPartials 1 means a fresh first part restarts.
 	KWithin Kind = iota
 	// KDuring: part 0 (the event) must occur inside the interval
 	// delimited by part 1 (start) and part 2 (end); fires once per
@@ -53,6 +58,13 @@ const (
 	// within the trailing Window; the occurrence set is consumed on
 	// firing, so one qualifying burst fires exactly once.
 	KAggregate
+	// KAny (disjunction): every part's occurrence is a firing, its
+	// bindings passed through uncopied.
+	KAny
+	// KAll (conjunction): keeps the latest bindings per part and fires
+	// once every part has been seen, in any order, with them merged in
+	// part order (later part wins); then resets.
+	KAll
 )
 
 // DefaultShards is the instance-map shard count when a Template is
@@ -67,8 +79,8 @@ const DefaultMaxPartials = 64
 // Config is the compiled operator description.
 type Config struct {
 	Kind   Kind
-	Parts  int           // constituent roles (KWithin: len(parts); KDuring: 3; others: 1)
-	Window time.Duration // KWithin, KAggregate
+	Parts  int           // constituent roles (KWithin, KAny, KAll: len(parts); KDuring: 3; others: 1)
+	Window time.Duration // KWithin (0 = no expiry), KAggregate
 	Count  int           // KSliding/KTumbling window size; KAggregate minimum count
 	// Correlation: occurrences are partitioned by the value bound to
 	// CorrelAttr (occurrences without it are ignored), and firings
@@ -114,9 +126,6 @@ type Template struct {
 	shards []shard
 	seed   maphash.Seed
 
-	enabled atomic.Bool
-	removed atomic.Bool
-
 	fired     atomic.Uint64
 	expired   atomic.Uint64
 	partials  atomic.Int64
@@ -124,9 +133,10 @@ type Template struct {
 }
 
 type shard struct {
-	mu   sync.Mutex
-	inst map[string]*instance
-	_    [40]byte // keep neighboring shard locks off one cache line
+	mu    sync.Mutex
+	inst  map[string]*instance
+	spare *instance // the last emptied instance, reused by the next key to open
+	_     [40]byte  // keep neighboring shard locks off one cache line
 }
 
 // partial is one open KWithin partial match: the sequence has
@@ -146,12 +156,18 @@ type instance struct {
 	partials []partial // KWithin
 
 	open  bool                   // KDuring: inside a start..end interval
-	count int                    // KDuring events seen; KTumbling counter
+	count int                    // KDuring events seen; KTumbling counter; KAll parts seen
 	bind  map[string]datum.Value // KDuring/KTumbling accumulated bindings
 	first time.Time              // KTumbling bucket start
 
 	times []time.Time // KSliding last-Count ring; KAggregate trailing-window deque
+
+	seen []map[string]datum.Value // KAll: latest bindings per part, nil until seen
 }
+
+// noBindings stands for a KAll part seen with no bindings; it is only
+// ever read.
+var noBindings = map[string]datum.Value{}
 
 // New compiles cfg into a template with the given shard count
 // (rounded up to a power of two; <=0 means DefaultShards).
@@ -170,7 +186,6 @@ func New(cfg Config, shards int) *Template {
 	for i := range t.shards {
 		t.shards[i].inst = map[string]*instance{}
 	}
-	t.enabled.Store(true)
 	return t
 }
 
@@ -178,36 +193,28 @@ func New(cfg Config, shards int) *Template {
 // one); the detector uses it to pace GC sweeps.
 func (t *Template) Window() time.Duration { return t.cfg.Window }
 
-// SetEnabled gates Offer; a disabled template ignores occurrences but
-// keeps its state (matching the detector's disable semantics, where
-// partial automaton progress survives a disable/enable cycle).
-func (t *Template) SetEnabled(on bool) { t.enabled.Store(on) }
-
-// SetRemoved permanently stops the template.
-func (t *Template) SetRemoved() { t.removed.Store(true) }
-
 // Partials reports the open partial matches across all instances
 // (lock-free).
 func (t *Template) Partials() int { return int(t.partials.Load()) }
 
 // Offer routes one constituent occurrence into the template and
 // returns any composite firings it completes. Only the shard owning
-// the occurrence's correlation key is locked.
+// the occurrence's correlation key is locked; KAny locks nothing.
 func (t *Template) Offer(occ Occurrence) []Firing {
-	if !t.enabled.Load() || t.removed.Load() {
-		return nil
+	if t.cfg.Kind == KAny {
+		t.fired.Add(1)
+		return []Firing{{Time: occ.Time, Txn: occ.Txn, Bindings: occ.Bindings}}
 	}
-	key := ""
+	key, sh := "", &t.shards[0]
 	var keyVal datum.Value
 	if t.cfg.CorrelAttr != "" {
 		v, ok := occ.Bindings[t.cfg.CorrelAttr]
 		if !ok || v.IsNull() {
 			return nil // uncorrelatable occurrence: ignored
 		}
-		keyVal = v
-		key = v.Key()
+		keyVal, key = v, v.Key()
+		sh = &t.shards[t.shardOf(key)]
 	}
-	sh := &t.shards[t.shardOf(key)]
 	sh.mu.Lock()
 	in := sh.inst[key]
 	if in == nil {
@@ -217,13 +224,17 @@ func (t *Template) Offer(occ Occurrence) []Firing {
 			sh.mu.Unlock()
 			return nil
 		}
-		in = &instance{keyVal: keyVal}
+		if in, sh.spare = sh.spare, nil; in == nil {
+			in = &instance{}
+		}
+		in.keyVal = keyVal
 		sh.inst[key] = in
 		t.instances.Add(1)
 	}
 	firs := t.offer(in, occ)
 	if t.emptyInstance(in) {
 		delete(sh.inst, key)
+		sh.spare = in
 		t.instances.Add(-1)
 	}
 	sh.mu.Unlock()
@@ -257,6 +268,8 @@ func (t *Template) offer(in *instance, occ Occurrence) []Firing {
 		return t.offerTumbling(in, occ)
 	case KAggregate:
 		return t.offerAggregate(in, occ)
+	case KAll:
+		return t.offerAll(in, occ)
 	}
 	return nil
 }
@@ -287,7 +300,9 @@ func (t *Template) offerWithin(in *instance, occ Occurrence) []Firing {
 		}
 		if pm.next == t.cfg.Parts {
 			b := t.finish(in, pm.bind)
-			b["cep_window_start"] = datum.Time(pm.start)
+			if t.cfg.Window > 0 {
+				b["cep_window_start"] = datum.Time(pm.start)
+			}
 			firs = append(firs, Firing{Time: occ.Time, Txn: occ.Txn, Bindings: b})
 			t.partials.Add(-1)
 			continue
@@ -305,6 +320,9 @@ func (t *Template) offerWithin(in *instance, occ Occurrence) []Firing {
 // expireWithin drops partials whose window has passed. Caller holds
 // the shard lock.
 func (t *Template) expireWithin(in *instance, now time.Time) {
+	if t.cfg.Window <= 0 {
+		return
+	}
 	keep := in.partials[:0]
 	for _, pm := range in.partials {
 		if now.Sub(pm.start) > t.cfg.Window {
@@ -407,6 +425,36 @@ func (t *Template) offerAggregate(in *instance, occ Occurrence) []Firing {
 	return []Firing{{Time: occ.Time, Txn: occ.Txn, Bindings: b}}
 }
 
+func (t *Template) offerAll(in *instance, occ Occurrence) []Firing {
+	if in.count == 0 {
+		if in.seen == nil {
+			in.seen = make([]map[string]datum.Value, t.cfg.Parts)
+		}
+		t.partials.Add(1)
+	}
+	if in.seen[occ.Part] == nil {
+		in.count++
+	}
+	b := noBindings // a part with no bindings still counts as seen
+	if len(occ.Bindings) > 0 {
+		b = datum.CloneMap(occ.Bindings)
+	}
+	in.seen[occ.Part] = b
+	if in.count < t.cfg.Parts {
+		return nil
+	}
+	merged := map[string]datum.Value{}
+	for _, b := range in.seen {
+		for k, v := range b {
+			merged[k] = v
+		}
+	}
+	t.partials.Add(-1)
+	clear(in.seen)
+	in.count = 0
+	return []Firing{{Time: occ.Time, Txn: occ.Txn, Bindings: t.finish(in, merged)}}
+}
+
 // expireAggregate slides occurrences older than the trailing window
 // out of the deque. Caller holds the shard lock.
 func (t *Template) expireAggregate(in *instance, now time.Time) {
@@ -440,17 +488,12 @@ func (t *Template) emptyInstance(in *instance) bool {
 		return len(in.partials) == 0
 	case KDuring:
 		return !in.open
-	case KSliding:
-		// A full sliding window is live state: the next occurrence
-		// still fires. Only an empty ring (never happens after an
-		// offer) is dead.
-		return len(in.times) == 0
-	case KTumbling:
+	case KTumbling, KAll:
 		return in.count == 0
-	case KAggregate:
-		return len(in.times) == 0
 	}
-	return false
+	// KSliding, KAggregate: a full sliding window is live state (the
+	// next occurrence still fires); only an empty one is dead.
+	return len(in.times) == 0
 }
 
 // GC reclaims expired partial matches and now-empty instances as of
@@ -476,6 +519,7 @@ func (t *Template) GC(now time.Time) (partialsReclaimed, instancesReclaimed int)
 			partialsReclaimed += before - t.livePartials(in)
 			if t.emptyInstance(in) {
 				delete(sh.inst, key)
+				sh.spare = in
 				t.instances.Add(-1)
 				instancesReclaimed++
 			}
@@ -485,26 +529,13 @@ func (t *Template) GC(now time.Time) (partialsReclaimed, instancesReclaimed int)
 	return partialsReclaimed, instancesReclaimed
 }
 
-// livePartials counts one instance's open partials. Caller holds the
-// shard lock.
+// livePartials counts one instance's open partials for the kinds GC
+// sweeps (KWithin, KAggregate). Caller holds the shard lock.
 func (t *Template) livePartials(in *instance) int {
-	switch t.cfg.Kind {
-	case KWithin:
+	if t.cfg.Kind == KWithin {
 		return len(in.partials)
-	case KAggregate, KSliding:
-		return len(in.times)
-	case KDuring:
-		if in.open {
-			return 1
-		}
-		return 0
-	case KTumbling:
-		if in.count > 0 {
-			return 1
-		}
-		return 0
 	}
-	return 0
+	return len(in.times)
 }
 
 // Stats snapshots the template's counters.

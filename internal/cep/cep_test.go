@@ -223,19 +223,6 @@ func TestUncorrelatableOccurrenceIgnored(t *testing.T) {
 	}
 }
 
-func TestDisableKeepsState(t *testing.T) {
-	tm := New(correlCfg(Config{Kind: KWithin, Parts: 2, Window: time.Hour}), 4)
-	tm.Offer(occ(0, 0, "a"))
-	tm.SetEnabled(false)
-	if f := tm.Offer(occ(1, time.Second, "a")); len(f) != 0 {
-		t.Fatalf("disabled template fired: %v", f)
-	}
-	tm.SetEnabled(true)
-	if f := tm.Offer(occ(1, 2*time.Second, "a")); len(f) != 1 {
-		t.Fatalf("partial did not survive disable/enable: %v", f)
-	}
-}
-
 // TestGCBoundsMemory is the bounded-memory acceptance test: a
 // sustained stream of never-completing first parts across many keys,
 // with periodic GC at the advancing logical time, must keep the live

@@ -211,13 +211,14 @@ func (e *Engine) checkpointLoop(interval time.Duration) {
 	}
 }
 
-// Close stops the checkpoint loop, quiesces asynchronous rule
-// firings, and closes the store.
+// Close stops the checkpoint loop and the event detectors' timers,
+// quiesces asynchronous rule firings, and closes the store.
 func (e *Engine) Close() error {
 	if e.ckptStop != nil {
 		close(e.ckptStop)
 		<-e.ckptDone
 	}
+	e.Detectors.Close()
 	e.Rules.Quiesce()
 	return e.Store.Close()
 }

@@ -526,6 +526,43 @@ func TestTemporalRule(t *testing.T) {
 	}
 }
 
+func TestCloseStopsDetectorTimers(t *testing.T) {
+	// Close stops temporal timers and cep GC sweeps: none fires or
+	// re-arms afterwards, so nothing keeps the closed engine alive.
+	clk := clock.NewVirtual(epoch)
+	e, err := Open(Options{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defineStockAndAudit(t, e)
+	for _, ev := range []string{"A", "B"} {
+		if err := e.DefineEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, spec := range map[string]string{"heartbeat": "every(10s)", "pair": "within(A, B, 10s)"} {
+		if _, err := e.CreateRule(rule.Def{Name: name, Event: spec, EC: "immediate", CA: "immediate",
+			Action: []rule.Step{{Kind: rule.StepCreate, Class: "Audit", Attrs: map[string]string{"note": "'x'"}}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(10 * time.Second)
+	e.Quiesce()
+	if got := e.Detectors.Stats().TemporalFirings; got != 1 {
+		t.Fatalf("TemporalFirings = %d before Close, want 1", got)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(35 * time.Second)
+	if got := e.Detectors.Stats().TemporalFirings; got != 1 {
+		t.Fatalf("TemporalFirings = %d after Close, want 1", got)
+	}
+	if n := clk.PendingTimers(); n != 0 {
+		t.Fatalf("%d timers pending after Close", n)
+	}
+}
+
 func TestCompositeSequenceRule(t *testing.T) {
 	e, _ := newEngine(t)
 	defineStockAndAudit(t, e)

@@ -213,6 +213,35 @@ func TestCEPDisableEnableDelete(t *testing.T) {
 	}
 }
 
+func TestDisableKeepsState(t *testing.T) {
+	// A disabled composite's parts stop before its template: a partial
+	// match opened before Disable completes after Enable.
+	for _, src := range []string{
+		"within(external(A), external(B), 1h0m0s where k=$v)",
+		"seq(external(A), external(B))",
+		"and(external(A), external(B))",
+	} {
+		d, col, clk := setup()
+		id, err := d.Define(mustParse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := map[string]datum.Value{"k": datum.Str("a")}
+		d.SignalExternal("A", 0, args)
+		d.Disable(id)
+		clk.Advance(time.Second)
+		d.SignalExternal("B", 0, args)
+		if col.count() != 0 {
+			t.Fatalf("%s: disabled composite fired", src)
+		}
+		d.Enable(id)
+		d.SignalExternal("B", 0, args)
+		if col.count() != 1 {
+			t.Fatalf("%s: partial did not survive disable/enable: %d emissions", src, col.count())
+		}
+	}
+}
+
 func TestCEPStatsAndShardInstances(t *testing.T) {
 	d, _, _ := setup()
 	if _, err := d.Define(mustParse(t,

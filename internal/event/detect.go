@@ -50,26 +50,20 @@ type dbKey struct {
 type sub struct {
 	id       SubID
 	spec     Spec
-	disabled bool
-	removed  bool
 	parent   *sub
 	partIdx  int
 	children []*sub
 
-	// temporal state
+	// Read by route without d.mu; written under it.
+	disabled, removed atomic.Bool
+
+	// temporal state, under d.mu
 	timer     clock.Timer
 	fireCount int64
 
-	// composite state
-	seqNext     int
-	seqBindings map[string]datum.Value
-	conjSeen    []map[string]datum.Value
-
-	// CEP operator state (Within/During/Window/Aggregate specs): the
-	// sharded per-correlation-key automata. Immutable once defined;
-	// its own internal synchronization (per-shard locks + atomic
-	// enable/remove flags) lets top-level constituents advance it
-	// without taking Detectors.mu.
+	// The composite operator's sharded automata (internal/cep).
+	// Immutable once defined and synchronized by its own shard locks,
+	// so parts advance it without Detectors.mu.
 	tmpl *cep.Template
 }
 
@@ -77,24 +71,23 @@ type sub struct {
 // republished whenever the index changes (Define/Delete — rare) and
 // read lock-free by every signal (hot). Slices and maps inside a
 // published snapshot are never mutated; the *sub pointers are shared
-// with the live index, and their mutable state (automata progress,
-// disabled/removed flags) is only touched under Detectors.mu.
+// with the live index.
 type indexSnapshot struct {
 	db  map[dbKey][]*sub
 	ext map[string][]*sub
 }
 
 // Detectors is the set of event detectors: database, temporal,
-// external, and the composite-event automata layered over them. It is
+// external, and the composite-event templates layered over them. It is
 // safe for concurrent use.
 //
-// Signalling is read-mostly: the subscription index is a copy-on-write
-// snapshot under an atomic pointer, so matching a DML signal against
-// the (usually empty) subscription set takes no lock at all. Only
-// delivery — which advances per-subscription automata — serializes
-// under mu.
+// Signalling takes no detector lock: the subscription index is a
+// copy-on-write snapshot under an atomic pointer, a sub's place in the
+// tree is immutable after Define and its flags are atomics, and
+// composite state lives in cep templates that lock per correlation key
+// (a disjunction not at all).
 type Detectors struct {
-	mu      sync.Mutex // guards subs, the live index maps, and all per-sub state
+	mu      sync.Mutex // guards subs, the live index maps, cepSubs, and timer state
 	clk     clock.Clock
 	emit    Emit
 	nextSub SubID
@@ -189,18 +182,21 @@ func (d *Detectors) defineLocked(spec Spec, parent *sub, partIdx int) (*sub, err
 		if len(v.Parts) < 2 {
 			return nil, fmt.Errorf("event: composite %s needs at least two parts", v.Op)
 		}
+		// A sequence is a within with no window whose fresh first part
+		// restarts it.
+		cfg := cep.Config{Parts: len(v.Parts)}
 		switch v.Op {
-		case Disjunction, Sequence, Conjunction:
+		case Disjunction:
+			cfg.Kind = cep.KAny
+		case Sequence:
+			cfg.Kind, cfg.MaxPartials = cep.KWithin, 1
+		case Conjunction:
+			cfg.Kind = cep.KAll
 		default:
 			return nil, fmt.Errorf("event: unknown composite operator %q", v.Op)
 		}
-		s.conjSeen = make([]map[string]datum.Value, len(v.Parts))
-		for i, part := range v.Parts {
-			child, err := d.defineLocked(part, s, i)
-			if err != nil {
-				return nil, err
-			}
-			s.children = append(s.children, child)
+		if err := d.defineCEPLocked(s, cfg, v.Parts...); err != nil {
+			return nil, err
 		}
 	case Within:
 		if len(v.Parts) < 2 {
@@ -296,17 +292,13 @@ func (d *Detectors) scheduleCEPGCLocked(s *sub) {
 // timer. Expiry compares against the detector clock, so a virtual
 // clock drives deterministic reclamation in tests.
 func (d *Detectors) cepGC(s *sub, w time.Duration) {
-	d.mu.Lock()
-	if s.removed {
-		d.mu.Unlock()
+	if s.removed.Load() {
 		return
 	}
-	d.mu.Unlock()
 	s.tmpl.GC(d.clk.Now())
-	st := s.tmpl.Stats()
-	d.obsm.ObserveN(obs.HCEPInstances, uint64(st.Instances))
+	d.obsm.ObserveN(obs.HCEPInstances, uint64(s.tmpl.Stats().Instances))
 	d.mu.Lock()
-	if !s.removed {
+	if !s.removed.Load() {
 		s.timer = d.clk.AfterFunc(w, func() { d.cepGC(s, w) })
 	}
 	d.mu.Unlock()
@@ -352,28 +344,28 @@ func (d *Detectors) defineTemporalLocked(s *sub, v Temporal) error {
 	return nil
 }
 
-// temporalFire handles a timer expiry for subscription s.
+// temporalFire handles a timer expiry for subscription s: it updates
+// the timer state under d.mu and routes the occurrence after unlocking.
 func (d *Detectors) temporalFire(s *sub, periodic bool) {
-	var emits []emission
 	d.mu.Lock()
-	if s.removed || s.disabled {
+	if s.removed.Load() || s.disabled.Load() {
 		d.mu.Unlock()
 		return
 	}
 	d.nTemporal.Add(1)
 	s.fireCount++
-	bindings := map[string]datum.Value{
-		"time":  datum.Time(d.clk.Now()),
+	now := d.clk.Now()
+	sig := Signal{Spec: s.spec, Time: now, Bindings: map[string]datum.Value{
+		"time":  datum.Time(now),
 		"count": datum.Int(s.fireCount),
-	}
-	sig := Signal{Spec: s.spec, Time: d.clk.Now(), Bindings: bindings}
+	}}
 	if periodic {
 		period := s.spec.(Temporal).Period
 		s.timer = d.clk.AfterFunc(period, func() { d.temporalFire(s, true) })
 	}
-	d.deliverLocked(s, sig, &emits)
 	d.mu.Unlock()
-	d.nEmissions.Add(uint64(len(emits)))
+	var emits []emission
+	d.route(s, sig, &emits)
 	if err := d.send(emits); err != nil && d.asyncErr != nil {
 		d.asyncErr(err)
 	}
@@ -384,10 +376,11 @@ type emission struct {
 	sig Signal
 }
 
-// send dispatches queued emissions outside d.mu (rule processing may
-// re-enter the detectors, e.g. an action that signals another event)
-// and returns the first error.
+// send dispatches queued emissions (rule processing may re-enter the
+// detectors, e.g. an action that signals another event) and returns
+// the first error.
 func (d *Detectors) send(emits []emission) error {
+	d.nEmissions.Add(uint64(len(emits)))
 	var first error
 	for _, e := range emits {
 		tm := d.obsm.Timer(obs.HSignal)
@@ -400,123 +393,40 @@ func (d *Detectors) send(emits []emission) error {
 	return first
 }
 
-// deliverLocked routes a signal on subscription s upward: top-level
-// subscriptions are queued for emission to the Rule Manager;
-// composite parts feed their parent's automaton; temporal baselines
-// (re)arm their parent's timer. Caller holds d.mu.
-func (d *Detectors) deliverLocked(s *sub, sig Signal, emits *[]emission) {
-	if s.disabled || s.removed {
-		return
-	}
-	if s.parent == nil {
-		*emits = append(*emits, emission{id: s.id, sig: sig})
+// route carries an occurrence on s upward: a top-level subscription
+// queues it for emission to the Rule Manager; a composite part offers
+// it to its parent's template and routes each firing on; a temporal
+// baseline (re)arms its parent's timer. It takes no detector lock. The
+// index snapshot a signal matched against may be one Define/Delete
+// stale: a just-added subscription is missed (the signal linearizes
+// before the define) and a just-deleted one is dropped by its removed
+// flag.
+func (d *Detectors) route(s *sub, sig Signal, emits *[]emission) {
+	if s.disabled.Load() || s.removed.Load() {
 		return
 	}
 	p := s.parent
-	if s.partIdx == -1 {
-		// Baseline occurrence for a relative or periodic temporal.
+	switch {
+	case p == nil:
+		*emits = append(*emits, emission{id: s.id, sig: sig})
+	case s.partIdx < 0:
 		d.armFromBaseline(p)
-		return
-	}
-	if p.tmpl != nil {
-		d.offerLocked(p, s.partIdx, sig, emits)
-		return
-	}
-	comp, ok := p.spec.(Composite)
-	if !ok {
-		return
-	}
-	switch comp.Op {
-	case Disjunction:
-		out := Signal{Spec: p.spec, Time: sig.Time, Txn: sig.Txn, Bindings: sig.Bindings}
-		d.deliverLocked(p, out, emits)
-	case Sequence:
-		switch {
-		case s.partIdx == p.seqNext:
-			p.seqBindings = MergeBindings(p.seqBindings, sig.Bindings)
-			p.seqNext++
-			if p.seqNext == len(comp.Parts) {
-				out := Signal{Spec: p.spec, Time: sig.Time, Txn: sig.Txn, Bindings: p.seqBindings}
-				p.seqNext = 0
-				p.seqBindings = nil
-				d.deliverLocked(p, out, emits)
-			}
-		case s.partIdx == 0:
-			// Restart the sequence on a fresh first occurrence.
-			p.seqNext = 1
-			p.seqBindings = datum.CloneMap(sig.Bindings)
-		default:
-			// Out-of-order constituent: ignored.
-		}
-	case Conjunction:
-		seen := datum.CloneMap(sig.Bindings)
-		if seen == nil {
-			// A part with no bindings still counts as seen.
-			seen = map[string]datum.Value{}
-		}
-		p.conjSeen[s.partIdx] = seen
-		all := true
-		for _, b := range p.conjSeen {
-			if b == nil {
-				all = false
-				break
-			}
-		}
-		if all {
-			merged := map[string]datum.Value{}
-			for _, b := range p.conjSeen {
-				merged = MergeBindings(merged, b)
-			}
-			out := Signal{Spec: p.spec, Time: sig.Time, Txn: sig.Txn, Bindings: merged}
-			p.conjSeen = make([]map[string]datum.Value, len(comp.Parts))
-			d.deliverLocked(p, out, emits)
+	default:
+		firs := p.tmpl.Offer(cep.Occurrence{Part: s.partIdx, Time: sig.Time, Txn: sig.Txn, Bindings: sig.Bindings})
+		d.obsm.ObserveN(obs.HCEPPartials, uint64(p.tmpl.Partials()))
+		for _, f := range firs {
+			d.route(p, Signal{Spec: p.spec, Time: f.Time, Txn: f.Txn, Bindings: f.Bindings}, emits)
 		}
 	}
 }
 
-// offerLocked advances a cep template with a constituent occurrence
-// and routes completed composite firings upward (the template may
-// itself be a part of an enclosing composite). Caller holds d.mu.
-// Lock order: d.mu may be held while Offer takes a shard lock, never
-// the reverse.
-func (d *Detectors) offerLocked(p *sub, part int, sig Signal, emits *[]emission) {
-	firs := p.tmpl.Offer(cep.Occurrence{Part: part, Time: sig.Time, Txn: sig.Txn, Bindings: sig.Bindings})
-	d.obsm.ObserveN(obs.HCEPPartials, uint64(p.tmpl.Partials()))
-	for _, f := range firs {
-		out := Signal{Spec: p.spec, Time: f.Time, Txn: f.Txn, Bindings: f.Bindings}
-		d.deliverLocked(p, out, emits)
-	}
-}
-
-// offerFast is the lock-free delivery path for constituents of a
-// TOP-LEVEL cep template: the template's per-shard locks are the only
-// synchronization, so signals for different correlation keys advance
-// their automata in parallel. Safe without d.mu because the sub tree
-// shape (parent/partIdx/spec/id/tmpl) is immutable after Define, and
-// enable/remove state is read through the template's atomic flags.
-func (d *Detectors) offerFast(p *sub, part int, now time.Time, tx lock.TxnID,
-	bindings map[string]datum.Value, emits *[]emission) {
-
-	firs := p.tmpl.Offer(cep.Occurrence{Part: part, Time: now, Txn: tx, Bindings: bindings})
-	d.obsm.ObserveN(obs.HCEPPartials, uint64(p.tmpl.Partials()))
-	for _, f := range firs {
-		*emits = append(*emits, emission{id: p.id,
-			sig: Signal{Spec: p.spec, Time: f.Time, Txn: f.Txn, Bindings: f.Bindings}})
-	}
-}
-
-// cepFastEligible reports whether a matched subscription can take the
-// lock-free cep delivery path: it is a direct constituent of a
-// top-level cep template.
-func cepFastEligible(s *sub) bool {
-	return s.parent != nil && s.parent.tmpl != nil && s.parent.parent == nil
-}
-
-// armFromBaseline schedules parent's timer now that its baseline
-// event occurred. Caller holds d.mu.
+// armFromBaseline schedules a relative or periodic temporal's timer
+// now that its baseline event occurred.
 func (d *Detectors) armFromBaseline(p *sub) {
-	t, ok := p.spec.(Temporal)
-	if !ok || p.disabled || p.removed {
+	t := p.spec.(Temporal)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if p.disabled.Load() || p.removed.Load() {
 		return
 	}
 	if p.timer != nil {
@@ -568,39 +478,11 @@ func (d *Detectors) SignalDatabase(op Op, class string, tx lock.TxnID, bindings 
 	}
 	now := d.clk.Now()
 	var emits []emission
-	// Constituents of top-level cep templates advance their sharded
-	// automata without d.mu — signals for distinct correlation keys
-	// run fully in parallel.
-	slow := 0
 	for _, k := range keys[:n] {
 		for _, s := range snap.db[k] {
-			if cepFastEligible(s) {
-				d.offerFast(s.parent, s.partIdx, now, tx, bindings, &emits)
-			} else {
-				slow++
-			}
+			d.route(s, Signal{Spec: s.spec, Time: now, Txn: tx, Bindings: bindings}, &emits)
 		}
 	}
-	// Delivery to everything else advances composite automata, so it
-	// serializes under mu. The snapshot's sub lists may be stale
-	// relative to a concurrent Define/Delete: a just-added
-	// subscription is missed (the signal linearizes before the
-	// define) and a just-deleted one is skipped by deliverLocked's
-	// removed check.
-	if slow > 0 {
-		d.mu.Lock()
-		for _, k := range keys[:n] {
-			for _, s := range snap.db[k] {
-				if cepFastEligible(s) {
-					continue
-				}
-				sig := Signal{Spec: s.spec, Time: now, Txn: tx, Bindings: bindings}
-				d.deliverLocked(s, sig, &emits)
-			}
-		}
-		d.mu.Unlock()
-	}
-	d.nEmissions.Add(uint64(len(emits)))
 	return d.send(emits)
 }
 
@@ -610,33 +492,15 @@ func (d *Detectors) SignalDatabase(op Op, class string, tx lock.TxnID, bindings 
 // couplings runs synchronously before SignalExternal returns.
 func (d *Detectors) SignalExternal(name string, tx lock.TxnID, args map[string]datum.Value) (int, error) {
 	d.nExtSignals.Add(1)
-	snap := d.idx.Load()
-	list := snap.ext[name]
+	list := d.idx.Load().ext[name]
 	if len(list) == 0 {
 		return 0, nil
 	}
 	now := d.clk.Now()
 	var emits []emission
-	slow := 0
 	for _, s := range list {
-		if cepFastEligible(s) {
-			d.offerFast(s.parent, s.partIdx, now, tx, args, &emits)
-		} else {
-			slow++
-		}
+		d.route(s, Signal{Spec: s.spec, Time: now, Txn: tx, Bindings: args}, &emits)
 	}
-	if slow > 0 {
-		d.mu.Lock()
-		for _, s := range list {
-			if cepFastEligible(s) {
-				continue
-			}
-			sig := Signal{Spec: s.spec, Time: now, Txn: tx, Bindings: args}
-			d.deliverLocked(s, sig, &emits)
-		}
-		d.mu.Unlock()
-	}
-	d.nEmissions.Add(uint64(len(emits)))
 	return len(emits), d.send(emits)
 }
 
@@ -652,14 +516,26 @@ func (d *Detectors) Delete(id SubID) {
 	}
 }
 
+// Close removes every subscription, so no temporal timer or cep GC
+// sweep fires or re-arms afterwards and no signal is delivered.
+func (d *Detectors) Close() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, s := range d.subs {
+		if s.parent == nil {
+			d.removeLocked(s)
+		}
+	}
+	d.publishLocked()
+}
+
 func (d *Detectors) removeLocked(s *sub) {
-	s.removed = true
+	s.removed.Store(true)
 	if s.timer != nil {
 		s.timer.Stop()
 		s.timer = nil
 	}
 	if s.tmpl != nil {
-		s.tmpl.SetRemoved()
 		for i, c := range d.cepSubs {
 			if c == s {
 				d.cepSubs = append(d.cepSubs[:i:i], d.cepSubs[i+1:]...)
@@ -717,15 +593,10 @@ func (d *Detectors) Enable(id SubID) {
 }
 
 func (d *Detectors) setDisabledLocked(s *sub, disabled bool) {
-	if s.disabled == disabled {
+	// A disabled part's occurrences stop at route, before its parent's
+	// template: partial-match state survives a disable/enable cycle.
+	if s.disabled.Swap(disabled) == disabled {
 		return
-	}
-	s.disabled = disabled
-	if s.tmpl != nil {
-		// The atomic flag is what the lock-free delivery path reads;
-		// partial-match state survives a disable/enable cycle, like
-		// the or/seq/and automata.
-		s.tmpl.SetEnabled(!disabled)
 	}
 	if t, ok := s.spec.(Temporal); ok {
 		if disabled {

@@ -140,7 +140,8 @@ const (
 // Composite combines sub-events. Disjunction signals when any part
 // signals; Sequence when the parts signal in order; Conjunction when
 // all parts have signalled in any order. Bindings of the constituent
-// signals are merged, later constituents winning name collisions.
+// signals are merged, later parts winning name collisions; a fresh
+// first part restarts a sequence.
 type Composite struct {
 	Op    CompOp
 	Parts []Spec
@@ -162,9 +163,9 @@ func (c Composite) String() string {
 // The operators below extend the paper's disjunction/sequence algebra
 // along the axes of the Reaction RuleML event-processing space:
 // sequence-within-duration, interval relations, count windows, and
-// windowed aggregation. They are detected by NFA instances keyed by a
-// correlation attribute (internal/cep), not by the single automaton
-// per subscription that serves or/seq/and.
+// windowed aggregation. Like or/seq/and they are kinds of the one
+// composite-event runtime (internal/cep); unlike them they take a
+// correlation clause, detected by one NFA instance per key.
 
 // Correl names a CEP operator's correlation: constituent occurrences
 // are partitioned by the value bound to Attr (occurrences without it
@@ -277,19 +278,6 @@ type Signal struct {
 	Time     time.Time
 	Txn      lock.TxnID
 	Bindings map[string]datum.Value
-}
-
-// MergeBindings returns a new map holding first overlaid with second
-// (second wins collisions).
-func MergeBindings(first, second map[string]datum.Value) map[string]datum.Value {
-	out := make(map[string]datum.Value, len(first)+len(second))
-	for k, v := range first {
-		out[k] = v
-	}
-	for k, v := range second {
-		out[k] = v
-	}
-	return out
 }
 
 // --- JSON encoding of specs (tagged union) ---

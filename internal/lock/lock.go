@@ -24,11 +24,12 @@
 // proceeds). The probe runs without any stripe lock held — it freezes
 // the wait registry, then reads each visited item's holders one
 // stripe at a time. The view may therefore be slightly stale, which
-// can only over-report (abort a transaction on a cycle that had
-// already broken), never miss a real deadlock: a cycle is closed by
+// can over-report (abort a transaction on a cycle that had already
+// broken) but never miss a real deadlock: a cycle is closed by
 // whichever waiter registers its edge last, and that waiter's probe
 // starts after every other edge of the cycle is in the registry and
-// every holder on the cycle already holds its item.
+// every holder on the cycle already holds its item. A cycle through a
+// waiter that has left the registry is discarded (see inCycle).
 //
 // Since the MVCC read path landed, readers of *committed* data bypass
 // the lock table entirely: point reads and scans resolve against
@@ -45,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -402,34 +404,52 @@ func (m *Manager) grantable(e *entry, tx TxnID, mode Mode) bool {
 // called with no stripe lock held: the wait registry is frozen into a
 // snapshot up front, and each visited item's holders are read under
 // that item's stripe, one stripe at a time.
+//
+// A waiter in the snapshot that is granted and finishes mid-probe has
+// no ancestry left to consult, so every holder of its item — even its
+// own ancestor that inherited the lock — looks like a blocker, and a
+// cycle through it is a phantom. A cycle counts only if every waiter
+// on it is still registered; otherwise the probe runs again on a fresh
+// snapshot, which the finished waiter has left. The waiters of a real
+// cycle cannot leave, so it is never missed.
 func (m *Manager) inCycle(start TxnID) bool {
 	m.nProbes.Add(1)
-	m.wmu.Lock()
-	waits := make(map[TxnID]waitRecord, len(m.waits))
-	for tx, w := range m.waits {
-		waits[tx] = w
-	}
-	m.wmu.Unlock()
-	visited := map[TxnID]bool{}
-	var visit func(tx TxnID) bool
-	visit = func(tx TxnID) bool {
-		if visited[tx] {
+	for {
+		m.wmu.Lock()
+		waits := maps.Clone(m.waits)
+		m.wmu.Unlock()
+		visited := map[TxnID]bool{}
+		var path []TxnID
+		var visit func(tx TxnID) bool
+		visit = func(tx TxnID) bool {
+			if visited[tx] {
+				return false
+			}
+			visited[tx] = true
+			path = append(path, tx)
+			for _, next := range m.blockers(waits, tx) {
+				if next == start || visit(next) {
+					return true
+				}
+			}
+			path = path[:len(path)-1]
 			return false
 		}
-		visited[tx] = true
-		for _, next := range m.blockers(waits, tx) {
-			if next == start || visit(next) {
-				return true
+		if !visit(start) {
+			return false
+		}
+		m.wmu.Lock()
+		live := true
+		for _, tx := range path {
+			if w, ok := waits[tx]; ok && m.waits[tx] != w {
+				live = false
 			}
 		}
-		return false
-	}
-	for _, next := range m.blockers(waits, start) {
-		if next == start || visit(next) {
+		m.wmu.Unlock()
+		if live {
 			return true
 		}
 	}
-	return false
 }
 
 // blockers returns the transactions tx is directly waiting on:

@@ -454,3 +454,47 @@ func TestHotItemHandoffDoesNotReprobe(t *testing.T) {
 		t.Fatalf("%d deadlock probes for %d blocked requests", probes, st.Waited)
 	}
 }
+
+// hookTopology is a fakeTopology that lets a test act in the middle of
+// a deadlock probe, on the probe's own ancestry queries.
+type hookTopology struct {
+	*fakeTopology
+	hook func(anc, desc TxnID)
+}
+
+func (h *hookTopology) IsAncestorOrSelf(anc, desc TxnID) bool {
+	if h.hook != nil {
+		h.hook(anc, desc)
+	}
+	return h.fakeTopology.IsAncestorOrSelf(anc, desc)
+}
+
+func TestProbeDiscardsCycleThroughFinishedWaiter(t *testing.T) {
+	// Siblings 2 and 3 of transaction 1 wait for "a". 3's probe freezes
+	// the registry with 2 still waiting; then 2 is granted, commits into
+	// 1 and is forgotten. With no ancestry left for 2, 1's inherited lock
+	// looks like 2's blocker, and 1's waiting descendant 3 closes a cycle
+	// that never existed.
+	topo := &hookTopology{fakeTopology: newTopo()}
+	topo.setParent(2, 1)
+	topo.setParent(3, 1)
+	m := NewManager(topo)
+	if err := m.Acquire(2, "a", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	m.waits[2] = waitRecord{item: "a", mode: Exclusive}
+	m.waits[3] = waitRecord{item: "a", mode: Exclusive}
+	topo.hook = func(anc, desc TxnID) {
+		if anc == 3 && desc == 2 { // 3's delegation edges, after its item's holders were read
+			topo.hook = nil
+			m.clearWait(2)
+			m.TransferToParent(2, 1)
+			topo.mu.Lock()
+			delete(topo.parent, 2)
+			topo.mu.Unlock()
+		}
+	}
+	if m.inCycle(3) {
+		t.Fatal("a cycle through a finished waiter was reported as a deadlock")
+	}
+}
