@@ -15,14 +15,16 @@ test:
 # target. It includes every MVCC-touched package (cond and query read
 # lock-free against version chains, btree probes race the version GC's
 # deferred index cleanup), and internal/plan, whose differential suite
-# runs with committers racing the pinned snapshot readers.
+# runs with committers racing the pinned snapshot readers. internal/ipc
+# holds the call/reply connection's read loop and pending-call table,
+# which both internal/client and internal/server run on.
 race:
 	$(GO) test -race ./internal/rule/ ./internal/txn/ ./internal/lock/ \
 		./internal/storage/ ./internal/wal/ ./internal/event/ \
 		./internal/cep/ ./internal/object/ ./internal/core/ \
 		./internal/server/ ./internal/failpoint/ ./internal/cond/ \
 		./internal/btree/ ./internal/query/ ./internal/repl/ \
-		./internal/plan/
+		./internal/plan/ ./internal/ipc/ ./internal/client/
 
 # bench runs every per-claim microbenchmark once, briefly; to measure
 # one, run it by name with -count and -cpu and compare commits with

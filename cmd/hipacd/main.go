@@ -147,7 +147,7 @@ func runReplica(addr, dir, primaryAddr, metrics string, cfg config) {
 	}
 
 	var promotedDir atomic.Value // string: set once Promote succeeds
-	readSrv := repl.NewServer(rep, func() (uint64, error) {
+	readSrv := server.NewReplica(rep, func() (uint64, error) {
 		applied := uint64(rep.AppliedLSN())
 		d, err := rep.Promote()
 		if err != nil {

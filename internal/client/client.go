@@ -7,7 +7,6 @@
 package client
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -22,21 +21,13 @@ import (
 // Handler serves one application operation invoked by the DBMS.
 type Handler func(args map[string]datum.Value) (map[string]datum.Value, error)
 
-// ErrClosed is returned for operations on a closed client.
-var ErrClosed = errors.New("client: connection closed")
-
-// Client is a connection to a HiPAC server.
+// Client is a connection to a HiPAC server. Calls on a closed client,
+// and calls in flight when it closes, fail with ipc.ErrClosed.
 type Client struct {
-	conn net.Conn
-
-	writeMu sync.Mutex
+	conn *ipc.Conn
 
 	mu       sync.Mutex
-	nextID   uint64
-	pending  map[uint64]chan *ipc.Message
 	handlers map[string]Handler
-	closed   bool
-	readErr  error
 }
 
 // Dial connects to a HiPAC server at a TCP address.
@@ -50,138 +41,36 @@ func Dial(addr string) (*Client, error) {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{
-		conn:     conn,
-		nextID:   1,
-		pending:  map[uint64]chan *ipc.Message{},
-		handlers: map[string]Handler{},
-	}
-	go c.readLoop()
+	c := &Client{handlers: map[string]Handler{}}
+	c.conn = ipc.NewConn(conn, ipc.KindRequest, c.serveCall)
+	go c.conn.Run() // returns once the connection closes
 	return c
 }
 
 // Close tears the connection down; in-flight calls fail.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	pend := c.pending
-	c.pending = map[uint64]chan *ipc.Message{}
-	c.mu.Unlock()
-	err := c.conn.Close()
-	for _, ch := range pend {
-		close(ch)
-	}
-	return err
-}
+func (c *Client) Close() error { return c.conn.Close() }
 
-func (c *Client) readLoop() {
-	for {
-		m, err := ipc.Read(c.conn)
-		if err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			pend := c.pending
-			c.pending = map[uint64]chan *ipc.Message{}
-			c.closed = true
-			c.mu.Unlock()
-			c.conn.Close()
-			for _, ch := range pend {
-				close(ch)
-			}
-			return
-		}
-		switch m.Kind {
-		case ipc.KindReply:
-			c.mu.Lock()
-			ch := c.pending[m.ID]
-			delete(c.pending, m.ID)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- m
-			}
-		case ipc.KindAppCall:
-			// The DBMS is calling us: serve on a fresh goroutine so a
-			// slow handler doesn't stall replies to our own requests.
-			go c.serveCall(m)
-		}
-	}
-}
-
+// serveCall answers the DBMS calling one of this program's operations.
 func (c *Client) serveCall(m *ipc.Message) {
 	var body ipc.AppCallBody
-	rep := &ipc.Message{ID: m.ID, Kind: ipc.KindAppReply, Op: m.Op}
 	if err := ipc.DecodeBody(m, &body); err != nil {
-		rep.Err = err.Error()
-		c.send(rep)
+		c.conn.Reply(m, nil, err)
 		return
 	}
 	c.mu.Lock()
 	h := c.handlers[body.Op]
 	c.mu.Unlock()
 	if h == nil {
-		rep.Err = fmt.Sprintf("client: no handler for %q", body.Op)
-		c.send(rep)
+		c.conn.Reply(m, nil, fmt.Errorf("client: no handler for %q", body.Op))
 		return
 	}
 	reply, err := h(body.Args)
-	if err != nil {
-		rep.Err = err.Error()
-	} else if raw, encErr := ipc.EncodeBody(ipc.AppReplyBody{Reply: reply}); encErr != nil {
-		rep.Err = encErr.Error()
-	} else {
-		rep.Body = raw
-	}
-	c.send(rep)
-}
-
-func (c *Client) send(m *ipc.Message) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return ipc.Write(c.conn, m)
+	c.conn.Reply(m, ipc.AppReplyBody{Reply: reply}, err)
 }
 
 // call performs one request/reply round trip.
 func (c *Client) call(op string, reqBody, repBody any) error {
-	var raw []byte
-	if reqBody != nil {
-		var err error
-		raw, err = ipc.EncodeBody(reqBody)
-		if err != nil {
-			return err
-		}
-	}
-	ch := make(chan *ipc.Message, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	id := c.nextID
-	c.nextID++
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	if err := c.send(&ipc.Message{ID: id, Kind: ipc.KindRequest, Op: op, Body: raw}); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return err
-	}
-	m, ok := <-ch
-	if !ok {
-		return ErrClosed
-	}
-	if m.Err != "" {
-		return errors.New(m.Err)
-	}
-	if repBody != nil {
-		return ipc.DecodeBody(m, repBody)
-	}
-	return nil
+	return c.conn.Call(op, reqBody, repBody, 0)
 }
 
 // --- operations on transactions ---

@@ -1,0 +1,173 @@
+package ipc
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"time"
+)
+
+// ErrClosed fails every call on a closed connection, including those
+// still waiting for their reply when it closed.
+var ErrClosed = errors.New("ipc: connection closed")
+
+// answer maps each call kind to the kind of its reply.
+var answer = map[string]string{KindRequest: KindReply, KindAppCall: KindAppReply}
+
+// Conn is one end of an application connection. Calls this end makes
+// are matched to their replies by id; calls the peer makes are served
+// each on a fresh goroutine, so a slow handler stalls neither the read
+// loop nor the replies to this end's own calls. An application's end
+// makes requests and serves application calls; the server's end does
+// the reverse.
+type Conn struct {
+	nc      net.Conn
+	calls   string // kind of the calls this end makes
+	replies string // kind of their replies
+	serves  string // kind of the calls it serves
+	handle  func(call *Message)
+
+	writeMu sync.Mutex // serializes frames onto nc
+
+	mu      sync.Mutex
+	nextID  uint64
+	pending map[uint64]chan *Message
+	closed  bool
+}
+
+// NewConn wraps nc for an end that makes calls of kind calls
+// (KindRequest or KindAppCall). handle serves each call of the other
+// kind and must answer it with Reply. Nothing is read until Run.
+func NewConn(nc net.Conn, calls string, handle func(call *Message)) *Conn {
+	serves := KindAppCall
+	if calls == KindAppCall {
+		serves = KindRequest
+	}
+	return &Conn{nc: nc, calls: calls, replies: answer[calls], serves: serves,
+		handle: handle, pending: map[uint64]chan *Message{}}
+}
+
+// Run reads the connection until it fails or is closed, then closes
+// the Conn (failing pending calls) and returns the read error.
+func (c *Conn) Run() error {
+	for {
+		m, err := Read(c.nc)
+		if err != nil {
+			c.Close()
+			return err
+		}
+		switch m.Kind {
+		case c.replies:
+			c.mu.Lock()
+			ch := c.pending[m.ID]
+			delete(c.pending, m.ID)
+			c.mu.Unlock()
+			if ch != nil {
+				ch <- m
+			}
+		case c.serves:
+			go c.handle(m)
+		}
+	}
+}
+
+// Close closes the connection; pending and later calls fail with
+// ErrClosed. Closing twice is a no-op.
+func (c *Conn) Close() error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil
+	}
+	c.closed = true
+	pend := c.pending
+	c.pending = nil
+	c.mu.Unlock()
+	err := c.nc.Close()
+	for _, ch := range pend {
+		close(ch)
+	}
+	return err
+}
+
+// Call sends one call and waits for its reply, decoding the reply's
+// body into rep when rep is non-nil. A reply carrying an error returns
+// it; timeout > 0 bounds the wait.
+func (c *Conn) Call(op string, body, rep any, timeout time.Duration) error {
+	var raw json.RawMessage
+	if body != nil {
+		var err error
+		if raw, err = EncodeBody(body); err != nil {
+			return err
+		}
+	}
+	ch := make(chan *Message, 1)
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClosed
+	}
+	c.nextID++
+	id := c.nextID
+	c.pending[id] = ch
+	c.mu.Unlock()
+
+	if err := c.send(&Message{ID: id, Kind: c.calls, Op: op, Body: raw}); err != nil {
+		c.forget(id)
+		return err
+	}
+	var expired <-chan time.Time
+	if timeout > 0 {
+		// A stopped timer is collectable at once; an unstopped one stays
+		// live until it fires, timeout after every answered call.
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case m, ok := <-ch:
+		if !ok {
+			return ErrClosed
+		}
+		if m.Err != "" {
+			return errors.New(m.Err)
+		}
+		if rep != nil {
+			return DecodeBody(m, rep)
+		}
+		return nil
+	case <-expired:
+		c.forget(id)
+		return fmt.Errorf("ipc: no reply to %q within %v", op, timeout)
+	}
+}
+
+func (c *Conn) forget(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
+}
+
+// Reply answers a served call with body, or with err when it is
+// non-nil. A reply that cannot be written closes the connection: the
+// peer's caller then fails instead of waiting for it.
+func (c *Conn) Reply(call *Message, body any, err error) {
+	m := &Message{ID: call.ID, Kind: answer[call.Kind], Op: call.Op}
+	if err == nil && body != nil {
+		m.Body, err = EncodeBody(body)
+	}
+	if err != nil {
+		m.Err = err.Error()
+	}
+	if c.send(m) != nil {
+		c.Close()
+	}
+}
+
+func (c *Conn) send(m *Message) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	return Write(c.nc, m)
+}

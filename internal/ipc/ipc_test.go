@@ -3,9 +3,13 @@ package ipc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"net"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/datum"
 )
@@ -65,9 +69,9 @@ func TestReadTruncated(t *testing.T) {
 }
 
 func TestReadOversizedFrame(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, err := Read(bytes.NewReader(hdr[:])); err == nil ||
+	hdr := []byte{frameMessage, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[1:], MaxFrame+1)
+	if _, err := Read(bytes.NewReader(hdr)); err == nil ||
 		!strings.Contains(err.Error(), "too large") {
 		t.Fatalf("oversized frame: %v", err)
 	}
@@ -75,14 +79,154 @@ func TestReadOversizedFrame(t *testing.T) {
 
 func TestReadGarbageJSON(t *testing.T) {
 	var buf bytes.Buffer
-	payload := []byte("not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	if _, err := Read(&buf); err == nil {
-		t.Fatal("garbage payload should fail")
+	if err := WriteFrame(&buf, frameMessage, []byte("not json")); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "unmarshal") {
+		t.Fatalf("garbage payload: %v", err)
+	}
+}
+
+// TestFrameLayout pins the one wire frame, byte for byte: type,
+// big-endian payload length, payload, big-endian CRC-32 (IEEE) of the
+// payload — the layout the replication stream has always used.
+func TestFrameLayout(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, 6, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{6, 0, 0, 0, 3, 'a', 'b', 'c', 0x35, 0x24, 0x41, 0xc2}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("frame = %x, want %x", buf.Bytes(), want)
+	}
+	typ, payload, err := ReadFrame(&buf)
+	if err != nil || typ != 6 || string(payload) != "abc" {
+		t.Fatalf("ReadFrame = %d %q %v", typ, payload, err)
+	}
+}
+
+// TestReadCorruptFrame: flipping any payload or CRC byte of a message
+// frame makes Read fail, and so does a frame of another type.
+func TestReadCorruptFrame(t *testing.T) {
+	var buf bytes.Buffer
+	Write(&buf, &Message{ID: 1, Kind: KindReply, Op: OpGet, Err: "x"})
+	frame := buf.Bytes()
+	for i := frameHeader; i < len(frame); i++ {
+		bad := bytes.Clone(frame)
+		bad[i] ^= 0x01
+		if _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "crc") {
+			t.Fatalf("byte %d flipped: err = %v", i, err)
+		}
+	}
+	buf.Reset()
+	WriteFrame(&buf, 1, []byte("{}"))
+	if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "frame type") {
+		t.Fatalf("foreign frame type: err = %v", err)
+	}
+}
+
+// TestConnCallsBothWays: the two ends of one connection call each
+// other concurrently — requests one way, application calls the other —
+// and every reply reaches its own caller; a remote error, a timeout
+// and a close fail only the calls they concern.
+func TestConnCallsBothWays(t *testing.T) {
+	a, b := net.Pipe()
+	hung := make(chan struct{}, 1)
+	double := func(c **Conn) func(*Message) {
+		return func(m *Message) {
+			switch m.Op {
+			case "hang":
+				hung <- struct{}{}
+			case "fail":
+				(*c).Reply(m, nil, errors.New("boom"))
+			default:
+				var req GetReq
+				err := DecodeBody(m, &req)
+				(*c).Reply(m, CreateRep{OID: 2 * req.OID}, err)
+			}
+		}
+	}
+	var app, srv *Conn
+	app = NewConn(a, KindRequest, double(&app))
+	srv = NewConn(b, KindAppCall, double(&srv))
+	go app.Run()
+	srvDone := make(chan struct{})
+	go func() {
+		srv.Run()
+		close(srvDone)
+	}()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		for _, c := range []*Conn{app, srv} {
+			wg.Add(1)
+			go func(c *Conn, i int) {
+				defer wg.Done()
+				for j := 0; j < 50; j++ {
+					oid := uint64(i*1000 + j)
+					var rep CreateRep
+					if err := c.Call(OpGet, GetReq{OID: oid}, &rep, time.Minute); err != nil || rep.OID != 2*oid {
+						t.Errorf("call %d: got %d, %v", oid, rep.OID, err)
+						return
+					}
+				}
+			}(c, i)
+		}
+	}
+	wg.Wait()
+
+	if err := srv.Call("fail", nil, nil, 0); err == nil || err.Error() != "boom" {
+		t.Fatalf("remote error: %v", err)
+	}
+	if err := srv.Call("hang", nil, nil, 10*time.Millisecond); err == nil || !strings.Contains(err.Error(), "no reply") {
+		t.Fatalf("timeout: %v", err)
+	}
+	<-hung
+	pending := make(chan error, 1)
+	go func() { pending <- app.Call("hang", nil, nil, 0) }()
+	<-hung // the call reached the peer and waits for a reply
+	app.Close()
+	if err := <-pending; !errors.Is(err, ErrClosed) {
+		t.Fatalf("pending call on close: %v", err)
+	}
+	<-srvDone // the peer's read loop saw the close and closed its end
+	if err := srv.Call(OpGet, nil, nil, time.Minute); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after the peer closed: %v", err)
+	}
+}
+
+// FuzzIPCRead drives the message decoder over arbitrary bytes: no
+// panic, no allocation beyond the header's bound, and every message it
+// accepts re-encodes to a frame that reads back and re-encodes to the
+// same bytes.
+func FuzzIPCRead(f *testing.F) {
+	var seed bytes.Buffer
+	body, _ := EncodeBody(GetReq{Txn: 1, OID: 2})
+	Write(&seed, &Message{ID: 1, Kind: KindRequest, Op: OpGet, Body: body})
+	Write(&seed, &Message{ID: 1, Kind: KindReply, Op: OpGet, Err: "boom"})
+	f.Add(seed.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte{frameMessage, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		for i := 0; i < 1<<10; i++ {
+			m, err := Read(r)
+			if err != nil {
+				return
+			}
+			var once, twice bytes.Buffer
+			if err := Write(&once, m); err != nil {
+				t.Fatalf("re-encode %+v: %v", m, err)
+			}
+			m2, err := Read(bytes.NewReader(once.Bytes()))
+			if err != nil {
+				t.Fatalf("read back %x: %v", once.Bytes(), err)
+			}
+			if err := Write(&twice, m2); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+				t.Fatalf("round trip: %x then %x (%v)", once.Bytes(), twice.Bytes(), err)
+			}
+		}
+	})
 }
 
 func TestDecodeEmptyBody(t *testing.T) {

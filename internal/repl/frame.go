@@ -26,21 +26,18 @@
 // chain's watermark is at or above the WAL base that invalidated the
 // previous resume point.
 //
-// Wire framing (all integers big-endian):
-//
-//	byte    type
-//	uint32  payload length
-//	[]byte  payload
-//	uint32  CRC-32 (IEEE) of the payload
+// Every message is one frame of the system's one wire codec
+// (ipc.WriteFrame/ipc.ReadFrame, described in package ipc), typed
+// below, with a binary payload.
 package repl
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"repro/internal/ipc"
 	"repro/internal/wal"
 )
 
@@ -69,56 +66,14 @@ const (
 // not speaking this protocol (or a different version of it).
 const streamMagic = "hipacrs1"
 
-// maxFramePayload bounds one frame (32 MiB). Batch frames are far
-// smaller (the primary reads the WAL in ~1 MiB budgets); file frames
-// are chunked at fileChunkSize, so the bound only guards the decoder
-// against hostile lengths.
-const maxFramePayload = 32 << 20
-
-// fileChunkSize is the largest file frame a bootstrap sends;
-// consecutive file frames naming the same file append to it.
+// fileChunkSize is the largest file frame a bootstrap sends (well
+// under ipc.MaxFrame); consecutive file frames naming the same file
+// append to it.
 const fileChunkSize = 4 << 20
-
-// errFrameTooLarge rejects a frame header whose length exceeds
-// maxFramePayload before any allocation happens.
-var errFrameTooLarge = errors.New("repl: frame too large")
-
-// writeFrame frames and writes one message as a single Write call.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	buf := make([]byte, 0, 5+len(payload)+4)
-	buf = append(buf, typ)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	_, err := w.Write(buf)
-	return err
-}
-
-// readFrame reads one frame, verifying its checksum.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	typ := hdr[0]
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	if n > maxFramePayload {
-		return 0, nil, errFrameTooLarge
-	}
-	buf := make([]byte, int(n)+4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	payload, tail := buf[:n], buf[n:]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(tail) {
-		return 0, nil, fmt.Errorf("repl: bad frame crc (type %d)", typ)
-	}
-	return typ, payload, nil
-}
 
 // sendErr best-effort ships an error frame before the sender hangs up.
 func sendErr(w io.Writer, msg string) {
-	writeFrame(w, frameErr, []byte(msg)) // the connection is dying anyway
+	ipc.WriteFrame(w, frameErr, []byte(msg)) // the connection is dying anyway
 }
 
 // --- payload codecs ---

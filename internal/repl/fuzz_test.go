@@ -3,6 +3,8 @@ package repl
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/ipc"
 )
 
 // fuzzSeedStream concatenates one valid frame of every type, so the
@@ -10,14 +12,14 @@ import (
 // there.
 func fuzzSeedStream() []byte {
 	var b bytes.Buffer
-	writeFrame(&b, frameHello, encodeHello(modeResume, 1234))
-	writeFrame(&b, frameOK, encodeOK(1234))
-	writeFrame(&b, frameResync, nil)
-	writeFrame(&b, frameFile, encodeFile("snapshot", []byte("chunk-bytes")))
-	writeFrame(&b, frameChainEnd, nil)
-	writeFrame(&b, frameBatch, encodeBatch(1234, 42, []byte("redo-bytes")))
-	writeFrame(&b, frameHeartbeat, encodeHeartbeat(5678, 43))
-	writeFrame(&b, frameErr, []byte("boom"))
+	ipc.WriteFrame(&b, frameHello, encodeHello(modeResume, 1234))
+	ipc.WriteFrame(&b, frameOK, encodeOK(1234))
+	ipc.WriteFrame(&b, frameResync, nil)
+	ipc.WriteFrame(&b, frameFile, encodeFile("snapshot", []byte("chunk-bytes")))
+	ipc.WriteFrame(&b, frameChainEnd, nil)
+	ipc.WriteFrame(&b, frameBatch, encodeBatch(1234, 42, []byte("redo-bytes")))
+	ipc.WriteFrame(&b, frameHeartbeat, encodeHeartbeat(5678, 43))
+	ipc.WriteFrame(&b, frameErr, []byte("boom"))
 	return b.Bytes()
 }
 
@@ -37,7 +39,7 @@ func FuzzReplStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for i := 0; i < 1<<10; i++ {
-			typ, payload, err := readFrame(r)
+			typ, payload, err := ipc.ReadFrame(r)
 			if err != nil {
 				return
 			}

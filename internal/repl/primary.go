@@ -172,7 +172,7 @@ func (p *Primary) serveConn(conn net.Conn) {
 	go func() {
 		defer close(stop)
 		for {
-			typ, payload, err := readFrame(conn)
+			typ, payload, err := ipc.ReadFrame(conn)
 			if err != nil {
 				return
 			}
@@ -222,7 +222,7 @@ func (p *Primary) serveConn(conn net.Conn) {
 				h.resume, log.End()))
 			return
 		}
-		if err := writeFrame(conn, frameOK, encodeOK(h.resume)); err != nil {
+		if err := ipc.WriteFrame(conn, frameOK, encodeOK(h.resume)); err != nil {
 			return
 		}
 		truncated, err := p.tail(conn, log, h.resume, stop)
@@ -256,7 +256,7 @@ func (p *Primary) tail(conn net.Conn, log *wal.Log, from wal.LSN, stop <-chan st
 		}
 		for _, fr := range frames {
 			payload := encodeBatch(fr.LSN, time.Now().UnixNano(), fr.Payload)
-			if err := writeFrame(conn, frameBatch, payload); err != nil {
+			if err := ipc.WriteFrame(conn, frameBatch, payload); err != nil {
 				return false, err
 			}
 			p.nBatches.Add(1)
@@ -289,7 +289,7 @@ func (p *Primary) idle(conn net.Conn, log *wal.Log, from wal.LSN, stop <-chan st
 			return r.err // nil (new bytes) or ErrClosed (store shut down)
 		case <-tick.C:
 			hb := encodeHeartbeat(log.Flushed(), time.Now().UnixNano())
-			if err := writeFrame(conn, frameHeartbeat, hb); err != nil {
+			if err := ipc.WriteFrame(conn, frameHeartbeat, hb); err != nil {
 				return err
 			}
 		}
@@ -332,7 +332,7 @@ func (p *Primary) sendBootstrap(conn net.Conn) error {
 			return err
 		}
 	}
-	if err := writeFrame(conn, frameResync, nil); err != nil {
+	if err := ipc.WriteFrame(conn, frameResync, nil); err != nil {
 		return err
 	}
 	for i, name := range names {
@@ -342,7 +342,7 @@ func (p *Primary) sendBootstrap(conn net.Conn) error {
 			if end > len(blob) {
 				end = len(blob)
 			}
-			if err := writeFrame(conn, frameFile, encodeFile(name, blob[off:end])); err != nil {
+			if err := ipc.WriteFrame(conn, frameFile, encodeFile(name, blob[off:end])); err != nil {
 				return err
 			}
 			if end == len(blob) {
@@ -350,5 +350,5 @@ func (p *Primary) sendBootstrap(conn net.Conn) error {
 			}
 		}
 	}
-	return writeFrame(conn, frameChainEnd, nil)
+	return ipc.WriteFrame(conn, frameChainEnd, nil)
 }

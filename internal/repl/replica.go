@@ -296,6 +296,21 @@ func (r *Replica) reader() (*object.Manager, *txn.Manager, error) {
 	return r.objects, r.txns, nil
 }
 
+// Begin starts a read transaction for a remote session. Reads still
+// pin their own snapshots; the transaction only gives the session the
+// protocol's Begin/op/Commit shape.
+func (r *Replica) Begin() (*txn.Txn, error) {
+	_, txns, err := r.reader()
+	if err != nil {
+		return nil, err
+	}
+	return txns.Begin(), nil
+}
+
+// Obs returns the replica's observability: repl_lag, the store's
+// histograms, and what a server in front of the replica records.
+func (r *Replica) Obs() *obs.Obs { return r.o }
+
 // Query evaluates a read-only select against one pinned MVCC
 // snapshot, returning the result and the snapshot's commit LSN.
 func (r *Replica) Query(src string, args map[string]datum.Value) (*query.Result, uint64, error) {
@@ -413,9 +428,9 @@ func (r *Replica) hello(conn net.Conn) error {
 	st := r.store
 	r.mu.Unlock()
 	if st == nil {
-		return writeFrame(conn, frameHello, encodeHello(modeBootstrap, 0))
+		return ipc.WriteFrame(conn, frameHello, encodeHello(modeBootstrap, 0))
 	}
-	return writeFrame(conn, frameHello, encodeHello(modeResume, st.WAL().End()))
+	return ipc.WriteFrame(conn, frameHello, encodeHello(modeResume, st.WAL().End()))
 }
 
 // stream drives one connection: handshake, then frames until error.
@@ -424,7 +439,7 @@ func (r *Replica) stream(conn net.Conn) error {
 		return err
 	}
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := ipc.ReadFrame(conn)
 		if err != nil {
 			return err
 		}
@@ -590,7 +605,7 @@ func (r *Replica) receiveChain(conn net.Conn, dir string) error {
 		return err
 	}
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := ipc.ReadFrame(conn)
 		if err != nil {
 			closeCur()
 			return err
