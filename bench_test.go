@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datum"
 	"repro/internal/feed"
+	"repro/internal/object"
 	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/rule"
@@ -497,6 +498,61 @@ func BenchmarkExternalSignalIPC(b *testing.B) {
 	}
 	b.StopTimer()
 	mustB(b, tx.Commit())
+}
+
+// --- F4.1: one client operation per round trip ---
+
+// BenchmarkClientRoundTrip times the client operations remote_oltp
+// mixes, each over TCP loopback to a server: a Get in a long-lived
+// transaction, an update transaction (Begin, Modify, Commit) and an
+// indexed point query.
+func BenchmarkClientRoundTrip(b *testing.B) {
+	e := setupEngine(b)
+	srv := server.New(e)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	mustB(b, err)
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, err := client.Dial(ln.Addr().String())
+	mustB(b, err)
+	defer c.Close()
+	tx, err := c.Begin()
+	mustB(b, err)
+	mustB(b, c.DefineClass(tx, object.Class{Name: "Quote", Attrs: []object.AttrDef{
+		{Name: "sym", Kind: datum.KindString, Indexed: true}, {Name: "price", Kind: datum.KindFloat}}}))
+	read, err := c.Create(tx, "Quote", map[string]datum.Value{"sym": datum.Str("XRX"), "price": datum.Float(50)})
+	mustB(b, err)
+	written, err := c.Create(tx, "Quote", map[string]datum.Value{"sym": datum.Str("IBM"), "price": datum.Float(50)})
+	mustB(b, err)
+	mustB(b, tx.Commit())
+	reads, err := c.Begin()
+	mustB(b, err)
+	defer reads.Commit()
+
+	b.Run("get", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, err := c.Get(reads, read)
+			mustB(b, err)
+		}
+	})
+	b.Run("update", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tx, err := c.Begin()
+			mustB(b, err)
+			mustB(b, c.Modify(tx, written, map[string]datum.Value{"price": datum.Float(float64(i))}))
+			mustB(b, tx.Commit())
+		}
+	})
+	args := map[string]datum.Value{"sym": datum.Str("XRX")}
+	b.Run("query", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := c.Query(reads, "select q.price as p from Quote q where q.sym = event.sym", args)
+			mustB(b, err)
+			if len(res.Rows) != 1 {
+				b.Fatalf("point query returned %d rows", len(res.Rows))
+			}
+		}
+	})
 }
 
 // --- F4.2: the SAA pipeline, quotes end to end ---

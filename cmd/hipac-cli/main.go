@@ -114,7 +114,11 @@ func (s *shell) prompt() string {
 	if len(s.txnStack) == 0 {
 		return "hipac> "
 	}
-	return fmt.Sprintf("hipac[txn %d]> ", s.txnStack[len(s.txnStack)-1].ID)
+	// The server names a transaction in the reply to its first request.
+	if id := s.cur().ID; id != 0 {
+		return fmt.Sprintf("hipac[txn %d]> ", id)
+	}
+	return "hipac[txn -]> "
 }
 
 func (s *shell) cur() *client.Txn {

@@ -5,6 +5,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -89,6 +90,25 @@ func TestShellTransactions(t *testing.T) {
 	if !strings.Contains(out.String(), "1") {
 		t.Fatalf("nested commit lost:\n%s", out.String())
 	}
+}
+
+// TestShellPrompt: a transaction shows as "txn -" until its first
+// request has begun it on the server.
+func TestShellPrompt(t *testing.T) {
+	sh, _ := newShell(t)
+	run(t, sh, "class C v:int")
+	if got := sh.prompt(); got != "hipac> " {
+		t.Fatalf("prompt outside a transaction = %q", got)
+	}
+	run(t, sh, "begin")
+	if got := sh.prompt(); got != "hipac[txn -]> " {
+		t.Fatalf("prompt of an unused transaction = %q", got)
+	}
+	run(t, sh, "create C v=1")
+	if got, want := sh.prompt(), fmt.Sprintf("hipac[txn %d]> ", sh.cur().ID); sh.cur().ID == 0 || got != want {
+		t.Fatalf("prompt after the first request = %q, want %q", got, want)
+	}
+	run(t, sh, "commit")
 }
 
 func TestShellModifyGetDelete(t *testing.T) {
@@ -209,7 +229,7 @@ func TestShellGraphAndStats(t *testing.T) {
 	run(t, sh, "modify "+oid+" price=20")
 	out.Reset()
 	run(t, sh, "stats")
-	for _, want := range []string{"Rules", `"Filtered": 1`, `"Triggered": 0`, `"RowsScanned":`} {
+	for _, want := range []string{"Rules", `"Filtered": 1`, `"Triggered": 0`, `"RowsScanned":`, "ipc_message_bytes"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("stats output lacks %s:\n%s", want, out.String())
 		}

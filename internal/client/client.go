@@ -7,6 +7,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -42,7 +43,7 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
 	c := &Client{handlers: map[string]Handler{}}
-	c.conn = ipc.NewConn(conn, ipc.KindRequest, c.serveCall)
+	c.conn = ipc.NewConn(conn, ipc.KindRequest, c.serveCall, nil)
 	go c.conn.Run() // returns once the connection closes
 	return c
 }
@@ -75,26 +76,56 @@ func (c *Client) call(op string, reqBody, repBody any) error {
 
 // --- operations on transactions ---
 
-// Txn is a remote transaction handle.
+// errEnded fails a request in a transaction that was committed or
+// aborted before any request began it on the server.
+var errEnded = errors.New("client: transaction already ended")
+
+// Txn is a remote transaction handle. The server begins the
+// transaction when the first request sent in it arrives, so Begin costs
+// no round trip; an error beginning it (a replica that has no store
+// yet, say) is that request's error.
 type Txn struct {
-	c  *Client
+	c *Client
+	// ID is the server's id for the transaction: 0 until the reply to
+	// the first request sent in it.
 	ID uint64
+
+	mu    sync.Mutex // held across the request that begins the transaction
+	ended bool       // committed or aborted before it was begun
 }
 
-// Begin starts a top-level transaction.
+// Begin starts a top-level transaction. Nothing is sent: the
+// transaction begins on the server with its first request.
 func (c *Client) Begin() (*Txn, error) {
-	var rep ipc.BeginRep
-	if err := c.call(ipc.OpBegin, nil, &rep); err != nil {
-		return nil, err
+	if c.conn.Closed() {
+		return nil, ipc.ErrClosed
 	}
-	return &Txn{c: c, ID: rep.Txn}, nil
+	return &Txn{c: c}, nil
+}
+
+// call sends one request in the transaction, its body built by req for
+// the transaction's id. The first request carries the begin flag, and
+// its reply names the transaction the server began.
+func (t *Txn) call(op string, rep any, req func(id uint64) any) error {
+	t.mu.Lock()
+	if id := t.ID; id != 0 {
+		t.mu.Unlock()
+		return t.c.call(op, req(id), rep)
+	}
+	defer t.mu.Unlock()
+	if t.ended {
+		return errEnded
+	}
+	id, err := t.c.conn.Begin(op, req(0), rep)
+	t.ID = id
+	return err
 }
 
 // Child creates a nested transaction; the parent is suspended until
-// it terminates.
+// it terminates. A parent not begun yet begins with it.
 func (t *Txn) Child() (*Txn, error) {
 	var rep ipc.BeginRep
-	if err := t.c.call(ipc.OpChild, ipc.TxnRef{Txn: t.ID}, &rep); err != nil {
+	if err := t.call(ipc.OpChild, &rep, func(id uint64) any { return ipc.TxnRef{Txn: id} }); err != nil {
 		return nil, err
 	}
 	return &Txn{c: t.c, ID: rep.Txn}, nil
@@ -102,31 +133,44 @@ func (t *Txn) Child() (*Txn, error) {
 
 // Commit commits the transaction (processing deferred rule firings
 // first, per the execution model).
-func (t *Txn) Commit() error {
-	return t.c.call(ipc.OpCommit, ipc.TxnRef{Txn: t.ID}, nil)
-}
+func (t *Txn) Commit() error { return t.end(ipc.OpCommit) }
 
 // Abort aborts the transaction, discarding its effects.
-func (t *Txn) Abort() error {
-	return t.c.call(ipc.OpAbort, ipc.TxnRef{Txn: t.ID}, nil)
+func (t *Txn) Abort() error { return t.end(ipc.OpAbort) }
+
+// end commits or aborts the transaction: on the server once a request
+// has begun it there, here when none has.
+func (t *Txn) end(op string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch {
+	case t.ID != 0:
+		return t.c.call(op, ipc.TxnRef{Txn: t.ID}, nil)
+	case t.ended:
+		return errEnded
+	case t.c.conn.Closed():
+		return ipc.ErrClosed
+	}
+	t.ended = true
+	return nil
 }
 
 // --- operations on data ---
 
 // DefineClass defines a class.
 func (c *Client) DefineClass(tx *Txn, cls object.Class) error {
-	return c.call(ipc.OpDefineClass, ipc.DefineClassReq{Txn: tx.ID, Class: cls}, nil)
+	return tx.call(ipc.OpDefineClass, nil, func(id uint64) any { return ipc.DefineClassReq{Txn: id, Class: cls} })
 }
 
 // DropClass drops a class.
 func (c *Client) DropClass(tx *Txn, name string) error {
-	return c.call(ipc.OpDropClass, ipc.DropClassReq{Txn: tx.ID, Name: name}, nil)
+	return tx.call(ipc.OpDropClass, nil, func(id uint64) any { return ipc.DropClassReq{Txn: id, Name: name} })
 }
 
 // Classes lists user-defined classes.
 func (c *Client) Classes(tx *Txn) ([]object.Class, error) {
 	var rep ipc.ClassesRep
-	if err := c.call(ipc.OpClasses, ipc.TxnRef{Txn: tx.ID}, &rep); err != nil {
+	if err := tx.call(ipc.OpClasses, &rep, func(id uint64) any { return ipc.TxnRef{Txn: id} }); err != nil {
 		return nil, err
 	}
 	return rep.Classes, nil
@@ -135,7 +179,7 @@ func (c *Client) Classes(tx *Txn) ([]object.Class, error) {
 // Create creates an object, returning its OID.
 func (c *Client) Create(tx *Txn, class string, attrs map[string]datum.Value) (datum.OID, error) {
 	var rep ipc.CreateRep
-	if err := c.call(ipc.OpCreate, ipc.CreateReq{Txn: tx.ID, Class: class, Attrs: attrs}, &rep); err != nil {
+	if err := tx.call(ipc.OpCreate, &rep, func(id uint64) any { return ipc.CreateReq{Txn: id, Class: class, Attrs: attrs} }); err != nil {
 		return 0, err
 	}
 	return datum.OID(rep.OID), nil
@@ -143,12 +187,12 @@ func (c *Client) Create(tx *Txn, class string, attrs map[string]datum.Value) (da
 
 // Modify updates an object's attributes.
 func (c *Client) Modify(tx *Txn, oid datum.OID, attrs map[string]datum.Value) error {
-	return c.call(ipc.OpModify, ipc.ModifyReq{Txn: tx.ID, OID: uint64(oid), Attrs: attrs}, nil)
+	return tx.call(ipc.OpModify, nil, func(id uint64) any { return ipc.ModifyReq{Txn: id, OID: uint64(oid), Attrs: attrs} })
 }
 
 // Delete removes an object.
 func (c *Client) Delete(tx *Txn, oid datum.OID) error {
-	return c.call(ipc.OpDelete, ipc.DeleteReq{Txn: tx.ID, OID: uint64(oid)}, nil)
+	return tx.call(ipc.OpDelete, nil, func(id uint64) any { return ipc.DeleteReq{Txn: id, OID: uint64(oid)} })
 }
 
 // Object is a fetched object.
@@ -161,7 +205,7 @@ type Object struct {
 // Get fetches an object.
 func (c *Client) Get(tx *Txn, oid datum.OID) (Object, error) {
 	var rep ipc.GetRep
-	if err := c.call(ipc.OpGet, ipc.GetReq{Txn: tx.ID, OID: uint64(oid)}, &rep); err != nil {
+	if err := tx.call(ipc.OpGet, &rep, func(id uint64) any { return ipc.GetReq{Txn: id, OID: uint64(oid)} }); err != nil {
 		return Object{}, err
 	}
 	return Object{OID: datum.OID(rep.OID), Class: rep.Class, Attrs: rep.Attrs}, nil
@@ -176,7 +220,7 @@ type Result struct {
 // Query evaluates a select statement.
 func (c *Client) Query(tx *Txn, src string, args map[string]datum.Value) (*Result, error) {
 	var rep ipc.QueryRep
-	if err := c.call(ipc.OpQuery, ipc.QueryReq{Txn: tx.ID, Src: src, Args: args}, &rep); err != nil {
+	if err := tx.call(ipc.OpQuery, &rep, func(id uint64) any { return ipc.QueryReq{Txn: id, Src: src, Args: args} }); err != nil {
 		return nil, err
 	}
 	return &Result{Columns: rep.Columns, Rows: rep.Rows}, nil
@@ -186,7 +230,7 @@ func (c *Client) Query(tx *Txn, src string, args map[string]datum.Value) (*Resul
 // chooses for a select statement, as text; nothing is executed.
 func (c *Client) Explain(tx *Txn, src string, args map[string]datum.Value) (string, error) {
 	var rep ipc.ExplainRep
-	if err := c.call(ipc.OpExplain, ipc.ExplainReq{Txn: tx.ID, Src: src, Args: args}, &rep); err != nil {
+	if err := tx.call(ipc.OpExplain, &rep, func(id uint64) any { return ipc.ExplainReq{Txn: id, Src: src, Args: args} }); err != nil {
 		return "", err
 	}
 	return rep.Text, nil
@@ -203,11 +247,18 @@ func (c *Client) DefineEvent(name string, params ...string) error {
 // for occurrences outside any transaction. The call returns after
 // immediate rule processing completes on the server.
 func (c *Client) SignalEvent(tx *Txn, name string, args map[string]datum.Value) error {
-	req := ipc.SignalEventReq{Name: name, Args: args}
-	if tx != nil {
-		req.Txn = tx.ID
+	return c.inTxn(tx, ipc.OpSignalEvent, ipc.SignalEventReq{Name: name, Args: args})
+}
+
+// inTxn sends a signal or fire request, in tx when tx is non-nil.
+func (c *Client) inTxn(tx *Txn, op string, req ipc.SignalEventReq) error {
+	if tx == nil {
+		return c.call(op, req, nil)
 	}
-	return c.call(ipc.OpSignalEvent, req, nil)
+	return tx.call(op, nil, func(id uint64) any {
+		req.Txn = id
+		return req
+	})
 }
 
 // --- application operations ---
@@ -255,11 +306,7 @@ func (c *Client) DisableRule(name string) error {
 
 // FireRule fires a rule manually.
 func (c *Client) FireRule(tx *Txn, name string, args map[string]datum.Value) error {
-	req := ipc.FireRuleReq{Name: name, Args: args}
-	if tx != nil {
-		req.Txn = tx.ID
-	}
-	return c.call(ipc.OpFireRule, req, nil)
+	return c.inTxn(tx, ipc.OpFireRule, ipc.FireRuleReq{Name: name, Args: args})
 }
 
 // Rules lists registered rules.

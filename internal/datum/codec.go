@@ -11,7 +11,8 @@ import (
 // AppendBinary appends a compact binary encoding of the value to dst
 // and returns the extended slice. The encoding is self-delimiting:
 // DecodeBinary can recover the value and the number of bytes consumed.
-// It is the on-disk format used by the write-ahead log.
+// It is the on-disk format used by the write-ahead log, and the ipc
+// wire's for values.
 func (v Value) AppendBinary(dst []byte) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
@@ -96,8 +97,10 @@ func DecodeBinary(b []byte) (Value, int, error) {
 	}
 }
 
-// jsonValue is the wire form of a Value used by the IPC protocol. The
-// kind tag keeps ints and floats distinct across the JSON boundary.
+// jsonValue is the JSON form of a Value. The kind tag keeps ints and
+// floats distinct across the JSON boundary; JSON has no NaN or
+// infinities and no strings that are not UTF-8, so the ipc wire uses
+// the binary form instead.
 type jsonValue struct {
 	K string          `json:"k"`
 	V json.RawMessage `json:"v,omitempty"`

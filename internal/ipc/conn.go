@@ -1,12 +1,14 @@
 package ipc
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ErrClosed fails every call on a closed connection, including those
@@ -28,6 +30,7 @@ type Conn struct {
 	replies string // kind of their replies
 	serves  string // kind of the calls it serves
 	handle  func(call *Message)
+	metrics *obs.Metrics // records each message's payload size; may be nil
 
 	writeMu sync.Mutex // serializes frames onto nc
 
@@ -39,25 +42,31 @@ type Conn struct {
 
 // NewConn wraps nc for an end that makes calls of kind calls
 // (KindRequest or KindAppCall). handle serves each call of the other
-// kind and must answer it with Reply. Nothing is read until Run.
-func NewConn(nc net.Conn, calls string, handle func(call *Message)) *Conn {
+// kind and must answer it with Reply. When metrics is non-nil, the
+// payload size of every message read or written is recorded into its
+// ipc_message_bytes. Nothing is read until Run.
+func NewConn(nc net.Conn, calls string, handle func(call *Message), metrics *obs.Metrics) *Conn {
 	serves := KindAppCall
 	if calls == KindAppCall {
 		serves = KindRequest
 	}
 	return &Conn{nc: nc, calls: calls, replies: answer[calls], serves: serves,
-		handle: handle, pending: map[uint64]chan *Message{}}
+		handle: handle, metrics: metrics, pending: map[uint64]chan *Message{}}
 }
 
 // Run reads the connection until it fails or is closed, then closes
 // the Conn (failing pending calls) and returns the read error.
 func (c *Conn) Run() error {
+	// Buffered, a frame usually costs one read of the connection instead
+	// of one for its header and one for the rest.
+	r := bufio.NewReader(c.nc)
 	for {
-		m, err := Read(c.nc)
+		m, n, err := readMessage(r)
 		if err != nil {
 			c.Close()
 			return err
 		}
+		c.metrics.ObserveN(obs.HIPCMessage, uint64(n))
 		switch m.Kind {
 		case c.replies:
 			c.mu.Lock()
@@ -92,31 +101,50 @@ func (c *Conn) Close() error {
 	return err
 }
 
+// Closed reports whether the connection has closed.
+func (c *Conn) Closed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
 // Call sends one call and waits for its reply, decoding the reply's
 // body into rep when rep is non-nil. A reply carrying an error returns
 // it; timeout > 0 bounds the wait.
 func (c *Conn) Call(op string, body, rep any, timeout time.Duration) error {
-	var raw json.RawMessage
+	_, err := c.call(&Message{Op: op}, body, rep, timeout)
+	return err
+}
+
+// Begin is Call for a request in a transaction the peer has not begun
+// yet: the request carries the begin flag, and Begin returns the id of
+// the transaction the peer began for it — also when the request then
+// failed. It is 0 when none was begun.
+func (c *Conn) Begin(op string, body, rep any) (uint64, error) {
+	return c.call(&Message{Op: op, Begin: true}, body, rep, 0)
+}
+
+func (c *Conn) call(m *Message, body, rep any, timeout time.Duration) (uint64, error) {
 	if body != nil {
 		var err error
-		if raw, err = EncodeBody(body); err != nil {
-			return err
+		if m.Body, err = EncodeBody(body); err != nil {
+			return 0, err
 		}
 	}
 	ch := make(chan *Message, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	c.nextID++
-	id := c.nextID
-	c.pending[id] = ch
+	m.ID, m.Kind = c.nextID, c.calls
+	c.pending[m.ID] = ch
 	c.mu.Unlock()
 
-	if err := c.send(&Message{ID: id, Kind: c.calls, Op: op, Body: raw}); err != nil {
-		c.forget(id)
-		return err
+	if err := c.send(m); err != nil {
+		c.forget(m.ID)
+		return 0, err
 	}
 	var expired <-chan time.Time
 	if timeout > 0 {
@@ -127,20 +155,20 @@ func (c *Conn) Call(op string, body, rep any, timeout time.Duration) error {
 		expired = t.C
 	}
 	select {
-	case m, ok := <-ch:
+	case r, ok := <-ch:
 		if !ok {
-			return ErrClosed
+			return 0, ErrClosed
 		}
-		if m.Err != "" {
-			return errors.New(m.Err)
+		if r.Err != "" {
+			return r.Txn, errors.New(r.Err)
 		}
 		if rep != nil {
-			return DecodeBody(m, rep)
+			return r.Txn, DecodeBody(r, rep)
 		}
-		return nil
+		return r.Txn, nil
 	case <-expired:
-		c.forget(id)
-		return fmt.Errorf("ipc: no reply to %q within %v", op, timeout)
+		c.forget(m.ID)
+		return 0, fmt.Errorf("ipc: no reply to %q within %v", m.Op, timeout)
 	}
 }
 
@@ -151,10 +179,12 @@ func (c *Conn) forget(id uint64) {
 }
 
 // Reply answers a served call with body, or with err when it is
-// non-nil. A reply that cannot be written closes the connection: the
-// peer's caller then fails instead of waiting for it.
+// non-nil. The reply carries call.Txn, which a handler that began a
+// transaction for a Begin call sets to that transaction's id. A reply
+// that cannot be written closes the connection: the peer's caller then
+// fails instead of waiting for it.
 func (c *Conn) Reply(call *Message, body any, err error) {
-	m := &Message{ID: call.ID, Kind: answer[call.Kind], Op: call.Op}
+	m := &Message{ID: call.ID, Kind: answer[call.Kind], Op: call.Op, Txn: call.Txn}
 	if err == nil && body != nil {
 		m.Body, err = EncodeBody(body)
 	}
@@ -168,6 +198,10 @@ func (c *Conn) Reply(call *Message, body any, err error) {
 
 func (c *Conn) send(m *Message) error {
 	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return Write(c.nc, m)
+	n, err := writeMessage(c.nc, m)
+	c.writeMu.Unlock()
+	if err == nil {
+		c.metrics.ObserveN(obs.HIPCMessage, uint64(n))
+	}
+	return err
 }

@@ -8,9 +8,29 @@
 //	[]byte  payload
 //	uint32  CRC-32 (IEEE) of the payload
 //
-// The application protocol sends each Message as JSON in a frame of
-// one type; the replication stream uses types of its own with binary
-// payloads.
+// The application protocol sends each Message in a frame of one type;
+// the replication stream uses types of its own. A Message's payload is
+// its binary envelope (uvarints as in encoding/binary):
+//
+//	uvarint  id
+//	byte     kind, an index into one table (request, reply, call, callrep)
+//	byte     op, an index into one table; 0 is followed by the name
+//	         (uvarint length, bytes), for an application's own operations
+//	byte     begin flag, 0 or 1
+//	uvarint  txn: on a reply, the transaction the request's begin flag began
+//	uvarint  error length, then the error string
+//	[]byte   body: the rest of the payload
+//
+// EncodeBody and DecodeBody choose a body's codec by its Go type. Every
+// body that carries datum values or sits on a transaction's path — get,
+// create, modify, delete, commit/abort/child, query, explain, signal,
+// fire, and the application call and reply — is binary: uvarint
+// integers, length-prefixed strings, and datum's own write-ahead-log
+// codec for values and attribute maps. That codec carries every value
+// the engine stores (NaN, infinities, negative zero, strings that are
+// not UTF-8), which JSON cannot, and costs a fraction of it on the
+// per-operation path. Bodies that carry definitions and diagnostics
+// (classes, rules, stats, trace, graph, replication status) stay JSON.
 //
 // The same application connection carries calls in both directions —
 // applications invoke DBMS operations, and the DBMS sends application
@@ -44,7 +64,7 @@ const MaxFrame = 32 << 20
 // frameHeader is the type byte and the payload length.
 const frameHeader = 5
 
-// frameMessage is the frame type of a JSON-encoded Message.
+// frameMessage is the frame type of a Message.
 const frameMessage byte = 'M'
 
 var errFrameTooLarge = errors.New("ipc: frame too large")
@@ -62,14 +82,23 @@ const (
 	KindAppReply = "callrep"
 )
 
-// Message is one application-protocol message, carried as JSON in one
-// frame.
+// kinds is the table of kind codes: a kind's wire byte is its index.
+var kinds = [...]string{KindRequest, KindReply, KindAppCall, KindAppReply}
+
+// Message is one application-protocol message, carried in one frame.
 type Message struct {
-	ID   uint64          `json:"id"`
-	Kind string          `json:"kind"`
-	Op   string          `json:"op,omitempty"`
-	Err  string          `json:"err,omitempty"`
-	Body json.RawMessage `json:"body,omitempty"`
+	ID   uint64
+	Kind string
+	Op   string
+	// Begin marks a request whose transaction is not begun yet: the
+	// server begins a top-level transaction and runs the request in it.
+	Begin bool
+	// Txn, on the reply to a Begin request, names the transaction
+	// begun — also when the request failed, for the transaction
+	// outlives the error.
+	Txn  uint64
+	Err  string
+	Body []byte
 }
 
 // framePool recycles frame buffers across writes. Buffers that grew
@@ -139,34 +168,99 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 	return typ, payload, nil
 }
 
-// Write writes one message as a JSON frame.
+// Write writes one message as a frame.
 func Write(w io.Writer, m *Message) error {
-	buf := newFrame(frameMessage)
-	if err := json.NewEncoder(buf).Encode(m); err != nil {
-		return fmt.Errorf("ipc: marshal: %w", err) // buf is dropped, not pooled
+	_, err := writeMessage(w, m)
+	return err
+}
+
+// writeMessage writes m and returns its payload size.
+func writeMessage(w io.Writer, m *Message) (int, error) {
+	kind := kindCode(m.Kind)
+	if kind < 0 {
+		return 0, fmt.Errorf("ipc: unknown message kind %q", m.Kind)
 	}
-	buf.Truncate(buf.Len() - 1) // Encoder's newline is not part of the payload
-	return sendFrame(w, buf)
+	buf := newFrame(frameMessage)
+	b := binary.AppendUvarint(buf.AvailableBuffer(), m.ID)
+	op := opCodes[m.Op]
+	b = append(b, byte(kind), op)
+	if op == 0 {
+		b = appendString(b, m.Op)
+	}
+	var begin byte
+	if m.Begin {
+		begin = 1
+	}
+	b = binary.AppendUvarint(append(b, begin), m.Txn)
+	buf.Write(appendString(b, m.Err))
+	buf.Write(m.Body)
+	n := buf.Len() - frameHeader
+	return n, sendFrame(w, buf)
+}
+
+// kindCode returns a kind's wire byte, or -1 for an unknown kind.
+func kindCode(kind string) int {
+	for i, k := range kinds {
+		if k == kind {
+			return i
+		}
+	}
+	return -1
 }
 
 // Read reads one message frame.
 func Read(r io.Reader) (*Message, error) {
-	typ, payload, err := ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	if typ != frameMessage {
-		return nil, fmt.Errorf("ipc: unexpected frame type %d", typ)
-	}
-	var m Message
-	if err := json.Unmarshal(payload, &m); err != nil {
-		return nil, fmt.Errorf("ipc: unmarshal: %w", err)
-	}
-	return &m, nil
+	m, _, err := readMessage(r)
+	return m, err
 }
 
-// EncodeBody marshals a payload struct into a message body.
-func EncodeBody(v any) (json.RawMessage, error) {
+// readMessage reads one message and returns its payload size.
+func readMessage(r io.Reader) (*Message, int, error) {
+	typ, payload, err := ReadFrame(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	if typ != frameMessage {
+		return nil, 0, fmt.Errorf("ipc: unexpected frame type %d", typ)
+	}
+	d := decoder{b: payload}
+	m := &Message{ID: d.uint()}
+	if k := d.u8(); int(k) < len(kinds) {
+		m.Kind = kinds[k]
+	} else {
+		d.fail("unknown message kind %d", k)
+	}
+	switch op := d.u8(); {
+	case op == 0:
+		m.Op = d.str()
+	case int(op) < len(ops):
+		m.Op = ops[op]
+	default:
+		d.fail("unknown operation %d", op)
+	}
+	switch begin := d.u8(); begin {
+	case 0, 1:
+		m.Begin = begin == 1
+	default:
+		d.fail("bad begin flag %d", begin)
+	}
+	m.Txn = d.uint()
+	m.Err = d.str()
+	if d.err != nil {
+		return nil, 0, fmt.Errorf("ipc: bad message: %w", d.err)
+	}
+	if len(d.b) > 0 {
+		m.Body = d.b
+	}
+	return m, len(payload), nil
+}
+
+// EncodeBody encodes a payload struct into a message body: binary for
+// the types listed in the package doc, JSON for the rest.
+func EncodeBody(v any) ([]byte, error) {
+	if b, ok := appendBody(make([]byte, 0, 64), v); ok {
+		return b, nil
+	}
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("ipc: encode body: %w", err)
@@ -174,12 +268,18 @@ func EncodeBody(v any) (json.RawMessage, error) {
 	return raw, nil
 }
 
-// DecodeBody unmarshals a message body into a payload struct.
+// DecodeBody decodes a message body into the payload struct v points
+// to, with the codec EncodeBody chose for that type. An empty body
+// leaves v as it was.
 func DecodeBody(m *Message, v any) error {
 	if len(m.Body) == 0 {
 		return nil
 	}
-	if err := json.Unmarshal(m.Body, v); err != nil {
+	ok, err := decodeBody(m.Body, v)
+	if !ok {
+		err = json.Unmarshal(m.Body, v)
+	}
+	if err != nil {
 		return fmt.Errorf("ipc: decode %s body: %w", m.Op, err)
 	}
 	return nil
@@ -187,7 +287,6 @@ func DecodeBody(m *Message, v any) error {
 
 // Operation names carried in Message.Op.
 const (
-	OpBegin       = "begin"
 	OpChild       = "child"
 	OpCommit      = "commit"
 	OpAbort       = "abort"
@@ -218,15 +317,32 @@ const (
 	OpPromote     = "promote"
 )
 
-// TxnRef names a transaction in requests.
-type TxnRef struct {
-	Txn uint64 `json:"txn"`
+// ops is the table of operation codes: an operation's wire byte is its
+// index. Code 0 is reserved for names outside the table.
+var ops = [...]string{"",
+	OpChild, OpCommit, OpAbort, OpDefineClass, OpDropClass, OpClasses,
+	OpCreate, OpModify, OpDelete, OpGet, OpQuery, OpExplain,
+	OpDefineEvent, OpSignalEvent, OpCreateRule, OpUpdateRule,
+	OpDeleteRule, OpEnableRule, OpDisableRule, OpFireRule, OpListRules,
+	OpServe, OpStats, OpTrace, OpGraph, OpCheckpoint, OpReplStatus,
+	OpPromote,
 }
 
-// BeginRep returns the new transaction id.
-type BeginRep struct {
-	Txn uint64 `json:"txn"`
+var opCodes = func() map[string]byte {
+	m := make(map[string]byte, len(ops))
+	for i, op := range ops[1:] {
+		m[op] = byte(i + 1)
+	}
+	return m
+}()
+
+// TxnRef names a transaction in requests.
+type TxnRef struct {
+	Txn uint64
 }
+
+// BeginRep returns the new transaction id (of a child).
+type BeginRep = TxnRef
 
 // DefineClassReq carries a class definition.
 type DefineClassReq struct {
@@ -247,62 +363,55 @@ type ClassesRep struct {
 
 // CreateReq creates an object.
 type CreateReq struct {
-	Txn   uint64                 `json:"txn"`
-	Class string                 `json:"class"`
-	Attrs map[string]datum.Value `json:"attrs"`
+	Txn   uint64
+	Class string
+	Attrs map[string]datum.Value
 }
 
 // CreateRep returns the new object's OID.
 type CreateRep struct {
-	OID uint64 `json:"oid"`
+	OID uint64
 }
 
 // ModifyReq updates an object.
 type ModifyReq struct {
-	Txn   uint64                 `json:"txn"`
-	OID   uint64                 `json:"oid"`
-	Attrs map[string]datum.Value `json:"attrs"`
-}
-
-// DeleteReq deletes an object.
-type DeleteReq struct {
-	Txn uint64 `json:"txn"`
-	OID uint64 `json:"oid"`
+	Txn   uint64
+	OID   uint64
+	Attrs map[string]datum.Value
 }
 
 // GetReq fetches an object.
 type GetReq struct {
-	Txn uint64 `json:"txn"`
-	OID uint64 `json:"oid"`
+	Txn uint64
+	OID uint64
 }
+
+// DeleteReq deletes an object.
+type DeleteReq = GetReq
 
 // GetRep returns an object's state.
 type GetRep struct {
-	OID   uint64                 `json:"oid"`
-	Class string                 `json:"class"`
-	Attrs map[string]datum.Value `json:"attrs"`
+	OID   uint64
+	Class string
+	Attrs map[string]datum.Value
 }
 
 // QueryReq evaluates a select statement.
 type QueryReq struct {
-	Txn  uint64                 `json:"txn"`
-	Src  string                 `json:"src"`
-	Args map[string]datum.Value `json:"args,omitempty"`
+	Txn  uint64
+	Src  string
+	Args map[string]datum.Value
 }
 
 // QueryRep returns a result set.
 type QueryRep struct {
-	Columns []string        `json:"columns"`
-	Rows    [][]datum.Value `json:"rows"`
+	Columns []string
+	Rows    [][]datum.Value
 }
 
 // ExplainReq asks for the physical plan of a select statement; it is
-// planned, not executed. Reuses QueryReq's shape.
-type ExplainReq struct {
-	Txn  uint64                 `json:"txn"`
-	Src  string                 `json:"src"`
-	Args map[string]datum.Value `json:"args,omitempty"`
-}
+// planned, not executed.
+type ExplainReq = QueryReq
 
 // ExplainRep returns the rendered plan.
 type ExplainRep struct {
@@ -318,10 +427,14 @@ type DefineEventReq struct {
 // SignalEventReq signals an external event. Txn 0 means outside any
 // transaction.
 type SignalEventReq struct {
-	Txn  uint64                 `json:"txn"`
-	Name string                 `json:"name"`
-	Args map[string]datum.Value `json:"args,omitempty"`
+	Txn  uint64
+	Name string
+	Args map[string]datum.Value
 }
+
+// FireRuleReq fires a rule manually; Txn 0 means outside any
+// transaction.
+type FireRuleReq = SignalEventReq
 
 // CreateRuleReq carries a rule definition.
 type CreateRuleReq struct {
@@ -331,13 +444,6 @@ type CreateRuleReq struct {
 // RuleNameReq names a rule (delete/enable/disable).
 type RuleNameReq struct {
 	Name string `json:"name"`
-}
-
-// FireRuleReq fires a rule manually.
-type FireRuleReq struct {
-	Txn  uint64                 `json:"txn"`
-	Name string                 `json:"name"`
-	Args map[string]datum.Value `json:"args,omitempty"`
 }
 
 // RuleInfo describes one registered rule.
@@ -451,11 +557,11 @@ type GraphRep struct {
 // AppCallBody is the body of a server-to-client application request
 // and of an in-process dispatch.
 type AppCallBody struct {
-	Op   string                 `json:"op"`
-	Args map[string]datum.Value `json:"args,omitempty"`
+	Op   string
+	Args map[string]datum.Value
 }
 
 // AppReplyBody answers an application request.
 type AppReplyBody struct {
-	Reply map[string]datum.Value `json:"reply,omitempty"`
+	Reply map[string]datum.Value
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -77,13 +79,49 @@ func TestReadOversizedFrame(t *testing.T) {
 	}
 }
 
-func TestReadGarbageJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, frameMessage, []byte("not json")); err != nil {
-		t.Fatal(err)
+func TestReadGarbageEnvelope(t *testing.T) {
+	for _, payload := range []string{"not an envelope", "", "\x01\x00\x01\x02\x00\x00"} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, frameMessage, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "bad message") {
+			t.Fatalf("garbage payload %q: %v", payload, err)
+		}
 	}
-	if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "unmarshal") {
-		t.Fatalf("garbage payload: %v", err)
+}
+
+// TestEnvelopeLayout pins a message's binary envelope byte for byte:
+// uvarint id, kind byte, op byte (0 and the name for an operation
+// outside the table), begin flag, uvarint txn, uvarint-prefixed error,
+// then the body.
+func TestEnvelopeLayout(t *testing.T) {
+	for _, tc := range []struct {
+		m    Message
+		want []byte
+	}{
+		{Message{ID: 300, Kind: KindRequest, Op: OpGet, Begin: true, Body: []byte{7, 9}},
+			[]byte{0xac, 0x02, 0, 10, 1, 0, 0, 7, 9}},
+		{Message{ID: 1, Kind: KindReply, Op: OpGet, Txn: 5, Err: "no"},
+			[]byte{1, 1, 10, 0, 5, 2, 'n', 'o'}},
+		{Message{ID: 2, Kind: KindAppCall, Op: "ping"},
+			[]byte{2, 2, 0, 4, 'p', 'i', 'n', 'g', 0, 0, 0}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, &tc.m); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := ReadFrame(bytes.NewReader(buf.Bytes()))
+		if err != nil || typ != frameMessage || !bytes.Equal(payload, tc.want) {
+			t.Fatalf("%+v: payload %x (type %d, %v), want %x", tc.m, payload, typ, err, tc.want)
+		}
+		got, err := Read(&buf)
+		if err != nil || !reflect.DeepEqual(*got, tc.m) {
+			t.Fatalf("read back %+v (%v), want %+v", got, err, tc.m)
+		}
+	}
+	if err := Write(io.Discard, &Message{Kind: "other"}); err == nil {
+		t.Fatal("a message of an unknown kind was written")
 	}
 }
 
@@ -147,8 +185,8 @@ func TestConnCallsBothWays(t *testing.T) {
 		}
 	}
 	var app, srv *Conn
-	app = NewConn(a, KindRequest, double(&app))
-	srv = NewConn(b, KindAppCall, double(&srv))
+	app = NewConn(a, KindRequest, double(&app), nil)
+	srv = NewConn(b, KindAppCall, double(&srv), nil)
 	go app.Run()
 	srvDone := make(chan struct{})
 	go func() {
@@ -207,6 +245,13 @@ func FuzzIPCRead(f *testing.F) {
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{frameMessage, 0xff, 0xff, 0xff, 0xff})
+	seed.Reset()
+	body, _ = EncodeBody(ModifyReq{OID: 9, Attrs: map[string]datum.Value{"p": datum.Float(math.NaN())}})
+	Write(&seed, &Message{ID: 1 << 40, Kind: KindRequest, Op: OpModify, Begin: true, Body: body})
+	Write(&seed, &Message{ID: 1 << 40, Kind: KindReply, Op: OpModify, Txn: 77})
+	body, _ = EncodeBody(AppCallBody{Op: "display", Args: map[string]datum.Value{"s": datum.Str("a\xffb")}})
+	Write(&seed, &Message{ID: 3, Kind: KindAppCall, Op: "display", Body: body})
+	f.Add(seed.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for i := 0; i < 1<<10; i++ {

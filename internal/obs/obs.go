@@ -93,6 +93,9 @@ const (
 	// the gap between the first and last worker finishing, i.e. how
 	// long the gather node idles on stragglers.
 	HPlanGatherWait
+	// HIPCMessage: payload bytes of one message a server's connection
+	// read or wrote. A count histogram like HWALGroup.
+	HIPCMessage
 
 	numHists
 )
@@ -106,13 +109,14 @@ var histNames = [numHists]string{
 	"version_chain_len", "snapshot_read",
 	"repl_batch_bytes", "repl_lag",
 	"plan_parallel_fanout", "plan_gather_wait",
+	"ipc_message_bytes",
 }
 
 // histIsCount marks histograms whose observations are counts recorded
 // via ObserveN, not durations.
 var histIsCount = [numHists]bool{HWALGroup: true, HWALReclaimed: true, HDeltaRecords: true,
 	HCommitShards: true, HCEPPartials: true, HCEPInstances: true, HVersionChain: true,
-	HReplBatch: true, HPlanFanout: true}
+	HReplBatch: true, HPlanFanout: true, HIPCMessage: true}
 
 // HistNames returns the canonical histogram names in display order;
 // snapshot maps are keyed by these.

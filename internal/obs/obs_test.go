@@ -200,6 +200,7 @@ func TestEndIdempotent(t *testing.T) {
 func TestPrometheusRendering(t *testing.T) {
 	o := New(Options{})
 	o.Metrics().Observe(HWALSync, 3*time.Millisecond)
+	o.Metrics().ObserveN(HIPCMessage, 40)
 	o.Tracer().StartRoot("signal", "x", "", 0, 0).End("")
 	var b strings.Builder
 	if err := WritePrometheus(&b, o.Snapshot(), "hipac"); err != nil {
@@ -210,6 +211,9 @@ func TestPrometheusRendering(t *testing.T) {
 		"# TYPE hipac_wal_sync_duration_seconds histogram",
 		`hipac_wal_sync_duration_seconds_bucket{le="+Inf"} 1`,
 		"hipac_wal_sync_duration_seconds_count 1",
+		"# TYPE hipac_ipc_message_bytes histogram",
+		`hipac_ipc_message_bytes_bucket{le="+Inf"} 1`,
+		"hipac_ipc_message_bytes_sum 40",
 		"hipac_traces_recorded_total 1",
 		"hipac_slow_firings_total 0",
 	} {

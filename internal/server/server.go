@@ -39,6 +39,9 @@ type Server struct {
 	eng *core.Engine  // the engine served; nil on a replica
 	rep *repl.Replica // the replica served; nil on an engine
 	obs *obs.Obs      // the node's: every request is timed into its ipc_request
+	// begin starts a top-level transaction for a request carrying the
+	// begin flag.
+	begin func() (*txn.Txn, error)
 	// op answers one request: engineOp or replicaOp.
 	op func(*session, *ipc.Message) (any, error)
 	// onPromote performs a replica's whole promotion (the daemon: stop
@@ -73,18 +76,19 @@ func newServer(o *obs.Obs, op func(*session, *ipc.Message) (any, error)) *Server
 func New(eng *core.Engine) *Server {
 	s := newServer(eng.Obs, (*session).engineOp)
 	s.eng = eng
+	s.begin = func() (*txn.Txn, error) { return eng.Begin(), nil }
 	eng.SetFallbackDispatcher(s)
 	return s
 }
 
-// NewReplica returns a server for a replica's read path: Begin,
-// Commit/Abort, Get, Query, Classes, Stats, ReplStatus and Promote.
+// NewReplica returns a server for a replica's read path: Commit/Abort,
+// Get, Query, Classes, Stats, ReplStatus and Promote.
 // Every read resolves against one pinned MVCC snapshot at the
 // replica's applied-LSN frontier; any other operation is refused with
 // a read-only error. OpPromote runs onPromote.
 func NewReplica(rep *repl.Replica, onPromote func() (uint64, error)) *Server {
 	s := newServer(rep.Obs(), (*session).replicaOp)
-	s.rep, s.onPromote, s.status = rep, onPromote, rep.Status
+	s.rep, s.onPromote, s.status, s.begin = rep, onPromote, rep.Status, rep.Begin
 	return s
 }
 
@@ -257,7 +261,7 @@ type session struct {
 
 func newSession(srv *Server, conn net.Conn) *session {
 	s := &session{srv: srv, txns: map[uint64]*txn.Txn{}, txnLocks: map[uint64]*sync.Mutex{}}
-	s.conn = ipc.NewConn(conn, ipc.KindAppCall, s.handle)
+	s.conn = ipc.NewConn(conn, ipc.KindAppCall, s.handle, srv.obs.Metrics())
 	return s
 }
 
@@ -310,17 +314,29 @@ func (s *session) lookupTxn(id uint64) (*txn.Txn, *sync.Mutex, error) {
 	return t, s.txnLocks[id], nil
 }
 
-// addTxn registers a transaction and returns the reply naming it.
-func (s *session) addTxn(t *txn.Txn) ipc.BeginRep {
+// addTxn registers a transaction and returns its id.
+func (s *session) addTxn(t *txn.Txn) uint64 {
+	id := uint64(t.ID())
 	s.mu.Lock()
-	s.txns[uint64(t.ID())] = t
-	s.txnLocks[uint64(t.ID())] = &sync.Mutex{}
+	s.txns[id] = t
+	s.txnLocks[id] = &sync.Mutex{}
 	s.mu.Unlock()
-	return ipc.BeginRep{Txn: uint64(t.ID())}
+	return id
 }
 
-// withTxn runs fn under the transaction's serialization mutex.
-func (s *session) withTxn(id uint64, fn func(*txn.Txn) (any, error)) (any, error) {
+// withTxn runs fn under the serialization mutex of the request's
+// transaction: the one id names or, when the request carries the begin
+// flag, a top-level transaction begun for it, whose id the reply
+// carries back.
+func (s *session) withTxn(req *ipc.Message, id uint64, fn func(*txn.Txn) (any, error)) (any, error) {
+	if req.Begin {
+		t, err := s.srv.begin()
+		if err != nil {
+			return nil, err
+		}
+		id = s.addTxn(t)
+		req.Txn = id
+	}
 	t, mu, err := s.lookupTxn(id)
 	if err != nil {
 		return nil, err
@@ -337,7 +353,7 @@ func (s *session) endTxn(req *ipc.Message) error {
 	if err := ipc.DecodeBody(req, &body); err != nil {
 		return err
 	}
-	_, err := s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+	_, err := s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 		if req.Op == ipc.OpCommit {
 			return nil, t.Commit()
 		}
@@ -368,13 +384,6 @@ func classesRep(classes []object.Class, err error) (any, error) {
 func (s *session) replicaOp(req *ipc.Message) (any, error) {
 	rep := s.srv.rep
 	switch req.Op {
-	case ipc.OpBegin:
-		t, err := rep.Begin()
-		if err != nil {
-			return nil, err
-		}
-		return s.addTxn(t), nil
-
 	case ipc.OpCommit, ipc.OpAbort:
 		return nil, s.endTxn(req)
 
@@ -383,25 +392,35 @@ func (s *session) replicaOp(req *ipc.Message) (any, error) {
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		rec, err := rep.Get(datum.OID(body.OID))
-		if err != nil {
-			return nil, err
-		}
-		return ipc.GetRep{OID: uint64(rec.OID), Class: rec.Class, Attrs: rec.Attrs}, nil
+		return s.withTxn(req, body.Txn, func(*txn.Txn) (any, error) {
+			rec, err := rep.Get(datum.OID(body.OID))
+			if err != nil {
+				return nil, err
+			}
+			return ipc.GetRep{OID: uint64(rec.OID), Class: rec.Class, Attrs: rec.Attrs}, nil
+		})
 
 	case ipc.OpQuery:
 		var body ipc.QueryReq
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		res, _, err := rep.Query(body.Src, body.Args)
-		if err != nil {
-			return nil, err
-		}
-		return ipc.QueryRep{Columns: res.Columns, Rows: res.Rows}, nil
+		return s.withTxn(req, body.Txn, func(*txn.Txn) (any, error) {
+			res, _, err := rep.Query(body.Src, body.Args)
+			if err != nil {
+				return nil, err
+			}
+			return ipc.QueryRep{Columns: res.Columns, Rows: res.Rows}, nil
+		})
 
 	case ipc.OpClasses:
-		return classesRep(rep.Classes())
+		var body ipc.TxnRef
+		if err := ipc.DecodeBody(req, &body); err != nil {
+			return nil, err
+		}
+		return s.withTxn(req, body.Txn, func(*txn.Txn) (any, error) {
+			return classesRep(rep.Classes())
+		})
 
 	case ipc.OpStats:
 		stats := struct {
@@ -432,20 +451,17 @@ func (s *session) replicaOp(req *ipc.Message) (any, error) {
 func (s *session) engineOp(req *ipc.Message) (any, error) {
 	eng := s.srv.eng
 	switch req.Op {
-	case ipc.OpBegin:
-		return s.addTxn(eng.Begin()), nil
-
 	case ipc.OpChild:
 		var body ipc.TxnRef
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 			child, err := t.Child()
 			if err != nil {
 				return nil, err
 			}
-			return s.addTxn(child), nil
+			return ipc.BeginRep{Txn: s.addTxn(child)}, nil
 		})
 
 	case ipc.OpCommit, ipc.OpAbort:
@@ -456,7 +472,7 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 			return nil, eng.DefineClass(t, body.Class)
 		})
 
@@ -465,7 +481,7 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 			return nil, eng.DropClass(t, body.Name)
 		})
 
@@ -474,7 +490,7 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 			return classesRep(eng.Classes(t))
 		})
 
@@ -483,7 +499,7 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 			oid, err := eng.Create(t, body.Class, body.Attrs)
 			if err != nil {
 				return nil, err
@@ -496,7 +512,7 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 			return nil, eng.Modify(t, datum.OID(body.OID), body.Attrs)
 		})
 
@@ -505,7 +521,7 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 			return nil, eng.Delete(t, datum.OID(body.OID))
 		})
 
@@ -514,7 +530,7 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 			rec, err := eng.Get(t, datum.OID(body.OID))
 			if err != nil {
 				return nil, err
@@ -527,7 +543,7 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 			res, err := eng.Query(t, body.Src, body.Args)
 			if err != nil {
 				return nil, err
@@ -540,7 +556,7 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
 			text, err := eng.Explain(t, body.Src, body.Args)
 			if err != nil {
 				return nil, err
@@ -555,16 +571,20 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 		}
 		return nil, eng.DefineEvent(body.Name, body.Params...)
 
-	case ipc.OpSignalEvent:
+	case ipc.OpSignalEvent, ipc.OpFireRule:
 		var body ipc.SignalEventReq
 		if err := ipc.DecodeBody(req, &body); err != nil {
 			return nil, err
 		}
-		if body.Txn == 0 {
-			return nil, eng.SignalEvent(nil, body.Name, body.Args)
+		raise := eng.SignalEvent
+		if req.Op == ipc.OpFireRule {
+			raise = eng.FireRule
 		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
-			return nil, eng.SignalEvent(t, body.Name, body.Args)
+		if body.Txn == 0 && !req.Begin {
+			return nil, raise(nil, body.Name, body.Args)
+		}
+		return s.withTxn(req, body.Txn, func(t *txn.Txn) (any, error) {
+			return nil, raise(t, body.Name, body.Args)
 		})
 
 	case ipc.OpCreateRule:
@@ -595,18 +615,6 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 			return nil, eng.EnableRule(body.Name)
 		}
 		return nil, eng.DisableRule(body.Name)
-
-	case ipc.OpFireRule:
-		var body ipc.FireRuleReq
-		if err := ipc.DecodeBody(req, &body); err != nil {
-			return nil, err
-		}
-		if body.Txn == 0 {
-			return nil, eng.FireRule(nil, body.Name, body.Args)
-		}
-		return s.withTxn(body.Txn, func(t *txn.Txn) (any, error) {
-			return nil, eng.FireRule(t, body.Name, body.Args)
-		})
 
 	case ipc.OpListRules:
 		var infos []ipc.RuleInfo
