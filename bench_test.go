@@ -178,81 +178,41 @@ func BenchmarkCascadeDepth(b *testing.B) {
 	}
 }
 
-// --- C4: condition-graph sharing vs naive, and incremental cache ---
+// --- C4: condition-graph sharing vs naive ---
 
+// BenchmarkConditionGraphShared updates one of 200 Stocks per iteration
+// under n modify(Stock) rules, sweeping the fraction of rules whose
+// condition is one shared condition-graph node.
 func BenchmarkConditionGraphShared(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
-			e := setupEngine(b)
-			oids, err := workload.SeedStocks(e, 200)
-			mustB(b, err)
-			for _, def := range workload.SharedConditionRules(n, 1.0) {
-				_, err := e.CreateRule(def)
-				mustB(b, err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mustB(b, workload.UpdateOne(e, oids[i%200], float64(i)))
-			}
-		})
+		for _, overlap := range []float64{0, 0.5, 0.9, 1} {
+			b.Run(fmt.Sprintf("rules=%d/overlap=%g", n, overlap), func(b *testing.B) {
+				benchConditionRules(b, n, overlap)
+			})
+		}
 	}
 }
 
+// BenchmarkConditionNaive is the 0 % overlap cell alone: every rule has
+// its own node, so every rule costs one evaluation per update.
 func BenchmarkConditionNaive(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
-			e := setupEngine(b)
-			oids, err := workload.SeedStocks(e, 200)
-			mustB(b, err)
-			for _, def := range workload.SharedConditionRules(n, 0.0) {
-				_, err := e.CreateRule(def)
-				mustB(b, err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mustB(b, workload.UpdateOne(e, oids[i%200], float64(i)))
-			}
-		})
+		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) { benchConditionRules(b, n, 0) })
 	}
 }
 
-func BenchmarkIncrementalEval(b *testing.B) {
-	// Event-free condition evaluated by separate (clean) firings:
-	// the cross-event cache answers repeats until the class changes.
-	run := func(b *testing.B, eventFree bool) {
-		e := setupEngine(b)
-		_, err := workload.SeedStocks(e, 500)
+func benchConditionRules(b *testing.B, n int, overlap float64) {
+	e := setupEngine(b)
+	oids, err := workload.SeedStocks(e, 200)
+	mustB(b, err)
+	for _, def := range workload.SharedConditionRules(n, overlap) {
+		_, err := e.CreateRule(def)
 		mustB(b, err)
-		tx := e.Begin()
-		mustB(b, e.DefineClass(tx, hipac.Class{Name: "Tick",
-			Attrs: []hipac.AttrDef{{Name: "x", Kind: hipac.KindInt}}}))
-		mustB(b, tx.Commit())
-		cond := "select s from Stock s where s.price >= 0"
-		if !eventFree {
-			cond = "select s from Stock s where s.price >= 0 + event.zero * 0"
-		}
-		_, err = e.CreateRule(rule.Def{
-			Name:      "watcher",
-			Event:     "create(Tick)",
-			Condition: []string{cond},
-			Action:    []rule.Step{{Kind: rule.StepCall, Fn: "noop"}},
-			EC:        "separate", CA: "immediate",
-		})
-		mustB(b, err)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx := e.Begin()
-			_, err := e.Create(tx, "Tick", map[string]datum.Value{"x": datum.Int(int64(i))})
-			mustB(b, err)
-			mustB(b, tx.Commit())
-			if i%100 == 99 {
-				e.Quiesce() // bound in-flight separate firings
-			}
-		}
-		e.Quiesce()
 	}
-	b.Run("cached", func(b *testing.B) { run(b, true) })
-	b.Run("uncached", func(b *testing.B) { run(b, false) })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustB(b, workload.UpdateOne(e, oids[i%200], float64(i)))
+	}
 }
 
 // --- C5: active-vs-passive overhead ---

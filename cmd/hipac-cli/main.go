@@ -368,12 +368,12 @@ func (s *shell) exec(line string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "%-5s %-7s %-7s %s\n", "REFS", "CACHED", "EVFREE", "QUERY")
+		fmt.Fprintf(s.out, "%-5s %s\n", "REFS", "QUERY")
 		for _, n := range nodes {
-			fmt.Fprintf(s.out, "%-5d %-7v %-7v %s\n", n.Refs, n.Cached, n.EventFree, n.Query)
+			fmt.Fprintf(s.out, "%-5d %s\n", n.Refs, n.Query)
 			if len(n.Guards) > 0 {
 				// Tested at signal time: a false one skips the firing.
-				fmt.Fprintf(s.out, "%-21s guards: %s\n", "", strings.Join(n.Guards, ", "))
+				fmt.Fprintf(s.out, "%-5s guards: %s\n", "", strings.Join(n.Guards, ", "))
 			}
 		}
 		return nil

@@ -7,13 +7,13 @@
 // *condition graph*: each syntactically distinct query (by canonical
 // form) is a single node shared by all rules that use it, so a query
 // appearing in a thousand rules is evaluated once per event — the
-// "multiple query optimization" of §5.5 in spirit. Nodes whose
-// queries reference no event arguments can additionally be cached
-// across events, tagged with the snapshot LSN they were computed at
-// and invalidated by per-class commit LSNs (incremental evaluation).
-// Beside each node live its query's guards (query.Guards): the
-// event-only conjuncts the Rule Manager tests at signal time, so that
-// most unsatisfiable firings never reach Evaluate at all.
+// "multiple query optimization" of §5.5 in spirit. No result outlives
+// the Evaluate call that computed it: a cross-event cache could serve
+// only conditions that read no event argument, and no workload has
+// one (DESIGN.md "Condition graph"). Beside each node live its
+// query's guards (query.Guards): the event-only conjuncts the Rule
+// Manager tests at signal time, so that most unsatisfiable firings
+// never reach Evaluate at all.
 //
 // Evaluation reads the database through a query.Reader supplied by
 // the caller. The rule manager passes a snapshot-pinned reader
@@ -98,9 +98,9 @@ type Outcome struct {
 }
 
 // Stats counts evaluator activity; Evaluations counts query-node
-// evaluations actually performed, SharedHits counts rule-queries
-// answered from a node already evaluated for the same event, and
-// CacheHits counts nodes answered from the cross-event cache.
+// evaluations actually performed, and SharedHits counts rule-queries
+// answered from a node already evaluated for the same event.
+// CacheHits is always zero; it stays for the benchmark's metrics.
 type Stats struct {
 	Evaluations uint64
 	SharedHits  uint64
@@ -111,35 +111,14 @@ type qnode struct {
 	q         *query.Query
 	canonical string
 	refs      int
-	footprint query.Footprint
-	eventFree bool
 
 	// guards are the query's event-only conjuncts, compiled once per
 	// node and shared by every rule that uses the query.
 	guards []query.Guard
-
-	// Cross-event cache, used only for event-free queries evaluated
-	// by "clean" readers (transactions with no uncommitted writes)
-	// pinned to one snapshot: the result as of commit LSN cachedAt.
-	cached   *query.Result
-	cachedAt uint64
 }
 
 type ruleEntry struct {
 	nodes []*qnode
-}
-
-// CommitLSNFunc reports the newest commit LSN that wrote the class,
-// raised no later than the moment a snapshot can first see that
-// commit; the storage layer provides it (Store.ClassCommitLSN).
-type CommitLSNFunc func(class string) uint64
-
-// snapshotReader is the part of object.SnapshotReader the cross-event
-// cache needs: the single commit LSN all of the reader's committed
-// reads resolve at. A reader without it is never served from, and
-// never fills, the cache — there is no telling which state it saw.
-type snapshotReader interface {
-	SnapshotLSN() uint64
 }
 
 // Evaluator is the condition evaluator. It is safe for concurrent
@@ -148,14 +127,13 @@ type snapshotReader interface {
 // concurrently, e.g. composite-event bursts) would otherwise
 // serialize on the evaluator mutex just to count shared hits.
 type Evaluator struct {
-	mu       sync.Mutex
-	nodes    map[string]*qnode
-	rules    map[uint64]*ruleEntry
-	classLSN CommitLSNFunc
-	obsm     *obs.Metrics // nil-safe evaluation-latency observer
-	exec     ExecFunc     // nil means query.Eval (tree-walk)
+	mu    sync.Mutex
+	nodes map[string]*qnode
+	rules map[uint64]*ruleEntry
+	obsm  *obs.Metrics // nil-safe evaluation-latency observer
+	exec  ExecFunc     // nil means query.Eval (tree-walk)
 
-	nEvals, nShared, nCache atomic.Uint64
+	nEvals, nShared atomic.Uint64
 }
 
 // ExecFunc runs one query against a reader — the pluggable execution
@@ -176,13 +154,11 @@ func (e *Evaluator) SetExec(fn ExecFunc) { e.exec = fn }
 // call concurrently with evaluation.
 func (e *Evaluator) SetObserver(o *obs.Metrics) { e.obsm = o }
 
-// New returns an evaluator using classLSN for incremental-cache
-// invalidation (pass nil to disable cross-event caching).
-func New(classLSN CommitLSNFunc) *Evaluator {
+// New returns an empty evaluator.
+func New() *Evaluator {
 	return &Evaluator{
-		nodes:    map[string]*qnode{},
-		rules:    map[uint64]*ruleEntry{},
-		classLSN: classLSN,
+		nodes: map[string]*qnode{},
+		rules: map[uint64]*ruleEntry{},
 	}
 }
 
@@ -201,9 +177,7 @@ func (e *Evaluator) AddRule(id uint64, c Condition) []query.Guard {
 		key := q.String()
 		n := e.nodes[key]
 		if n == nil {
-			fp := q.ComputeFootprint()
-			n = &qnode{q: q, canonical: key, footprint: fp, eventFree: len(fp.EventArgs) == 0,
-				guards: query.Guards(q)}
+			n = &qnode{q: q, canonical: key, guards: query.Guards(q)}
 			e.nodes[key] = n
 		}
 		n.refs++
@@ -243,10 +217,8 @@ func (e *Evaluator) NodeCount() int {
 // tooling of §7 ("tools and techniques needed to develop large,
 // complex rule bases").
 type NodeInfo struct {
-	Query     string `json:"query"`     // canonical text
-	Refs      int    `json:"refs"`      // rules sharing the node
-	EventFree bool   `json:"eventFree"` // eligible for the cross-event cache
-	Cached    bool   `json:"cached"`    // currently holds a cached result
+	Query string `json:"query"` // canonical text
+	Refs  int    `json:"refs"`  // rules sharing the node
 	// Guards are the query's event-only conjuncts, tested at signal
 	// time before a firing is scheduled.
 	Guards []string `json:"guards,omitempty"`
@@ -259,12 +231,7 @@ func (e *Evaluator) Nodes() []NodeInfo {
 	defer e.mu.Unlock()
 	out := make([]NodeInfo, 0, len(e.nodes))
 	for _, n := range e.nodes {
-		info := NodeInfo{
-			Query:     n.canonical,
-			Refs:      n.refs,
-			EventFree: n.eventFree,
-			Cached:    n.cached != nil,
-		}
+		info := NodeInfo{Query: n.canonical, Refs: n.refs}
 		for _, g := range n.guards {
 			info.Guards = append(info.Guards, g.Expr.String())
 		}
@@ -284,18 +251,15 @@ func (e *Evaluator) Stats() Stats {
 	return Stats{
 		Evaluations: e.nEvals.Load(),
 		SharedHits:  e.nShared.Load(),
-		CacheHits:   e.nCache.Load(),
 	}
 }
 
 // Evaluate determines which of the given rules' conditions are
 // satisfied (§5.5 "Evaluate Conditions"). reader is bound to the
 // transaction chosen by the coupling mode; eventArgs are the signal's
-// bindings; clean declares that the reader's transaction (including
-// ancestors) has no uncommitted writes, enabling the cross-event
-// cache when the reader is pinned to one snapshot LSN. Each distinct
-// query node is evaluated at most once per call regardless of how
-// many rules share it.
+// bindings. Each distinct query node is evaluated at most once per
+// call regardless of how many rules share it. clean is ignored; it
+// stays for the benchmark's probes.
 func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Value,
 	clean bool, ruleIDs []uint64) (map[uint64]*Outcome, error) {
 
@@ -310,14 +274,6 @@ func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Val
 	}
 	e.mu.Unlock()
 
-	// at is the commit LSN the cross-event cache serves and fills at;
-	// cache is false when this call must bypass it.
-	var at uint64
-	cache := false
-	if sr, ok := reader.(snapshotReader); ok && clean && e.classLSN != nil {
-		at, cache = sr.SnapshotLSN(), true
-	}
-
 	memo := map[*qnode]*query.Result{}
 	out := make(map[uint64]*Outcome, len(plan))
 	for id, nodes := range plan {
@@ -328,7 +284,7 @@ func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Val
 				e.nShared.Add(1)
 			} else {
 				var err error
-				res, err = e.evalNode(n, reader, eventArgs, cache, at)
+				res, err = e.evalNode(n, reader, eventArgs)
 				if err != nil {
 					return nil, fmt.Errorf("cond: rule %d query %q: %w", id, n.canonical, err)
 				}
@@ -348,21 +304,7 @@ func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Val
 	return out, nil
 }
 
-func (e *Evaluator) evalNode(n *qnode, reader query.Reader,
-	eventArgs map[string]datum.Value, cache bool, at uint64) (*query.Result, error) {
-
-	cache = cache && n.eventFree
-	if cache {
-		e.mu.Lock()
-		if n.cached != nil && e.unchangedSinceLocked(n, min(at, n.cachedAt)) {
-			res := n.cached
-			e.nCache.Add(1)
-			e.mu.Unlock()
-			return res, nil
-		}
-		e.mu.Unlock()
-	}
-
+func (e *Evaluator) evalNode(n *qnode, reader query.Reader, eventArgs map[string]datum.Value) (*query.Result, error) {
 	tm := e.obsm.Timer(obs.HCondEval)
 	run := e.exec
 	if run == nil {
@@ -374,29 +316,5 @@ func (e *Evaluator) evalNode(n *qnode, reader query.Reader,
 	}
 	tm.Done()
 	e.nEvals.Add(1)
-	if cache {
-		// The result is tagged with the LSN it was computed at, not
-		// with anything read now: a commit that landed while the query
-		// ran is invisible to res, and must invalidate it for the
-		// next, later-pinned reader.
-		e.mu.Lock()
-		if n.cached == nil || at >= n.cachedAt {
-			n.cached, n.cachedAt = res, at
-		}
-		e.mu.Unlock()
-	}
 	return res, nil
-}
-
-// unchangedSinceLocked reports whether no class in the node's
-// footprint has been committed to after lsn: every snapshot at or
-// above lsn then sees the same extents, so a result computed at one
-// serves a reader pinned at another. Caller holds e.mu.
-func (e *Evaluator) unchangedSinceLocked(n *qnode, lsn uint64) bool {
-	for cls := range n.footprint.Classes {
-		if e.classLSN(cls) > lsn {
-			return false
-		}
-	}
-	return true
 }

@@ -8,15 +8,11 @@ import (
 	"repro/internal/query"
 )
 
-// memReader is a tiny in-memory query.Reader with a scan counter,
-// pinned (like object.SnapshotReader) to the commit LSN in lsn.
+// memReader is a tiny in-memory query.Reader with a scan counter.
 type memReader struct {
 	classes map[string][]row
 	scans   int
-	lsn     uint64
 }
-
-func (m *memReader) SnapshotLSN() uint64 { return m.lsn }
 
 type row struct {
 	oid   datum.OID
@@ -99,7 +95,7 @@ func TestConditionFootprint(t *testing.T) {
 }
 
 func TestEmptyConditionAlwaysSatisfied(t *testing.T) {
-	e := New(nil)
+	e := New()
 	e.AddRule(1, Condition{})
 	out, err := e.Evaluate(stockReader(), nil, false, []uint64{1})
 	if err != nil {
@@ -111,7 +107,7 @@ func TestEmptyConditionAlwaysSatisfied(t *testing.T) {
 }
 
 func TestSatisfiedAndUnsatisfied(t *testing.T) {
-	e := New(nil)
+	e := New()
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
 	e.AddRule(2, mustCond(t, "select s from Stock s where s.price >= 1000"))
 	out, err := e.Evaluate(stockReader(), nil, false, []uint64{1, 2})
@@ -127,7 +123,7 @@ func TestSatisfiedAndUnsatisfied(t *testing.T) {
 }
 
 func TestAllQueriesMustBeNonEmpty(t *testing.T) {
-	e := New(nil)
+	e := New()
 	e.AddRule(1, mustCond(t,
 		"select s from Stock s where s.price >= 100",  // non-empty
 		"select s from Stock s where s.price >= 1000", // empty -> unsatisfied
@@ -142,7 +138,7 @@ func TestAllQueriesMustBeNonEmpty(t *testing.T) {
 }
 
 func TestPrimaryIsFirstQuery(t *testing.T) {
-	e := New(nil)
+	e := New()
 	e.AddRule(1, mustCond(t,
 		"select s.symbol as sym from Stock s where s.price >= 100",
 		"select s from Stock s"))
@@ -157,7 +153,7 @@ func TestPrimaryIsFirstQuery(t *testing.T) {
 }
 
 func TestEventArgsReachQueries(t *testing.T) {
-	e := New(nil)
+	e := New()
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.symbol = event.sym"))
 	args := map[string]datum.Value{"sym": datum.Str("XRX")}
 	out, err := e.Evaluate(stockReader(), args, false, []uint64{1})
@@ -170,7 +166,7 @@ func TestEventArgsReachQueries(t *testing.T) {
 }
 
 func TestSharingEvaluatesOncePerEvent(t *testing.T) {
-	e := New(nil)
+	e := New()
 	const rules = 50
 	for i := 1; i <= rules; i++ {
 		e.AddRule(uint64(i), mustCond(t, "select s from Stock s where s.price >= 100"))
@@ -202,7 +198,7 @@ func TestSharingEvaluatesOncePerEvent(t *testing.T) {
 }
 
 func TestDistinctQueriesGetDistinctNodes(t *testing.T) {
-	e := New(nil)
+	e := New()
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
 	e.AddRule(2, mustCond(t, "select s from Stock s where s.price >= 200"))
 	if e.NodeCount() != 2 {
@@ -211,7 +207,7 @@ func TestDistinctQueriesGetDistinctNodes(t *testing.T) {
 }
 
 func TestWhitespaceVariantsShareNode(t *testing.T) {
-	e := New(nil)
+	e := New()
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.price>=100"))
 	e.AddRule(2, mustCond(t, "select  s  from Stock s where (s.price >= 100)"))
 	if e.NodeCount() != 1 {
@@ -220,7 +216,7 @@ func TestWhitespaceVariantsShareNode(t *testing.T) {
 }
 
 func TestRemoveRuleDropsUnreferencedNodes(t *testing.T) {
-	e := New(nil)
+	e := New()
 	e.AddRule(1, mustCond(t, "select s from Stock s"))
 	e.AddRule(2, mustCond(t, "select s from Stock s"))
 	e.RemoveRule(1)
@@ -242,98 +238,8 @@ func TestRemoveRuleDropsUnreferencedNodes(t *testing.T) {
 	}
 }
 
-func TestCrossEventCache(t *testing.T) {
-	seq := map[string]uint64{"Stock": 1} // newest commit LSN per class
-	e := New(func(class string) uint64 { return seq[class] })
-	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
-	m := stockReader()
-	m.lsn = 1
-
-	if _, err := e.Evaluate(m, nil, true, []uint64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Evaluate(m, nil, true, []uint64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if m.scans != 1 {
-		t.Fatalf("scans = %d; second clean evaluation should hit cache", m.scans)
-	}
-	if e.Stats().CacheHits != 1 {
-		t.Fatalf("stats = %+v", e.Stats())
-	}
-	// A commit to another class moves the snapshot, not the result.
-	seq["Other"], m.lsn = 2, 2
-	if _, err := e.Evaluate(m, nil, true, []uint64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if m.scans != 1 {
-		t.Fatalf("scans = %d; a commit outside the footprint must not invalidate", m.scans)
-	}
-	// A commit to the class invalidates for readers that can see it...
-	seq["Stock"], m.lsn = 3, 3
-	if _, err := e.Evaluate(m, nil, true, []uint64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if m.scans != 2 {
-		t.Fatalf("scans = %d; a commit to the class must invalidate the cache", m.scans)
-	}
-	// ...and a reader pinned below it is not served the newer result.
-	m.lsn = 2
-	if _, err := e.Evaluate(m, nil, true, []uint64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if m.scans != 3 {
-		t.Fatalf("scans = %d; an older snapshot must not read a newer cached result", m.scans)
-	}
-}
-
-func TestUnpinnedReaderBypassesCache(t *testing.T) {
-	// A reader that cannot name the commit LSN it reads at neither
-	// fills nor hits the cache.
-	e := New(func(string) uint64 { return 0 })
-	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
-	m := stockReader()
-	unpinned := struct{ query.Reader }{m}
-	e.Evaluate(unpinned, nil, true, []uint64{1})
-	e.Evaluate(unpinned, nil, true, []uint64{1})
-	if m.scans != 2 || e.Stats().CacheHits != 0 {
-		t.Fatalf("scans = %d, stats = %+v; unpinned reader must evaluate every time", m.scans, e.Stats())
-	}
-}
-
-func TestDirtyReaderBypassesCache(t *testing.T) {
-	seq := map[string]uint64{"Stock": 1}
-	e := New(func(class string) uint64 { return seq[class] })
-	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
-	m := stockReader()
-	m.lsn = 1
-	e.Evaluate(m, nil, true, []uint64{1})  // fills cache
-	e.Evaluate(m, nil, false, []uint64{1}) // dirty: must re-evaluate
-	if m.scans != 2 {
-		t.Fatalf("scans = %d; dirty reader must not use cache", m.scans)
-	}
-}
-
-func TestEventQueriesNeverCached(t *testing.T) {
-	seq := map[string]uint64{"Stock": 1}
-	e := New(func(class string) uint64 { return seq[class] })
-	e.AddRule(1, mustCond(t, "select s from Stock s where s.symbol = event.sym"))
-	m := stockReader()
-	m.lsn = 1
-	args := map[string]datum.Value{"sym": datum.Str("XRX")}
-	e.Evaluate(m, args, true, []uint64{1})
-	args2 := map[string]datum.Value{"sym": datum.Str("IBM")}
-	out, _ := e.Evaluate(m, args2, true, []uint64{1})
-	if m.scans != 2 {
-		t.Fatalf("scans = %d; event-dependent query must not be cached", m.scans)
-	}
-	if !out[1].Satisfied {
-		t.Fatal("second event should match IBM")
-	}
-}
-
 func TestQueryErrorSurfaces(t *testing.T) {
-	e := New(nil)
+	e := New()
 	e.AddRule(1, mustCond(t, "select s.price / 0 from Stock s"))
 	if _, err := e.Evaluate(stockReader(), nil, false, []uint64{1}); err == nil {
 		t.Fatal("runtime error must surface")
@@ -341,7 +247,7 @@ func TestQueryErrorSurfaces(t *testing.T) {
 }
 
 func TestMixedRulesOneEvaluatePass(t *testing.T) {
-	e := New(nil)
+	e := New()
 	shared := "select s from Stock s where s.price >= 100"
 	e.AddRule(1, mustCond(t, shared))
 	e.AddRule(2, mustCond(t, shared, "select s from Stock s where s.price >= 40"))
@@ -360,7 +266,7 @@ func TestMixedRulesOneEvaluatePass(t *testing.T) {
 }
 
 func TestNodesIntrospection(t *testing.T) {
-	e := New(nil)
+	e := New()
 	shared := "select s from Stock s where s.price >= 100"
 	e.AddRule(1, mustCond(t, shared))
 	e.AddRule(2, mustCond(t, shared, "select s from Stock s where s.symbol = event.sym"))
@@ -368,72 +274,12 @@ func TestNodesIntrospection(t *testing.T) {
 	if len(nodes) != 2 {
 		t.Fatalf("nodes = %+v", nodes)
 	}
-	if nodes[0].Refs != 2 || !nodes[0].EventFree {
+	if nodes[0].Refs != 2 {
 		t.Fatalf("most-shared node = %+v", nodes[0])
 	}
-	if nodes[1].Refs != 1 || nodes[1].EventFree {
+	if nodes[1].Refs != 1 {
 		t.Fatalf("event node = %+v", nodes[1])
-	}
-	if nodes[0].Cached {
-		t.Fatal("no evaluation yet: nothing should be cached")
 	}
 }
 
 var _ query.Reader = (*memReader)(nil)
-
-func TestCachePropertyUnderRandomInvalidation(t *testing.T) {
-	// Property: under a random interleaving of clean evaluations and
-	// class commits, a cached answer is served ONLY when no relevant
-	// class changed since it was computed — i.e. the evaluator's
-	// answer always matches a fresh evaluation.
-	seq := map[string]uint64{"Stock": 0, "Other": 0} // newest commit LSN per class
-	e := New(func(class string) uint64 { return seq[class] })
-	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
-
-	m := stockReader() // IBM at 120 satisfies the condition
-	satisfied := true  // ground truth for the current data
-	rng := newRandSource()
-	for step := 0; step < 2000; step++ {
-		switch rng.Intn(4) {
-		case 0: // mutate Stock: flip whether any row satisfies
-			satisfied = !satisfied
-			price := 50.0
-			if satisfied {
-				price = 150
-			}
-			m.classes["Stock"][1].attrs["price"] = datum.Float(price)
-			m.lsn++
-			seq["Stock"] = m.lsn
-		case 1: // mutate an unrelated class: must NOT invalidate
-			m.lsn++
-			seq["Other"] = m.lsn
-		default: // clean evaluation
-			out, err := e.Evaluate(m, nil, true, []uint64{1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out[1].Satisfied != satisfied {
-				t.Fatalf("step %d: evaluator says %v, truth %v", step, out[1].Satisfied, satisfied)
-			}
-		}
-	}
-	// The unrelated-class mutations must have produced cache reuse:
-	// strictly fewer evaluations than evaluate calls.
-	st := e.Stats()
-	if st.CacheHits == 0 {
-		t.Fatal("cache never hit despite unrelated-class-only periods")
-	}
-}
-
-func newRandSource() *randWrap { return &randWrap{state: 0x9E3779B97F4A7C15} }
-
-// randWrap is a tiny deterministic PRNG so the test needs no
-// math/rand import churn.
-type randWrap struct{ state uint64 }
-
-func (r *randWrap) Intn(n int) int {
-	r.state ^= r.state << 13
-	r.state ^= r.state >> 7
-	r.state ^= r.state << 17
-	return int(r.state % uint64(n))
-}

@@ -86,7 +86,7 @@ func TestRejectedConditionIsNeverSatisfied(t *testing.T) {
 		for n := 1 + rng.Intn(3); n > 0; n-- {
 			c.Queries = append(c.Queries, genQuery(t, rng))
 		}
-		e := New(nil) // exec nil: query.Eval, the oracle
+		e := New() // exec nil: query.Eval, the oracle
 		guards := e.AddRule(1, c)
 		for i := 0; i < 10; i++ {
 			args := genArgs(rng)
@@ -116,7 +116,7 @@ func TestRejectedConditionIsNeverSatisfied(t *testing.T) {
 }
 
 func TestGuardsLiveBesideNodes(t *testing.T) {
-	e := New(nil)
+	e := New()
 	shared := "select s from Stock s where s.symbol = 'XRX' and event.new_price >= 50"
 	g1 := e.AddRule(1, mustCond(t, shared))
 	g2 := e.AddRule(2, mustCond(t, shared, "select count(*) from Stock s where event.x = 1",

@@ -83,10 +83,10 @@ func TestPlannerExecPinnedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner := cond.New(e.Store.ClassCommitLSN)
+	planner := cond.New()
 	planner.SetExec(plan.Run)
 	planner.AddRule(1, c)
-	treewalk := cond.New(e.Store.ClassCommitLSN)
+	treewalk := cond.New()
 	treewalk.AddRule(1, c)
 
 	// Pin the snapshot, THEN commit two more matching holdings. The
@@ -168,10 +168,10 @@ func TestPlannerExecJoinConditionMatchesTreeWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner := cond.New(e.Store.ClassCommitLSN)
+	planner := cond.New()
 	planner.SetExec(plan.Run)
 	planner.AddRule(7, c)
-	treewalk := cond.New(e.Store.ClassCommitLSN)
+	treewalk := cond.New()
 	treewalk.AddRule(7, c)
 
 	for _, args := range []map[string]datum.Value{

@@ -133,7 +133,7 @@ func Open(opts Options) (*Engine, error) {
 	}
 	txns.Register(store)
 	objects := object.NewManager(store, nil)
-	conds := cond.New(store.ClassCommitLSN)
+	conds := cond.New()
 	conds.SetObserver(o.Metrics())
 	planOpts := plan.Options{Obs: o.Metrics()}
 	conds.SetExec(plan.Exec(planOpts))

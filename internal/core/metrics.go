@@ -35,7 +35,6 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 		{"hipac_event_emissions_total", s.Detectors.Emissions},
 		{"hipac_cond_evaluations_total", s.Conditions.Evaluations},
 		{"hipac_cond_shared_hits_total", s.Conditions.SharedHits},
-		{"hipac_cond_cache_hits_total", s.Conditions.CacheHits},
 		{"hipac_rule_signals_total", s.Rules.Signals},
 		{"hipac_rule_triggered_total", s.Rules.Triggered},
 		{"hipac_rule_filtered_total", s.Rules.Filtered},

@@ -2,10 +2,8 @@ package datum
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
-	"time"
 )
 
 // AppendBinary appends a compact binary encoding of the value to dst
@@ -95,106 +93,6 @@ func DecodeBinary(b []byte) (Value, int, error) {
 	default:
 		return Value{}, 0, fmt.Errorf("datum: unknown binary kind tag %d", b[0])
 	}
-}
-
-// jsonValue is the JSON form of a Value. The kind tag keeps ints and
-// floats distinct across the JSON boundary; JSON has no NaN or
-// infinities and no strings that are not UTF-8, so the ipc wire uses
-// the binary form instead.
-type jsonValue struct {
-	K string          `json:"k"`
-	V json.RawMessage `json:"v,omitempty"`
-}
-
-// MarshalJSON encodes the value as {"k": kind, "v": payload}.
-func (v Value) MarshalJSON() ([]byte, error) {
-	jv := jsonValue{K: v.kind.String()}
-	var payload any
-	switch v.kind {
-	case KindNull:
-		return json.Marshal(jv)
-	case KindBool:
-		payload = v.i != 0
-	case KindInt:
-		payload = v.i
-	case KindFloat:
-		payload = v.f
-	case KindString:
-		payload = v.s
-	case KindTime:
-		payload = v.i // UnixNano
-	case KindOID:
-		payload = uint64(v.i)
-	case KindList:
-		payload = v.l
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil, err
-	}
-	jv.V = raw
-	return json.Marshal(jv)
-}
-
-// UnmarshalJSON decodes a value written by MarshalJSON.
-func (v *Value) UnmarshalJSON(b []byte) error {
-	var jv jsonValue
-	if err := json.Unmarshal(b, &jv); err != nil {
-		return err
-	}
-	k, err := KindFromString(jv.K)
-	if err != nil {
-		return err
-	}
-	switch k {
-	case KindNull:
-		*v = Null()
-	case KindBool:
-		var b bool
-		if err := json.Unmarshal(jv.V, &b); err != nil {
-			return err
-		}
-		*v = Bool(b)
-	case KindInt:
-		var i int64
-		if err := json.Unmarshal(jv.V, &i); err != nil {
-			return err
-		}
-		*v = Int(i)
-	case KindFloat:
-		var f float64
-		if err := json.Unmarshal(jv.V, &f); err != nil {
-			return err
-		}
-		*v = Float(f)
-	case KindString:
-		var s string
-		if err := json.Unmarshal(jv.V, &s); err != nil {
-			return err
-		}
-		*v = Str(s)
-	case KindTime:
-		var i int64
-		if err := json.Unmarshal(jv.V, &i); err != nil {
-			return err
-		}
-		*v = Time(time.Unix(0, i))
-	case KindOID:
-		var o uint64
-		if err := json.Unmarshal(jv.V, &o); err != nil {
-			return err
-		}
-		*v = ID(OID(o))
-	case KindList:
-		var l []Value
-		if err := json.Unmarshal(jv.V, &l); err != nil {
-			return err
-		}
-		*v = Value{kind: KindList, l: l}
-	default:
-		return fmt.Errorf("datum: cannot unmarshal kind %s", k)
-	}
-	return nil
 }
 
 // EncodeMap appends a binary encoding of an attribute map (sorted by

@@ -1,7 +1,7 @@
 // Package datum defines the value model shared by every layer of the
 // database: typed attribute values, object identifiers, comparison,
-// and the binary and JSON codecs used by the write-ahead log and the
-// IPC protocol respectively.
+// and the binary codec the write-ahead log and the IPC protocol share.
+// A Value has no JSON form.
 //
 // Values are small immutable variants. The zero Value is the null
 // value. Values of different numeric kinds (int, float) compare with

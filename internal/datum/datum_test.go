@@ -300,52 +300,6 @@ func TestBinaryGarbage(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 2000; trial++ {
-		v := randValue(rng, 2)
-		if hasNaN(v) {
-			continue // JSON cannot carry NaN
-		}
-		b, err := v.MarshalJSON()
-		if err != nil {
-			t.Fatalf("marshal %v: %v", v, err)
-		}
-		var got Value
-		if err := got.UnmarshalJSON(b); err != nil {
-			t.Fatalf("unmarshal %s: %v", b, err)
-		}
-		if !reflect.DeepEqual(normalize(v), normalize(got)) {
-			t.Fatalf("json round trip: %v -> %v (wire %s)", v, got, b)
-		}
-	}
-}
-
-func hasNaN(v Value) bool {
-	if v.Kind() == KindFloat && math.IsNaN(v.AsFloat()) {
-		return true
-	}
-	for _, e := range v.AsList() {
-		if hasNaN(e) {
-			return true
-		}
-	}
-	return false
-}
-
-func TestJSONErrors(t *testing.T) {
-	var v Value
-	if err := v.UnmarshalJSON([]byte(`{"k":"bogus"}`)); err == nil {
-		t.Error("unknown kind should fail")
-	}
-	if err := v.UnmarshalJSON([]byte(`{"k":"int","v":"notanint"}`)); err == nil {
-		t.Error("mistyped payload should fail")
-	}
-	if err := v.UnmarshalJSON([]byte(`not json`)); err == nil {
-		t.Error("garbage should fail")
-	}
-}
-
 func TestMapRoundTrip(t *testing.T) {
 	m := map[string]Value{
 		"price":  Float(50.25),

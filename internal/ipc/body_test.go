@@ -3,14 +3,22 @@ package ipc
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datum"
+	"repro/internal/object"
+	"repro/internal/obs"
+	"repro/internal/rule"
 )
 
 // binaryBodies lists a zero value of every body type with a binary
@@ -18,6 +26,18 @@ import (
 var binaryBodies = []any{
 	TxnRef{}, CreateRep{}, GetReq{}, ModifyReq{}, CreateReq{}, GetRep{},
 	QueryReq{}, QueryRep{}, SignalEventReq{}, AppCallBody{}, AppReplyBody{},
+}
+
+// jsonBodies lists a zero value of every body type EncodeBody sends as
+// JSON, then the engine types that travel as JSON inside them (core.Stats
+// in StatsRep.Engine) or are stored as JSON (rule.Def, object.Class).
+var jsonBodies = []any{
+	DefineClassReq{}, DropClassReq{}, ClassesRep{}, ExplainRep{},
+	DefineEventReq{}, CreateRuleReq{}, RuleNameReq{}, RuleInfo{},
+	ListRulesRep{}, ServeReq{}, StatsRep{}, CheckpointRep{},
+	ReplStatusRep{}, PromoteRep{}, TraceReq{}, TraceRep{},
+	GraphNode{}, GraphRep{},
+	rule.Def{}, object.Class{}, core.Stats{}, obs.SpanSnapshot{},
 }
 
 // randValue draws a value of any kind, the floats and strings JSON
@@ -165,6 +185,82 @@ func TestBinaryBodyRoundTrip(t *testing.T) {
 			}
 			if !sameBody(in, out.Elem()) {
 				t.Fatalf("%s: %+v came back as %+v", typ, in, out.Elem())
+			}
+		}
+	}
+}
+
+// TestNoValueInJSONBodies: datum.Value has no JSON codec, so a Value
+// in a JSON body would encode as {} without an error. Values cross the
+// wire only in binary bodies.
+func TestNoValueInJSONBodies(t *testing.T) {
+	for _, zero := range jsonBodies {
+		typ := reflect.TypeOf(zero)
+		if _, ok := appendBody(nil, zero); ok {
+			t.Errorf("%s has a binary encoding; move it to binaryBodies", typ)
+		}
+		if path := valuePath(typ, typ.Name(), map[reflect.Type]bool{}); path != "" {
+			t.Errorf("%s holds a datum.Value at %s", typ, path)
+		}
+	}
+	if valuePath(reflect.TypeOf(QueryRep{}), "QueryRep", map[reflect.Type]bool{}) == "" {
+		t.Fatal("the walk missed the Values of QueryRep.Rows")
+	}
+}
+
+// valuePath returns the path to a datum.Value, or to an interface that
+// could hold one, inside typ; "" when there is none.
+func valuePath(typ reflect.Type, path string, seen map[reflect.Type]bool) string {
+	if typ == reflect.TypeOf(datum.Value{}) || typ.Kind() == reflect.Interface {
+		return path
+	}
+	if seen[typ] {
+		return ""
+	}
+	seen[typ] = true
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				if p := valuePath(f.Type, path+"."+f.Name, seen); p != "" {
+					return p
+				}
+			}
+		}
+	case reflect.Map:
+		if p := valuePath(typ.Key(), path+"[key]", seen); p != "" {
+			return p
+		}
+		return valuePath(typ.Elem(), path+"[]", seen)
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		return valuePath(typ.Elem(), path+"[]", seen)
+	}
+	return ""
+}
+
+// TestEveryBodyIsListed: every exported struct in ipc.go is a binary
+// body or a JSON body the walk above checks, so a new body type cannot
+// slip a datum.Value into JSON unseen.
+func TestEveryBodyIsListed(t *testing.T) {
+	listed := map[string]bool{"Message": true} // the envelope, not a body
+	for _, zero := range slices.Concat(binaryBodies, jsonBodies) {
+		if typ := reflect.TypeOf(zero); typ.PkgPath() == reflect.TypeOf(Message{}).PkgPath() {
+			listed[typ.Name()] = true
+		}
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "ipc.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts := spec.(*ast.TypeSpec)
+			if _, isStruct := ts.Type.(*ast.StructType); isStruct && ts.Assign == 0 && ts.Name.IsExported() && !listed[ts.Name.Name] {
+				t.Errorf("%s is in neither binaryBodies nor jsonBodies", ts.Name.Name)
 			}
 		}
 	}

@@ -30,7 +30,8 @@
 // the engine stores (NaN, infinities, negative zero, strings that are
 // not UTF-8), which JSON cannot, and costs a fraction of it on the
 // per-operation path. Bodies that carry definitions and diagnostics
-// (classes, rules, stats, trace, graph, replication status) stay JSON.
+// (classes, rules, stats, trace, graph, replication status) stay JSON;
+// none of them may hold a datum value, which has no JSON form.
 //
 // The same application connection carries calls in both directions —
 // applications invoke DBMS operations, and the DBMS sends application
@@ -540,10 +541,8 @@ type TraceRep struct {
 
 // GraphNode describes one condition-graph node (rule-base tooling).
 type GraphNode struct {
-	Query     string `json:"query"`
-	Refs      int    `json:"refs"`
-	EventFree bool   `json:"eventFree"`
-	Cached    bool   `json:"cached"`
+	Query string `json:"query"`
+	Refs  int    `json:"refs"`
 	// Guards are the query's event-only conjuncts, tested at signal
 	// time before a firing is scheduled.
 	Guards []string `json:"guards,omitempty"`

@@ -56,12 +56,3 @@ func (t Timer) Done() {
 		t.m.hist[t.id].Observe(time.Since(t.start))
 	}
 }
-
-// HistSnapshot returns a snapshot of one histogram (empty when m is
-// nil).
-func (m *Metrics) HistSnapshot(id HistID) HistogramSnapshot {
-	if m == nil {
-		return HistogramSnapshot{}
-	}
-	return m.hist[id].Snapshot()
-}

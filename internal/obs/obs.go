@@ -118,10 +118,6 @@ var histIsCount = [numHists]bool{HWALGroup: true, HWALReclaimed: true, HDeltaRec
 	HCommitShards: true, HCEPPartials: true, HCEPInstances: true, HVersionChain: true,
 	HReplBatch: true, HPlanFanout: true, HIPCMessage: true}
 
-// HistNames returns the canonical histogram names in display order;
-// snapshot maps are keyed by these.
-func HistNames() []string { return append([]string(nil), histNames[:]...) }
-
 // HistIsCount reports whether the named histogram holds counts
 // (ObserveN units) rather than latencies; renderers should print its
 // mean and quantiles as plain numbers.

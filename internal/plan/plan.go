@@ -188,9 +188,6 @@ type Plan struct {
 	obs *obs.Metrics // fan-out/gather-skew observer; nil-safe
 }
 
-// Cost returns the planner's total cost estimate (arbitrary units).
-func (p *Plan) Cost() float64 { return p.cost }
-
 const (
 	fetchCost     = 2.0  // charge per candidate fetched via OID
 	defaultExtent = 1000 // assumed extent size without a catalog

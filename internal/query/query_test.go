@@ -722,48 +722,3 @@ func TestAggregateOverExpression(t *testing.T) {
 		t.Fatalf("avg(empty) = %v (%v)", res.Rows[0][0], err)
 	}
 }
-
-func TestIdentityPinAvoidsScan(t *testing.T) {
-	// `s = <oid>` conditions fetch exactly one object instead of
-	// scanning the extent — the shape of every "the modified object"
-	// rule condition (e.g. the SAA display rule).
-	m := stockReader()
-	args := map[string]datum.Value{"oid": datum.ID(2)}
-	res, err := Eval(MustParse("select s.symbol from Stock s where s = event.oid"), m, args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].AsString() != "IBM" {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	if m.scans != 0 {
-		t.Fatalf("scans = %d; identity pin must not scan", m.scans)
-	}
-	// Flipped form and extra residual conjuncts work too.
-	res, err = Eval(MustParse("select s from Stock s where event.oid = s and s.price > 1000"), m, args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Empty() || m.scans != 0 {
-		t.Fatalf("residual over pin: rows=%d scans=%d", len(res.Rows), m.scans)
-	}
-	// A missing object yields no rows, no error.
-	res, err = Eval(MustParse("select s from Stock s where s = event.oid"), m,
-		map[string]datum.Value{"oid": datum.ID(999)})
-	if err != nil || !res.Empty() {
-		t.Fatalf("missing object: rows=%d err=%v", len(res.Rows), err)
-	}
-	// Pinning in a join still scans the other class only.
-	m.add("Holding", 10, map[string]datum.Value{"symbol": datum.Str("IBM"), "qty": datum.Int(5)})
-	res, err = Eval(MustParse(
-		"select h.qty from Stock s, Holding h where s = event.oid and h.symbol = s.symbol"), m, args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 5 {
-		t.Fatalf("join rows = %v", res.Rows)
-	}
-	if m.scans != 1 { // only the Holding scan
-		t.Fatalf("scans = %d, want 1", m.scans)
-	}
-}

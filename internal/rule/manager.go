@@ -3,6 +3,7 @@ package rule
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -169,18 +170,6 @@ func (m *Manager) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// traceAnchor finds the span a signal raised inside t should hang
-// from: the innermost open firing span bound to t or one of its
-// ancestors (a cascade), or nil for a fresh firing tree.
-func (m *Manager) traceAnchor(t *txn.Txn) *obs.Span {
-	for ; t != nil; t = t.Parent() {
-		if sp := m.tr.Bound(uint64(t.ID())); sp != nil {
-			return sp
-		}
-	}
-	return nil
 }
 
 func (m *Manager) reportAsync(rule string, err error) {
@@ -575,77 +564,73 @@ func (m *Manager) HandleEmit(sub event.SubID, sig event.Signal) error {
 	}
 	m.n.triggered.Add(uint64(triggered))
 
-	trigger, haveTxn := m.txns.Find(sig.Txn)
-	if haveTxn {
-		// The signal may arrive while the transaction is already
-		// committing (commit events); children are still allowed
-		// then, but not after termination.
-		if trigger.State() == txn.Committed || trigger.State() == txn.Aborted {
-			haveTxn = false
-		}
+	trigger, _ := m.txns.Find(sig.Txn)
+	// The signal may arrive while the transaction is already committing
+	// (commit events); children are still allowed then, but not after
+	// termination.
+	if trigger != nil && (trigger.State() == txn.Committed || trigger.State() == txn.Aborted) {
+		trigger = nil
 	}
 
-	// The signal span: the root of a fresh firing tree, or — when the
-	// signal was raised inside an open firing span's transaction tree
-	// (a cascade) — a child attached under that span.
 	var sp *obs.Span
-	if m.tr.On() {
-		name := sig.Spec.String()
-		if anchor := m.traceAnchor(trigger); haveTxn && anchor != nil {
-			sp = anchor.StartChild("signal", name, "", uint64(sig.Txn), 0)
-		} else {
-			sp = m.tr.StartRoot("signal", name, "", uint64(sig.Txn), 0)
-		}
+	if m.tr.On() { // spares building the span name when tracing is off
+		sp = m.openSpan(trigger, "signal", sig.Spec.String(), "", uint64(sig.Txn))
 	}
 
 	// Separate firings never wait (§6.2 "Meanwhile, the Rule Manager
-	// continues").
-	for _, r := range separate {
+	// continues"). Without a triggering transaction, deferred and
+	// immediate firings degrade to separate ones.
+	spawn := separate
+	if trigger == nil && len(deferred)+len(immediate) > 0 {
+		spawn = slices.Concat(separate, deferred, immediate)
+		deferred, immediate = nil, nil
+	}
+	for _, r := range spawn {
 		sp.Mark("separate-spawn", r.Name, "separate", "", 0, 0)
 		m.spawnSeparate(r, sig)
 	}
 
-	// Deferred firings join the triggering transaction's set; without
-	// a triggering transaction they degrade to separate firings.
+	// Deferred firings join the triggering transaction's set.
 	if len(deferred) > 0 {
-		if haveTxn {
-			set, _ := trigger.DeferredData.(*deferredSet)
-			if set == nil {
-				set = &deferredSet{}
-				trigger.DeferredData = set
-			}
-			set.add(deferredEntry{sig: sig, rules: deferred})
-			m.n.deferred.Add(uint64(len(deferred)))
-			for _, r := range deferred {
-				sp.Mark("deferred-queue", r.Name, "deferred", "", 0, 0)
-			}
-		} else {
-			for _, r := range deferred {
-				sp.Mark("separate-spawn", r.Name, "separate", "", 0, 0)
-				m.spawnSeparate(r, sig)
-			}
+		set, _ := trigger.DeferredData.(*deferredSet)
+		if set == nil {
+			set = &deferredSet{}
+			trigger.DeferredData = set
+		}
+		set.add(deferredEntry{sig: sig, rules: deferred})
+		m.n.deferred.Add(uint64(len(deferred)))
+		for _, r := range deferred {
+			sp.Mark("deferred-queue", r.Name, "deferred", "", 0, 0)
 		}
 	}
 
 	// Immediate firings run now, in subtransactions of the trigger,
 	// which is suspended until they all terminate.
 	if len(immediate) > 0 {
-		if haveTxn {
-			m.n.immediate.Add(uint64(len(immediate)))
-			if err := m.fireGroup(trigger, immediate, sig, sp, "immediate"); err != nil {
-				sp.End("aborted")
-				return err
-			}
-			sp.End("ok")
-			return nil
-		}
-		for _, r := range immediate {
-			sp.Mark("separate-spawn", r.Name, "separate", "", 0, 0)
-			m.spawnSeparate(r, sig)
+		m.n.immediate.Add(uint64(len(immediate)))
+		if err := m.fireGroup(trigger, immediate, sig, sp, "immediate"); err != nil {
+			sp.End("aborted")
+			return err
 		}
 	}
 	sp.End("ok")
 	return nil
+}
+
+// openSpan starts a firing span: a child of the innermost open firing
+// span bound to t or one of its ancestors (a cascade), or the root of a
+// fresh firing tree when there is none. It returns nil when tracing is
+// off.
+func (m *Manager) openSpan(t *txn.Txn, kind, name, mode string, txnID uint64) *obs.Span {
+	if !m.tr.On() {
+		return nil
+	}
+	for ; t != nil; t = t.Parent() {
+		if anchor := m.tr.Bound(uint64(t.ID())); anchor != nil {
+			return anchor.StartChild(kind, name, mode, txnID, 0)
+		}
+	}
+	return m.tr.StartRoot(kind, name, mode, txnID, 0)
 }
 
 // fireGroup processes a group of rule firings anchored at parent:
@@ -736,19 +721,7 @@ func (m *Manager) runWave(parent *txn.Txn, wave []firing, outcomes map[uint64]*c
 		wg.Add(1)
 		go func(i int, f firing, ac *txn.Txn, asp *obs.Span) {
 			defer wg.Done()
-			oc := outcomes[uint64(f.rule.OID)]
-			if err := m.execAction(ac, f.rule, f.sig, oc.Primary); err != nil {
-				ac.Abort()
-				asp.End("aborted")
-				errs[i] = fmt.Errorf("rule %q action: %w", f.rule.Name, err)
-				return
-			}
-			if err := ac.Commit(); err != nil {
-				asp.End("aborted")
-				errs[i] = fmt.Errorf("rule %q action commit: %w", f.rule.Name, err)
-				return
-			}
-			asp.End("fired")
+			errs[i] = m.act(ac, f.rule, f.sig, outcomes[uint64(f.rule.OID)].Primary, asp)
 		}(i, f, ac, asp)
 	}
 	wg.Wait()
@@ -798,18 +771,9 @@ func (m *Manager) spawnSeparate(r *Rule, sig event.Signal) {
 		case Immediate, Deferred:
 			// Condition and action together in the separate
 			// transaction (the paper's SAA rules use exactly this).
-			if err := m.execAction(t, r, sig, oc.Primary); err != nil {
-				t.Abort()
-				sp.End("aborted")
+			if err := m.act(t, r, sig, oc.Primary, sp); err != nil {
 				m.reportAsync(r.Name, err)
-				return
 			}
-			if err := t.Commit(); err != nil {
-				sp.End("aborted")
-				m.reportAsync(r.Name, err)
-				return
-			}
-			sp.End("fired")
 		case Separate:
 			if err := t.Commit(); err != nil {
 				sp.End("aborted")
@@ -832,19 +796,27 @@ func (m *Manager) spawnAction(r *Rule, sig event.Signal, oc *cond.Outcome) {
 		t := m.txns.Begin()
 		t.Internal = true
 		sp := m.tr.StartRoot("action", r.Name, "separate", uint64(t.ID()), 0)
-		if err := m.execAction(t, r, sig, oc.Primary); err != nil {
-			t.Abort()
-			sp.End("aborted")
+		if err := m.act(t, r, sig, oc.Primary, sp); err != nil {
 			m.reportAsync(r.Name, err)
-			return
 		}
-		if err := t.Commit(); err != nil {
-			sp.End("aborted")
-			m.reportAsync(r.Name, err)
-			return
-		}
-		sp.End("fired")
 	}()
+}
+
+// act runs a satisfied rule's action in t, then commits t, or aborts
+// it when the action fails. sp, the firing's span, ends with the
+// outcome.
+func (m *Manager) act(t *txn.Txn, r *Rule, sig event.Signal, primary *query.Result, sp *obs.Span) error {
+	if err := m.execAction(t, r, sig, primary); err != nil {
+		t.Abort()
+		sp.End("aborted")
+		return fmt.Errorf("rule %q action: %w", r.Name, err)
+	}
+	if err := t.Commit(); err != nil {
+		sp.End("aborted")
+		return fmt.Errorf("rule %q action commit: %w", r.Name, err)
+	}
+	sp.End("fired")
+	return nil
 }
 
 // --- commit processing (§6.3) ---
@@ -874,25 +846,13 @@ func (m *Manager) ProcessCommit(t *txn.Txn) error {
 	if set == nil {
 		return nil
 	}
-	// dsp groups the whole drain. Started lazily on the first
-	// non-empty batch: child of an enclosing firing span when the
-	// committing transaction sits inside one, a fresh root otherwise.
-	var dsp *obs.Span
-	var dspStarted bool
-	for {
-		entries := set.drain()
-		if len(entries) == 0 {
-			dsp.End("ok")
-			return nil
-		}
-		if !dspStarted && m.tr.On() {
-			dspStarted = true
-			if anchor := m.traceAnchor(t); anchor != nil {
-				dsp = anchor.StartChild("commit", "deferred", "deferred", uint64(t.ID()), 0)
-			} else {
-				dsp = m.tr.StartRoot("commit", "deferred", "deferred", uint64(t.ID()), 0)
-			}
-		}
+	entries := set.drain()
+	if len(entries) == 0 {
+		return nil
+	}
+	// dsp groups the whole drain.
+	dsp := m.openSpan(t, "commit", "deferred", "deferred", uint64(t.ID()))
+	for ; len(entries) > 0; entries = set.drain() {
 		for _, e := range entries {
 			for _, r := range e.rules {
 				dsp.Mark("deferred-drain", r.Name, "deferred", "", 0, 0)
@@ -903,6 +863,8 @@ func (m *Manager) ProcessCommit(t *txn.Txn) error {
 			}
 		}
 	}
+	dsp.End("ok")
+	return nil
 }
 
 // ProcessAbort is registered as a transaction listener: aborts are
@@ -943,14 +905,7 @@ func (m *Manager) Fire(tx *txn.Txn, name string, args map[string]datum.Value) er
 	}
 	if tx != nil {
 		sig.Txn = tx.ID()
-		var sp *obs.Span
-		if m.tr.On() {
-			if anchor := m.traceAnchor(tx); anchor != nil {
-				sp = anchor.StartChild("fire", r.Name, "", uint64(tx.ID()), 0)
-			} else {
-				sp = m.tr.StartRoot("fire", r.Name, "", uint64(tx.ID()), 0)
-			}
-		}
+		sp := m.openSpan(tx, "fire", r.Name, "", uint64(tx.ID()))
 		if err := m.fireGroup(tx, []*Rule{r}, sig, sp, "fire"); err != nil {
 			sp.End("aborted")
 			return err

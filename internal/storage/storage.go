@@ -162,7 +162,6 @@ type Store struct {
 	shardMask uint64
 	dirty     sync.Map // lock.TxnID -> *txnDirty
 	modSeq    sync.Map // class string -> *atomic.Uint64
-	classLSN  sync.Map // class string -> *atomic.Uint64 (newest commit LSN installed)
 	extentN   sync.Map // class string -> *atomic.Int64 (extent cardinality)
 	// statsSeed holds the per-class extent cardinalities carried by the
 	// newest snapshot-chain element loaded at Open: checkpoint-time
@@ -460,13 +459,6 @@ func (s *Store) bumpSeq(class string) {
 	loadOrNew[atomic.Uint64](&s.modSeq, class).Add(1)
 }
 
-// raiseClassLSN records that commit clsn wrote the class.
-func (s *Store) raiseClassLSN(class string, clsn uint64) {
-	a := loadOrNew[atomic.Uint64](&s.classLSN, class)
-	for cur := a.Load(); cur < clsn && !a.CompareAndSwap(cur, clsn); cur = a.Load() {
-	}
-}
-
 // Put installs rec as tx's uncommitted version of the object,
 // replacing any prior version tx wrote. The caller must already hold
 // the appropriate exclusive lock. The store takes ownership of
@@ -704,24 +696,9 @@ func (s *Store) IndexCandidates(tx lock.TxnID, class, attr string, lo, hi btree.
 
 // ModSeq returns a counter that increases whenever the class is
 // written (by any transaction, committed or not). A replica watches
-// the catalog class with it. It cannot validate a cached read: see
-// ClassCommitLSN.
+// the catalog class with it.
 func (s *Store) ModSeq(class string) uint64 {
 	if v, ok := s.modSeq.Load(class); ok {
-		return v.(*atomic.Uint64).Load()
-	}
-	return 0
-}
-
-// ClassCommitLSN returns the newest commit LSN that wrote the class (0
-// when none has since Open). It is raised when the commit installs —
-// before its LSN publishes — so once a snapshot can see a commit, the
-// class already reports an LSN at or above it: a result computed at
-// snapshot LSN a equals the one at snapshot LSN b for every class
-// whose ClassCommitLSN is at most min(a, b). Unlike ModSeq it ignores
-// uncommitted writes, which no other transaction's snapshot can see.
-func (s *Store) ClassCommitLSN(class string) uint64 {
-	if v, ok := s.classLSN.Load(class); ok {
 		return v.(*atomic.Uint64).Load()
 	}
 	return 0
@@ -983,7 +960,6 @@ func (s *Store) maybeKickCheckpoint() {
 // modification counter is bumped by the caller (after its shard
 // section) — see Put for the ordering argument.
 func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Record, clsn uint64) {
-	s.raiseClassLSN(rec.Class, clsn)
 	if s.loading {
 		if rec.Deleted {
 			sh.objects.Delete(rec.OID)

@@ -134,9 +134,6 @@ func NewSystem() (*Manager, *lock.Manager) {
 	return m, lm
 }
 
-// Wire connects an externally created lock manager.
-func (m *Manager) Wire(lm *lock.Manager) { m.locks = lm }
-
 // Register adds a participant (resource manager). Not safe to call
 // concurrently with transaction processing.
 func (m *Manager) Register(p Participant) { m.parts = append(m.parts, p) }
