@@ -17,14 +17,17 @@ test:
 # deferred index cleanup), and internal/plan, whose differential suite
 # runs with committers racing the pinned snapshot readers. internal/ipc
 # holds the call/reply connection's read loop and pending-call table,
-# which both internal/client and internal/server run on.
+# which both internal/client and internal/server run on. internal/datum
+# is here for checkptr, which -race turns on: a Value's pointer word and
+# a row's cells are unsafe.Pointer arithmetic.
 race:
 	$(GO) test -race ./internal/rule/ ./internal/txn/ ./internal/lock/ \
 		./internal/storage/ ./internal/wal/ ./internal/event/ \
 		./internal/cep/ ./internal/object/ ./internal/core/ \
 		./internal/server/ ./internal/failpoint/ ./internal/cond/ \
 		./internal/btree/ ./internal/query/ ./internal/repl/ \
-		./internal/plan/ ./internal/ipc/ ./internal/client/
+		./internal/plan/ ./internal/ipc/ ./internal/client/ \
+		./internal/datum/
 
 # bench runs every per-claim microbenchmark once, briefly; to measure
 # one, run it by name with -count and -cpu and compare commits with

@@ -617,7 +617,7 @@ func BenchmarkScanClass(b *testing.B) {
 	r := e.Objects.SnapshotReader(tx)
 	defer r.Close()
 	n := 0
-	visit := func(datum.OID, map[string]datum.Value) bool { n++; return true }
+	visit := func(datum.OID, datum.Row) bool { n++; return true }
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -16,17 +16,17 @@ type memReader struct {
 
 type row struct {
 	oid   datum.OID
-	attrs map[string]datum.Value
+	attrs datum.Row
 }
 
 func newReader() *memReader { return &memReader{classes: map[string][]row{}} }
 
 func (m *memReader) add(class string, oid datum.OID, attrs map[string]datum.Value) {
-	m.classes[class] = append(m.classes[class], row{oid, attrs})
+	m.classes[class] = append(m.classes[class], row{oid, datum.RowOf(attrs)})
 	sort.Slice(m.classes[class], func(i, j int) bool { return m.classes[class][i].oid < m.classes[class][j].oid })
 }
 
-func (m *memReader) ScanClass(class string, fn func(datum.OID, map[string]datum.Value) bool) error {
+func (m *memReader) ScanClass(class string, fn func(datum.OID, datum.Row) bool) error {
 	m.scans++
 	for _, r := range m.classes[class] {
 		if !fn(r.oid, r.attrs) {
@@ -40,7 +40,7 @@ func (m *memReader) LookupRange(string, string, *datum.Value, *datum.Value, bool
 	return nil, false
 }
 
-func (m *memReader) Fetch(oid datum.OID) (string, map[string]datum.Value, bool) {
+func (m *memReader) Fetch(oid datum.OID) (string, datum.Row, bool) {
 	for class, rows := range m.classes {
 		for _, r := range rows {
 			if r.oid == oid {
@@ -48,7 +48,7 @@ func (m *memReader) Fetch(oid datum.OID) (string, map[string]datum.Value, bool) 
 			}
 		}
 	}
-	return "", nil, false
+	return "", datum.Row{}, false
 }
 
 func stockReader() *memReader {

@@ -359,12 +359,14 @@ func (e *Engine) restoreEvents() error {
 	t := e.Txns.Begin()
 	t.Internal = true
 	defer t.Commit()
-	return e.Objects.Reader(t).ScanClass(EventClass, func(_ datum.OID, attrs map[string]datum.Value) bool {
+	return e.Objects.Reader(t).ScanClass(EventClass, func(_ datum.OID, row datum.Row) bool {
 		var params []string
-		for _, p := range attrs["params"].AsList() {
+		list, _ := row.Get("params")
+		for _, p := range list.AsList() {
 			params = append(params, p.AsString())
 		}
-		e.extEvents[attrs["name"].AsString()] = params
+		name, _ := row.Get("name")
+		e.extEvents[name.AsString()] = params
 		return true
 	})
 }

@@ -101,7 +101,7 @@ func auditVisibleTo(e *Engine, tx *txn.Txn) int {
 	if tx != nil {
 		id = tx.ID()
 	}
-	e.Store.ScanClass(id, "Audit", func(storage.Record) bool { n++; return true })
+	e.Store.ScanClass(id, "Audit", func(storage.Object) bool { n++; return true })
 	return n
 }
 

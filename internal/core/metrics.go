@@ -60,6 +60,11 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# TYPE hipac_store_shards gauge\nhipac_store_shards %d\n", s.Store.Shards); err != nil {
 		return err
 	}
+	// Interned row shapes: a few per class; growth with the write count
+	// means rows stopped sharing them.
+	if _, err := fmt.Fprintf(w, "# TYPE hipac_store_shapes gauge\nhipac_store_shapes %d\n", s.Store.Shapes); err != nil {
+		return err
+	}
 	// MVCC read-path gauges: the published commit frontier, the
 	// version-GC watermark (their gap = snapshot lag), and the pinned
 	// snapshot population holding that watermark back.

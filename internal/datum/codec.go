@@ -3,7 +3,6 @@ package datum
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // AppendBinary appends a compact binary encoding of the value to dst
@@ -16,19 +15,17 @@ func (v Value) AppendBinary(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
 	case KindBool:
-		dst = append(dst, byte(v.i))
+		dst = append(dst, byte(v.num))
 	case KindInt, KindTime, KindOID:
-		dst = binary.AppendVarint(dst, v.i)
+		dst = binary.AppendVarint(dst, int64(v.num))
 	case KindFloat:
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.f))
-		dst = append(dst, buf[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, v.num)
 	case KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		dst = append(dst, v.s...)
+		dst = binary.AppendUvarint(dst, v.num)
+		dst = append(dst, v.AsString()...)
 	case KindList:
-		dst = binary.AppendUvarint(dst, uint64(len(v.l)))
-		for _, e := range v.l {
+		dst = binary.AppendUvarint(dst, v.num)
+		for _, e := range v.AsList() {
 			dst = e.AppendBinary(dst)
 		}
 	}
@@ -56,13 +53,12 @@ func DecodeBinary(b []byte) (Value, int, error) {
 		if m <= 0 {
 			return Value{}, 0, fmt.Errorf("datum: truncated varint for kind %s", k)
 		}
-		return Value{kind: k, i: i}, n + m, nil
+		return Value{kind: k, num: uint64(i)}, n + m, nil
 	case KindFloat:
 		if len(b) < n+8 {
 			return Value{}, 0, fmt.Errorf("datum: truncated float")
 		}
-		f := math.Float64frombits(binary.BigEndian.Uint64(b[n : n+8]))
-		return Float(f), n + 8, nil
+		return Value{kind: KindFloat, num: binary.BigEndian.Uint64(b[n : n+8])}, n + 8, nil
 	case KindString:
 		l, m := binary.Uvarint(b[n:])
 		// Compare in uint64 so a huge length cannot wrap int and slip
@@ -89,7 +85,7 @@ func DecodeBinary(b []byte) (Value, int, error) {
 			elems = append(elems, e)
 			n += m
 		}
-		return Value{kind: KindList, l: elems}, n, nil
+		return listOf(elems), n, nil
 	default:
 		return Value{}, 0, fmt.Errorf("datum: unknown binary kind tag %d", b[0])
 	}

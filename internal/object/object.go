@@ -115,9 +115,8 @@ func NewManager(store *storage.Store, sink EventSink) *Manager {
 	// Index registration happens after the scan: it takes the store's
 	// write lock, which must not nest inside the scan's read lock.
 	var classes []Class
-	store.ScanClass(0, MetaClass, func(rec storage.Record) bool {
-		name := rec.Attrs["name"].AsString()
-		m.byName[name] = rec.OID
+	store.ScanClass(0, MetaClass, func(rec storage.Object) bool {
+		m.byName[strAttr(rec, "name")] = rec.OID
 		if cls, err := decodeClass(rec); err == nil {
 			classes = append(classes, cls)
 		}
@@ -159,9 +158,15 @@ func encodeClass(c Class) (map[string]datum.Value, error) {
 	}, nil
 }
 
-func decodeClass(rec storage.Record) (Class, error) {
+// strAttr returns the named string attribute of rec ("" if absent).
+func strAttr(rec storage.Object, name string) string {
+	v, _ := rec.Row.Get(name)
+	return v.AsString()
+}
+
+func decodeClass(rec storage.Object) (Class, error) {
 	var c Class
-	if err := json.Unmarshal([]byte(rec.Attrs["def"].AsString()), &c); err != nil {
+	if err := json.Unmarshal([]byte(strAttr(rec, "def")), &c); err != nil {
 		return Class{}, fmt.Errorf("object: decode class: %w", err)
 	}
 	return c, nil
@@ -219,7 +224,7 @@ func (m *Manager) DropClass(tx *txn.Txn, name string) error {
 		return err
 	}
 	inUse := false
-	m.store.ScanClass(tx.ID(), name, func(storage.Record) bool {
+	m.store.ScanClass(tx.ID(), name, func(storage.Object) bool {
 		inUse = true
 		return false
 	})
@@ -237,27 +242,27 @@ func (m *Manager) DropClass(tx *txn.Txn, name string) error {
 }
 
 // classRecord returns the schema record for name as visible to tx.
-func (m *Manager) classRecord(tx *txn.Txn, name string) (storage.Record, error) {
+func (m *Manager) classRecord(tx *txn.Txn, name string) (storage.Object, error) {
 	m.mu.RLock()
 	oid, ok := m.byName[name]
 	m.mu.RUnlock()
 	if ok {
-		if rec, live := m.store.Get(tx.ID(), oid); live && rec.Attrs["name"].AsString() == name {
+		if rec, live := m.store.Get(tx.ID(), oid); live && strAttr(rec, "name") == name {
 			return rec, nil
 		}
 	}
 	// Slow path: the cached OID may be stale (aborted redefinition).
-	var found storage.Record
+	var found storage.Object
 	var hit bool
-	m.store.ScanClass(tx.ID(), MetaClass, func(rec storage.Record) bool {
-		if rec.Attrs["name"].AsString() == name {
+	m.store.ScanClass(tx.ID(), MetaClass, func(rec storage.Object) bool {
+		if strAttr(rec, "name") == name {
 			found, hit = rec, true
 			return false
 		}
 		return true
 	})
 	if !hit {
-		return storage.Record{}, fmt.Errorf("%w: %q", ErrNoSuchClass, name)
+		return storage.Object{}, fmt.Errorf("%w: %q", ErrNoSuchClass, name)
 	}
 	m.mu.Lock()
 	m.byName[name] = found.OID
@@ -272,7 +277,7 @@ func (m *Manager) lookupClass(tx *txn.Txn, name string) (Class, error) {
 	if err != nil {
 		return Class{}, err
 	}
-	def := rec.Attrs["def"].AsString()
+	def := strAttr(rec, "def")
 	if c, ok := m.decoded.Load(def); ok {
 		return c.(Class), nil
 	}
@@ -306,7 +311,7 @@ func (m *Manager) Classes(tx *txn.Txn) ([]Class, error) {
 	}
 	var out []Class
 	var decodeErr error
-	m.store.ScanClass(tx.ID(), MetaClass, func(rec storage.Record) bool {
+	m.store.ScanClass(tx.ID(), MetaClass, func(rec storage.Object) bool {
 		c, err := decodeClass(rec)
 		if err != nil {
 			decodeErr = err
@@ -441,22 +446,14 @@ func (m *Manager) Modify(tx *txn.Txn, oid datum.OID, updates map[string]datum.Va
 		"class": datum.Str(rec.Class),
 		"oid":   datum.ID(oid),
 	}
-	// rec.Attrs is the stored version (shared, read-only); this copy is
-	// the next version's map, and Put takes it over.
-	newAttrs := datum.CloneMap(rec.Attrs)
-	if newAttrs == nil {
-		newAttrs = map[string]datum.Value{}
-	}
 	for k, v := range updates {
-		bindings["old_"+k] = rec.Attrs[k]
+		bindings["old_"+k], _ = rec.Row.Get(k)
 		bindings["new_"+k] = v
-		if v.IsNull() {
-			delete(newAttrs, k)
-		} else {
-			newAttrs[k] = v
-		}
 	}
-	m.store.Put(tx.ID(), storage.Record{OID: oid, Class: rec.Class, Attrs: newAttrs})
+	// rec.Row is the stored version (shared, immutable); the next version
+	// is a new row, which keeps the old one's shape unless an update adds
+	// an attribute or nulls one out.
+	m.store.PutObject(tx.ID(), storage.Object{OID: oid, Class: rec.Class, Row: rec.Row.Update(updates)})
 	return m.signal(event.OpModify, rec.Class, tx.ID(), bindings)
 }
 
@@ -483,9 +480,7 @@ func (m *Manager) Delete(tx *txn.Txn, oid datum.OID) error {
 		"class": datum.Str(rec.Class),
 		"oid":   datum.ID(oid),
 	}
-	for k, v := range rec.Attrs {
-		bindings["old_"+k] = v
-	}
+	rec.Row.Range(func(k string, v datum.Value) { bindings["old_"+k] = v })
 	return m.signal(event.OpDelete, rec.Class, tx.ID(), bindings)
 }
 
@@ -497,16 +492,15 @@ func (m *Manager) Delete(tx *txn.Txn, oid datum.OID) error {
 // and the previous writer's commit published before releasing it.
 //
 // Get and GetForUpdate are where a record leaves the engine (Engine.Get,
-// the ipc get verb): the result is a private copy the caller may keep
-// and modify. Inside the engine — queries, conditions, Modify — versions
-// are read by reference, never copied.
+// the ipc get verb): the result is a map the caller may keep and modify.
+// Inside the engine — queries, conditions, Modify — versions are rows,
+// read by reference, never copied.
 func (m *Manager) Get(tx *txn.Txn, oid datum.OID) (storage.Record, error) {
 	rec, ok := m.store.Get(tx.ID(), oid)
 	if !ok {
 		return storage.Record{}, fmt.Errorf("%w: %v", ErrNoSuchObject, oid)
 	}
-	rec.Attrs = datum.CloneMap(rec.Attrs)
-	return rec, nil
+	return rec.Record(), nil
 }
 
 // GetForUpdate returns the object after taking tx's exclusive lock on

@@ -12,9 +12,9 @@ import (
 // through the store's MVCC path — no shared locks, no shard mutexes:
 // each ScanClass pins its own snapshot LSN for the duration of the
 // scan, and Fetch reads at the latest published commit. tx's own
-// uncommitted writes are always visible. Attribute maps are the stored
-// versions, handed out by reference (query.Reader's read-only
-// contract); only Manager.Get copies. For a reader whose *every*
+// uncommitted writes are always visible. Rows are the stored versions,
+// handed out by reference (query.Reader's contract); only Manager.Get
+// copies, into a map. For a reader whose *every*
 // read must observe one consistent snapshot (condition evaluation,
 // multi-query requests), use SnapshotReader.
 func (m *Manager) Reader(tx *txn.Txn) query.Reader {
@@ -59,8 +59,8 @@ type txnReader struct {
 // committers — so the scan is a point-in-time view, not a
 // serializable read: rows committed after the snapshot are missed by
 // design.
-func (r *txnReader) ScanClass(class string, fn func(datum.OID, map[string]datum.Value) bool) error {
-	scan := func(rec storage.Record) bool { return fn(rec.OID, rec.Attrs) }
+func (r *txnReader) ScanClass(class string, fn func(datum.OID, datum.Row) bool) error {
+	scan := func(rec storage.Object) bool { return fn(rec.OID, rec.Row) }
 	if r.snap != nil {
 		r.m.store.ScanClassAt(r.tx.ID(), class, r.snap.LSN(), scan)
 	} else {
@@ -157,17 +157,17 @@ func (r *txnReader) PinShards() (uint64, func()) {
 // ScanClassShard visits the class's live objects held by shard si, in
 // OID order within the shard, at the given snapshot LSN. tx's own
 // uncommitted writes are visible, matching ScanClass.
-func (r *txnReader) ScanClassShard(si int, class string, lsn uint64, fn func(datum.OID, map[string]datum.Value) bool) error {
-	r.m.store.ScanClassShardAt(r.tx.ID(), si, class, lsn, func(rec storage.Record) bool {
-		return fn(rec.OID, rec.Attrs)
+func (r *txnReader) ScanClassShard(si int, class string, lsn uint64, fn func(datum.OID, datum.Row) bool) error {
+	r.m.store.ScanClassShardAt(r.tx.ID(), si, class, lsn, func(rec storage.Object) bool {
+		return fn(rec.OID, rec.Row)
 	})
 	return nil
 }
 
 // Fetch returns a live object by OID — lock-free, at the reader's
 // snapshot (or the newest published commit when unpinned).
-func (r *txnReader) Fetch(oid datum.OID) (string, map[string]datum.Value, bool) {
-	var rec storage.Record
+func (r *txnReader) Fetch(oid datum.OID) (string, datum.Row, bool) {
+	var rec storage.Object
 	var ok bool
 	if r.snap != nil {
 		rec, ok = r.m.store.GetAt(r.tx.ID(), oid, r.snap.LSN())
@@ -175,7 +175,7 @@ func (r *txnReader) Fetch(oid datum.OID) (string, map[string]datum.Value, bool) 
 		rec, ok = r.m.store.Get(r.tx.ID(), oid)
 	}
 	if !ok {
-		return "", nil, false
+		return "", datum.Row{}, false
 	}
-	return rec.Class, rec.Attrs, true
+	return rec.Class, rec.Row, true
 }

@@ -38,7 +38,7 @@ func TestSnapshotReaderConsistentMidScan(t *testing.T) {
 	defer reader.Close()
 
 	rows := 0
-	err := reader.ScanClass("Stock", func(_ datum.OID, attrs map[string]datum.Value) bool {
+	err := reader.ScanClass("Stock", func(_ datum.OID, row datum.Row) bool {
 		if rows == 0 {
 			// Mid-scan, another transaction flips every object and
 			// commits. The pinned reader must not see any of it.
@@ -52,7 +52,7 @@ func TestSnapshotReaderConsistentMidScan(t *testing.T) {
 				t.Errorf("mid-scan commit: %v", err)
 			}
 		}
-		if got := attrs["volume"].AsInt(); got != 0 {
+		if got := attr(row, "volume").AsInt(); got != 0 {
 			t.Fatalf("row %d: pinned scan saw mid-scan commit (volume=%d)", rows, got)
 		}
 		rows++
@@ -65,20 +65,20 @@ func TestSnapshotReaderConsistentMidScan(t *testing.T) {
 		t.Fatalf("scan saw %d rows, want %d", rows, n)
 	}
 	// Fetch through the pinned reader stays at the snapshot too.
-	if _, attrs, ok := reader.Fetch(oids[0]); !ok || attrs["volume"].AsInt() != 0 {
-		t.Fatalf("pinned Fetch = %v %v, want volume=0", attrs, ok)
+	if _, row, ok := reader.Fetch(oids[0]); !ok || attr(row, "volume").AsInt() != 0 {
+		t.Fatalf("pinned Fetch = %v %v, want volume=0", row.Map(), ok)
 	}
 	// A fresh (unpinned) reader sees the new state.
 	fresh := m.Reader(rtx)
-	if _, attrs, ok := fresh.Fetch(oids[0]); !ok || attrs["volume"].AsInt() != 1 {
-		t.Fatalf("fresh Fetch = %v %v, want volume=1", attrs, ok)
+	if _, row, ok := fresh.Fetch(oids[0]); !ok || attr(row, "volume").AsInt() != 1 {
+		t.Fatalf("fresh Fetch = %v %v, want volume=1", row.Map(), ok)
 	}
 }
 
 // TestFetchSharesTheStoredVersion: the query path borrows versions —
-// Fetch of a committed object allocates nothing and hands out the map
+// Fetch of a committed object allocates nothing and hands out the row
 // the store holds — while Get, where a record leaves the engine, returns
-// a copy the caller may write.
+// a map the caller may write.
 func TestFetchSharesTheStoredVersion(t *testing.T) {
 	m, tm, _ := setup(t)
 	mustDefine(t, m, tm, stockClass)
@@ -103,7 +103,13 @@ func TestFetchSharesTheStoredVersion(t *testing.T) {
 	}
 	rec.Attrs["volume"] = datum.Int(-1)
 	delete(rec.Attrs, "symbol")
-	if _, attrs, ok := m.Reader(rtx).Fetch(oid); !ok || attrs["volume"].AsInt() != 7 || attrs["symbol"].AsString() != "XRX" {
-		t.Fatalf("writing Get's result changed what Fetch reads: %v", attrs)
+	if _, row, ok := m.Reader(rtx).Fetch(oid); !ok || attr(row, "volume").AsInt() != 7 || attr(row, "symbol").AsString() != "XRX" {
+		t.Fatalf("writing Get's result changed what Fetch reads: %v", row.Map())
 	}
+}
+
+// attr returns row's named attribute, null if absent.
+func attr(row datum.Row, name string) datum.Value {
+	v, _ := row.Get(name)
+	return v
 }

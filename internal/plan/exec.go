@@ -10,8 +10,8 @@ import (
 	"repro/internal/query"
 )
 
-// cand is one candidate object produced by a step's access path. Attrs
-// is the reader's map: the stored version, shared and read-only
+// cand is one candidate object produced by a step's access path. Row
+// is the reader's: the stored version, shared and immutable
 // (query.Reader), held by reference in hash tables and tuples.
 type cand = query.Binding
 
@@ -136,8 +136,8 @@ func (sc *stepCands) Open(r query.Reader, t tuple) error {
 		if err != nil || v.Kind() != datum.KindOID {
 			return hard(err) // the residual comparison to a non-OID is always false
 		}
-		if cls, attrs, ok := r.Fetch(v.AsOID()); ok && cls == s.from.Class {
-			sc.cands = append(sc.cands, cand{OID: v.AsOID(), Attrs: attrs})
+		if cls, row, ok := r.Fetch(v.AsOID()); ok && cls == s.from.Class {
+			sc.cands = append(sc.cands, cand{OID: v.AsOID(), Row: row})
 		}
 		return nil
 	case accessIndex:
@@ -163,8 +163,8 @@ func (sc *stepCands) Open(r query.Reader, t tuple) error {
 			return sc.openExtent(r)
 		}
 		for _, oid := range oids {
-			if cls, attrs, ok := r.Fetch(oid); ok && cls == s.from.Class {
-				sc.cands = append(sc.cands, cand{OID: oid, Attrs: attrs})
+			if cls, row, ok := r.Fetch(oid); ok && cls == s.from.Class {
+				sc.cands = append(sc.cands, cand{OID: oid, Row: row})
 			}
 		}
 		return nil
@@ -194,8 +194,8 @@ func hard(err error) error {
 }
 
 func (sc *stepCands) openExtent(r query.Reader) error {
-	return r.ScanClass(sc.s.from.Class, func(oid datum.OID, attrs map[string]datum.Value) bool {
-		sc.cands = append(sc.cands, cand{OID: oid, Attrs: attrs})
+	return r.ScanClass(sc.s.from.Class, func(oid datum.OID, row datum.Row) bool {
+		sc.cands = append(sc.cands, cand{OID: oid, Row: row})
 		return true
 	})
 }

@@ -45,7 +45,7 @@ type ShardScanner interface {
 	PinShards() (lsn uint64, release func())
 	// ScanClassShard visits the class's live objects held by shard si
 	// at the given LSN, in OID order within the shard.
-	ScanClassShard(si int, class string, lsn uint64, fn func(datum.OID, map[string]datum.Value) bool) error
+	ScanClassShard(si int, class string, lsn uint64, fn func(datum.OID, datum.Row) bool) error
 }
 
 // --- partitioned hash table ---
@@ -245,12 +245,12 @@ func mergeRuns(outs []batch) batch {
 // shards (w, w+workers, ...) at lsn, until fn declines or the fan-out
 // is cancelled.
 func scanSlice(ss ShardScanner, stop *stopper, w, workers int, class string, lsn uint64,
-	fn func(datum.OID, map[string]datum.Value) bool) error {
+	fn func(datum.OID, datum.Row) bool) error {
 
 	done := false
 	for si := w; si < ss.ShardCount() && !done && !stop.stopped(); si += workers {
-		err := ss.ScanClassShard(si, class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
-			done = !fn(oid, attrs)
+		err := ss.ScanClassShard(si, class, lsn, func(oid datum.OID, row datum.Row) bool {
+			done = !fn(oid, row)
 			return !done
 		})
 		if err != nil {
@@ -272,8 +272,8 @@ func (p *Plan) parallelBase(s *step, ss ShardScanner, workers int) (batch, error
 	err := p.fanOut(workers, func(w int, stop *stopper) error {
 		out, t := p.newSink(s, s.extent/float64(workers)), make(tuple, len(p.vars))
 		var evalErr error
-		err := scanSlice(ss, stop, w, workers, s.from.Class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
-			t[s.slot] = cand{OID: oid, Attrs: attrs}
+		err := scanSlice(ss, stop, w, workers, s.from.Class, lsn, func(oid datum.OID, row datum.Row) bool {
+			t[s.slot] = cand{OID: oid, Row: row}
 			ok, err := s.passes(t)
 			if ok {
 				err = out.add(t)
@@ -293,17 +293,17 @@ func (p *Plan) parallelBase(s *step, ss ShardScanner, workers int) (batch, error
 // build key. Null and missing keys never equal anything and are left
 // out; a hard key error ends the scan.
 func (p *Plan) fillHash(s *step, t *hashTable,
-	scan func(fn func(datum.OID, map[string]datum.Value) bool) error) error {
+	scan func(fn func(datum.OID, datum.Row) bool) error) error {
 
 	var keyErr error
 	var key []byte
-	row := make(tuple, len(p.vars))
-	err := scan(func(oid datum.OID, attrs map[string]datum.Value) bool {
-		row[s.slot] = cand{OID: oid, Attrs: attrs}
-		v, err := s.buildFn(row)
+	tup := make(tuple, len(p.vars))
+	err := scan(func(oid datum.OID, row datum.Row) bool {
+		tup[s.slot] = cand{OID: oid, Row: row}
+		v, err := s.buildFn(tup)
 		if err == nil && !v.IsNull() {
 			key = v.AppendKey(key[:0])
-			t.part(key).add(key, row[s.slot])
+			t.part(key).add(key, tup[s.slot])
 		}
 		keyErr = hard(err)
 		return keyErr == nil
@@ -324,7 +324,7 @@ func (p *Plan) buildHash(r query.Reader, s *step) (*hashTable, error) {
 	}
 	if workers <= 1 {
 		t := newHashTable(s.par)
-		return t, p.fillHash(s, t, func(fn func(datum.OID, map[string]datum.Value) bool) error {
+		return t, p.fillHash(s, t, func(fn func(datum.OID, datum.Row) bool) error {
 			return r.ScanClass(s.from.Class, fn)
 		})
 	}
@@ -334,7 +334,7 @@ func (p *Plan) buildHash(r query.Reader, s *step) (*hashTable, error) {
 	locals := make([]*hashTable, workers)
 	err := p.fanOut(workers, func(w int, stop *stopper) error {
 		locals[w] = newHashTable(s.par)
-		return p.fillHash(s, locals[w], func(fn func(datum.OID, map[string]datum.Value) bool) error {
+		return p.fillHash(s, locals[w], func(fn func(datum.OID, datum.Row) bool) error {
 			return scanSlice(ss, stop, w, workers, s.from.Class, lsn, fn)
 		})
 	})

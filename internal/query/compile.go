@@ -27,11 +27,11 @@ import (
 // the operator kernels (cmp.apply, arithValues, unaryValue, scalarCall,
 // truth, AggState) and nothing else.
 
-// Binding is an object bound to a range variable. Attrs is the reader's
-// map: shared and read-only.
+// Binding is an object bound to a range variable: the reader's row,
+// shared and immutable.
 type Binding struct {
-	OID   datum.OID
-	Attrs map[string]datum.Value
+	OID datum.OID
+	Row datum.Row
 }
 
 // Frame is one join tuple: a Binding per FROM clause, by position.
@@ -210,7 +210,10 @@ type FrameCompiler struct{ c compiler[Frame] }
 
 // NewFrameCompiler returns a compiler for frames whose slot i binds
 // vars[i]. eventArgs, the signal's arguments, fold into the closures as
-// constants; a variable not in vars is unbound, hence missing.
+// constants; a variable not in vars is unbound, hence missing. A path
+// var.attr resolves here to its slot and attribute id, so reading it
+// from a row is two indexed loads (datum.Row.At), whatever the row's
+// shape — nothing compiled depends on a class's definition.
 func NewFrameCompiler(vars []string, eventArgs map[string]datum.Value) *FrameCompiler {
 	leaf := func(x Expr) node[Frame] {
 		switch v := x.(type) {
@@ -220,9 +223,9 @@ func NewFrameCompiler(vars []string, eventArgs map[string]datum.Value) *FrameCom
 			}
 		case *Path:
 			if slot := slices.Index(vars, v.Var); slot >= 0 {
-				attr := v.Attr
+				attr := datum.AttrOf(v.Attr)
 				return node[Frame]{fn: func(f Frame) (datum.Value, error) {
-					if val, ok := f[slot].Attrs[attr]; ok {
+					if val, ok := f[slot].Row.At(attr); ok {
 						return val, nil
 					}
 					return datum.Null(), ErrNoValue
@@ -253,12 +256,12 @@ func (fc *FrameCompiler) Pred(x Expr) PredFunc {
 // against constant, path against path — as one closure that looks the
 // attributes up itself rather than calling two leaf closures.
 func fuseFrame(vars []string) func(*Binary, node[Frame], node[Frame]) predFn[Frame] {
-	path := func(x Expr) (slot int, attr string, ok bool) {
+	path := func(x Expr) (slot int, attr datum.Attr, ok bool) {
 		if p, isPath := x.(*Path); isPath {
 			slot = slices.Index(vars, p.Var)
-			return slot, p.Attr, slot >= 0
+			return slot, datum.AttrOf(p.Attr), slot >= 0
 		}
-		return 0, "", false
+		return 0, 0, false
 	}
 	return func(b *Binary, l, r node[Frame]) predFn[Frame] {
 		ls, la, lok := path(b.L)
@@ -266,8 +269,8 @@ func fuseFrame(vars []string) func(*Binary, node[Frame], node[Frame]) predFn[Fra
 		k := cmpOf(b.Op)
 		if lok && rok {
 			return func(f Frame) (bool, error) {
-				lv, lhas := f[ls].Attrs[la]
-				rv, rhas := f[rs].Attrs[ra]
+				lv, lhas := f[ls].Row.At(la)
+				rv, rhas := f[rs].Row.At(ra)
 				if !lhas || !rhas || lv.IsNull() || rv.IsNull() {
 					return k.unknown(!lhas, !rhas), nil
 				}
@@ -285,7 +288,7 @@ func fuseFrame(vars []string) func(*Binary, node[Frame], node[Frame]) predFn[Fra
 			return nil // a missing, null or failing constant: the generic form decides
 		}
 		return func(f Frame) (bool, error) {
-			lv, has := f[ls].Attrs[la]
+			lv, has := f[ls].Row.At(la)
 			if !has || lv.IsNull() {
 				return k.unknown(!has, false), nil
 			}
@@ -425,6 +428,7 @@ func CompileExpr(x Expr) ActionExpr {
 				return lookup(ctx.events, name)
 			}}
 		case *Path:
+			attr := datum.AttrOf(v.Attr)
 			return node[actionCtx]{fn: func(ctx actionCtx) (datum.Value, error) {
 				ref, err := lookup(ctx.vars, v.Var)
 				if err != nil {
@@ -436,8 +440,12 @@ func CompileExpr(x Expr) ActionExpr {
 				if ctx.reader == nil {
 					return datum.Null(), fmt.Errorf("query: cannot dereference %s without a reader", v)
 				}
-				_, attrs, _ := ctx.reader.Fetch(ref.AsOID())
-				return lookup(attrs, v.Attr)
+				if _, row, ok := ctx.reader.Fetch(ref.AsOID()); ok {
+					if val, ok := row.At(attr); ok {
+						return val, nil
+					}
+				}
+				return datum.Null(), ErrNoValue
 			}}
 		default:
 			return rowAggregate[actionCtx](x.(*Call))

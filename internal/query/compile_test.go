@@ -31,7 +31,7 @@ func genFrame(rng *rand.Rand) Frame {
 	for i := range f {
 		f[i].OID = datum.OID(1 + rng.Intn(3))
 		if rng.Intn(8) != 0 { // now and then an object without attributes
-			f[i].Attrs = genBindings(rng, "p", "q", "r")
+			f[i].Row = datum.RowOf(genBindings(rng, "p", "q", "r"))
 		}
 	}
 	return f
@@ -62,7 +62,7 @@ func TestCompiledMatchesEvaluator(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				f := genFrame(rng)
 				ev := evaluator{event: args, env: map[string]object{
-					"a": {oid: f[0].OID, attrs: f[0].Attrs}, "b": {oid: f[1].OID, attrs: f[1].Attrs}}}
+					"a": {oid: f[0].OID, row: f[0].Row}, "b": {oid: f[1].OID, row: f[1].Row}}}
 				got, exp := resultClass(val(f)), resultClass(ev.eval(x))
 				if got != exp {
 					t.Fatalf("%s on %v, %v: compiled %s, evaluator %s", x, f, args, got, exp)
@@ -123,7 +123,7 @@ func TestFusedComparisonsMatchEvaluator(t *testing.T) {
 		pred := NewFrameCompiler([]string{"a", "b"}, args).Pred(x)
 		f := genFrame(rng)
 		ev := evaluator{event: args, env: map[string]object{
-			"a": {oid: f[0].OID, attrs: f[0].Attrs}, "b": {oid: f[1].OID, attrs: f[1].Attrs}}}
+			"a": {oid: f[0].OID, row: f[0].Row}, "b": {oid: f[1].OID, row: f[1].Row}}}
 		gotOK, gotErr := pred(f)
 		expOK, expErr := ev.evalBool(x)
 		if gotOK != expOK || (gotErr != nil) != (expErr != nil) {
@@ -187,7 +187,7 @@ func TestAggregateMergeIsExactOrDeclines(t *testing.T) {
 			} else if intsOnly {
 				v = datum.Null()
 			}
-			frames[i] = Frame{{OID: datum.OID(i + 1), Attrs: map[string]datum.Value{"p": v}}}
+			frames[i] = Frame{{OID: datum.OID(i + 1), Row: datum.RowOf(map[string]datum.Value{"p": v})}}
 		}
 		var serial AggState
 		for _, f := range frames {

@@ -101,10 +101,10 @@ func TestRandomPredicatesAgainstReference(t *testing.T) {
 			got[r[0].AsOID()] = true
 		}
 		for _, o := range data.classes["Stock"] {
-			want := ref(o.attrs)
+			want := ref(o.row.Map())
 			if got[o.oid] != want {
 				t.Fatalf("trial %d: %q oid %v: got %v want %v (attrs %v)",
-					trial, src, o.oid, got[o.oid], want, o.attrs)
+					trial, src, o.oid, got[o.oid], want, o.row.Map())
 			}
 		}
 	}
@@ -152,7 +152,7 @@ func TestAggregatesAgainstReference(t *testing.T) {
 		var total, lo, hi float64
 		first := true
 		for _, o := range data.classes["Stock"] {
-			p := o.attrs["price"].AsFloat()
+			p := o.row.Map()["price"].AsFloat()
 			if p < limit {
 				n++
 				total += p
@@ -202,8 +202,8 @@ func TestJoinAgainstReference(t *testing.T) {
 		want := 0
 		for _, s := range m.classes["Stock"] {
 			for _, h := range m.classes["Holding"] {
-				if s.attrs["sym"].AsString() == h.attrs["sym"].AsString() &&
-					h.attrs["qty"].AsInt() > 2 {
+				if s.row.Map()["sym"].AsString() == h.row.Map()["sym"].AsString() &&
+					h.row.Map()["qty"].AsInt() > 2 {
 					want++
 				}
 			}

@@ -24,16 +24,16 @@ func newMemReader() *memReader {
 }
 
 func (m *memReader) add(class string, oid datum.OID, attrs map[string]datum.Value) {
-	m.classes[class] = append(m.classes[class], object{oid: oid, attrs: attrs})
+	m.classes[class] = append(m.classes[class], object{oid: oid, row: datum.RowOf(attrs)})
 	sort.Slice(m.classes[class], func(i, j int) bool {
 		return m.classes[class][i].oid < m.classes[class][j].oid
 	})
 }
 
-func (m *memReader) ScanClass(class string, fn func(datum.OID, map[string]datum.Value) bool) error {
+func (m *memReader) ScanClass(class string, fn func(datum.OID, datum.Row) bool) error {
 	m.scans++
 	for _, o := range m.classes[class] {
-		if !fn(o.oid, o.attrs) {
+		if !fn(o.oid, o.row) {
 			return nil
 		}
 	}
@@ -47,7 +47,7 @@ func (m *memReader) LookupRange(class, attr string, lo, hi *datum.Value, loInc, 
 	m.probes++
 	var out []datum.OID
 	for _, o := range m.classes[class] {
-		v, ok := o.attrs[attr]
+		v, ok := o.row.Get(attr)
 		if !ok {
 			continue
 		}
@@ -68,15 +68,15 @@ func (m *memReader) LookupRange(class, attr string, lo, hi *datum.Value, loInc, 
 	return out, true
 }
 
-func (m *memReader) Fetch(oid datum.OID) (string, map[string]datum.Value, bool) {
+func (m *memReader) Fetch(oid datum.OID) (string, datum.Row, bool) {
 	for class, objs := range m.classes {
 		for _, o := range objs {
 			if o.oid == oid {
-				return class, o.attrs, true
+				return class, o.row, true
 			}
 		}
 	}
-	return "", nil, false
+	return "", datum.Row{}, false
 }
 
 func stockReader() *memReader {

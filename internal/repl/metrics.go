@@ -66,6 +66,7 @@ func (r *Replica) WritePrometheus(w io.Writer) error {
 			{"hipac_store_gets_total", s.Gets},
 			{"hipac_store_scans_total", s.Scans},
 			{"hipac_store_rows_scanned_total", s.RowsScanned},
+			{"hipac_store_shapes", uint64(s.Shapes)},
 		}
 		for _, g := range gauges {
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.value); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,7 +75,7 @@ func rec(oid datum.OID, class string, v int64) storage.Record {
 // dumpReader is the read surface shared by Store and the test's
 // canonical dump: a class scan over committed state.
 type dumpReader interface {
-	ScanClass(tx lock.TxnID, class string, fn func(storage.Record) bool)
+	ScanClass(tx lock.TxnID, class string, fn func(storage.Object) bool)
 }
 
 // dumpTx is a transaction ID that never wrote anything, so every scan
@@ -89,16 +88,9 @@ const dumpTx = lock.TxnID(1 << 56)
 func dump(s dumpReader, classes ...string) string {
 	var b strings.Builder
 	for _, class := range classes {
-		s.ScanClass(dumpTx, class, func(r storage.Record) bool {
-			keys := make([]string, 0, len(r.Attrs))
-			for k := range r.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
+		s.ScanClass(dumpTx, class, func(r storage.Object) bool {
 			fmt.Fprintf(&b, "%s/%d:", r.Class, r.OID)
-			for _, k := range keys {
-				fmt.Fprintf(&b, " %s=%s", k, r.Attrs[k].String())
-			}
+			r.Row.Range(func(k string, v datum.Value) { fmt.Fprintf(&b, " %s=%s", k, v.String()) })
 			b.WriteByte('\n')
 			return true
 		})
@@ -459,7 +451,7 @@ func TestPromoteMidCatchup(t *testing.T) {
 	if !ok {
 		t.Fatal("promoted store lost the counter object")
 	}
-	c := cr.Attrs["v"].AsInt()
+	c := cr.Record().Attrs["v"].AsInt()
 	if c < 1 {
 		t.Fatalf("counter %d", c)
 	}
@@ -468,7 +460,7 @@ func TestPromoteMidCatchup(t *testing.T) {
 		if !ok {
 			t.Fatalf("counter %d but ledger %d missing (torn commit)", c, i)
 		}
-		if got := lr.Attrs["v"].AsInt(); got != i {
+		if got := lr.Record().Attrs["v"].AsInt(); got != i {
 			t.Fatalf("ledger %d holds %d", i, got)
 		}
 	}
@@ -483,7 +475,7 @@ func TestPromoteMidCatchup(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := st.Get(dumpTx, counter)
-	if v := got.Attrs["v"].AsInt(); v != 10_000 {
+	if v := got.Record().Attrs["v"].AsInt(); v != 10_000 {
 		t.Fatalf("write after promote: counter=%d", v)
 	}
 }

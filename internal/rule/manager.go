@@ -473,8 +473,8 @@ func (m *Manager) Restore() error {
 	var all []stored
 	var firstErr error
 	reader := m.objects.Reader(t)
-	err := reader.ScanClass(RuleClass, func(oid datum.OID, attrs map[string]datum.Value) bool {
-		def, enabled, err := decodeDef(attrs)
+	err := reader.ScanClass(RuleClass, func(oid datum.OID, row datum.Row) bool {
+		def, enabled, err := decodeDef(row.Map())
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

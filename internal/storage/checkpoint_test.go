@@ -109,7 +109,7 @@ func TestDeltaCheckpointWritesOnlyDirty(t *testing.T) {
 		got, ok := s2.Get(0, oid)
 		switch {
 		case i < 3:
-			if !ok || got.Attrs["v"].AsInt() != int64(-1-i) {
+			if !ok || got.AsMap()["v"].AsInt() != int64(-1-i) {
 				t.Fatalf("oid %v: lost delta update", oid)
 			}
 		case i == 50:
@@ -117,7 +117,7 @@ func TestDeltaCheckpointWritesOnlyDirty(t *testing.T) {
 				t.Fatalf("oid %v: resurrected after tombstoned delta", oid)
 			}
 		default:
-			if !ok || got.Attrs["v"].AsInt() != int64(i) {
+			if !ok || got.AsMap()["v"].AsInt() != int64(i) {
 				t.Fatalf("oid %v: lost base value", oid)
 			}
 		}
@@ -262,7 +262,7 @@ func TestCheckpointOnOpen(t *testing.T) {
 	}
 	for i, oid := range oids {
 		got, ok := s2.Get(0, oid)
-		if !ok || got.Attrs["v"].AsInt() != int64(i) {
+		if !ok || got.AsMap()["v"].AsInt() != int64(i) {
 			t.Fatalf("oid %v lost across checkpoint-on-open", oid)
 		}
 	}

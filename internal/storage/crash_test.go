@@ -279,7 +279,7 @@ func runCrashRound(t *testing.T, site string, hits, compactEvery int) {
 			t.Errorf("object %d: acknowledged commit (v=%d) lost", oid, want)
 			continue
 		}
-		v := got.Attrs["v"].AsInt()
+		v := got.AsMap()["v"].AsInt()
 		if v < want {
 			t.Errorf("object %d: recovered v=%d older than acknowledged v=%d", oid, v, want)
 		}
@@ -288,9 +288,9 @@ func runCrashRound(t *testing.T, site string, hits, compactEvery int) {
 		}
 	}
 	// Nothing recovered may exceed what was ever attempted.
-	s2.ScanClass(reader, "K", func(r Record) bool {
-		if max, ok := cap.attempted[r.OID]; !ok || r.Attrs["v"].AsInt() > max {
-			t.Errorf("object %d: phantom recovered value %d", r.OID, r.Attrs["v"].AsInt())
+	s2.ScanClass(reader, "K", func(r Object) bool {
+		if max, ok := cap.attempted[r.OID]; !ok || r.AsMap()["v"].AsInt() > max {
+			t.Errorf("object %d: phantom recovered value %d", r.OID, r.AsMap()["v"].AsInt())
 		}
 		return true
 	})
@@ -384,7 +384,7 @@ func TestSnapshotCrashBetweenWriteAndRename(t *testing.T) {
 	defer s2.Close()
 	for oid, v := range want {
 		got, ok := s2.Get(1, oid)
-		if !ok || got.Attrs["v"].AsInt() != v {
+		if !ok || got.AsMap()["v"].AsInt() != v {
 			t.Fatalf("object %d lost or wrong after mid-snapshot crash", oid)
 		}
 	}

@@ -235,7 +235,7 @@ func (c *extCursor) pop() extSlot {
 
 // visit resolves one extent slot for the scan and hands a live record
 // of the class to fn; false means fn declined.
-func (s *Store) visit(e *mvEntry, tx lock.TxnID, class string, snap uint64, fn func(Record) bool) bool {
+func (s *Store) visit(e *mvEntry, tx lock.TxnID, class string, snap uint64, fn func(Object) bool) bool {
 	rec, ok := s.resolve(e, tx, snap)
 	return !ok || rec.Class != class || fn(rec)
 }
@@ -246,8 +246,8 @@ func (s *Store) visit(e *mvEntry, tx lock.TxnID, class string, snap uint64, fn f
 // even while committers land concurrently. Scanning stops — nothing
 // further is resolved — once fn returns false. The scan holds no shard
 // lock at any point, so committers are never blocked and fn may
-// re-enter the store. Records are shared with the store: read-only.
-func (s *Store) ScanClass(tx lock.TxnID, class string, fn func(Record) bool) {
+// re-enter the store. Objects are shared with the store: read-only.
+func (s *Store) ScanClass(tx lock.TxnID, class string, fn func(Object) bool) {
 	h := s.AcquireSnapshot()
 	defer h.Release()
 	s.ScanClassAt(tx, class, h.lsn, fn)
@@ -257,7 +257,7 @@ func (s *Store) ScanClass(tx lock.TxnID, class string, fn func(Record) bool) {
 // the shards' ascending runs. The caller is responsible for keeping a
 // Snapshot registered at or below snap while it runs (otherwise the
 // version GC may unlink versions the scan needs).
-func (s *Store) ScanClassAt(tx lock.TxnID, class string, snap uint64, fn func(Record) bool) {
+func (s *Store) ScanClassAt(tx lock.TxnID, class string, snap uint64, fn func(Object) bool) {
 	s.nScans.Add(1)
 	tm := s.obsm.Timer(obs.HSnapshotRead)
 	defer tm.Done()
@@ -297,7 +297,7 @@ func (s *Store) ScanClassAt(tx lock.TxnID, class string, snap uint64, fn func(Re
 // contend. The caller owns the snapshot-pin obligation of ScanClassAt
 // (keep a Snapshot registered at or below snap across *all* workers);
 // out-of-range si visits nothing. Scanning stops if fn returns false.
-func (s *Store) ScanClassShardAt(tx lock.TxnID, si int, class string, snap uint64, fn func(Record) bool) {
+func (s *Store) ScanClassShardAt(tx lock.TxnID, si int, class string, snap uint64, fn func(Object) bool) {
 	if si < 0 || si >= len(s.shards) {
 		return
 	}

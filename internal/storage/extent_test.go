@@ -52,7 +52,7 @@ func bruteForce(s *Store, class string, lsn uint64) []datum.OID {
 
 func scanOIDs(s *Store, class string, lsn uint64) []datum.OID {
 	var out []datum.OID
-	s.ScanClassAt(committedOwner, class, lsn, func(r Record) bool {
+	s.ScanClassAt(committedOwner, class, lsn, func(r Object) bool {
 		out = append(out, r.OID)
 		return true
 	})
@@ -146,7 +146,7 @@ func TestScanStopsAtFirstRow(t *testing.T) {
 	}
 	before := s.Stats().RowsScanned
 	calls := 0
-	s.ScanClass(committedOwner, "Big", func(Record) bool {
+	s.ScanClass(committedOwner, "Big", func(Object) bool {
 		calls++
 		return false
 	})
@@ -155,7 +155,7 @@ func TestScanStopsAtFirstRow(t *testing.T) {
 		t.Fatalf("one-row scan of a 10 000-row class: %d callbacks, %d rows resolved (shards: %d)",
 			calls, resolved, s.ShardCount())
 	}
-	s.ScanClass(committedOwner, "Big", func(Record) bool { return true })
+	s.ScanClass(committedOwner, "Big", func(Object) bool { return true })
 	if got := s.Stats().RowsScanned - before - resolved; got != 10_000 {
 		t.Fatalf("full scan resolved %d rows, want 10000", got)
 	}
@@ -181,7 +181,7 @@ func TestScanAllocations(t *testing.T) {
 		t.Errorf("Get of a committed object: %v allocations, want 0", n)
 	}
 	rows := 0
-	visit := func(Record) bool { rows++; return true }
+	visit := func(Object) bool { rows++; return true }
 	lsn := s.PublishedLSN()
 	budget := float64(s.ShardCount())
 	if n := testing.AllocsPerRun(10, func() { s.ScanClassAt(committedOwner, "Big", lsn, visit) }); n > budget {
@@ -238,7 +238,7 @@ func TestExtentProperty(t *testing.T) {
 				}
 				for si := 0; si < s.ShardCount(); si++ {
 					var run []datum.OID
-					s.ScanClassShardAt(committedOwner, si, class, h.LSN(), func(r Record) bool {
+					s.ScanClassShardAt(committedOwner, si, class, h.LSN(), func(r Object) bool {
 						run = append(run, r.OID)
 						return true
 					})

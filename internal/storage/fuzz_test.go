@@ -12,10 +12,10 @@ import (
 	"repro/internal/datum"
 )
 
-func fuzzSeedRecords() []Record {
-	return []Record{
-		rec(1, "stock", map[string]datum.Value{"qty": datum.Int(7), "sym": datum.Str("IBM")}),
-		rec(2, "stock", map[string]datum.Value{"list": datum.List(datum.Int(1), datum.Int(2))}),
+func fuzzSeedRecords() []Object {
+	return []Object{
+		{OID: 1, Class: "stock", Row: datum.RowOf(map[string]datum.Value{"qty": datum.Int(7), "sym": datum.Str("IBM")})},
+		{OID: 2, Class: "stock", Row: datum.RowOf(map[string]datum.Value{"list": datum.List(datum.Int(1), datum.Int(2))})},
 		{OID: 3, Class: "stock", Deleted: true},
 	}
 }

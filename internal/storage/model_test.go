@@ -129,9 +129,9 @@ func TestStorageAgainstModel(t *testing.T) {
 			if gotOK != wantOK {
 				t.Fatalf("step %d: Get(%d,%v) ok=%v want %v", step, readerID, oid, gotOK, wantOK)
 			}
-			if gotOK && rec.Attrs["v"].AsInt() != wantV {
+			if gotOK && rec.AsMap()["v"].AsInt() != wantV {
 				t.Fatalf("step %d: Get(%d,%v) = %d want %d", step, readerID, oid,
-					rec.Attrs["v"].AsInt(), wantV)
+					rec.AsMap()["v"].AsInt(), wantV)
 			}
 		}
 		// Scan agreement: live count matches the model.
@@ -146,7 +146,7 @@ func TestStorageAgainstModel(t *testing.T) {
 			}
 		}
 		got := 0
-		s.ScanClass(readerID, "M", func(Record) bool { got++; return true })
+		s.ScanClass(readerID, "M", func(Object) bool { got++; return true })
 		if got != want {
 			t.Fatalf("step %d: scan found %d, model %d", step, got, want)
 		}
@@ -198,8 +198,8 @@ func TestStorageAgainstModel(t *testing.T) {
 
 	// Also compare the full committed extent.
 	got := map[datum.OID]int64{}
-	s.ScanClass(0, "M", func(r Record) bool {
-		got[r.OID] = r.Attrs["v"].AsInt()
+	s.ScanClass(0, "M", func(r Object) bool {
+		got[r.OID] = r.AsMap()["v"].AsInt()
 		return true
 	})
 	if len(got) != len(mdl.committed) {
@@ -249,9 +249,9 @@ func TestRecoveryEquivalenceWithCheckpoints(t *testing.T) {
 			if okA != wantOK || okB != wantOK {
 				t.Fatalf("step %d oid %v: okA=%v okB=%v want %v", step, oid, okA, okB, wantOK)
 			}
-			if wantOK && (ra.Attrs["v"].AsInt() != wantV || rb.Attrs["v"].AsInt() != wantV) {
+			if wantOK && (ra.AsMap()["v"].AsInt() != wantV || rb.AsMap()["v"].AsInt() != wantV) {
 				t.Fatalf("step %d oid %v: a=%d b=%d want %d", step, oid,
-					ra.Attrs["v"].AsInt(), rb.Attrs["v"].AsInt(), wantV)
+					ra.AsMap()["v"].AsInt(), rb.AsMap()["v"].AsInt(), wantV)
 			}
 		}
 	}
@@ -329,9 +329,9 @@ func TestRecoveryEquivalenceWithCheckpoints(t *testing.T) {
 	a, b = open(dirA), open(dirB)
 	verify(-1)
 	gotA := map[datum.OID]int64{}
-	a.ScanClass(0, "E", func(r Record) bool { gotA[r.OID] = r.Attrs["v"].AsInt(); return true })
+	a.ScanClass(0, "E", func(r Object) bool { gotA[r.OID] = r.AsMap()["v"].AsInt(); return true })
 	gotB := map[datum.OID]int64{}
-	b.ScanClass(0, "E", func(r Record) bool { gotB[r.OID] = r.Attrs["v"].AsInt(); return true })
+	b.ScanClass(0, "E", func(r Object) bool { gotB[r.OID] = r.AsMap()["v"].AsInt(); return true })
 	if len(gotA) != len(committed) || len(gotB) != len(committed) {
 		t.Fatalf("extents: a=%d b=%d model=%d", len(gotA), len(gotB), len(committed))
 	}
@@ -455,8 +455,8 @@ func runChainEquivalenceRound(t *testing.T, seed int64) {
 	b.Close()
 	a, b = open(dirA), open(dirB)
 	dump := func(s *Store) []byte {
-		var recs []Record
-		s.ScanClass(0, "E", func(r Record) bool { recs = append(recs, r); return true })
+		var recs []Object
+		s.ScanClass(0, "E", func(r Object) bool { recs = append(recs, r); return true })
 		sort.Slice(recs, func(i, j int) bool { return recs[i].OID < recs[j].OID })
 		return encodeRedo(recs)
 	}

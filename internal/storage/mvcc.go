@@ -43,7 +43,7 @@ type mvVersion struct {
 	// lsn is the logical commit LSN that installed this version;
 	// a reader at snapshot S sees the newest version with lsn <= S.
 	lsn uint64
-	rec Record
+	rec Object
 	// prev links to the next-older committed version. Written once at
 	// install and cleared (to nil) by the version GC; atomic so
 	// lock-free readers can walk mid-unlink.
@@ -118,9 +118,9 @@ func (e *mvEntry) newestClass() string {
 // tx's own (or an ancestor's) uncommitted version first, else the
 // committed version at snap. The returned bool is false for a
 // tombstone or no visible version; the record is still returned for
-// tombstones so callers can see the class. The record is the version
+// tombstones so callers can see the class. The object is the version
 // as stored — no copy; versions are never written after Put.
-func (s *Store) resolve(e *mvEntry, tx lock.TxnID, snap uint64) (Record, bool) {
+func (s *Store) resolve(e *mvEntry, tx lock.TxnID, snap uint64) (Object, bool) {
 	if tx != committedOwner && e.nUnc.Load() > 0 {
 		e.umu.Lock()
 		for i := len(e.unc) - 1; i >= 0; i-- {
@@ -135,7 +135,7 @@ func (s *Store) resolve(e *mvEntry, tx lock.TxnID, snap uint64) (Record, bool) {
 	if v := e.visibleAt(snap); v != nil {
 		return v.rec, !v.rec.Deleted
 	}
-	return Record{}, false
+	return Object{}, false
 }
 
 // --- commit-LSN publish protocol (fields guarded by cmu) ---
@@ -399,7 +399,7 @@ func (s *Store) gcChain(sh *shard, oid datum.OID, w uint64, res *GCResult) bool 
 				continue
 			}
 			for attr := range sh.indexes[v.rec.Class] {
-				if val, ok := v.rec.Attrs[attr]; ok {
+				if val, ok := v.rec.Row.Get(attr); ok {
 					surviving[v.rec.Class+"\x00"+attr+"\x00"+val.Key()] = struct{}{}
 				}
 			}
@@ -412,7 +412,7 @@ func (s *Store) gcChain(sh *shard, oid datum.OID, w uint64, res *GCResult) bool 
 			continue
 		}
 		for attr, t := range sh.indexes[v.rec.Class] {
-			val, ok := v.rec.Attrs[attr]
+			val, ok := v.rec.Row.Get(attr)
 			if !ok {
 				continue
 			}

@@ -55,7 +55,7 @@ func TestReadsHoldNoShardLocks(t *testing.T) {
 				seen++
 			}
 		}
-		s.ScanClassAt(99, "F", snap.LSN(), func(Record) bool { seen++; return true })
+		s.ScanClassAt(99, "F", snap.LSN(), func(Object) bool { seen++; return true })
 		done <- seen
 	}()
 	select {
@@ -82,7 +82,7 @@ func TestCommittersProgressMidScan(t *testing.T) {
 	scanned := make(chan int, 1)
 	go func() {
 		n, first := 0, true
-		s.ScanClass(50, "F", func(Record) bool {
+		s.ScanClass(50, "F", func(Object) bool {
 			if first {
 				first = false
 				close(paused)
@@ -114,7 +114,7 @@ func TestCommittersProgressMidScan(t *testing.T) {
 	}
 	// A fresh scan sees the row committed mid-flight.
 	n := 0
-	s.ScanClass(70, "F", func(Record) bool { n++; return true })
+	s.ScanClass(70, "F", func(Object) bool { n++; return true })
 	if n != 11 {
 		t.Fatalf("post-commit scan saw %d rows, want 11", n)
 	}
@@ -147,7 +147,7 @@ func TestVersionGCBoundByPinnedSnapshot(t *testing.T) {
 	if got := chainLen(s, oid); got != updates+1 {
 		t.Fatalf("chain length = %d after pinned GC, want %d", got, updates+1)
 	}
-	if got, ok := s.GetAt(99, oid, pin.LSN()); !ok || got.Attrs["v"].AsInt() != 0 {
+	if got, ok := s.GetAt(99, oid, pin.LSN()); !ok || got.AsMap()["v"].AsInt() != 0 {
 		t.Fatalf("pinned snapshot read = %v %v, want v=0", got, ok)
 	}
 
@@ -159,7 +159,7 @@ func TestVersionGCBoundByPinnedSnapshot(t *testing.T) {
 	if got := chainLen(s, oid); got != 1 {
 		t.Fatalf("chain length = %d after unpinned GC, want 1", got)
 	}
-	if got, _ := s.Get(99, oid); got.Attrs["v"].AsInt() != updates {
+	if got, _ := s.Get(99, oid); got.AsMap()["v"].AsInt() != updates {
 		t.Fatalf("newest version = %v, want v=%d", got, updates)
 	}
 }
@@ -182,7 +182,7 @@ func TestVersionGCIntermediateWatermark(t *testing.T) {
 	if got := chainLen(s, oid); got != 6 {
 		t.Fatalf("chain length = %d after GC, want 6", got)
 	}
-	if got, ok := s.GetAt(99, oid, pin.LSN()); !ok || got.Attrs["v"].AsInt() != 4 {
+	if got, ok := s.GetAt(99, oid, pin.LSN()); !ok || got.AsMap()["v"].AsInt() != 4 {
 		t.Fatalf("pinned read = %v %v, want v=4", got, ok)
 	}
 	// The trimmed chain must keep its GC candidacy: releasing the pin
@@ -236,8 +236,8 @@ func TestSnapshotScanAtomicFlip(t *testing.T) {
 	for time.Now().Before(deadline) {
 		vals := map[int64]int{}
 		rows := 0
-		s.ScanClass(7, "F", func(r Record) bool {
-			vals[r.Attrs["v"].AsInt()]++
+		s.ScanClass(7, "F", func(r Object) bool {
+			vals[r.AsMap()["v"].AsInt()]++
 			rows++
 			return true
 		})
@@ -287,8 +287,8 @@ func TestRecoveryEquivalenceVersionChains(t *testing.T) {
 		}
 
 		want := map[datum.OID]int64{}
-		s.ScanClass(999, "F", func(r Record) bool {
-			want[r.OID] = r.Attrs["v"].AsInt()
+		s.ScanClass(999, "F", func(r Object) bool {
+			want[r.OID] = r.AsMap()["v"].AsInt()
 			return true
 		})
 		if len(want) != 7 {
@@ -300,8 +300,8 @@ func TestRecoveryEquivalenceVersionChains(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := map[datum.OID]int64{}
-		s2.ScanClass(999, "F", func(r Record) bool {
-			got[r.OID] = r.Attrs["v"].AsInt()
+		s2.ScanClass(999, "F", func(r Object) bool {
+			got[r.OID] = r.AsMap()["v"].AsInt()
 			return true
 		})
 		if len(got) != len(want) {

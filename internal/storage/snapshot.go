@@ -94,7 +94,7 @@ type snapshot struct {
 	// cards is the checkpoint-time per-class extent cardinality table
 	// (planner statistics); nil for pre-v3 files.
 	cards map[string]uint64
-	recs  []Record
+	recs  []Object
 	// crc is the file's own trailing CRC — the link value a child
 	// delta must carry.
 	crc uint32

@@ -24,11 +24,17 @@
 // to keep the index/extent/dirty bookkeeping coherent. Isolation still
 // comes from the lock manager driven by the layers above.
 //
-// Versions are immutable and shared: Put takes ownership of the
-// attribute map it is handed, and every read — Get, GetAt, the scans —
-// returns the stored Record itself, map included. Nothing on the read
-// path copies; the Object Manager copies where a record leaves the
-// engine.
+// A stored version is an Object whose attributes are a datum.Row: an
+// interned shape (the sorted attribute names, shared by every version
+// with the same names) and the values in that order. Versions are
+// immutable and shared: every read — Get, GetAt, the scans — returns
+// the stored Object itself, row included, and nothing on the read path
+// copies. Maps appear only at the store's edge: Put takes a Record with
+// an attribute map and stores it as a row, and Object.Record turns a
+// version back into one where it leaves the engine. The redo and
+// snapshot codecs write a row's slots in shape order, which is the
+// sorted order datum.EncodeMap writes, so the on-disk bytes are those
+// of the map.
 package storage
 
 import (
@@ -59,17 +65,31 @@ const committedOwner lock.TxnID = 0
 // x + frameOverheadBytes + len(payload).
 const frameOverheadBytes = 8
 
-// Record is one object state: its identity, class, attribute values,
-// and whether this version is a deletion tombstone.
-//
-// A Record read from the store is the stored version: Attrs is shared
-// with every other reader of that version and must not be written.
-// Build a new map (datum.CloneMap) to derive the next state.
+// Record is one object state as a map, the form it has at the store's
+// edge: Put takes one, and Object.Record makes one for a caller outside
+// the engine. Attrs belongs to whoever holds the Record.
 type Record struct {
 	OID     datum.OID
 	Class   string
 	Attrs   map[string]datum.Value
 	Deleted bool
+}
+
+// Object is one stored object state: its identity, class, attributes,
+// and whether this version is a deletion tombstone. An Object read from
+// the store is the stored version, shared with every other reader; its
+// Row is immutable (derive the next state with Row.Update or
+// datum.RowOf).
+type Object struct {
+	OID     datum.OID
+	Class   string
+	Row     datum.Row
+	Deleted bool
+}
+
+// Record returns o with its attributes copied into a new map.
+func (o Object) Record() Record {
+	return Record{OID: o.OID, Class: o.Class, Attrs: o.Row.Map(), Deleted: o.Deleted}
 }
 
 // Topology resolves transaction ancestry for visibility; the
@@ -85,7 +105,7 @@ type Topology interface {
 // that wrote it. Committed states live in mvVersion chains (mvcc.go).
 type version struct {
 	owner lock.TxnID
-	rec   Record
+	rec   Object
 }
 
 // compactFraction sets the compaction threshold: the chain compacts
@@ -289,6 +309,11 @@ type Stats struct {
 	LiveSnapshots     int
 	GCRuns            uint64
 	VersionsReclaimed uint64
+	// Shapes is the number of distinct attribute-name sets interned
+	// process-wide (datum.Shapes). Every version with the same names
+	// shares one, so it stays at a few per class; a count that grows
+	// with the number of writes means rows are not sharing shapes.
+	Shapes int
 }
 
 // roundShards normalizes a configured shard count to a power of two in
@@ -461,13 +486,15 @@ func (s *Store) bumpSeq(class string) {
 
 // Put installs rec as tx's uncommitted version of the object,
 // replacing any prior version tx wrote. The caller must already hold
-// the appropriate exclusive lock. The store takes ownership of
-// rec.Attrs — the map becomes the version readers share, so the caller
-// must not touch it again. Every caller hands over a map it just built:
-// the Object Manager (coerce, encodeClass, Modify's one CloneMap) and
-// the replication benchmark's literals; replica apply and recovery
-// install what the redo decoder just allocated.
+// the appropriate exclusive lock. rec.Attrs is only read: the version
+// is a row built from it.
 func (s *Store) Put(tx lock.TxnID, rec Record) {
+	s.PutObject(tx, Object{OID: rec.OID, Class: rec.Class, Row: datum.RowOf(rec.Attrs), Deleted: rec.Deleted})
+}
+
+// PutObject is Put for a state that is already a row; the Object
+// Manager builds its rows itself.
+func (s *Store) PutObject(tx lock.TxnID, rec Object) {
 	s.nPuts.Add(1)
 	sh := s.shardOf(rec.OID)
 	sh.mu.Lock()
@@ -583,14 +610,14 @@ func (s *Store) scanIndex(class, attr string, lo, hi btree.Bound, fn func(datum.
 // no lock table. The second result is false if no visible version
 // exists or the visible version is a deletion tombstone (the record
 // is still returned so callers can see the tombstone's class). The
-// record is the stored version, shared and read-only (see Record).
+// object is the stored version, shared and read-only (see Object).
 //
 // Reading at the latest published LSN (rather than a pinned snapshot)
 // keeps writers correct under two-phase locking: a transaction
 // holding an exclusive lock always sees the newest committed state,
 // because the previous writer's commit published before its locks
 // were released.
-func (s *Store) Get(tx lock.TxnID, oid datum.OID) (Record, bool) {
+func (s *Store) Get(tx lock.TxnID, oid datum.OID) (Object, bool) {
 	for {
 		p := s.published.Load()
 		rec, ok := s.GetAt(tx, oid, p)
@@ -607,11 +634,11 @@ func (s *Store) Get(tx lock.TxnID, oid datum.OID) (Record, bool) {
 }
 
 // GetAt is Get against an explicit snapshot LSN (see AcquireSnapshot).
-func (s *Store) GetAt(tx lock.TxnID, oid datum.OID, snap uint64) (Record, bool) {
+func (s *Store) GetAt(tx lock.TxnID, oid datum.OID, snap uint64) (Object, bool) {
 	s.nGets.Add(1)
 	v, ok := s.shardOf(oid).objects.Load(oid)
 	if !ok {
-		return Record{}, false
+		return Object{}, false
 	}
 	return s.resolve(v.(*mvEntry), tx, snap)
 }
@@ -644,7 +671,7 @@ func (s *Store) RegisterIndex(class, attr string) {
 				if v.rec.Deleted || v.rec.Class != class {
 					continue
 				}
-				if val, ok := v.rec.Attrs[attr]; ok {
+				if val, ok := v.rec.Row.Get(attr); ok {
 					t.Insert(val.Key(), sl.oid)
 				}
 			}
@@ -722,6 +749,7 @@ func (s *Store) Stats() Stats {
 		PublishedLSN:      s.published.Load(),
 		GCRuns:            s.nGCRuns.Load(),
 		VersionsReclaimed: s.nGCReclaimed.Load(),
+		Shapes:            datum.Shapes(),
 	}
 	st.OldestSnapshotLSN, st.LiveSnapshots = s.oldestSnapshotLSN()
 	if s.log != nil {
@@ -786,8 +814,8 @@ func (s *Store) CommitNested(child, parent lock.TxnID) error {
 //
 // The write-ahead invariant holds: no version installs before its log
 // record is durable. Reading the prepared records outside the shard
-// locks is safe because records are immutable once Put (the store
-// owns the map, readers only borrow it), tx's own versions cannot
+// locks is safe because versions are immutable once Put (rows are never
+// written, readers only borrow them), tx's own versions cannot
 // change while its single commit goroutine is here, and tx still
 // holds its exclusive locks, so no other committer touches the same
 // objects.
@@ -801,7 +829,7 @@ func (s *Store) CommitTop(tx lock.TxnID) error {
 
 	// Prepare.
 	oids := s.takeDirty(tx)
-	recs := make([]Record, 0, len(oids))
+	recs := make([]Object, 0, len(oids))
 	for _, oid := range oids {
 		if v, ok := s.shardOf(oid).objects.Load(oid); ok {
 			e := v.(*mvEntry)
@@ -883,8 +911,8 @@ func (s *Store) CommitTop(tx lock.TxnID) error {
 // The mark for the next delta snapshot rides the same critical section
 // as the install, so a checkpoint scan sees the version and the mark
 // together or neither.
-func (s *Store) installAll(owner lock.TxnID, recs []Record, clsn uint64) int {
-	install := func(sh *shard, group []Record) {
+func (s *Store) installAll(owner lock.TxnID, recs []Object, clsn uint64) int {
+	install := func(sh *shard, group []Object) {
 		sh.mu.Lock()
 		for _, rec := range group {
 			s.installCommitted(sh, owner, rec, clsn)
@@ -901,7 +929,7 @@ func (s *Store) installAll(owner lock.TxnID, recs []Record, clsn uint64) int {
 		s.bumpSeq(recs[0].Class)
 		return 1
 	}
-	groups := map[*shard][]Record{}
+	groups := map[*shard][]Object{}
 	classes := map[string]struct{}{}
 	for _, rec := range recs {
 		sh := s.shardOf(rec.OID)
@@ -959,7 +987,7 @@ func (s *Store) maybeKickCheckpoint() {
 // holds sh.mu exclusively; sh is rec.OID's shard. The class
 // modification counter is bumped by the caller (after its shard
 // section) — see Put for the ordering argument.
-func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Record, clsn uint64) {
+func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Object, clsn uint64) {
 	if s.loading {
 		if rec.Deleted {
 			sh.objects.Delete(rec.OID)
@@ -1003,7 +1031,7 @@ func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Record, clsn u
 		// below the one the published frontier resolves to are
 		// already unreachable — cut them (and their index entries)
 		// now rather than letting a hot chain grow until the next
-		// background sweep pins a pile of dead attr maps in the heap.
+		// background sweep pins a pile of dead rows in the heap.
 		// Safe against racing registrations because AcquireSnapshot
 		// bumps the live count before reading published: a count of 0
 		// here means any registration we missed pins an LSN at or
@@ -1056,9 +1084,9 @@ func (s *Store) AbortTxn(tx lock.TxnID) {
 	}
 }
 
-func indexInsert(sh *shard, rec Record) {
+func indexInsert(sh *shard, rec Object) {
 	for attr, t := range sh.indexes[rec.Class] {
-		if v, ok := rec.Attrs[attr]; ok {
+		if v, ok := rec.Row.Get(attr); ok {
 			t.Insert(v.Key(), rec.OID)
 		}
 	}
@@ -1066,7 +1094,9 @@ func indexInsert(sh *shard, rec Record) {
 
 // --- redo log records and snapshot ---
 
-func encodeRedo(recs []Record) []byte {
+// encodeRedo writes a commit's versions as one redo record, each row in
+// datum.EncodeMap's format.
+func encodeRedo(recs []Object) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(recs)))
 	for _, r := range recs {
 		buf = binary.AppendUvarint(buf, uint64(r.OID))
@@ -1077,19 +1107,19 @@ func encodeRedo(recs []Record) []byte {
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = datum.EncodeMap(buf, r.Attrs)
+		buf = datum.AppendRow(buf, r.Row)
 	}
 	return buf
 }
 
-func decodeRedo(payload []byte) ([]Record, error) {
+func decodeRedo(payload []byte) ([]Object, error) {
 	cnt, n := binary.Uvarint(payload)
 	// Each record takes several bytes, so a count beyond the remaining
 	// input is corrupt — reject before allocating.
 	if n <= 0 || cnt > uint64(len(payload)-n) {
 		return nil, errors.New("storage: bad redo header")
 	}
-	recs := make([]Record, 0, cnt)
+	recs := make([]Object, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		oid, m := binary.Uvarint(payload[n:])
 		if m <= 0 {
@@ -1108,12 +1138,12 @@ func decodeRedo(payload []byte) ([]Record, error) {
 		n += int(clen)
 		deleted := payload[n] == 1
 		n++
-		attrs, m, err := datum.DecodeMap(payload[n:])
+		row, m, err := datum.DecodeRow(payload[n:])
 		if err != nil {
 			return nil, fmt.Errorf("storage: redo attrs: %w", err)
 		}
 		n += m
-		recs = append(recs, Record{OID: datum.OID(oid), Class: class, Attrs: attrs, Deleted: deleted})
+		recs = append(recs, Object{OID: datum.OID(oid), Class: class, Row: row, Deleted: deleted})
 	}
 	return recs, nil
 }
@@ -1295,7 +1325,7 @@ func (s *Store) checkpoint(forceFull bool) (CheckpointResult, error) {
 	// record at LSN >= watermark). On any failure below the stolen
 	// sets are merged back — losing a mark would silently drop its
 	// record from every future delta.
-	var recs []Record
+	var recs []Object
 	var taken []map[datum.OID]string
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -1315,7 +1345,7 @@ func (s *Store) checkpoint(forceFull bool) (CheckpointResult, error) {
 				// Deleted since the last checkpoint (or gone with its
 				// chain): the delta must carry the tombstone or recovery
 				// would resurrect the object from an older chain element.
-				rec := Record{OID: oid, Class: class, Deleted: true}
+				rec := Object{OID: oid, Class: class, Deleted: true}
 				if v, ok := sh.objects.Load(oid); ok {
 					if hv := v.(*mvEntry).head.Load(); hv != nil && !hv.rec.Deleted {
 						rec = hv.rec

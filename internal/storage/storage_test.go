@@ -67,7 +67,7 @@ func TestPutGetOwnWrites(t *testing.T) {
 	oid := s.AllocOID()
 	s.Put(5, rec(oid, "Stock", map[string]datum.Value{"price": datum.Float(50)}))
 	got, ok := s.Get(5, oid)
-	if !ok || got.Attrs["price"].AsFloat() != 50 {
+	if !ok || got.AsMap()["price"].AsFloat() != 50 {
 		t.Fatalf("own write invisible: %v %v", got, ok)
 	}
 	// Unrelated transaction must not see it.
@@ -82,22 +82,22 @@ func TestChildSeesParentWrites(t *testing.T) {
 	oid := s.AllocOID()
 	s.Put(1, rec(oid, "C", map[string]datum.Value{"v": datum.Int(1)}))
 	got, ok := s.Get(2, oid)
-	if !ok || got.Attrs["v"].AsInt() != 1 {
+	if !ok || got.AsMap()["v"].AsInt() != 1 {
 		t.Fatal("child cannot see ancestor write")
 	}
 	// Child overwrite shadows for the child only...
 	s.Put(2, rec(oid, "C", map[string]datum.Value{"v": datum.Int(2)}))
-	if got, _ := s.Get(2, oid); got.Attrs["v"].AsInt() != 2 {
+	if got, _ := s.Get(2, oid); got.AsMap()["v"].AsInt() != 2 {
 		t.Fatal("child does not see own overwrite")
 	}
-	if got, _ := s.Get(1, oid); got.Attrs["v"].AsInt() != 1 {
+	if got, _ := s.Get(1, oid); got.AsMap()["v"].AsInt() != 1 {
 		t.Fatal("parent saw child's uncommitted overwrite")
 	}
 	// ...until nested commit folds it up.
 	if err := s.CommitNested(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.Get(1, oid); got.Attrs["v"].AsInt() != 2 {
+	if got, _ := s.Get(1, oid); got.AsMap()["v"].AsInt() != 2 {
 		t.Fatal("nested commit did not fold into parent")
 	}
 }
@@ -110,7 +110,7 @@ func TestAbortDiscards(t *testing.T) {
 	s.Put(2, rec(oid, "C", map[string]datum.Value{"v": datum.Int(99)}))
 	s.AbortTxn(2)
 	got, ok := s.Get(3, oid)
-	if !ok || got.Attrs["v"].AsInt() != 1 {
+	if !ok || got.AsMap()["v"].AsInt() != 1 {
 		t.Fatalf("abort did not restore committed state: %v", got)
 	}
 }
@@ -124,7 +124,7 @@ func TestAbortOfCreatorRemovesObject(t *testing.T) {
 		t.Fatal("aborted create still visible")
 	}
 	count := 0
-	s.ScanClass(2, "C", func(Record) bool { count++; return true })
+	s.ScanClass(2, "C", func(Object) bool { count++; return true })
 	if count != 0 {
 		t.Fatal("aborted create left extent entry")
 	}
@@ -138,7 +138,7 @@ func TestCommitTopMakesVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := s.Get(42, oid)
-	if !ok || got.Attrs["v"].AsInt() != 7 {
+	if !ok || got.AsMap()["v"].AsInt() != 7 {
 		t.Fatal("committed write not visible to new txn")
 	}
 }
@@ -178,8 +178,8 @@ func TestScanClassVisibilityAndOrder(t *testing.T) {
 
 	collect := func(tx lock.TxnID) []int64 {
 		var out []int64
-		s.ScanClass(tx, "C", func(r Record) bool {
-			out = append(out, r.Attrs["i"].AsInt())
+		s.ScanClass(tx, "C", func(r Object) bool {
+			out = append(out, r.AsMap()["i"].AsInt())
 			return true
 		})
 		return out
@@ -199,7 +199,7 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 	s.CommitTop(1)
 	n := 0
-	s.ScanClass(2, "C", func(Record) bool { n++; return n < 3 })
+	s.ScanClass(2, "C", func(Object) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("visited %d", n)
 	}
@@ -329,18 +329,18 @@ func TestMultiLevelFold(t *testing.T) {
 	oid := s.AllocOID()
 	s.Put(3, rec(oid, "C", map[string]datum.Value{"v": datum.Int(3)}))
 	s.CommitNested(3, 2)
-	if got, ok := s.Get(2, oid); !ok || got.Attrs["v"].AsInt() != 3 {
+	if got, ok := s.Get(2, oid); !ok || got.AsMap()["v"].AsInt() != 3 {
 		t.Fatal("fold to child failed")
 	}
 	if _, ok := s.Get(1, oid); ok {
 		t.Fatal("parent sees grandchild's fold prematurely")
 	}
 	s.CommitNested(2, 1)
-	if got, ok := s.Get(1, oid); !ok || got.Attrs["v"].AsInt() != 3 {
+	if got, ok := s.Get(1, oid); !ok || got.AsMap()["v"].AsInt() != 3 {
 		t.Fatal("fold to parent failed")
 	}
 	s.CommitTop(1)
-	if got, ok := s.Get(77, oid); !ok || got.Attrs["v"].AsInt() != 3 {
+	if got, ok := s.Get(77, oid); !ok || got.AsMap()["v"].AsInt() != 3 {
 		t.Fatal("final commit failed")
 	}
 }
@@ -378,7 +378,7 @@ func TestRecoveryFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got, ok := s2.Get(9, oid); !ok || got.Attrs["v"].AsInt() != 11 {
+	if got, ok := s2.Get(9, oid); !ok || got.AsMap()["v"].AsInt() != 11 {
 		t.Fatal("committed record lost in recovery")
 	}
 	if _, ok := s2.Get(9, oid2); ok {
@@ -432,11 +432,11 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	}
 	defer s2.Close()
 	count := 0
-	s2.ScanClass(1, "C", func(Record) bool { count++; return true })
+	s2.ScanClass(1, "C", func(Object) bool { count++; return true })
 	if count != 6 {
 		t.Fatalf("recovered %d objects, want 6", count)
 	}
-	if got, ok := s2.Get(1, oid); !ok || got.Attrs["i"].AsInt() != 99 {
+	if got, ok := s2.Get(1, oid); !ok || got.AsMap()["i"].AsInt() != 99 {
 		t.Fatal("post-checkpoint commit lost")
 	}
 }
@@ -446,7 +446,7 @@ func TestStatsCounters(t *testing.T) {
 	oid := s.AllocOID()
 	s.Put(1, rec(oid, "C", nil))
 	s.Get(1, oid)
-	s.ScanClass(1, "C", func(Record) bool { return true })
+	s.ScanClass(1, "C", func(Object) bool { return true })
 	s.CommitTop(1)
 	st := s.Stats()
 	if st.Puts != 1 || st.Gets != 1 || st.Scans != 1 || st.TopCommits != 1 {
@@ -484,8 +484,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 	// All writers aborted; committed state intact.
 	count := 0
-	s.ScanClass(999, "C", func(r Record) bool {
-		if r.Attrs["v"].AsInt() != 0 {
+	s.ScanClass(999, "C", func(r Object) bool {
+		if r.AsMap()["v"].AsInt() != 0 {
 			t.Error("committed value changed by aborted writer")
 		}
 		count++
@@ -548,7 +548,7 @@ func TestConcurrentCommitTopGroupFlush(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		for i := 0; i < each; i++ {
 			got, ok := s2.Get(999, oids[w][i])
-			if !ok || got.Attrs["w"].AsInt() != int64(w) || got.Attrs["i"].AsInt() != int64(i) {
+			if !ok || got.AsMap()["w"].AsInt() != int64(w) || got.AsMap()["i"].AsInt() != int64(i) {
 				t.Fatalf("commit by writer %d iter %d lost in recovery", w, i)
 			}
 		}
@@ -608,7 +608,7 @@ func TestTornTailAfterGroupFlush(t *testing.T) {
 	}
 	defer s2.Close()
 	count := 0
-	s2.ScanClass(999, "C", func(Record) bool { count++; return true })
+	s2.ScanClass(999, "C", func(Object) bool { count++; return true })
 	if count != writers*each {
 		t.Fatalf("recovered %d objects, want exactly the committed prefix %d", count, writers*each)
 	}
@@ -686,7 +686,7 @@ func TestCheckpointConcurrentWithCommits(t *testing.T) {
 		for v := int64(1); v <= each; v++ {
 			oid := datum.OID(uint64(w)*each + uint64(v))
 			got, ok := s2.Get(1, oid)
-			if !ok || got.Attrs["v"].AsInt() != v {
+			if !ok || got.AsMap()["v"].AsInt() != v {
 				t.Fatalf("writer %d object %d: committed value lost across checkpointed recovery", w, oid)
 			}
 		}

@@ -94,7 +94,7 @@ func TestShardedStoreStress(t *testing.T) {
 				i++
 				oid := datum.OID(1 + (i*7+r*13)%(writers*oidsPerW))
 				if rec, ok := a.Get(0, oid); ok {
-					v := rec.Attrs["v"].AsInt()
+					v := rec.AsMap()["v"].AsInt()
 					if v < last[oid] {
 						readerErr <- fmt.Errorf("oid %v went backwards: %d then %d", oid, last[oid], v)
 						return
@@ -108,7 +108,7 @@ func TestShardedStoreStress(t *testing.T) {
 				if i%64 == 0 {
 					cls := fmt.Sprintf("C%d", i%classes)
 					bad := false
-					a.ScanClass(0, cls, func(rec Record) bool {
+					a.ScanClass(0, cls, func(rec Object) bool {
 						if rec.Class != cls {
 							bad = true
 							return false
@@ -203,8 +203,8 @@ func TestShardedStoreStress(t *testing.T) {
 		got := map[datum.OID]int64{}
 		for c := 0; c < classes; c++ {
 			cls := fmt.Sprintf("C%d", c)
-			s.ScanClass(0, cls, func(rec Record) bool {
-				got[rec.OID] = rec.Attrs["v"].AsInt()
+			s.ScanClass(0, cls, func(rec Object) bool {
+				got[rec.OID] = rec.AsMap()["v"].AsInt()
 				return true
 			})
 		}
