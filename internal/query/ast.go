@@ -15,6 +15,14 @@
 // concatenation (+), attribute paths (var.attr), event-argument
 // references (event.name), and whole-result aggregates (count, sum,
 // avg, min, max).
+//
+// Queries read objects through a Reader, which hands out the store's
+// rows (datum.Row) by reference; maps appear only in what callers pass
+// in (event arguments) and get back (Result.RowBindings). Compiled
+// expressions (compile.go) resolve a path var.attr to a frame slot and
+// an attribute id when they are built, so reading it is two indexed
+// loads whatever the row's shape; the tree-walk oracle (eval.go) looks
+// attributes up by name.
 package query
 
 import (
