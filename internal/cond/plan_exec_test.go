@@ -6,7 +6,6 @@
 package cond_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -119,7 +118,7 @@ func TestPlannerExecPinnedSnapshot(t *testing.T) {
 	if len(got[1].Primary.Rows) != 2 {
 		t.Fatalf("pinned snapshot leaked later commits: %d rows, want 2", len(got[1].Primary.Rows))
 	}
-	if !reflect.DeepEqual(want[1].Primary, got[1].Primary) {
+	if !want[1].Primary.Equal(got[1].Primary) {
 		t.Fatalf("planner and tree-walk disagree on primary rows:\nwant %+v\ngot  %+v",
 			want[1].Primary, got[1].Primary)
 	}
@@ -192,7 +191,7 @@ func TestPlannerExecJoinConditionMatchesTreeWalk(t *testing.T) {
 		if got[7].Satisfied != want[7].Satisfied {
 			t.Fatalf("args %v: satisfied plan=%v treewalk=%v", args, got[7].Satisfied, want[7].Satisfied)
 		}
-		if !reflect.DeepEqual(want[7].Primary, got[7].Primary) {
+		if !want[7].Primary.Equal(got[7].Primary) {
 			t.Fatalf("args %v: primary rows differ\nwant %+v\ngot  %+v", args, want[7].Primary, got[7].Primary)
 		}
 	}

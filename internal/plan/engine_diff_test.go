@@ -8,7 +8,6 @@ package plan_test
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -170,7 +169,7 @@ func TestDifferentialUnderConcurrentCommitters(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d plan %d: %v\n%s", round, i, err, p.Explain())
 			}
-			if !reflect.DeepEqual(want, got) {
+			if !want.Equal(got) {
 				t.Fatalf("round %d plan %d diverges at snapshot LSN %d\nquery: %s\nwant: %+v\ngot:  %+v\n%s",
 					round, i, lsn, src, want, got, p.Explain())
 			}
@@ -271,7 +270,7 @@ func TestParallelScanPinnedLSNUnderCommitters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serial, par) {
+		if !serial.Equal(par) {
 			t.Fatalf("round %d: parallel result diverges from serial at pinned LSN %d\nquery: %s\n%s",
 				round, lsn, src, p.Explain())
 		}
@@ -349,7 +348,7 @@ func TestEngineQueryAndExplain(t *testing.T) {
 	if len(want.Rows) != 1 {
 		t.Fatalf("oracle rows = %+v, want the one kim/XRX holding", want.Rows)
 	}
-	if !reflect.DeepEqual(want, got) {
+	if !want.Equal(got) {
 		t.Fatalf("Engine.Query and the tree-walk oracle disagree:\nwant %+v\ngot  %+v", want, got)
 	}
 
@@ -400,7 +399,7 @@ func TestQueryAllocations(t *testing.T) {
 			}
 			return res
 		}
-		if want, err := query.Eval(q, sr, args); err != nil || !reflect.DeepEqual(want, run()) {
+		if want, err := query.Eval(q, sr, args); err != nil || !want.Equal(run()) {
 			t.Fatalf("%s: the plan differs from the oracle (%v)", tc.shape, err)
 		}
 		allocs := testing.AllocsPerRun(5, func() { run() })

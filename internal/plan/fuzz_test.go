@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/datum"
@@ -71,7 +70,7 @@ func FuzzPlan(f *testing.F) {
 			if werr != nil || gerr != nil {
 				continue
 			}
-			if !reflect.DeepEqual(want, got) {
+			if !want.Equal(got) {
 				t.Fatalf("plan %d diverges from tree-walk\nquery: %s\nwant: %+v\ngot:  %+v\n%s",
 					i, src, want, got, p.Explain())
 			}

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -36,8 +35,7 @@ func parFake(n int) *fakeReader {
 
 // TestParallelMatchesSerialByteEquality runs randomized rounds of the
 // core query shapes at parallelism 1 vs N, asserting byte-identical
-// results (reflect.DeepEqual over datum values compares floats
-// bit-exactly). Run under -race: the workers share the reader, the
+// results (Result.Equal compares floats bit-exactly). Run under -race: the workers share the reader, the
 // prebuilt hash table, and nothing else.
 func TestParallelMatchesSerialByteEquality(t *testing.T) {
 	queries := []string{
@@ -75,7 +73,7 @@ func TestParallelMatchesSerialByteEquality(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d par=%d: %v", round, par, err)
 			}
-			if !reflect.DeepEqual(want, got) {
+			if !want.Equal(got) {
 				t.Fatalf("round %d par=%d diverges\nquery: %s\nwant: %+v\ngot:  %+v\n%s",
 					round, par, src, want, got, p.Explain())
 			}
@@ -190,7 +188,7 @@ func TestParallelAggregateMergeAndFallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		if !reflect.DeepEqual(want, got) {
+		if !want.Equal(got) {
 			t.Fatalf("%s\nwant: %+v\ngot:  %+v", src, want, got)
 		}
 	}
