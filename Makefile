@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-check
+.PHONY: build test race bench bench-check loc
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,9 @@ test:
 # holds the call/reply connection's read loop and pending-call table,
 # which both internal/client and internal/server run on. internal/datum
 # is here for checkptr, which -race turns on: a Value's pointer word and
-# a row's cells are unsafe.Pointer arithmetic.
+# a row's cells are unsafe.Pointer arithmetic. internal/obs records
+# histograms and spans from many goroutines at once, and
+# internal/clock's virtual clock fires timers scheduled concurrently.
 race:
 	$(GO) test -race ./internal/rule/ ./internal/txn/ ./internal/lock/ \
 		./internal/storage/ ./internal/wal/ ./internal/event/ \
@@ -27,7 +29,7 @@ race:
 		./internal/server/ ./internal/failpoint/ ./internal/cond/ \
 		./internal/btree/ ./internal/query/ ./internal/repl/ \
 		./internal/plan/ ./internal/ipc/ ./internal/client/ \
-		./internal/datum/
+		./internal/datum/ ./internal/obs/ ./internal/clock/
 
 # bench runs every per-claim microbenchmark once, briefly; to measure
 # one, run it by name with -count and -cpu and compare commits with
@@ -41,3 +43,8 @@ bench:
 bench-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# loc prints the number of non-test Go lines outside benchmark/, the
+# size the project tracks from change to change.
+loc:
+	@git ls-files --cached --others --exclude-standard '*.go' ':!:*_test.go' ':!:benchmark/' | xargs cat | wc -l

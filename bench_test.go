@@ -603,10 +603,10 @@ func BenchmarkIndexVsScan(b *testing.B) {
 
 // BenchmarkScanClass walks a 10 000-row extent through the query
 // reader, the path every extent scan, hash build and condition takes:
-// serial is the k-way merge of the shard runs (ScanClass), per-shard
-// the fan-out surface of the parallel executor, one shard after another
-// at one pinned LSN. Both borrow the stored versions: allocations are
-// per scan, not per row.
+// serial is one cursor over the extent (ScanClass), per-range the
+// fan-out surface of the parallel executor: a cut into 16 OID ranges,
+// then the ranges one after another at one pinned LSN. Both borrow the
+// stored versions: allocations are per scan, not per row.
 func BenchmarkScanClass(b *testing.B) {
 	const rows = 10_000
 	e := setupEngine(b)
@@ -628,15 +628,19 @@ func BenchmarkScanClass(b *testing.B) {
 			}
 		}
 	})
-	b.Run("per-shard", func(b *testing.B) {
+	b.Run("per-range", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n = 0
-			for si := 0; si < r.ShardCount(); si++ {
-				mustB(b, r.ScanClassShard(si, "Stock", r.SnapshotLSN(), visit))
+			lsn, cuts, release := r.PinRanges("Stock", 16)
+			lo := datum.OID(0)
+			for _, hi := range append(cuts, 0) {
+				mustB(b, r.ScanClassRange("Stock", lo, hi, lsn, visit))
+				lo = hi
 			}
+			release()
 			if n != rows {
-				b.Fatalf("shard scans visited %d rows", n)
+				b.Fatalf("range scans visited %d rows", n)
 			}
 		}
 	})

@@ -4,9 +4,9 @@
 // object identifiers (the index is non-unique: many objects can share
 // an attribute value).
 //
-// The tree is not internally synchronized; the storage layer guards it
-// with its own locking (probes and mutations run under the owning
-// shard's mutex).
+// The tree is not internally synchronized; the storage layer gives
+// each tree a read/write lock of its own (probes read-lock it,
+// installs and the version GC write-lock it).
 //
 // Index entries are maintained with MVCC "add-only at install"
 // semantics: committing a new object version inserts its (key, oid)

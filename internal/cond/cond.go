@@ -139,7 +139,7 @@ type Evaluator struct {
 // ExecFunc runs one query against a reader — the pluggable execution
 // engine. The engine installs the cost-based planner here (plan.Exec
 // with its configured parallelism, so rule conditions get the same
-// shard-parallel scans and partitioned hash joins as ad-hoc queries);
+// range-parallel scans and partitioned hash joins as ad-hoc queries);
 // nil keeps the tree-walk evaluator. Any implementation must preserve
 // query.Eval's semantics exactly: condition satisfaction, the primary
 // query's action-parameter rows, and the as-of-commit snapshot view

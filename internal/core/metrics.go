@@ -57,9 +57,6 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# TYPE hipac_live_txns gauge\nhipac_live_txns %d\n", s.LiveTxns); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "# TYPE hipac_store_shards gauge\nhipac_store_shards %d\n", s.Store.Shards); err != nil {
-		return err
-	}
 	// Interned row shapes: a few per class; growth with the write count
 	// means rows stopped sharing them.
 	if _, err := fmt.Fprintf(w, "# TYPE hipac_store_shapes gauge\nhipac_store_shapes %d\n", s.Store.Shapes); err != nil {
@@ -78,16 +75,6 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 	}
 	for _, g := range mvccGauges {
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.value); err != nil {
-			return err
-		}
-	}
-	// Per-shard install counts expose heap partition skew: a hot shard
-	// shows up as one series far above the rest.
-	if _, err := fmt.Fprintf(w, "# TYPE hipac_store_shard_installs_total counter\n"); err != nil {
-		return err
-	}
-	for i, n := range e.Store.ShardInstalls() {
-		if _, err := fmt.Fprintf(w, "hipac_store_shard_installs_total{shard=\"%d\"} %d\n", i, n); err != nil {
 			return err
 		}
 	}

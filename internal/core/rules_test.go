@@ -5,8 +5,10 @@ package core
 // wave ordering, and cascaded deferred firings.
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/datum"
 	"repro/internal/rule"
@@ -278,4 +280,64 @@ func TestFireWithConditionRows(t *testing.T) {
 		t.Fatalf("fired actions = %d, want 2 (per matching row)", got)
 	}
 	tx.Commit()
+}
+
+// TestSelfCascadeIsBounded: a rule on create(Audit) whose action creates
+// an Audit raises its own event forever. Immediate and deferred
+// couplings nest each level one transaction deeper, so the cascade
+// bound must end it with rule.ErrCascadeDepth, abort every level, and
+// leave no transaction behind.
+func TestSelfCascadeIsBounded(t *testing.T) {
+	for _, mode := range []string{"immediate", "deferred"} {
+		t.Run(mode, func(t *testing.T) {
+			e, _ := newEngine(t)
+			defineStockAndAudit(t, e)
+			if _, err := e.CreateRule(rule.Def{
+				Name:  "self",
+				Event: "create(Audit)",
+				Action: []rule.Step{{
+					Kind: rule.StepCreate, Class: "Audit",
+					Attrs: map[string]string{"note": "'again'"},
+				}},
+				EC: mode, CA: "immediate",
+			}); err != nil {
+				t.Fatal(err)
+			}
+			base := e.Txns.Live()
+			done := make(chan error, 1)
+			go func() {
+				tx := e.Begin()
+				if _, err := e.Create(tx, "Audit", map[string]datum.Value{"note": datum.Str("seed")}); err != nil {
+					tx.Abort()
+					done <- err
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					done <- err
+					return
+				}
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, rule.ErrCascadeDepth) {
+					t.Fatalf("self-cascade returned %v, want rule.ErrCascadeDepth", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("self-cascade still running after 10s (%d live transactions)", e.Txns.Live())
+			}
+			if live := e.Txns.Live(); live != base {
+				t.Fatalf("%d live transactions after the abort, baseline %d", live, base)
+			}
+			tx := e.Begin()
+			defer tx.Commit()
+			res, err := e.Query(tx, "select a.note from Audit a", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 0 {
+				t.Fatalf("%d Audit objects survived the aborted cascade", len(res.Rows))
+			}
+		})
+	}
 }

@@ -487,7 +487,7 @@ func (m *Manager) Delete(tx *txn.Txn, oid datum.OID) error {
 // Get returns the object visible to tx. The read is lock-free: the
 // store resolves tx's own (or an ancestor's) uncommitted version,
 // else the newest published committed version — no shared lock, no
-// shard mutex. Writers are still correct without the lock because a
+// store mutex. Writers are still correct without the lock because a
 // transaction that intends to write takes its exclusive lock first,
 // and the previous writer's commit published before releasing it.
 //

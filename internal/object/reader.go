@@ -9,7 +9,7 @@ import (
 )
 
 // Reader returns a query.Reader bound to tx. Committed data is read
-// through the store's MVCC path — no shared locks, no shard mutexes:
+// through the store's MVCC path — no shared locks, no store mutex:
 // each ScanClass pins its own snapshot LSN for the duration of the
 // scan, and Fetch reads at the latest published commit. tx's own
 // uncommitted writes are always visible. Rows are the stored versions,
@@ -132,33 +132,31 @@ func (r *txnReader) IndexEstimate(class, attr string, lo, hi *datum.Value, loInc
 	return r.m.store.IndexEstimate(class, attr, loB, hiB, limit)
 }
 
-// The methods below make every reader a plan.ShardScanner, the
-// parallel executor's fan-out surface: one worker per committed-tier
-// shard walks its slice of a class extent, all pinned at one snapshot
-// LSN so the union of the shard scans is exactly what ScanClass at
-// that LSN would visit.
+// The methods below make every reader a plan.RangeScanner, the
+// parallel executor's fan-out surface: workers walk OID ranges of a
+// class extent, all pinned at one snapshot LSN, so the union of the
+// range scans is exactly what ScanClass at that LSN would visit.
 
-// ShardCount returns the committed tier's shard count.
-func (r *txnReader) ShardCount() int { return r.m.store.ShardCount() }
-
-// PinShards returns the snapshot LSN every shard worker must scan at,
-// plus a release for the pin backing it. A pinned reader hands out its
-// own immobile LSN (release is a no-op — the reader's pin outlives the
+// PinRanges returns the snapshot LSN every range worker must scan at,
+// the store's cut of class's extent into at most n ranges, and a
+// release for the pin behind the LSN. A pinned reader hands out its own
+// immobile LSN (release is a no-op — the reader's pin outlives the
 // scan); an unpinned reader acquires a pin for the scan's duration so
 // version GC cannot reclaim rows mid-fan-out.
-func (r *txnReader) PinShards() (uint64, func()) {
+func (r *txnReader) PinRanges(class string, n int) (uint64, []datum.OID, func()) {
+	cuts := r.m.store.ExtentCuts(class, n)
 	if r.snap != nil {
-		return r.snap.LSN(), func() {}
+		return r.snap.LSN(), cuts, func() {}
 	}
 	snap := r.m.store.AcquireSnapshot()
-	return snap.LSN(), snap.Release
+	return snap.LSN(), cuts, snap.Release
 }
 
-// ScanClassShard visits the class's live objects held by shard si, in
-// OID order within the shard, at the given snapshot LSN. tx's own
+// ScanClassRange visits the class's live objects with lo <= OID < hi
+// (hi 0: unbounded), in OID order, at the given snapshot LSN. tx's own
 // uncommitted writes are visible, matching ScanClass.
-func (r *txnReader) ScanClassShard(si int, class string, lsn uint64, fn func(datum.OID, datum.Row) bool) error {
-	r.m.store.ScanClassShardAt(r.tx.ID(), si, class, lsn, func(rec storage.Object) bool {
+func (r *txnReader) ScanClassRange(class string, lo, hi datum.OID, lsn uint64, fn func(datum.OID, datum.Row) bool) error {
+	r.m.store.ScanClassRangeAt(r.tx.ID(), class, lo, hi, lsn, func(rec storage.Object) bool {
 		return fn(rec.OID, rec.Row)
 	})
 	return nil

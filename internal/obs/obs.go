@@ -59,10 +59,6 @@ const (
 	// "d" in the O(d) incremental-snapshot claim. A count histogram
 	// like HWALGroup.
 	HDeltaRecords
-	// HCommitShards: heap shards a top-level commit's install phase
-	// locked — the spread of write sets over the partitions. A count
-	// histogram like HWALGroup.
-	HCommitShards
 	// HCEPPartials: open partial matches in a cep template after one
 	// constituent offer — the live-state pressure of the composite
 	// event runtime. A count histogram like HWALGroup.
@@ -105,7 +101,7 @@ var histNames = [numHists]string{
 	"action_exec", "wal_sync", "lock_wait", "ipc_request",
 	"commit_stall", "wal_group_size",
 	"checkpoint", "wal_bytes_reclaimed", "delta_records",
-	"commit_shards", "cep_partials", "cep_instances",
+	"cep_partials", "cep_instances",
 	"version_chain_len", "snapshot_read",
 	"repl_batch_bytes", "repl_lag",
 	"plan_parallel_fanout", "plan_gather_wait",
@@ -115,7 +111,7 @@ var histNames = [numHists]string{
 // histIsCount marks histograms whose observations are counts recorded
 // via ObserveN, not durations.
 var histIsCount = [numHists]bool{HWALGroup: true, HWALReclaimed: true, HDeltaRecords: true,
-	HCommitShards: true, HCEPPartials: true, HCEPInstances: true, HVersionChain: true,
+	HCEPPartials: true, HCEPInstances: true, HVersionChain: true,
 	HReplBatch: true, HPlanFanout: true, HIPCMessage: true}
 
 // HistIsCount reports whether the named histogram holds counts

@@ -149,7 +149,7 @@ func TestDifferentialUnderConcurrentCommitters(t *testing.T) {
 			t.Fatalf("oracle: %v", err)
 		}
 		// The forced-parallel builds remove the cardinality floor so
-		// every round also runs shard-parallel scans, partitioned hash
+		// every round also runs range-parallel scans, partitioned hash
 		// joins, and parallel aggregation against the live store —
 		// byte-equality vs. the serial plans and the oracle, under
 		// -race.
@@ -183,7 +183,7 @@ func TestDifferentialUnderConcurrentCommitters(t *testing.T) {
 }
 
 // TestParallelScanPinnedLSNUnderCommitters races committer goroutines
-// against forced-parallel unselective scans and joins. Every shard
+// against forced-parallel unselective scans and joins. Every range
 // worker reads at the reader's pinned snapshot LSN; the test asserts
 // the LSN is immobile across the whole fan-out and that the parallel
 // result equals the serial result at the same pin — i.e. concurrent

@@ -334,10 +334,8 @@ const joinChunk = 64
 // bounds are parameterized).
 func (p *Plan) stage(r query.Reader, i int, outer batch) (batch, error) {
 	s := p.steps[i]
-	if ss, ok := r.(ShardScanner); ok && i == 0 && s.access == accessExtent {
-		if workers := min(s.par, ss.ShardCount()); workers > 1 {
-			return p.parallelBase(s, ss, workers)
-		}
+	if rs, ok := r.(RangeScanner); ok && i == 0 && s.access == accessExtent && s.par > 1 {
+		return p.parallelBase(s, rs)
 	}
 	sc := stepCands{s: s}
 	if s.access == accessHash {

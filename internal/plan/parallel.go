@@ -3,17 +3,20 @@ package plan
 // Stage fan-out. The executor is a staged, materialized pipeline: each
 // stage consumes the previous stage's batch and produces the next
 // (exec.go). This file is what a stage with more than one worker adds:
-// the fan-out, the shard-parallel base scan, the partitioned hash build
+// the fan-out, the range-parallel base scan, the partitioned hash build
 // and the merge of the workers' runs.
 //
 // Correctness rides on three facts (see the package comment): tuple
 // production order is free, because the canonical slot-wise OID order
-// is restored before emission — by merging the workers' sorted runs
-// where there are few, by Execute's sort otherwise; access paths never
-// decide membership, so residual re-filtering in any worker is exactly
-// the oracle's check; and every worker of a base scan or hash build
-// reads at ONE pinned snapshot LSN, so the union of the shard scans
-// equals one serial scan of that snapshot. Aggregates stay bit-identical
+// is restored before emission — by concatenating or merging the
+// workers' sorted runs where there are few, by Execute's sort
+// otherwise; access paths never decide membership, so residual
+// re-filtering in any worker is exactly the oracle's check; and every
+// worker of a base scan or hash build reads at ONE pinned snapshot LSN
+// over OID ranges cut once for the fan-out, so the union of the range
+// scans equals one serial scan of that snapshot. Each worker takes a
+// contiguous block of the ranges: its output is one ascending run, and
+// the outputs follow one another in OID order. Aggregates stay bit-identical
 // through query.Aggregate.Merge: the workers' partial states are the
 // answer only when merging them is exact, else the ordered tuples are
 // accumulated serially.
@@ -31,22 +34,27 @@ import (
 	"repro/internal/query"
 )
 
-// ShardScanner is the optional reader surface for shard-parallel extent
+// RangeScanner is the optional reader surface for range-parallel extent
 // scans. The object manager's readers implement it against the store's
-// OID-hash shards; a reader without it gets base scans and hash builds
-// on one worker.
-type ShardScanner interface {
-	// ShardCount returns the number of committed-tier shards.
-	ShardCount() int
-	// PinShards returns the snapshot LSN every shard worker must read
-	// at, plus a release for the backing pin. Pinning once for the
+// class extents; a reader without it gets base scans and hash builds on
+// one worker.
+type RangeScanner interface {
+	// PinRanges returns the snapshot LSN every range worker must read
+	// at, ascending cut points that split class's OID space into at
+	// most n ranges ([0, cuts[0]), [cuts[0], cuts[1]), ..., [cuts[last],
+	// ∞)), and a release for the backing pin. Pinning once for the
 	// whole fan-out is the parallel scan's consistency contract: all
 	// workers observe one committed state no matter how commits race.
-	PinShards() (lsn uint64, release func())
-	// ScanClassShard visits the class's live objects held by shard si
-	// at the given LSN, in OID order within the shard.
-	ScanClassShard(si int, class string, lsn uint64, fn func(datum.OID, datum.Row) bool) error
+	PinRanges(class string, n int) (lsn uint64, cuts []datum.OID, release func())
+	// ScanClassRange visits the class's live objects with lo <= OID < hi
+	// (hi 0: unbounded) at the given LSN, in OID order.
+	ScanClassRange(class string, lo, hi datum.OID, lsn uint64, fn func(datum.OID, datum.Row) bool) error
 }
+
+// rangesPerWorker is how many ranges a fan-out cuts per worker. A
+// worker yields between ranges (see fanOut), so more ranges mean more
+// chances for a firing to run while a big scan is in progress.
+const rangesPerWorker = 8
 
 // --- partitioned hash table ---
 
@@ -149,8 +157,8 @@ func (st *stopper) stopped() bool { return st.stop.Load() }
 // produces — a batch, hash partitions — to its own slot of a
 // caller-owned slice; the wait orders those writes before fanOut
 // returns. worker must poll stop.stopped() and return promptly once
-// cancelled; the first error wins. Between granules of work (a shard, a
-// chunk of outer tuples) a worker also yields the processor: a scan
+// cancelled; the first error wins. Between granules of work (an OID
+// range, a chunk of outer tuples) a worker also yields the processor: a scan
 // that held every P for its whole length would make a signal's firing
 // wait for it, and event-to-action latency is what an active DBMS is
 // for. The observer gets the width and the skew between the first and
@@ -178,8 +186,7 @@ func (p *Plan) fanOut(workers int, worker func(w int, stop *stopper) error) erro
 	return stop.err
 }
 
-// maxRuns bounds the sorted runs mergeRuns merges: the shard count of the
-// store, and the widest fan-out.
+// maxRuns bounds the sorted runs mergeRuns merges: the widest fan-out.
 const maxRuns = maxParallelism
 
 // run is an ascending stretch of a worker's output: tuples i..end of b.
@@ -190,12 +197,14 @@ type run struct {
 	oid    datum.OID
 }
 
-// mergeRuns flattens the workers' outputs. A shard scan ascends and a
+// mergeRuns flattens the workers' outputs. A range scan ascends and a
 // join worker follows the outer order, so a stage that joins in FROM
-// order outputs a few runs already in canonical order; those are merged
-// — the smallest run head per tuple, a linear pass that at this width
-// costs what a heap would. Outputs too scrambled for that (a reordered
-// join) are concatenated and left to Execute's sort.
+// order outputs a few runs already in canonical order. Runs that follow
+// one another (a base scan's blocks of ranges) are concatenated;
+// interleaved ones are merged — the smallest run head per tuple, a
+// linear pass that at this width costs what a heap would. Outputs too
+// scrambled for that (a reordered join) are concatenated and left to
+// Execute's sort.
 func mergeRuns(outs []batch) batch {
 	var runs []run
 	n := 0
@@ -214,7 +223,7 @@ func mergeRuns(outs []batch) batch {
 	if outs[0].rows != nil {
 		out.rows = make([][]datum.Value, 0, n)
 	}
-	if len(runs) > maxRuns {
+	if len(runs) > maxRuns || consecutive(runs) {
 		for k := range outs {
 			out.cells, out.rows = append(out.cells, outs[k].cells...), append(out.rows, outs[k].rows...)
 		}
@@ -239,17 +248,42 @@ func mergeRuns(outs []batch) batch {
 	return out
 }
 
-// --- shard-parallel scans ---
+// consecutive reports whether each run starts at or after the end of
+// the run before it, so that their concatenation is in order.
+func consecutive(runs []run) bool {
+	for k := 1; k < len(runs); k++ {
+		prev := &runs[k-1]
+		if compareTuples(prev.b.tuple(prev.end-1), runs[k].b.tuple(runs[k].i)) > 0 {
+			return false
+		}
+	}
+	return true
+}
 
-// scanSlice visits the class's objects in worker w's slice of the
-// shards (w, w+workers, ...) at lsn, until fn declines or the fan-out
-// is cancelled.
-func scanSlice(ss ShardScanner, stop *stopper, w, workers int, class string, lsn uint64,
+// --- range-parallel scans ---
+
+// rangeBlocks deals the ranges that cuts make (see RangeScanner) to at
+// most workers workers, a contiguous block each, given as the block's
+// bounds: the worker scans [b[k], b[k+1]) for every k, with 0 as the
+// open upper bound of the last range.
+func rangeBlocks(cuts []datum.OID, workers int) [][]datum.OID {
+	bounds := slices.Concat([]datum.OID{0}, cuts, []datum.OID{0})
+	n := len(bounds) - 1
+	blocks := make([][]datum.OID, min(workers, n))
+	for w := range blocks {
+		blocks[w] = bounds[w*n/len(blocks) : (w+1)*n/len(blocks)+1]
+	}
+	return blocks
+}
+
+// scanBlock visits the class's objects in one worker's block of ranges
+// at lsn, in OID order, until fn declines or the fan-out is cancelled.
+func scanBlock(rs RangeScanner, stop *stopper, bounds []datum.OID, class string, lsn uint64,
 	fn func(datum.OID, datum.Row) bool) error {
 
 	done := false
-	for si := w; si < ss.ShardCount() && !done && !stop.stopped(); si += workers {
-		err := ss.ScanClassShard(si, class, lsn, func(oid datum.OID, row datum.Row) bool {
+	for k := 0; k+1 < len(bounds) && !done && !stop.stopped(); k++ {
+		err := rs.ScanClassRange(class, bounds[k], bounds[k+1], lsn, func(oid datum.OID, row datum.Row) bool {
 			done = !fn(oid, row)
 			return !done
 		})
@@ -261,18 +295,19 @@ func scanSlice(ss ShardScanner, stop *stopper, w, workers int, class string, lsn
 	return nil
 }
 
-// parallelBase is the first stage's shard-parallel specialisation: the
-// extent scan fans out over slices of the committed-tier shards, all
-// pinned at one snapshot LSN. Each worker applies the step's residuals
-// and keeps the surviving tuples, one ascending run per shard.
-func (p *Plan) parallelBase(s *step, ss ShardScanner, workers int) (batch, error) {
-	lsn, release := ss.PinShards()
+// parallelBase is the first stage's range-parallel specialisation: the
+// extent scan fans out over blocks of OID ranges, all pinned at one
+// snapshot LSN. Each worker applies the step's residuals and keeps the
+// surviving tuples, one ascending run per worker.
+func (p *Plan) parallelBase(s *step, rs RangeScanner) (batch, error) {
+	lsn, cuts, release := rs.PinRanges(s.from.Class, s.par*rangesPerWorker)
 	defer release()
-	outs := make([]batch, workers)
-	err := p.fanOut(workers, func(w int, stop *stopper) error {
-		out, t := p.newSink(s, s.extent/float64(workers)), make(tuple, len(p.vars))
+	blocks := rangeBlocks(cuts, s.par)
+	outs := make([]batch, len(blocks))
+	err := p.fanOut(len(blocks), func(w int, stop *stopper) error {
+		out, t := p.newSink(s, s.extent/float64(len(blocks))), make(tuple, len(p.vars))
 		var evalErr error
-		err := scanSlice(ss, stop, w, workers, s.from.Class, lsn, func(oid datum.OID, row datum.Row) bool {
+		err := scanBlock(rs, stop, blocks[w], s.from.Class, lsn, func(oid datum.OID, row datum.Row) bool {
 			t[s.slot] = cand{OID: oid, Row: row}
 			ok, err := s.passes(t)
 			if ok {
@@ -313,29 +348,27 @@ func (p *Plan) fillHash(s *step, t *hashTable,
 
 // buildHash constructs the build side of a hash step, partitioned
 // s.par ways. One worker is one inline ScanClass. More fan out over
-// shard slices at one pinned LSN, each filling a private table, then
-// merge per partition — merge workers own disjoint partitions, so the
-// whole build is lock-free.
+// blocks of OID ranges at one pinned LSN, each filling a private table,
+// then merge per partition — merge workers own disjoint partitions, so
+// the whole build is lock-free.
 func (p *Plan) buildHash(r query.Reader, s *step) (*hashTable, error) {
-	ss, sharded := r.(ShardScanner)
-	workers := 1
-	if sharded {
-		workers = min(s.par, ss.ShardCount())
-	}
-	if workers <= 1 {
+	rs, ranged := r.(RangeScanner)
+	if !ranged || s.par <= 1 {
 		t := newHashTable(s.par)
 		return t, p.fillHash(s, t, func(fn func(datum.OID, datum.Row) bool) error {
 			return r.ScanClass(s.from.Class, fn)
 		})
 	}
 
-	lsn, release := ss.PinShards()
+	lsn, cuts, release := rs.PinRanges(s.from.Class, s.par*rangesPerWorker)
 	defer release()
+	blocks := rangeBlocks(cuts, s.par)
+	workers := len(blocks)
 	locals := make([]*hashTable, workers)
 	err := p.fanOut(workers, func(w int, stop *stopper) error {
 		locals[w] = newHashTable(s.par)
 		return p.fillHash(s, locals[w], func(fn func(datum.OID, datum.Row) bool) error {
-			return scanSlice(ss, stop, w, workers, s.from.Class, lsn, fn)
+			return scanBlock(rs, stop, blocks[w], s.from.Class, lsn, fn)
 		})
 	})
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/query"
 )
 
-// parFake builds a class big enough that every fake shard holds rows:
+// parFake builds a class big enough that every range holds rows:
 // n objects with int x (= i), float f (order-sensitive sums), and a
 // symbol cycling over 8 values for join fan-out.
 func parFake(n int) *fakeReader {
@@ -82,13 +82,13 @@ func TestParallelMatchesSerialByteEquality(t *testing.T) {
 }
 
 // TestParallelCancellationNoGoroutineLeak fails a residual filter mid
-// shard-scan (division by zero on one row) and asserts that the error
+// range scan (division by zero on one row) and asserts that the error
 // surfaces, every worker shuts down, and repeated failing executions
 // leave the goroutine count at its baseline — no worker may outlive
 // the fan-out.
 func TestParallelCancellationNoGoroutineLeak(t *testing.T) {
 	f := parFake(400)
-	// One poisoned row per shard region: x = 0 divides by zero.
+	// One poisoned row: x = 0 divides by zero.
 	q := query.MustParse("select s.x from S s where 100 / s.x >= 0")
 	args := map[string]datum.Value(nil)
 

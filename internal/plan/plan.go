@@ -159,7 +159,7 @@ type step struct {
 	estCost float64 // cost charged for this step
 
 	// par is the stage's worker cap (0 or 1 means inline on the
-	// caller): shard workers for a base extent scan or a hash build,
+	// caller): range workers for a base extent scan or a hash build,
 	// probe workers for a join.
 	par int
 
@@ -196,9 +196,8 @@ const (
 	rangeSel      = 0.33 // selectivity of a residual comparison
 	otherSel      = 0.75 // selectivity of any other residual
 
-	// maxParallelism caps the derived degree of parallelism: past the
-	// store's shard count and typical core counts, more workers only
-	// add merge work.
+	// maxParallelism caps the derived degree of parallelism: past
+	// typical core counts, more workers only add merge work.
 	maxParallelism = 16
 	// defaultParallelThreshold is the estimated input cardinality at
 	// which a step starts fanning out (see Options.ParallelThreshold).
@@ -341,7 +340,7 @@ func markParallel(p *Plan, cat Catalog, opt Options) {
 			}
 		case s.access == accessHash:
 			// Parallel when either side is big: the build fans out
-			// over shards, the probe over outer tuples.
+			// over OID ranges, the probe over outer tuples.
 			if extent >= thr || p.steps[i-1].estRows >= thr {
 				s.par = dop
 			}

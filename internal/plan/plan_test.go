@@ -15,7 +15,7 @@ import (
 )
 
 // fakeReader is a test double for query.Reader + Catalog +
-// ShardScanner over an in-memory class map. Its index can be made to
+// RangeScanner over an in-memory class map. Its index can be made to
 // lie: LookupRange may return extra candidates (false positives), or
 // report ok=false even though the catalog advertised the index (a
 // vanished index). Counters are atomic: parallel plan stages probe
@@ -57,19 +57,23 @@ func (f *fakeReader) ScanClass(class string, fn func(datum.OID, datum.Row) bool)
 	return nil
 }
 
-// fakeShards partitions the fake store for the parallel executor's
-// shard fan-out, mirroring the real store's OID-hash sharding.
-const fakeShards = 4
+// PinRanges cuts the class the way the store does: at most n ranges of
+// about equal row count.
+func (f *fakeReader) PinRanges(class string, n int) (uint64, []datum.OID, func()) {
+	rows := f.classes[class]
+	n = min(n, len(rows))
+	var cuts []datum.OID
+	for k := 1; k < n; k++ {
+		cuts = append(cuts, rows[k*len(rows)/n].OID)
+	}
+	return 1, cuts, func() {}
+}
 
-func (f *fakeReader) ShardCount() int { return fakeShards }
-
-func (f *fakeReader) PinShards() (uint64, func()) { return 1, func() {} }
-
-func (f *fakeReader) ScanClassShard(si int, class string, _ uint64, fn func(datum.OID, datum.Row) bool) error {
+func (f *fakeReader) ScanClassRange(class string, lo, hi datum.OID, _ uint64, fn func(datum.OID, datum.Row) bool) error {
 	f.scans.Add(1)
 	f.scanned.Store(class, struct{}{})
 	for _, r := range f.classes[class] {
-		if int(r.OID)&(fakeShards-1) != si {
+		if r.OID < lo || hi != 0 && r.OID >= hi {
 			continue
 		}
 		if !fn(r.OID, r.Row) {

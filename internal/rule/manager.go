@@ -29,6 +29,17 @@ type AppDispatcher interface {
 // CallFunc is a registered Go callback usable in "call" action steps.
 type CallFunc func(tx *txn.Txn, bindings map[string]datum.Value) error
 
+// MaxCascadeDepth bounds how deep immediate and deferred firings may
+// nest. Each cascade level runs one subtransaction below the one that
+// raised its event, so a signal from a transaction deeper than this is
+// a rule set raising its own events without end, not a cascade.
+const MaxCascadeDepth = 64
+
+// ErrCascadeDepth is the error a signal fails with when its triggering
+// transaction is nested deeper than MaxCascadeDepth: the operation that
+// raised it fails, and each level of the cascade aborts in turn.
+var ErrCascadeDepth = errors.New("rule: cascade depth exceeded")
+
 // Stats counts rule-manager activity.
 type Stats struct {
 	Signals             uint64 // event signals handled
@@ -570,6 +581,9 @@ func (m *Manager) HandleEmit(sub event.SubID, sig event.Signal) error {
 	// termination.
 	if trigger != nil && (trigger.State() == txn.Committed || trigger.State() == txn.Aborted) {
 		trigger = nil
+	}
+	if trigger != nil && trigger.Depth() > MaxCascadeDepth && len(immediate)+len(deferred) > 0 {
+		return fmt.Errorf("%w: %s raised %d transactions deep", ErrCascadeDepth, sig.Spec, trigger.Depth())
 	}
 
 	var sp *obs.Span

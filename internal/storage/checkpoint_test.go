@@ -5,6 +5,7 @@ package storage
 // trigger, and the offline snapshot inspector.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/datum"
+	"repro/internal/failpoint"
 	"repro/internal/lock"
 )
 
@@ -21,6 +23,83 @@ func commitOne(t *testing.T, s *Store, tx lock.TxnID, r Record) {
 	s.Put(tx, r)
 	if err := s.CommitTop(tx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFullCheckpointLetsCommitsThrough pauses a full checkpoint inside
+// its walk of the heap and requires a commit to return meanwhile: the
+// capture may hold the writer mutex only to swap the dirty set. The
+// commit made mid-capture must then survive the next delta and a
+// reopen, whether or not the paused walk saw it.
+func TestFullCheckpointLetsCommitsThrough(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(newTopo(), Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oids []datum.OID
+	for i := 0; i < 10; i++ {
+		oids = append(oids, s.AllocOID())
+		commitOne(t, s, lock.TxnID(i+1), rec(oids[i], "C", map[string]datum.Value{"v": datum.Int(int64(i))}))
+	}
+	paused, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	failpoint.Set("storage.midFullCapture", func() {
+		once.Do(func() {
+			close(paused)
+			<-resume
+		})
+	})
+	defer failpoint.Clear("storage.midFullCapture")
+	ckpt := make(chan error, 1)
+	go func() {
+		res, err := s.Compact()
+		if err == nil && res.Kind != "full" {
+			err = fmt.Errorf("checkpoint kind %q, want full", res.Kind)
+		}
+		ckpt <- err
+	}()
+	select {
+	case <-paused:
+	case <-time.After(5 * time.Second):
+		t.Fatal("full checkpoint never reached its heap walk")
+	}
+	fresh := s.AllocOID()
+	committed := make(chan error, 1)
+	go func() {
+		s.Put(100, rec(oids[0], "C", map[string]datum.Value{"v": datum.Int(-1)}))
+		s.Put(100, rec(fresh, "C", map[string]datum.Value{"v": datum.Int(-2)}))
+		committed <- s.CommitTop(100)
+	}()
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(resume)
+		t.Fatal("CommitTop blocked behind a paused full checkpoint")
+	}
+	close(resume)
+	if err := <-ckpt; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(newTopo(), Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for oid, want := range map[datum.OID]int64{oids[0]: -1, fresh: -2, oids[9]: 9} {
+		got, ok := s.Get(0, oid)
+		if !ok || got.AsMap()["v"].AsInt() != want {
+			t.Fatalf("oid %v after reopen: %v (found %v), want v=%d", oid, got.AsMap(), ok, want)
+		}
 	}
 }
 

@@ -1,16 +1,15 @@
-// Class extents: per shard and class, the OIDs that may have a version
-// of the class, kept in ascending order so a scan is one sorted run per
-// shard and a whole-class scan a merge of those runs — nothing is
-// collected, copied or sorted at read time.
+// Class extents: per class, the OIDs that may have a version of the
+// class, kept in ascending order so a scan is one sorted run — nothing
+// is collected, copied or sorted at read time.
 //
 // An extent is a directory of sorted chunks behind an atomic pointer.
 // Readers load the directory once and walk it without a lock. Writers
-// (all under sh.mu) append in place at the tail — the slot is written
-// first, then the chunk's length is published atomically — and replace
-// only the chunk an out-of-order insert or a removal touches, in a new
-// directory; chunks reachable from an older directory are never written
-// again, so a reader mid-walk keeps a valid, sorted, duplicate-free
-// view.
+// (all under the store's mu) append in place at the tail — the slot is
+// written first, then the chunk's length is published atomically — and
+// replace only the chunk an out-of-order insert or a removal touches,
+// in a new directory; chunks reachable from an older directory are
+// never written again, so a reader mid-walk keeps a valid, sorted,
+// duplicate-free view.
 //
 // Membership is a superset that resolve filters (tombstones, versions
 // invisible at the snapshot, an OID whose class changed). It is also
@@ -19,6 +18,12 @@
 // and before the reader loaded the directory; a transaction's own Put
 // precedes its scan; and a slot is removed only with its entry — a
 // chain dead below the GC watermark, or a write that aborted.
+//
+// Completeness makes the extent cut anywhere: the parallel executor
+// splits a class into OID ranges (ExtentCuts) and scans each with its
+// own directory load (ScanClassRangeAt). However the directory moved in
+// between, the ranges partition the OID space, so their union at one
+// pinned snapshot is exactly the whole-class scan at that snapshot.
 package storage
 
 import (
@@ -61,10 +66,11 @@ func newExtChunk(src []extSlot, capacity int) *extChunk {
 
 func (c *extChunk) live() []extSlot { return c.slots[:c.n.Load()] }
 
-// extent is one shard's slice of a class extent: the directory of its
-// non-empty chunks, ascending.
+// extent is one class's extent: the directory of its non-empty
+// chunks, ascending, and the slot count across them.
 type extent struct {
 	dir atomic.Pointer[[]*extChunk]
+	n   atomic.Int64
 }
 
 func (x *extent) chunks() []*extChunk {
@@ -98,7 +104,7 @@ func find(dir []*extChunk, oid datum.OID) (ci, i int, ok bool) {
 
 // add files (oid, e) and reports whether the slot count grew. An OID
 // already present keeps its slot, re-pointed when the object was
-// removed and created again since. Caller holds sh.mu.
+// removed and created again since. Caller holds the store's mu.
 func (x *extent) add(oid datum.OID, e *mvEntry) bool {
 	dir := x.chunks()
 	if len(dir) == 0 {
@@ -136,7 +142,7 @@ func (x *extent) add(oid datum.OID, e *mvEntry) bool {
 }
 
 // remove drops oid's slot and reports whether it was present. Caller
-// holds sh.mu.
+// holds the store's mu.
 func (x *extent) remove(oid datum.OID) bool {
 	dir := x.chunks()
 	if len(dir) == 0 {
@@ -155,30 +161,38 @@ func (x *extent) remove(oid datum.OID) bool {
 }
 
 // extentAdd records (oid, e) as a possible member of class's extent.
-// Caller holds sh.mu exclusively.
-func (s *Store) extentAdd(sh *shard, class string, oid datum.OID, e *mvEntry) {
-	if loadOrNew[extent](&sh.extents, class).add(oid, e) {
-		loadOrNew[atomic.Int64](&s.extentN, class).Add(1)
+// Caller holds s.mu.
+func (s *Store) extentAdd(class string, oid datum.OID, e *mvEntry) {
+	if x := loadOrNew[extent](&s.extents, class); x.add(oid, e) {
+		x.n.Add(1)
 	}
 }
 
-// extentDel removes oid from class's extent, keeping the cardinality
-// counter in step. Caller holds sh.mu exclusively.
-func (s *Store) extentDel(sh *shard, class string, oid datum.OID) {
-	if v, ok := sh.extents.Load(class); ok && v.(*extent).remove(oid) {
-		loadOrNew[atomic.Int64](&s.extentN, class).Add(-1)
+// extentDel removes oid from class's extent, keeping the slot count in
+// step. Caller holds s.mu.
+func (s *Store) extentDel(class string, oid datum.OID) {
+	if x := s.extent(class); x != nil && x.remove(oid) {
+		x.n.Add(-1)
 	}
+}
+
+// extent returns class's extent, or nil. Lock-free.
+func (s *Store) extent(class string) *extent {
+	if v, ok := s.extents.Load(class); ok {
+		return v.(*extent)
+	}
+	return nil
 }
 
 // ExtentEstimate returns the approximate cardinality of class's
-// extent: the number of extent slots across all shards, maintained
-// O(1) at insert/remove, falling back to the cardinality the newest
-// loaded snapshot header recorded at checkpoint time. It over-counts
+// extent: its slot count, maintained O(1) at insert/remove, falling
+// back to the cardinality the newest loaded snapshot header recorded
+// at checkpoint time. It over-counts
 // live rows by uncommitted inserts and not-yet-GC'd tombstone-headed
 // chains, which is fine for its purpose — planner cost estimation.
 func (s *Store) ExtentEstimate(class string) int {
-	if v, ok := s.extentN.Load(class); ok {
-		if n := v.(*atomic.Int64).Load(); n > 0 {
+	if x := s.extent(class); x != nil {
+		if n := x.n.Load(); n > 0 {
 			return int(n)
 		}
 	}
@@ -192,8 +206,8 @@ func (s *Store) ExtentEstimate(class string) int {
 // planner statistics a checkpoint persists in its header.
 func (s *Store) classCards() map[string]uint64 {
 	cards := map[string]uint64{}
-	s.extentN.Range(func(k, v any) bool {
-		if n := v.(*atomic.Int64).Load(); n > 0 {
+	s.extents.Range(func(k, v any) bool {
+		if n := v.(*extent).n.Load(); n > 0 {
 			cards[k.(string)] = uint64(n)
 		}
 		return true
@@ -201,19 +215,24 @@ func (s *Store) classCards() map[string]uint64 {
 	return cards
 }
 
-// extCursor walks one shard's extent of a class in ascending OID order
-// without a lock: slots is the unread rest of the current chunk, dir
-// the chunks after it.
+// extCursor walks a class extent in ascending OID order without a
+// lock: slots is the unread rest of the current chunk, dir the chunks
+// after it.
 type extCursor struct {
 	slots []extSlot
 	dir   []*extChunk
 }
 
-func (sh *shard) cursor(class string) extCursor {
+// cursor opens class's extent at its first OID >= from, on one load of
+// the directory.
+func (s *Store) cursor(class string, from datum.OID) extCursor {
 	var c extCursor
-	if v, ok := sh.extents.Load(class); ok {
-		c.dir = v.(*extent).chunks()
-		c.fill()
+	if x := s.extent(class); x != nil {
+		if c.dir = x.chunks(); len(c.dir) > 0 {
+			ci, i, _ := find(c.dir, from)
+			c.slots, c.dir = c.dir[ci].live()[i:], c.dir[ci+1:]
+			c.fill()
+		}
 	}
 	return c
 }
@@ -233,80 +252,84 @@ func (c *extCursor) pop() extSlot {
 	return sl
 }
 
-// visit resolves one extent slot for the scan and hands a live record
-// of the class to fn; false means fn declined.
-func (s *Store) visit(e *mvEntry, tx lock.TxnID, class string, snap uint64, fn func(Object) bool) bool {
-	rec, ok := s.resolve(e, tx, snap)
-	return !ok || rec.Class != class || fn(rec)
-}
-
 // ScanClass calls fn for every live (visible, non-deleted) object of
 // the class, in ascending OID order, against a snapshot pinned for
 // the whole scan: the result set is a consistent point-in-time view
 // even while committers land concurrently. Scanning stops — nothing
-// further is resolved — once fn returns false. The scan holds no shard
-// lock at any point, so committers are never blocked and fn may
-// re-enter the store. Objects are shared with the store: read-only.
+// further is resolved — once fn returns false. The scan holds no lock
+// at any point, so committers are never blocked and fn may re-enter
+// the store. Objects are shared with the store: read-only.
 func (s *Store) ScanClass(tx lock.TxnID, class string, fn func(Object) bool) {
 	h := s.AcquireSnapshot()
 	defer h.Release()
 	s.ScanClassAt(tx, class, h.lsn, fn)
 }
 
-// ScanClassAt is ScanClass against an explicit snapshot LSN: a merge of
-// the shards' ascending runs. The caller is responsible for keeping a
-// Snapshot registered at or below snap while it runs (otherwise the
-// version GC may unlink versions the scan needs).
+// ScanClassAt is ScanClass against an explicit snapshot LSN. The
+// caller is responsible for keeping a Snapshot registered at or below
+// snap while it runs (otherwise the version GC may unlink versions the
+// scan needs).
 func (s *Store) ScanClassAt(tx lock.TxnID, class string, snap uint64, fn func(Object) bool) {
 	s.nScans.Add(1)
 	tm := s.obsm.Timer(obs.HSnapshotRead)
 	defer tm.Done()
-	runs := make([]extCursor, 0, len(s.shards))
-	for _, sh := range s.shards {
-		if c := sh.cursor(class); !c.done() {
-			runs = append(runs, c)
-		}
-	}
+	s.ScanClassRangeAt(tx, class, 0, 0, snap, fn)
+}
+
+// ScanClassRangeAt visits the class's live objects with lo <= OID < hi
+// (hi 0: no upper bound) in ascending OID order at snapshot snap. It is
+// the range iterator behind the parallel query executor: every worker
+// scans its ranges at the same pinned LSN, with no lock taken at any
+// point, so workers and concurrent committers never contend. The
+// caller owns ScanClassAt's snapshot-pin obligation across all of its
+// ranges. Scanning stops once fn returns false.
+func (s *Store) ScanClassRangeAt(tx lock.TxnID, class string, lo, hi datum.OID, snap uint64, fn func(Object) bool) {
 	resolved := uint64(0)
-	for len(runs) > 0 {
-		// The next row is the smallest head. Shards are few (16 in the
-		// engine), so a linear pass costs what maintaining a heap would.
-		m := 0
-		for i := 1; i < len(runs); i++ {
-			if runs[i].slots[0].oid < runs[m].slots[0].oid {
-				m = i
-			}
-		}
-		sl := runs[m].pop()
-		if runs[m].done() {
-			runs = slices.Delete(runs, m, m+1)
+	for c := s.cursor(class, lo); !c.done(); {
+		sl := c.pop()
+		if hi != 0 && sl.oid >= hi {
+			break
 		}
 		resolved++
-		if !s.visit(sl.e, tx, class, snap, fn) {
+		if rec, ok := s.resolve(sl.e, tx, snap); ok && rec.Class == class && !fn(rec) {
 			break
 		}
 	}
 	s.nRows.Add(resolved)
 }
 
-// ScanClassShardAt visits shard si's slice of class's extent, in
-// ascending OID order within the shard, at snapshot snap. It is the
-// per-shard MVCC extent iterator behind the parallel query executor:
-// one worker per shard, every worker at the same pinned LSN, no locks
-// taken at any point, so N workers and concurrent committers never
-// contend. The caller owns the snapshot-pin obligation of ScanClassAt
-// (keep a Snapshot registered at or below snap across *all* workers);
-// out-of-range si visits nothing. Scanning stops if fn returns false.
-func (s *Store) ScanClassShardAt(tx lock.TxnID, si int, class string, snap uint64, fn func(Object) bool) {
-	if si < 0 || si >= len(s.shards) {
-		return
+// ExtentCuts cuts class's extent into at most n ranges of about equal
+// slot count, from one load of its chunk directory, and returns the
+// cut points, ascending: range k holds the OIDs in [cuts[k-1], cuts[k]),
+// the first range starting at 0 and the last unbounded. Whatever
+// happens to the extent afterwards, the ranges partition the OID
+// space, so scanning each with ScanClassRangeAt at one snapshot visits
+// exactly what ScanClassAt would.
+func (s *Store) ExtentCuts(class string, n int) []datum.OID {
+	x := s.extent(class)
+	if x == nil {
+		return nil
 	}
-	resolved := uint64(0)
-	for c := s.shards[si].cursor(class); !c.done(); {
-		resolved++
-		if !s.visit(c.pop().e, tx, class, snap, fn) {
-			break
+	dir := x.chunks()
+	runs := make([][]extSlot, len(dir))
+	total := 0
+	for i, c := range dir {
+		runs[i] = c.live()
+		total += len(runs[i])
+	}
+	n = min(n, total)
+	if n <= 1 {
+		return nil
+	}
+	cuts := make([]datum.OID, 0, n-1)
+	k, seen := 1, 0
+	for _, run := range runs {
+		// Cut k falls on slot k*total/n, strictly increasing in k since
+		// n <= total.
+		for ; k < n && k*total/n < seen+len(run); k++ {
+			cuts = append(cuts, run[k*total/n-seen].oid)
 		}
+		seen += len(run)
 	}
-	s.nRows.Add(resolved)
+	return cuts
 }

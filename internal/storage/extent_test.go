@@ -12,17 +12,15 @@ import (
 	"repro/internal/lock"
 )
 
-// dumpExtent returns the OIDs filed in class's extent, one run per
-// shard in slot order — what a lock-free reader walking the extent now
-// would visit, before resolve filters it.
-func (s *Store) dumpExtent(class string) [][]datum.OID {
-	runs := make([][]datum.OID, len(s.shards))
-	for i, sh := range s.shards {
-		for c := sh.cursor(class); !c.done(); {
-			runs[i] = append(runs[i], c.pop().oid)
-		}
+// dumpExtent returns the OIDs filed in class's extent in slot order —
+// what a lock-free reader walking the extent now would visit, before
+// resolve filters it.
+func (s *Store) dumpExtent(class string) []datum.OID {
+	var oids []datum.OID
+	for c := s.cursor(class, 0); !c.done(); {
+		oids = append(oids, c.pop().oid)
 	}
-	return runs
+	return oids
 }
 
 func strictlyAscending(oids []datum.OID) bool {
@@ -34,18 +32,16 @@ func strictlyAscending(oids []datum.OID) bool {
 	return true
 }
 
-// bruteForce is the scan the extent replaces: every entry of every
-// shard, resolved at lsn, sorted afterwards.
+// bruteForce is the scan the extent replaces: every entry of the heap,
+// resolved at lsn, sorted afterwards.
 func bruteForce(s *Store, class string, lsn uint64) []datum.OID {
 	var out []datum.OID
-	for _, sh := range s.shards {
-		sh.objects.Range(func(k, v any) bool {
-			if rec, ok := s.resolve(v.(*mvEntry), committedOwner, lsn); ok && rec.Class == class {
-				out = append(out, k.(datum.OID))
-			}
-			return true
-		})
-	}
+	s.objects.Range(func(k, v any) bool {
+		if rec, ok := s.resolve(v.(*mvEntry), committedOwner, lsn); ok && rec.Class == class {
+			out = append(out, k.(datum.OID))
+		}
+		return true
+	})
 	slices.Sort(out)
 	return out
 }
@@ -56,6 +52,20 @@ func scanOIDs(s *Store, class string, lsn uint64) []datum.OID {
 		out = append(out, r.OID)
 		return true
 	})
+	return out
+}
+
+// rangeOIDs cuts class into at most parts ranges and concatenates their
+// scans at lsn, the way the parallel executor's workers cover a class.
+func rangeOIDs(s *Store, class string, lsn uint64, parts int) []datum.OID {
+	bounds := slices.Concat([]datum.OID{0}, s.ExtentCuts(class, parts), []datum.OID{0})
+	var out []datum.OID
+	for k := 0; k+1 < len(bounds); k++ {
+		s.ScanClassRangeAt(committedOwner, class, bounds[k], bounds[k+1], lsn, func(r Object) bool {
+			out = append(out, r.OID)
+			return true
+		})
+	}
 	return out
 }
 
@@ -134,8 +144,8 @@ func TestExtentChunking(t *testing.T) {
 }
 
 // TestScanStopsAtFirstRow pins the early-stop fix: a caller that wants
-// one row (DropClass's in-use check) resolves at most one slot per
-// shard — the merge's lookahead — not the whole extent.
+// one row (DropClass's in-use check) resolves one slot, not the whole
+// extent.
 func TestScanStopsAtFirstRow(t *testing.T) {
 	s, _ := ephemeral(t)
 	for i := 0; i < 10_000; i++ {
@@ -151,9 +161,8 @@ func TestScanStopsAtFirstRow(t *testing.T) {
 		return false
 	})
 	resolved := s.Stats().RowsScanned - before
-	if calls != 1 || resolved > uint64(s.ShardCount()) {
-		t.Fatalf("one-row scan of a 10 000-row class: %d callbacks, %d rows resolved (shards: %d)",
-			calls, resolved, s.ShardCount())
+	if calls != 1 || resolved != 1 {
+		t.Fatalf("one-row scan of a 10 000-row class: %d callbacks, %d rows resolved", calls, resolved)
 	}
 	s.ScanClass(committedOwner, "Big", func(Object) bool { return true })
 	if got := s.Stats().RowsScanned - before - resolved; got != 10_000 {
@@ -163,7 +172,7 @@ func TestScanStopsAtFirstRow(t *testing.T) {
 
 // TestScanAllocations holds the read path to its budget: a Get of a
 // committed object allocates nothing, a 10 000-row scan allocates per
-// scan (the merge's run cursors, the snapshot pin), not per row.
+// scan (the timer, the snapshot pin), not per row.
 func TestScanAllocations(t *testing.T) {
 	s, _ := ephemeral(t)
 	var mid datum.OID
@@ -183,16 +192,19 @@ func TestScanAllocations(t *testing.T) {
 	rows := 0
 	visit := func(Object) bool { rows++; return true }
 	lsn := s.PublishedLSN()
-	budget := float64(s.ShardCount())
+	const budget = 16
 	if n := testing.AllocsPerRun(10, func() { s.ScanClassAt(committedOwner, "Big", lsn, visit) }); n > budget {
 		t.Errorf("ScanClassAt over 10 000 rows: %v allocations, budget %v", n, budget)
 	}
+	his := append(s.ExtentCuts("Big", 16), 0)
 	if n := testing.AllocsPerRun(10, func() {
-		for si := 0; si < s.ShardCount(); si++ {
-			s.ScanClassShardAt(committedOwner, si, "Big", lsn, visit)
+		lo := datum.OID(0)
+		for _, hi := range his {
+			s.ScanClassRangeAt(committedOwner, "Big", lo, hi, lsn, visit)
+			lo = hi
 		}
 	}); n > budget {
-		t.Errorf("per-shard scans over 10 000 rows: %v allocations, budget %v", n, budget)
+		t.Errorf("range scans over 10 000 rows: %v allocations, budget %v", n, budget)
 	}
 	if rows == 0 {
 		t.Fatal("scans visited nothing")
@@ -202,10 +214,11 @@ func TestScanAllocations(t *testing.T) {
 // TestExtentProperty races one mutator — creates whose Puts land out of
 // OID order across interleaved transactions, aborts, deletes, whole
 // classes emptied, VersionGC, RegisterIndex — against scanners at
-// pinned snapshots. At every snapshot each shard run must be strictly
-// ascending and the merged scan must equal the brute-force walk of the
-// objects maps at that LSN; at the end ExtentEstimate must equal the
-// slot count. Run under -race.
+// pinned snapshots. At every snapshot the extent must be strictly
+// ascending, the scan must equal the brute-force walk of the objects
+// map at that LSN, and the range scans of a cut into 1, 2, 3 or 16
+// parts must concatenate to exactly that scan; at the end
+// ExtentEstimate must equal the slot count. Run under -race.
 func TestExtentProperty(t *testing.T) {
 	rounds := 3000
 	if testing.Short() {
@@ -231,25 +244,19 @@ func TestExtentProperty(t *testing.T) {
 			for i := w; !stop.Load(); i++ {
 				class := classes[i%len(classes)]
 				h := s.AcquireSnapshot()
-				for si, run := range s.dumpExtent(class) {
-					if !strictlyAscending(run) {
-						fail("class %s shard %d: slots not strictly ascending: %v", class, si, run)
-					}
-				}
-				for si := 0; si < s.ShardCount(); si++ {
-					var run []datum.OID
-					s.ScanClassShardAt(committedOwner, si, class, h.LSN(), func(r Object) bool {
-						run = append(run, r.OID)
-						return true
-					})
-					if !strictlyAscending(run) {
-						fail("class %s shard %d at lsn %d: scan not strictly ascending: %v", class, si, h.LSN(), run)
-					}
+				if slots := s.dumpExtent(class); !strictlyAscending(slots) {
+					fail("class %s: slots not strictly ascending: %v", class, slots)
 				}
 				got, want := scanOIDs(s, class, h.LSN()), bruteForce(s, class, h.LSN())
 				if !slices.Equal(got, want) {
-					fail("class %s at lsn %d: merged scan saw %d rows, brute force %d\nscan:  %v\nbrute: %v",
+					fail("class %s at lsn %d: scan saw %d rows, brute force %d\nscan:  %v\nbrute: %v",
 						class, h.LSN(), len(got), len(want), got, want)
+				}
+				for _, parts := range []int{1, 2, 3, 16} {
+					if ranged := rangeOIDs(s, class, h.LSN(), parts); !slices.Equal(ranged, got) {
+						fail("class %s at lsn %d: %d-part range scans saw %d rows, scan %d\nranges: %v\nscan:   %v",
+							class, h.LSN(), parts, len(ranged), len(got), ranged, got)
+					}
 				}
 				h.Release()
 			}
@@ -341,10 +348,7 @@ func TestExtentProperty(t *testing.T) {
 
 	s.bgWG.Wait() // a background sweep may still be removing slots
 	for _, class := range classes {
-		slots := 0
-		for _, run := range s.dumpExtent(class) {
-			slots += len(run)
-		}
+		slots := len(s.dumpExtent(class))
 		if got := s.ExtentEstimate(class); got != slots {
 			t.Errorf("class %s: ExtentEstimate %d, extent holds %d slots", class, got, slots)
 		}

@@ -4,14 +4,14 @@
 // Committed object states live in per-object version chains: a chain
 // is an atomic head pointer to the newest committed version, each
 // version carrying the logical commit LSN that installed it and an
-// atomic link to the previous version. Readers never take a shard
-// lock for committed data — they pick a snapshot LSN (the newest
+// atomic link to the previous version. Readers never take the writer
+// mutex for committed data — they pick a snapshot LSN (the newest
 // *published* commit) and walk the chain to the newest version at or
 // below it.
 //
 // Install-then-publish ordering makes multi-record commits atomic to
 // lock-free readers: CommitTop assigns its commit LSN under cmu,
-// installs every shard's versions, and only then marks the LSN
+// installs all of its versions, and only then marks the LSN
 // complete; the published counter advances only to the contiguous
 // prefix of completed commit LSNs, so a snapshot can never observe
 // half of a commit. CommitTop waits for its own LSN to publish before
@@ -53,12 +53,12 @@ type mvVersion struct {
 	depth atomic.Uint32
 }
 
-// mvEntry is one object's slot in a shard: the committed version
+// mvEntry is one object's slot in the heap: the committed version
 // chain plus the uncommitted versions of in-flight transactions.
-// Entry creation and removal happen under the shard mutex; the
+// Entry creation and removal happen under the store's mu; the
 // committed head is read lock-free; the uncommitted tier is guarded
-// by umu (writers additionally hold the shard mutex, so the GC can
-// rely on sh.mu alone to freeze an entry).
+// by umu (writers additionally hold mu, so the GC can rely on mu alone
+// to freeze an entry).
 type mvEntry struct {
 	head atomic.Pointer[mvVersion]
 	umu  sync.Mutex
@@ -309,38 +309,35 @@ func (s *Store) VersionGC() GCResult {
 	defer s.gcMu.Unlock()
 	var res GCResult
 	res.Watermark, _ = s.oldestSnapshotLSN()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		cand := sh.gcCand
-		sh.gcCand = make(map[datum.OID]struct{}, 8)
-		sh.mu.Unlock()
-		for oid := range cand {
-			// Per-OID shard sections keep GC pauses off the commit
-			// path; the shard lock freezes the entry (installs, Put,
-			// abort, and entry removal all hold it).
-			sh.mu.Lock()
-			if !s.gcChain(sh, oid, res.Watermark, &res) {
-				// Still collectible later (e.g. a pinned snapshot
-				// below the chain's versions): re-arm candidacy.
-				sh.gcCand[oid] = struct{}{}
-			}
-			sh.mu.Unlock()
-			res.Chains++
+	s.mu.Lock()
+	cand := s.gcCand
+	s.gcCand = make(map[datum.OID]struct{}, 8)
+	s.mu.Unlock()
+	for oid := range cand {
+		// Per-OID writer sections keep GC pauses off the commit path;
+		// mu freezes the entry (installs, Put, abort, and entry removal
+		// all hold it).
+		s.mu.Lock()
+		if !s.gcChain(oid, res.Watermark, &res) {
+			// Still collectible later (e.g. a pinned snapshot below the
+			// chain's versions): re-arm candidacy.
+			s.gcCand[oid] = struct{}{}
 		}
+		s.mu.Unlock()
+		res.Chains++
 	}
 	s.nGCRuns.Add(1)
 	s.nGCReclaimed.Add(uint64(res.Reclaimed))
 	return res
 }
 
-// gcChain collects one chain at watermark w. Caller holds sh.mu
-// exclusively. Returns true when nothing collectible remains.
-func (s *Store) gcChain(sh *shard, oid datum.OID, w uint64, res *GCResult) bool {
-	v, ok := sh.objects.Load(oid)
-	if !ok {
+// gcChain collects one chain at watermark w. Caller holds s.mu.
+// Returns true when nothing collectible remains.
+func (s *Store) gcChain(oid datum.OID, w uint64, res *GCResult) bool {
+	e := s.entry(oid)
+	if e == nil {
 		return true
 	}
-	e := v.(*mvEntry)
 	head := e.head.Load()
 	if head == nil {
 		return true
@@ -387,43 +384,33 @@ func (s *Store) gcChain(sh *shard, oid datum.OID, w uint64, res *GCResult) bool 
 		dropped = append(dropped, keep)
 		res.Reclaimed++
 		res.Removed++
-		sh.objects.Delete(oid)
+		s.objects.Delete(oid)
 	}
-	// Index cleanup: delete dropped versions' entries unless a
+	// Index cleanup: delete a dropped version's entry unless a
 	// surviving version still carries the key (the btree stores one
-	// entry per (key, oid) pair).
-	surviving := map[string]struct{}{}
-	if !dead {
-		for v := head; v != nil; v = v.prev.Load() {
-			if v.rec.Deleted {
-				continue
-			}
-			for attr := range sh.indexes[v.rec.Class] {
-				if val, ok := v.rec.Row.Get(attr); ok {
-					surviving[v.rec.Class+"\x00"+attr+"\x00"+val.Key()] = struct{}{}
-				}
-			}
-		}
-	}
-	classes := map[string]struct{}{}
+	// entry per (key, oid) pair). This runs under the writer mutex on
+	// every install that trims, and chains are a few versions long, so
+	// it walks the survivors rather than building a set.
+	indexes := *s.indexes.Load()
 	for _, v := range dropped {
-		classes[v.rec.Class] = struct{}{}
 		if v.rec.Deleted {
 			continue
 		}
-		for attr, t := range sh.indexes[v.rec.Class] {
+		for attr, ix := range indexes[v.rec.Class] {
 			val, ok := v.rec.Row.Get(attr)
 			if !ok {
 				continue
 			}
-			if _, kept := surviving[v.rec.Class+"\x00"+attr+"\x00"+val.Key()]; !kept {
-				t.Delete(val.Key(), oid)
+			if key := val.Key(); dead || !carries(head, v.rec.Class, attr, key) {
+				ix.mu.Lock()
+				ix.t.Delete(key, oid)
+				ix.mu.Unlock()
 			}
 		}
 	}
 	if dead {
-		for class := range classes {
-			s.extentDel(sh, class, oid)
+		for _, v := range dropped {
+			s.extentDel(v.rec.Class, oid)
 		}
 		return true
 	}
@@ -433,6 +420,19 @@ func (s *Store) gcChain(sh *shard, oid datum.OID, w uint64, res *GCResult) bool 
 	// advances: both keep candidacy. A lone live version is done — the
 	// next install re-adds it.
 	return keep == head && !head.rec.Deleted
+}
+
+// carries reports whether a live version of the chain from head has key
+// as its class.attr index key.
+func carries(head *mvVersion, class, attr, key string) bool {
+	for v := head; v != nil; v = v.prev.Load() {
+		if !v.rec.Deleted && v.rec.Class == class {
+			if val, ok := v.rec.Row.Get(attr); ok && val.Key() == key {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // maybeKickGC starts a background VersionGC sweep every

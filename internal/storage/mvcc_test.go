@@ -11,24 +11,24 @@ import (
 
 // chainLen walks oid's committed version chain and returns its length.
 func chainLen(s *Store, oid datum.OID) int {
-	v, ok := s.shardOf(oid).objects.Load(oid)
-	if !ok {
+	e := s.entry(oid)
+	if e == nil {
 		return 0
 	}
 	n := 0
-	for cur := v.(*mvEntry).head.Load(); cur != nil; cur = cur.prev.Load() {
+	for cur := e.head.Load(); cur != nil; cur = cur.prev.Load() {
 		n++
 	}
 	return n
 }
 
-// TestReadsHoldNoShardLocks proves the tentpole claim directly: with
-// every shard mutex held exclusively, lock-free Get and ScanClassAt
-// still complete. (ScanClass and IndexCandidates are exercised by
-// TestCommittersProgressMidScan; IndexCandidates still takes a shard
-// read lock for the btree probe by design.)
-func TestReadsHoldNoShardLocks(t *testing.T) {
+// TestReadsHoldNoWriterLock proves the read path's claim directly:
+// with the heap's writer mutex held, Get, the whole-class and range
+// scans and an index probe still complete. (ScanClass is exercised by
+// TestCommittersProgressMidScan.)
+func TestReadsHoldNoWriterLock(t *testing.T) {
 	s, _ := ephemeral(t)
+	s.RegisterIndex("F", "v")
 	var oids []datum.OID
 	for i := 0; i < 20; i++ {
 		oid := s.AllocOID()
@@ -38,14 +38,8 @@ func TestReadsHoldNoShardLocks(t *testing.T) {
 	snap := s.AcquireSnapshot()
 	defer snap.Release()
 
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 
 	done := make(chan int, 1)
 	go func() {
@@ -55,22 +49,25 @@ func TestReadsHoldNoShardLocks(t *testing.T) {
 				seen++
 			}
 		}
-		s.ScanClassAt(99, "F", snap.LSN(), func(Object) bool { seen++; return true })
+		count := func(Object) bool { seen++; return true }
+		s.ScanClassAt(99, "F", snap.LSN(), count)
+		s.ScanClassRangeAt(99, "F", 0, oids[10], snap.LSN(), count)
+		s.ScanClassRangeAt(99, "F", oids[10], 0, snap.LSN(), count)
+		seen += len(s.IndexCandidates(99, "F", "v", btree.Open(), btree.Open()))
 		done <- seen
 	}()
 	select {
 	case seen := <-done:
-		if seen != 2*len(oids) {
-			t.Fatalf("lock-free reads saw %d records, want %d", seen, 2*len(oids))
+		if seen != 4*len(oids) {
+			t.Fatalf("lock-free reads saw %d records, want %d", seen, 4*len(oids))
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("lock-free reads blocked on exclusively-held shard mutexes")
+		t.Fatal("lock-free reads blocked on the held writer mutex")
 	}
 }
 
-// TestCommittersProgressMidScan: a long ScanClass holds no shard
-// RWMutex, so a committer makes progress while the scan is paused
-// mid-callback.
+// TestCommittersProgressMidScan: a long ScanClass holds no store lock,
+// so a committer makes progress while the scan is paused mid-callback.
 func TestCommittersProgressMidScan(t *testing.T) {
 	s, _ := ephemeral(t)
 	for i := 0; i < 10; i++ {
@@ -348,7 +345,7 @@ func TestTombstoneChainGC(t *testing.T) {
 	if n := chainLen(s, oid); n != 0 {
 		t.Fatalf("tombstone chain survived GC: length %d", n)
 	}
-	if _, ok := s.shardOf(oid).objects.Load(oid); ok {
+	if s.entry(oid) != nil {
 		t.Fatal("entry not removed for fully-dead chain")
 	}
 	key := btree.Include(datum.Int(7).Key())

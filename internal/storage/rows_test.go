@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/object"
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -74,7 +75,7 @@ func TestRowsMatchMapModel(t *testing.T) {
 func runRowsModel(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	tm, _ := txn.NewSystem()
-	st, err := storage.Open(tm, storage.Options{Shards: 4})
+	st, err := storage.Open(tm, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func runRowsModel(t *testing.T, seed int64) {
 
 // checkRowsModel compares every read path, as tx sees it, with the
 // model: Get, the store's Get through the test-only AsMap, Fetch, and
-// the whole-class and per-shard scans.
+// the whole-class and range scans.
 func checkRowsModel(t *testing.T, step int, m *object.Manager, st *storage.Store, tx *txn.Txn, model rowModel, oids []datum.OID) {
 	t.Helper()
 	enc := func(attrs map[string]datum.Value) []byte { return datum.EncodeMap(nil, attrs) }
@@ -311,25 +312,22 @@ func checkRowsModel(t *testing.T, step int, m *object.Manager, st *storage.Store
 				return true
 			}
 		}
-		var scanned, sharded []datum.OID
+		var scanned, ranged []datum.OID
 		if err := r.ScanClass(class, visit("ScanClass", &scanned)); err != nil {
 			t.Fatal(err)
 		}
-		ss := r.(interface {
-			ShardCount() int
-			PinShards() (uint64, func())
-			ScanClassShard(int, string, uint64, func(datum.OID, datum.Row) bool) error
-		})
-		lsn, release := ss.PinShards()
-		for si := 0; si < ss.ShardCount(); si++ {
-			if err := ss.ScanClassShard(si, class, lsn, visit("ScanClassShard", &sharded)); err != nil {
+		rs := r.(plan.RangeScanner)
+		lsn, cuts, release := rs.PinRanges(class, 4)
+		lo := datum.OID(0)
+		for _, hi := range append(cuts, 0) {
+			if err := rs.ScanClassRange(class, lo, hi, lsn, visit("ScanClassRange", &ranged)); err != nil {
 				t.Fatal(err)
 			}
+			lo = hi
 		}
 		release()
-		slices.Sort(sharded)
-		if !slices.Equal(scanned, want) || !slices.Equal(sharded, want) {
-			t.Fatalf("step %d: %s scan %v, shard scans %v, model %v", step, class, scanned, sharded, want)
+		if !slices.Equal(scanned, want) || !slices.Equal(ranged, want) {
+			t.Fatalf("step %d: %s scan %v, range scans %v, model %v", step, class, scanned, ranged, want)
 		}
 	}
 }

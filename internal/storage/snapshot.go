@@ -403,7 +403,7 @@ func (s *Store) seedStats(cards map[string]uint64) {
 }
 
 // installSnapshot applies one decoded chain element to the store.
-// Runs during Open, before any concurrency, but takes the shard locks
+// Runs during Open, before any concurrency, but takes the writer mutex
 // anyway so installCommitted's contract holds. The whole element is
 // stamped with one fresh commit LSN — on-disk records carry no
 // version history, so recovery rebuilds single-version chains.
@@ -415,13 +415,12 @@ func (s *Store) installSnapshot(sn *snapshot) {
 	s.cmu.Lock()
 	clsn := s.beginCommitLocked()
 	s.cmu.Unlock()
+	s.mu.Lock()
 	for _, rec := range sn.recs {
 		s.raiseNextOID(rec.OID)
-		sh := s.shardOf(rec.OID)
-		sh.mu.Lock()
-		s.installCommitted(sh, committedOwner, rec, clsn)
-		sh.mu.Unlock()
+		s.installCommitted(committedOwner, rec, clsn)
 	}
+	s.mu.Unlock()
 	s.endCommit(clsn)
 }
 

@@ -14,15 +14,16 @@
 // snapshot) to recover. Only committed top-level effects are ever
 // logged, so recovery is a pure redo pass.
 //
-// The heap is hash-partitioned: object entries, per-class extents,
-// and secondary btree indexes are co-located in N shards keyed by
-// OID. Reads of committed data are lock-free: entries live in a
-// sync.Map, extents are OID-ordered chunk directories (extent.go),
-// version heads are atomic pointers, and readers resolve visibility
-// against a snapshot LSN without ever taking the shard mutex or the
-// lock table. Writers (Put, install, abort, GC) take the shard mutex
-// to keep the index/extent/dirty bookkeeping coherent. Isolation still
-// comes from the lock manager driven by the layers above.
+// The heap is one map of object entries, one extent per class and one
+// btree per indexed class.attr. Reads of committed data are lock-free:
+// entries live in a sync.Map, extents are OID-ordered chunk
+// directories (extent.go), version heads are atomic pointers, and
+// readers resolve visibility against a snapshot LSN without taking the
+// heap's writer mutex or the lock table. Writers (Put, install, abort,
+// GC) take that one mutex to keep the extent, dirty-set and GC
+// bookkeeping coherent; each index tree has a read/write lock of its
+// own, so an index probe never waits on the writer mutex. Isolation
+// still comes from the lock manager driven by the layers above.
 //
 // A stored version is an Object whose attributes are a datum.Row: an
 // interned shape (the sorted attribute names, shared by every version
@@ -115,15 +116,6 @@ type version struct {
 // quiet one lets its (cheap) chain grow.
 const compactFraction = 2
 
-// DefaultShards is the committed-tier partition count when Options
-// leaves Shards zero. Shard counts are rounded up to a power of two so
-// the OID hash is a mask; sequential OIDs then stripe round-robin.
-const DefaultShards = 16
-
-// maxShards bounds the partition count (diminishing returns and O(n)
-// scans beyond this).
-const maxShards = 1024
-
 // Options configures a Store.
 type Options struct {
 	// Dir is the durability directory (snapshot chain + WAL). Empty
@@ -131,11 +123,6 @@ type Options struct {
 	Dir string
 	// NoSync disables fsync on the WAL.
 	NoSync bool
-	// Shards is the number of hash partitions of the in-memory heap
-	// (rounded up to a power of two, capped at 1024). 0 means
-	// DefaultShards. Purely an in-memory concurrency knob: the on-disk
-	// format is shard-oblivious, so the count may change across opens.
-	Shards int
 	// CheckpointAfterBytes, when >0, kicks a background checkpoint
 	// whenever the WAL has grown by at least this many bytes since the
 	// last checkpoint finished. The check runs after each commit's
@@ -146,26 +133,21 @@ type Options struct {
 	// checkpoints. nil discards them.
 	OnAsyncError func(error)
 	// Obs, when non-nil, receives WAL fsync latencies, group-commit
-	// batch sizes, commit-stall latencies, and per-commit shard
-	// spread.
+	// batch sizes and commit-stall latencies.
 	Obs *obs.Metrics
 }
 
-// shard is one hash partition of the heap: the object entries whose
-// OIDs map here, the slices of every class extent and secondary index
-// covering those OIDs, and the partition's delta-checkpoint dirty and
-// GC candidate sets. objects and extents are read lock-free by the
-// MVCC read path; mu guards their membership mutations plus indexes,
-// ckptDirty, and gcCand.
-type shard struct {
-	mu        sync.RWMutex
-	objects   sync.Map                          // datum.OID -> *mvEntry
-	extents   sync.Map                          // class string -> *extent
-	indexes   map[string]map[string]*btree.Tree // class -> attr -> committed-tier index, this shard
-	ckptDirty map[datum.OID]string              // OIDs committed since the last checkpoint -> class
-	gcCand    map[datum.OID]struct{}            // chains that may hold collectible versions
-	installs  atomic.Uint64                     // committed installs landed here (load/contention signal)
+// index is the committed-tier btree of one class.attr. Installs and
+// the version GC mutate the tree under mu (they also hold the store's
+// writer mutex); probes read-lock mu alone.
+type index struct {
+	mu sync.RWMutex
+	t  *btree.Tree
 }
+
+// indexSet files the registered indexes by class, then attribute. It
+// is immutable once published: RegisterIndex copies it.
+type indexSet map[string]map[string]*index
 
 // txnDirty is one transaction's write set. The entry mutex covers the
 // set: the owning transaction adds to it, and other transactions'
@@ -177,12 +159,23 @@ type txnDirty struct {
 
 // Store is the versioned heap.
 type Store struct {
-	topo      Topology
-	shards    []*shard
-	shardMask uint64
-	dirty     sync.Map // lock.TxnID -> *txnDirty
-	modSeq    sync.Map // class string -> *atomic.Uint64
-	extentN   sync.Map // class string -> *atomic.Int64 (extent cardinality)
+	topo Topology
+	// mu is the heap's writer mutex: it guards entry membership in
+	// objects, every extent directory, ckptDirty and gcCand. objects and
+	// extents are read lock-free by the MVCC read path, and index probes
+	// take only the probed tree's lock. Lock order: ckptMu and imu
+	// before mu; mu before an index's mu, an entry's umu, and cmu.
+	mu        sync.Mutex
+	objects   sync.Map               // datum.OID -> *mvEntry
+	extents   sync.Map               // class string -> *extent
+	ckptDirty map[datum.OID]string   // OIDs committed since the last checkpoint -> class
+	gcCand    map[datum.OID]struct{} // chains that may hold collectible versions
+	// indexes is the published indexSet, replaced whole under imu and
+	// mu by RegisterIndex.
+	indexes atomic.Pointer[indexSet]
+
+	dirty  sync.Map // lock.TxnID -> *txnDirty
+	modSeq sync.Map // class string -> *atomic.Uint64
 	// statsSeed holds the per-class extent cardinalities carried by the
 	// newest snapshot-chain element loaded at Open: checkpoint-time
 	// planner statistics that answer ExtentEstimate even before (or
@@ -195,8 +188,8 @@ type Store struct {
 	noSync    bool
 	obsm      *obs.Metrics // nil-safe commit-stall observer
 
-	// imu guards index registration (RegisterIndex must create the
-	// per-shard trees of one class.attr exactly once).
+	// imu serializes index registration (RegisterIndex must build the
+	// tree of one class.attr exactly once).
 	imu sync.Mutex
 
 	// inflight holds the LSNs of redo records that have been appended
@@ -204,7 +197,7 @@ type Store struct {
 	// committed tier. The fuzzy checkpointer's watermark is the
 	// smallest in-flight LSN (or the log end if none): every record
 	// below it is guaranteed to be in the snapshot scan. Guarded by
-	// cmu; lock order is shard locks before cmu.
+	// cmu.
 	cmu      sync.Mutex
 	inflight map[wal.LSN]struct{}
 	// Commit-LSN publish protocol (mvcc.go): nextCommit/pending are
@@ -277,8 +270,9 @@ type Stats struct {
 	Gets  uint64
 	Scans uint64
 	// RowsScanned counts extent slots the class scans resolved (Scans
-	// counts only whole-class scans, this also the per-shard ones):
-	// against the rows a query returned it is the scan's selectivity.
+	// counts only whole-class scans, this also the range scans of the
+	// parallel executor): against the rows a query returned it is the
+	// scan's selectivity.
 	RowsScanned uint64
 	IndexProbes uint64
 	TopCommits  uint64
@@ -297,8 +291,6 @@ type Stats struct {
 	FullCheckpoints   uint64
 	DeltaCheckpoints  uint64
 	WALBytesReclaimed uint64
-	// Shards is the partition count of the in-memory heap.
-	Shards int
 	// PublishedLSN is the newest commit LSN visible to fresh
 	// snapshots; OldestSnapshotLSN is the version-GC watermark (equal
 	// to PublishedLSN when no snapshot is pinned); LiveSnapshots
@@ -316,31 +308,14 @@ type Stats struct {
 	Shapes int
 }
 
-// roundShards normalizes a configured shard count to a power of two in
-// [1, maxShards].
-func roundShards(n int) int {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // Open creates a store. If opts.Dir is non-empty the store loads the
 // snapshot chain (full snapshot plus deltas, if present), replays the
 // WAL, and will log all future top-level commits there.
 func Open(topo Topology, opts Options) (*Store, error) {
-	nShards := roundShards(opts.Shards)
 	s := &Store{
 		topo:           topo,
-		shards:         make([]*shard, nShards),
-		shardMask:      uint64(nShards - 1),
+		ckptDirty:      map[datum.OID]string{},
+		gcCand:         map[datum.OID]struct{}{},
 		inflight:       map[wal.LSN]struct{}{},
 		nextCommit:     1,
 		pending:        map[uint64]struct{}{},
@@ -354,13 +329,7 @@ func Open(topo Topology, opts Options) (*Store, error) {
 	for i := range s.snaps {
 		s.snaps[i].live = map[*Snapshot]struct{}{}
 	}
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			indexes:   map[string]map[string]*btree.Tree{},
-			ckptDirty: map[datum.OID]string{},
-			gcCand:    map[datum.OID]struct{}{},
-		}
-	}
+	s.indexes.Store(&indexSet{})
 	s.nextOID.Store(1)
 	if opts.Dir == "" {
 		return s, nil
@@ -433,24 +402,6 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// shardOf maps an OID to its partition.
-func (s *Store) shardOf(oid datum.OID) *shard {
-	return s.shards[uint64(oid)&s.shardMask]
-}
-
-// ShardCount returns the number of heap partitions.
-func (s *Store) ShardCount() int { return len(s.shards) }
-
-// ShardInstalls returns, per shard, the number of committed installs
-// it has absorbed — a cheap load/contention profile of the partitions.
-func (s *Store) ShardInstalls() []uint64 {
-	out := make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.installs.Load()
-	}
-	return out
-}
-
 // AllocOID returns a fresh, never-reused object identifier.
 func (s *Store) AllocOID() datum.OID {
 	return datum.OID(s.nextOID.Add(1) - 1)
@@ -496,17 +447,16 @@ func (s *Store) Put(tx lock.TxnID, rec Record) {
 // Manager builds its rows itself.
 func (s *Store) PutObject(tx lock.TxnID, rec Object) {
 	s.nPuts.Add(1)
-	sh := s.shardOf(rec.OID)
-	sh.mu.Lock()
-	e := s.entryLocked(sh, rec.OID)
+	s.mu.Lock()
+	e := s.entryLocked(rec.OID)
 	e.umu.Lock()
 	// A rewrite moves to the end: the newest write wins within the
 	// owner tier.
 	e.dropOwner(tx)
 	e.setUnc(append(e.unc, version{owner: tx, rec: rec}))
 	e.umu.Unlock()
-	s.extentAdd(sh, rec.Class, rec.OID, e)
-	sh.mu.Unlock()
+	s.extentAdd(rec.Class, rec.OID, e)
+	s.mu.Unlock()
 	// Bump after the write, so whoever sees the new sequence number
 	// also sees the write.
 	s.bumpSeq(rec.Class)
@@ -514,14 +464,22 @@ func (s *Store) PutObject(tx lock.TxnID, rec Object) {
 }
 
 // entryLocked returns oid's entry, creating it if needed. Caller
-// holds sh.mu exclusively (entry membership is mutated only under it).
-func (s *Store) entryLocked(sh *shard, oid datum.OID) *mvEntry {
-	if v, ok := sh.objects.Load(oid); ok {
-		return v.(*mvEntry)
+// holds s.mu (entry membership is mutated only under it).
+func (s *Store) entryLocked(oid datum.OID) *mvEntry {
+	if e := s.entry(oid); e != nil {
+		return e
 	}
 	e := &mvEntry{}
-	sh.objects.Store(oid, e)
+	s.objects.Store(oid, e)
 	return e
+}
+
+// entry returns oid's entry, or nil. Lock-free.
+func (s *Store) entry(oid datum.OID) *mvEntry {
+	if v, ok := s.objects.Load(oid); ok {
+		return v.(*mvEntry)
+	}
+	return nil
 }
 
 func (s *Store) noteDirty(tx lock.TxnID, oid datum.OID) {
@@ -572,41 +530,32 @@ func (s *Store) SeededStats() map[string]uint64 {
 // estimate it is a cheap upper bound for cost estimation, not an
 // exact selectivity.
 func (s *Store) IndexEstimate(class, attr string, lo, hi btree.Bound, limit int) (int, bool) {
-	if !s.HasIndex(class, attr) {
-		return 0, false
-	}
 	n := 0
-	s.scanIndex(class, attr, lo, hi, func(datum.OID) bool {
+	ok := s.scanIndex(class, attr, lo, hi, func(datum.OID) bool {
 		n++
 		return limit <= 0 || n < limit
 	})
-	return n, true
+	return n, ok
 }
 
 // scanIndex visits the committed-tier index entries of class.attr in
-// [lo, hi], shard by shard, until fn declines. Each btree probe takes a
-// brief shard read-lock (trees are mutated in place by installs and the
-// GC).
-func (s *Store) scanIndex(class, attr string, lo, hi btree.Bound, fn func(datum.OID) bool) {
-	more := true
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		if t := sh.indexes[class][attr]; t != nil {
-			t.Scan(lo, hi, func(_ string, oid datum.OID) bool {
-				more = fn(oid)
-				return more
-			})
-		}
-		sh.mu.RUnlock()
-		if !more {
-			return
-		}
+// [lo, hi] until fn declines, and reports whether the index exists. The
+// probe read-locks the one tree (installs and the GC mutate it in
+// place), never the heap's writer mutex.
+func (s *Store) scanIndex(class, attr string, lo, hi btree.Bound, fn func(datum.OID) bool) bool {
+	ix := (*s.indexes.Load())[class][attr]
+	if ix == nil {
+		return false
 	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ix.t.Scan(lo, hi, func(_ string, oid datum.OID) bool { return fn(oid) })
+	return true
 }
 
 // Get returns the version of the object visible to tx: the newest
 // version owned by tx or an ancestor, else the newest published
-// committed version. Lock-free for committed data — no shard mutex,
+// committed version. Lock-free for committed data — no writer mutex,
 // no lock table. The second result is false if no visible version
 // exists or the visible version is a deletion tombstone (the record
 // is still returned so callers can see the tombstone's class). The
@@ -636,56 +585,54 @@ func (s *Store) Get(tx lock.TxnID, oid datum.OID) (Object, bool) {
 // GetAt is Get against an explicit snapshot LSN (see AcquireSnapshot).
 func (s *Store) GetAt(tx lock.TxnID, oid datum.OID, snap uint64) (Object, bool) {
 	s.nGets.Add(1)
-	v, ok := s.shardOf(oid).objects.Load(oid)
-	if !ok {
+	e := s.entry(oid)
+	if e == nil {
 		return Object{}, false
 	}
-	return s.resolve(v.(*mvEntry), tx, snap)
+	return s.resolve(e, tx, snap)
 }
 
 // RegisterIndex declares (and builds, from the committed tier) a
-// secondary index on class.attr. Idempotent. Each shard gets its own
-// tree covering the shard's slice of the extent.
+// secondary index on class.attr. Idempotent. The build and the
+// publication share one writer section, so every install lands either
+// in the build's walk or, once published, in the tree itself.
 func (s *Store) RegisterIndex(class, attr string) {
 	s.imu.Lock()
 	defer s.imu.Unlock()
 	if s.HasIndex(class, attr) {
 		return
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		byAttr := sh.indexes[class]
-		if byAttr == nil {
-			byAttr = map[string]*btree.Tree{}
-			sh.indexes[class] = byAttr
-		}
-		t := btree.New()
-		byAttr[attr] = t
-		for c := sh.cursor(class); !c.done(); {
-			sl := c.pop()
-			// Index every committed version, not just the head: a
-			// snapshot pinned below the head must still find its rows
-			// (the btree dedups (key, oid) pairs; stale entries are
-			// false positives callers re-verify, removed by the GC).
-			for v := sl.e.head.Load(); v != nil; v = v.prev.Load() {
-				if v.rec.Deleted || v.rec.Class != class {
-					continue
-				}
-				if val, ok := v.rec.Row.Get(attr); ok {
-					t.Insert(val.Key(), sl.oid)
-				}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ix := &index{t: btree.New()}
+	for c := s.cursor(class, 0); !c.done(); {
+		sl := c.pop()
+		// Index every committed version, not just the head: a snapshot
+		// pinned below the head must still find its rows (the btree
+		// dedups (key, oid) pairs; stale entries are false positives
+		// callers re-verify, removed by the GC).
+		for v := sl.e.head.Load(); v != nil; v = v.prev.Load() {
+			if v.rec.Deleted || v.rec.Class != class {
+				continue
+			}
+			if val, ok := v.rec.Row.Get(attr); ok {
+				ix.t.Insert(val.Key(), sl.oid)
 			}
 		}
-		sh.mu.Unlock()
 	}
+	next := maps.Clone(*s.indexes.Load())
+	byAttr := maps.Clone(next[class])
+	if byAttr == nil {
+		byAttr = map[string]*index{}
+	}
+	byAttr[attr] = ix
+	next[class] = byAttr
+	s.indexes.Store(&next)
 }
 
 // HasIndex reports whether class.attr has a registered index.
 func (s *Store) HasIndex(class, attr string) bool {
-	sh := s.shards[0]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.indexes[class][attr] != nil
+	return (*s.indexes.Load())[class][attr] != nil
 }
 
 // IndexCandidates returns OIDs that *may* satisfy lo <= attr <= hi
@@ -698,19 +645,18 @@ func (s *Store) HasIndex(class, attr string) bool {
 // lock-free.
 func (s *Store) IndexCandidates(tx lock.TxnID, class, attr string, lo, hi btree.Bound) []datum.OID {
 	s.nProbes.Add(1)
-	if !s.HasIndex(class, attr) {
-		return nil
-	}
 	var out []datum.OID
-	s.scanIndex(class, attr, lo, hi, func(oid datum.OID) bool {
+	if !s.scanIndex(class, attr, lo, hi, func(oid datum.OID) bool {
 		out = append(out, oid)
 		return true
-	})
+	}) {
+		return nil
+	}
 	// Uncommitted writes are invisible to the committed index: add the
 	// objects of this class that tx or one of its ancestors has dirty.
 	for id, ok := tx, tx != committedOwner; ok; id, ok = s.topo.Parent(id) {
 		for _, oid := range s.DirtyOIDs(id) {
-			if cv, ok := s.shardOf(oid).objects.Load(oid); ok && cv.(*mvEntry).newestClass() == class {
+			if e := s.entry(oid); e != nil && e.newestClass() == class {
 				out = append(out, oid)
 			}
 		}
@@ -741,7 +687,6 @@ func (s *Store) Stats() Stats {
 		IndexProbes:       s.nProbes.Load(),
 		TopCommits:        s.nCommits.Load(),
 		WALBytes:          s.nWALBytes.Load(),
-		Shards:            len(s.shards),
 		Checkpoints:       s.nCheckpoints.Load(),
 		FullCheckpoints:   s.nFullCkpts.Load(),
 		DeltaCheckpoints:  s.nDeltaCkpts.Load(),
@@ -773,11 +718,10 @@ func (s *Store) DirtyOIDs(tx lock.TxnID) []datum.OID {
 // CommitNested folds the child's versions into the parent tier.
 func (s *Store) CommitNested(child, parent lock.TxnID) error {
 	for _, oid := range s.takeDirty(child) {
-		v, ok := s.shardOf(oid).objects.Load(oid)
-		if !ok {
+		e := s.entry(oid)
+		if e == nil {
 			continue
 		}
-		e := v.(*mvEntry)
 		// Drop the parent's own older version (the child's is newer
 		// and the parent cannot roll back to it independently), then
 		// re-tag the child's version as the parent's.
@@ -805,16 +749,15 @@ func (s *Store) CommitNested(child, parent lock.TxnID) error {
 //     group-fsync with no store lock held, so concurrent committers
 //     batch into shared flushes;
 //  3. install, then publish — push the new versions onto their chains
-//     and update secondary indexes shard by shard (locking only the
-//     shards the write set maps to), then mark the commit LSN
-//     complete. Lock-free readers see the commit only once the
+//     and update secondary indexes in one writer section, then mark
+//     the commit LSN complete. Lock-free readers see the commit only once the
 //     published frontier crosses its LSN, which happens only when
 //     every record of this commit — and of every earlier commit — is
 //     installed, so a snapshot can never observe half a commit.
 //
 // The write-ahead invariant holds: no version installs before its log
-// record is durable. Reading the prepared records outside the shard
-// locks is safe because versions are immutable once Put (rows are never
+// record is durable. Reading the prepared records outside the writer
+// mutex is safe because versions are immutable once Put (rows are never
 // written, readers only borrow them), tx's own versions cannot
 // change while its single commit goroutine is here, and tx still
 // holds its exclusive locks, so no other committer touches the same
@@ -831,8 +774,7 @@ func (s *Store) CommitTop(tx lock.TxnID) error {
 	oids := s.takeDirty(tx)
 	recs := make([]Object, 0, len(oids))
 	for _, oid := range oids {
-		if v, ok := s.shardOf(oid).objects.Load(oid); ok {
-			e := v.(*mvEntry)
+		if e := s.entry(oid); e != nil {
 			e.umu.Lock()
 			for i := range e.unc {
 				if e.unc[i].owner == tx {
@@ -847,7 +789,7 @@ func (s *Store) CommitTop(tx lock.TxnID) error {
 		return nil
 	}
 
-	// Log before install (write-ahead), outside the shard locks. The
+	// Log before install (write-ahead), outside the writer mutex. The
 	// record's WAL LSN is registered as in-flight — and the logical
 	// commit LSN assigned — under cmu in the same critical section as
 	// the append, so a concurrent checkpoint either sees this commit
@@ -885,11 +827,10 @@ func (s *Store) CommitTop(tx lock.TxnID) error {
 		s.cmu.Unlock()
 	}
 
-	nShards := s.installAll(tx, recs, clsn)
-	s.obsm.ObserveN(obs.HCommitShards, uint64(nShards))
+	s.installAll(tx, recs, clsn)
 
 	// Publish: deregister the WAL LSN and complete the commit LSN only
-	// after every shard's install — a checkpoint scan that missed
+	// after the install — a checkpoint scan that missed
 	// these versions must still see the LSN in flight, and a snapshot
 	// must not resolve to a partially installed commit.
 	s.cmu.Lock()
@@ -906,43 +847,26 @@ func (s *Store) CommitTop(tx lock.TxnID) error {
 	return nil
 }
 
-// installAll pushes one commit's records onto their chains at clsn,
-// taking each shard lock once, and returns how many shards it locked.
-// The mark for the next delta snapshot rides the same critical section
-// as the install, so a checkpoint scan sees the version and the mark
-// together or neither.
-func (s *Store) installAll(owner lock.TxnID, recs []Object, clsn uint64) int {
-	install := func(sh *shard, group []Object) {
-		sh.mu.Lock()
-		for _, rec := range group {
-			s.installCommitted(sh, owner, rec, clsn)
-			if s.dir != "" {
-				sh.ckptDirty[rec.OID] = rec.Class
-			}
-		}
-		sh.installs.Add(uint64(len(group)))
-		sh.mu.Unlock()
-	}
-	if len(recs) == 1 {
-		// The common OLTP shape skips the grouping maps.
-		install(s.shardOf(recs[0].OID), recs)
-		s.bumpSeq(recs[0].Class)
-		return 1
-	}
-	groups := map[*shard][]Object{}
-	classes := map[string]struct{}{}
+// installAll pushes one commit's records onto their chains at clsn in
+// one writer section. The mark for the next delta snapshot rides the
+// same section as the install, so a checkpoint's dirty-set swap sees
+// the version and the mark together or neither.
+func (s *Store) installAll(owner lock.TxnID, recs []Object, clsn uint64) {
+	s.mu.Lock()
 	for _, rec := range recs {
-		sh := s.shardOf(rec.OID)
-		groups[sh] = append(groups[sh], rec)
-		classes[rec.Class] = struct{}{}
+		s.installCommitted(owner, rec, clsn)
+		if s.dir != "" {
+			s.ckptDirty[rec.OID] = rec.Class
+		}
 	}
-	for sh, group := range groups {
-		install(sh, group)
+	s.mu.Unlock()
+	for i, rec := range recs {
+		// A write set is usually one class: bump each run of one class
+		// once.
+		if i == 0 || recs[i-1].Class != rec.Class {
+			s.bumpSeq(rec.Class)
+		}
 	}
-	for class := range classes {
-		s.bumpSeq(class)
-	}
-	return len(groups)
 }
 
 // maybeKickCheckpoint starts a background checkpoint when the WAL has
@@ -978,30 +902,29 @@ func (s *Store) maybeKickCheckpoint() {
 
 // installCommitted pushes rec as the newest committed version of its
 // object, stamped with commit LSN clsn (dropping owner's uncommitted
-// copy, which is what is being committed), and maintains the shard's
-// extents and indexes. Old versions stay linked beneath the new head
+// copy, which is what is being committed), and maintains the class's
+// extent and indexes. Old versions stay linked beneath the new head
 // for snapshot readers; the version GC unlinks them (and removes
 // their index entries) once no live snapshot can reach them. During
 // recovery (s.loading) the owner is committedOwner, there is no
 // history to preserve, and the head is replaced outright. Caller
-// holds sh.mu exclusively; sh is rec.OID's shard. The class
-// modification counter is bumped by the caller (after its shard
-// section) — see Put for the ordering argument.
-func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Object, clsn uint64) {
+// holds s.mu. The class modification counter is bumped by the caller
+// (after its writer section) — see Put for the ordering argument.
+func (s *Store) installCommitted(owner lock.TxnID, rec Object, clsn uint64) {
 	if s.loading {
 		if rec.Deleted {
-			sh.objects.Delete(rec.OID)
-			s.extentDel(sh, rec.Class, rec.OID)
+			s.objects.Delete(rec.OID)
+			s.extentDel(rec.Class, rec.OID)
 			return
 		}
-		e := s.entryLocked(sh, rec.OID)
+		e := s.entryLocked(rec.OID)
 		nv := &mvVersion{lsn: clsn, rec: rec}
 		nv.depth.Store(1)
 		e.head.Store(nv)
-		s.extentAdd(sh, rec.Class, rec.OID, e)
+		s.extentAdd(rec.Class, rec.OID, e)
 		return
 	}
-	e := s.entryLocked(sh, rec.OID)
+	e := s.entryLocked(rec.OID)
 	if owner != committedOwner {
 		e.umu.Lock()
 		e.dropOwner(owner)
@@ -1023,8 +946,8 @@ func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Object, clsn u
 	e.head.Store(nv)
 	s.obsm.ObserveN(obs.HVersionChain, uint64(depth))
 	if !rec.Deleted {
-		indexInsert(sh, rec)
-		s.extentAdd(sh, rec.Class, rec.OID, e)
+		s.indexInsert(rec, old)
+		s.extentAdd(rec.Class, rec.OID, e)
 	}
 	if old != nil || rec.Deleted {
 		// Inline trim: with no snapshot registered anywhere, versions
@@ -1038,7 +961,7 @@ func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Object, clsn u
 		// above the watermark this cut uses.
 		if s.snapsLive.Load() == 0 {
 			var r GCResult
-			done := s.gcChain(sh, rec.OID, s.published.Load(), &r)
+			done := s.gcChain(rec.OID, s.published.Load(), &r)
 			if r.Reclaimed > 0 {
 				s.nGCReclaimed.Add(uint64(r.Reclaimed))
 			}
@@ -1046,22 +969,23 @@ func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Object, clsn u
 				return
 			}
 		}
-		sh.gcCand[rec.OID] = struct{}{}
+		s.gcCand[rec.OID] = struct{}{}
 	}
 }
 
 // AbortTxn discards tx's versions.
 func (s *Store) AbortTxn(tx lock.TxnID) {
+	oids := s.takeDirty(tx)
+	if len(oids) == 0 {
+		return
+	}
 	classes := map[string]struct{}{}
-	for _, oid := range s.takeDirty(tx) {
-		sh := s.shardOf(oid)
-		sh.mu.Lock()
-		v, ok := sh.objects.Load(oid)
-		if !ok {
-			sh.mu.Unlock()
+	s.mu.Lock()
+	for _, oid := range oids {
+		e := s.entry(oid)
+		if e == nil {
 			continue
 		}
-		e := v.(*mvEntry)
 		e.umu.Lock()
 		dropped, _ := e.dropOwner(tx)
 		class := dropped.rec.Class
@@ -1069,26 +993,41 @@ func (s *Store) AbortTxn(tx lock.TxnID) {
 		e.umu.Unlock()
 		if empty {
 			// Never committed and no other writer: drop the entry.
-			sh.objects.Delete(oid)
+			s.objects.Delete(oid)
 			if class != "" {
-				s.extentDel(sh, class, oid)
+				s.extentDel(class, oid)
 			}
 		}
-		sh.mu.Unlock()
 		if class != "" {
 			classes[class] = struct{}{}
 		}
 	}
+	s.mu.Unlock()
 	for class := range classes {
 		s.bumpSeq(class)
 	}
 }
 
-func indexInsert(sh *shard, rec Object) {
-	for attr, t := range sh.indexes[rec.Class] {
-		if v, ok := rec.Row.Get(attr); ok {
-			t.Insert(v.Key(), rec.OID)
+// indexInsert files rec under every index of its class. An index on
+// which rec keeps the key of prev, the version it supersedes, already
+// holds the entry (the GC keeps every key a version on the chain
+// carries), so a write that leaves the indexed attributes alone takes
+// no index lock. Caller holds s.mu.
+func (s *Store) indexInsert(rec Object, prev *mvVersion) {
+	for attr, ix := range (*s.indexes.Load())[rec.Class] {
+		v, ok := rec.Row.Get(attr)
+		if !ok {
+			continue
 		}
+		key := v.Key()
+		if prev != nil && !prev.rec.Deleted && prev.rec.Class == rec.Class {
+			if pv, ok := prev.rec.Row.Get(attr); ok && pv.Key() == key {
+				continue
+			}
+		}
+		ix.mu.Lock()
+		ix.t.Insert(key, rec.OID)
+		ix.mu.Unlock()
 	}
 }
 
@@ -1263,21 +1202,20 @@ type CheckpointResult struct {
 // snapshot and drops the chain. Either way it then truncates the WAL
 // prefix the chain covers.
 //
-// Commits proceed concurrently: the capture iterates the shards one at
-// a time (read locks for a full scan, a brief exclusive lock per shard
-// to cut its delta dirty set), never stopping the world, and the WAL
-// keeps accepting appends except during the (short) suffix copy inside
-// TruncateBefore.
+// Commits proceed concurrently: the capture holds the writer mutex only
+// to swap the dirty set, then reads chain heads lock-free, so it never
+// stops the world, and the WAL keeps accepting appends except during
+// the (short) suffix copy inside TruncateBefore.
 //
 // The watermark invariant makes this safe: every committed record is
 // either in the chain or at LSN >= watermark. The watermark is the
 // smallest in-flight LSN (appended but not yet installed), or the log
 // end if none. A commit whose LSN is below the watermark had been
-// deregistered — which happens only after every shard's install — by
-// the time the watermark was read under cmu, so every shard scan that
-// follows sees its versions; a commit at or above the watermark
-// survives TruncateBefore(watermark) and is replayed over the chain on
-// recovery, even if the shard-by-shard capture saw only part of it.
+// deregistered — which happens only after its install — by the time
+// the watermark was read under cmu, so the capture that follows sees
+// its versions; a commit at or above the watermark survives
+// TruncateBefore(watermark) and is replayed over the chain on
+// recovery, even if the capture saw only part of it.
 func (s *Store) Checkpoint() (CheckpointResult, error) {
 	return s.checkpoint(false)
 }
@@ -1318,45 +1256,42 @@ func (s *Store) checkpoint(forceFull bool) (CheckpointResult, error) {
 		}
 		s.cmu.Unlock()
 	}
-	// Capture shard by shard. For a delta, each shard's dirty set is
-	// stolen and its records resolved inside one exclusive section, so
-	// a concurrent install either lands wholly before the cut (version
-	// and mark captured) or wholly after (mark lands in the fresh set,
-	// record at LSN >= watermark). On any failure below the stolen
-	// sets are merged back — losing a mark would silently drop its
-	// record from every future delta.
+	// Cut the dirty set, then capture lock-free. An install that took
+	// the writer mutex before the swap has its version in the heap (and
+	// the capture below reads it or a newer one); one after the swap
+	// leaves its mark in the fresh set, so the next delta carries it
+	// whether or not this capture saw it. The capture reads each
+	// chain's newest installed head — published or not. An unpublished
+	// head's WAL record is already durable (write-ahead) and its LSN is
+	// still in flight, so it is at or above the watermark either way. On
+	// any failure below the stolen set is merged back — losing a mark
+	// would silently drop its record from every future delta.
+	s.mu.Lock()
+	taken := s.ckptDirty
+	s.ckptDirty = make(map[datum.OID]string, 8)
+	s.mu.Unlock()
 	var recs []Object
-	var taken []map[datum.OID]string
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if full {
-			// The capture reads each chain's newest installed head —
-			// published or not. An unpublished head's WAL record is
-			// already durable (write-ahead) and its LSN is still in
-			// flight, so it is at or above the watermark either way.
-			sh.objects.Range(func(_, v any) bool {
-				if hv := v.(*mvEntry).head.Load(); hv != nil && !hv.rec.Deleted {
-					recs = append(recs, hv.rec)
-				}
-				return true
-			})
-		} else {
-			for oid, class := range sh.ckptDirty {
-				// Deleted since the last checkpoint (or gone with its
-				// chain): the delta must carry the tombstone or recovery
-				// would resurrect the object from an older chain element.
-				rec := Object{OID: oid, Class: class, Deleted: true}
-				if v, ok := sh.objects.Load(oid); ok {
-					if hv := v.(*mvEntry).head.Load(); hv != nil && !hv.rec.Deleted {
-						rec = hv.rec
-					}
-				}
-				recs = append(recs, rec)
+	if full {
+		s.objects.Range(func(_, v any) bool {
+			failpoint.Hit("storage.midFullCapture")
+			if hv := v.(*mvEntry).head.Load(); hv != nil && !hv.rec.Deleted {
+				recs = append(recs, hv.rec)
 			}
+			return true
+		})
+	} else {
+		for oid, class := range taken {
+			// Deleted since the last checkpoint (or gone with its chain):
+			// the delta must carry the tombstone or recovery would
+			// resurrect the object from an older chain element.
+			rec := Object{OID: oid, Class: class, Deleted: true}
+			if e := s.entry(oid); e != nil {
+				if hv := e.head.Load(); hv != nil && !hv.rec.Deleted {
+					rec = hv.rec
+				}
+			}
+			recs = append(recs, rec)
 		}
-		taken = append(taken, sh.ckptDirty)
-		sh.ckptDirty = make(map[datum.OID]string, 8)
-		sh.mu.Unlock()
 	}
 	// An empty delta at an unmoved watermark would extend the chain
 	// with nothing; skip the file but still attempt the truncate (a
@@ -1370,15 +1305,13 @@ func (s *Store) checkpoint(forceFull bool) (CheckpointResult, error) {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].OID < recs[j].OID })
 
 	restoreDirty := func() {
-		for i, sh := range s.shards {
-			sh.mu.Lock()
-			for oid, class := range taken[i] {
-				if _, ok := sh.ckptDirty[oid]; !ok {
-					sh.ckptDirty[oid] = class
-				}
+		s.mu.Lock()
+		for oid, class := range taken {
+			if _, ok := s.ckptDirty[oid]; !ok {
+				s.ckptDirty[oid] = class
 			}
-			sh.mu.Unlock()
 		}
+		s.mu.Unlock()
 	}
 
 	res := CheckpointResult{Kind: "delta", Records: len(recs)}

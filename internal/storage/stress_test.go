@@ -1,11 +1,11 @@
 package storage
 
-// Sharded-store stress test: parallel committers and readers across
-// many classes while a checkpointer runs, against a replay-only twin
-// store fed the identical transactions. Writers own disjoint OID
-// ranges, so the final committed state is schedule-independent and
-// both stores must converge to it. Run under -race this doubles as
-// the data-race gate for the per-shard locking.
+// Heap stress test: parallel committers and readers across many
+// classes while a checkpointer runs, against a replay-only twin store
+// fed the identical transactions. Writers own disjoint OID ranges, so
+// the final committed state is schedule-independent and both stores
+// must converge to it. Run under -race this doubles as the data-race
+// gate for the writer mutex, the index locks and the lock-free reads.
 
 import (
 	"fmt"
@@ -17,7 +17,7 @@ import (
 	"repro/internal/lock"
 )
 
-func TestShardedStoreStress(t *testing.T) {
+func TestHeapStress(t *testing.T) {
 	const (
 		writers     = 8
 		readers     = 4
@@ -32,14 +32,12 @@ func TestShardedStoreStress(t *testing.T) {
 
 	topo := newTopo()
 	dirA, dirB := t.TempDir(), t.TempDir()
-	// Different shard counts on the two stores cross-check that the
-	// partitioning is invisible in committed state; b never checkpoints
-	// so its recovery is WAL replay alone.
-	a, err := Open(topo, Options{Dir: dirA, NoSync: true, Shards: 8})
+	// b never checkpoints, so its recovery is WAL replay alone.
+	a, err := Open(topo, Options{Dir: dirA, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Open(topo, Options{Dir: dirB, NoSync: true, Shards: 1})
+	b, err := Open(topo, Options{Dir: dirB, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +190,8 @@ func TestShardedStoreStress(t *testing.T) {
 		}
 	}
 
-	// Per-shard invariants on the live store: every chain and extent
-	// entry lives in the shard its OID hashes to, and the shard-local
-	// extents partition the class extents exactly.
-	checkShardInvariants(t, a)
-	checkShardInvariants(t, b)
+	checkHeapInvariants(t, a)
+	checkHeapInvariants(t, b)
 
 	verify := func(name string, s *Store) {
 		t.Helper()
@@ -228,77 +223,63 @@ func TestShardedStoreStress(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, err = Open(topo, Options{Dir: dirA, NoSync: true, Shards: 8})
+	a, err = Open(topo, Options{Dir: dirA, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err = Open(topo, Options{Dir: dirB, NoSync: true, Shards: 1})
+	b, err = Open(topo, Options{Dir: dirB, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 	verify("a recovered", a)
 	verify("b recovered", b)
-	checkShardInvariants(t, a)
-	checkShardInvariants(t, b)
+	checkHeapInvariants(t, a)
+	checkHeapInvariants(t, b)
 }
 
-// checkShardInvariants asserts the partitioning is well-formed: every
-// object entry and extent member is in the shard its OID hashes to,
-// no OID appears in two shards, and every version chain is strictly
-// LSN-descending with head depth at least the chain length. White-box
-// by design.
-func checkShardInvariants(t *testing.T, s *Store) {
+// checkHeapInvariants asserts the heap is well-formed: every version
+// chain is strictly LSN-descending with head depth at least the chain
+// length, and every extent is strictly ascending with each slot holding
+// its OID's entry. White-box by design.
+func checkHeapInvariants(t *testing.T, s *Store) {
 	t.Helper()
-	seen := map[datum.OID]bool{}
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		sh.objects.Range(func(k, v any) bool {
-			oid := k.(datum.OID)
-			if s.shardOf(oid) != sh {
-				t.Errorf("shard %d: oid %v hashes elsewhere", i, oid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.objects.Range(func(k, v any) bool {
+		oid := k.(datum.OID)
+		e := v.(*mvEntry)
+		n := uint32(0)
+		last := uint64(0)
+		for mv := e.head.Load(); mv != nil; mv = mv.prev.Load() {
+			n++
+			if last != 0 && mv.lsn >= last {
+				t.Errorf("oid %v: chain not LSN-descending (%d after %d)", oid, mv.lsn, last)
 			}
-			if seen[oid] {
-				t.Errorf("oid %v present in two shards", oid)
+			last = mv.lsn
+			if mv.rec.OID != oid {
+				t.Errorf("oid %v: chain holds record for %v", oid, mv.rec.OID)
 			}
-			seen[oid] = true
-			e := v.(*mvEntry)
-			n := uint32(0)
-			last := uint64(0)
-			for mv := e.head.Load(); mv != nil; mv = mv.prev.Load() {
-				n++
-				if last != 0 && mv.lsn >= last {
-					t.Errorf("oid %v: chain not LSN-descending (%d after %d)", oid, mv.lsn, last)
-				}
-				last = mv.lsn
-				if mv.rec.OID != oid {
-					t.Errorf("oid %v: chain holds record for %v", oid, mv.rec.OID)
-				}
+		}
+		if hv := e.head.Load(); hv != nil && hv.depth.Load() < n {
+			t.Errorf("oid %v: head depth %d below chain length %d", oid, hv.depth.Load(), n)
+		}
+		return true
+	})
+	s.extents.Range(func(ck, _ any) bool {
+		cls := ck.(string)
+		last := datum.OID(0)
+		for c := s.cursor(cls, 0); !c.done(); {
+			sl := c.pop()
+			if sl.oid <= last {
+				t.Errorf("extent %q: oid %v after %v", cls, sl.oid, last)
 			}
-			if hv := e.head.Load(); hv != nil && hv.depth.Load() < n {
-				t.Errorf("oid %v: head depth %d below chain length %d", oid, hv.depth.Load(), n)
+			if s.entry(sl.oid) != sl.e {
+				t.Errorf("extent %q: oid %v slot does not hold its entry", cls, sl.oid)
 			}
-			return true
-		})
-		sh.extents.Range(func(ck, _ any) bool {
-			cls := ck.(string)
-			last := datum.OID(0)
-			for c := sh.cursor(cls); !c.done(); {
-				sl := c.pop()
-				if s.shardOf(sl.oid) != sh {
-					t.Errorf("shard %d extent %q: oid %v hashes elsewhere", i, cls, sl.oid)
-				}
-				if sl.oid <= last {
-					t.Errorf("shard %d extent %q: oid %v after %v", i, cls, sl.oid, last)
-				}
-				if v, ok := sh.objects.Load(sl.oid); !ok || v.(*mvEntry) != sl.e {
-					t.Errorf("shard %d extent %q: oid %v slot does not hold its entry", i, cls, sl.oid)
-				}
-				last = sl.oid
-			}
-			return true
-		})
-		sh.mu.RUnlock()
-	}
+			last = sl.oid
+		}
+		return true
+	})
 }

@@ -149,11 +149,17 @@ func TestSpinDeterministic(t *testing.T) {
 }
 
 // TestCascadeChainFires: the cascade generator must wire depth rules
-// so one create at the head propagates to the tail class.
+// so one create at the head propagates to the tail class. Depth 8 is
+// BenchmarkCascadeDepth's deepest, well inside the cascade bound.
 func TestCascadeChainFires(t *testing.T) {
+	for _, depth := range []int{4, 8} {
+		t.Run(fmt.Sprint(depth), func(t *testing.T) { testCascadeChainFires(t, depth) })
+	}
+}
+
+func testCascadeChainFires(t *testing.T, depth int) {
 	e, _ := MustEngine()
 	defer e.Close()
-	const depth = 4
 	head, err := CascadeChain(e, depth)
 	if err != nil {
 		t.Fatal(err)
