@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-check loc
+.PHONY: build test race fuzz bench bench-check loc
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,28 @@ race:
 		./internal/btree/ ./internal/query/ ./internal/repl/ \
 		./internal/plan/ ./internal/ipc/ ./internal/client/ \
 		./internal/datum/ ./internal/obs/ ./internal/clock/
+
+# fuzz is the one list of fuzz targets; CI calls this target. go test
+# takes one -fuzz pattern per run, so each target runs on its own for
+# FUZZTIME.
+FUZZTIME ?= 20s
+FUZZ_TARGETS = \
+	FuzzDecodeRedo:./internal/storage/ \
+	FuzzDecodeRow:./internal/datum/ \
+	FuzzSnapshotLoad:./internal/storage/ \
+	FuzzDeltaSnapshot:./internal/storage/ \
+	FuzzReplay:./internal/wal/ \
+	FuzzCompositeSpec:./internal/event/ \
+	FuzzReplStream:./internal/repl/ \
+	FuzzIPCRead:./internal/ipc/ \
+	FuzzIPCBody:./internal/ipc/ \
+	FuzzPlan:./internal/plan/
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t%%:*} $${t#*:}"; \
+		$(GO) test -run='^$$' -fuzz="^$${t%%:*}$$" -fuzztime=$(FUZZTIME) "$${t#*:}"; \
+	done
 
 # bench runs every per-claim microbenchmark once, briefly; to measure
 # one, run it by name with -count and -cpu and compare commits with

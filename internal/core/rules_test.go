@@ -6,12 +6,16 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/datum"
 	"repro/internal/rule"
+	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
@@ -339,5 +343,76 @@ func TestSelfCascadeIsBounded(t *testing.T) {
 				t.Fatalf("%d Audit objects survived the aborted cascade", len(res.Rows))
 			}
 		})
+	}
+}
+
+// ruleObjects counts the persisted rule objects.
+func ruleObjects(e *Engine) int {
+	n := 0
+	e.Store.ScanClass(0, rule.RuleClass, func(storage.Object) bool { n++; return true })
+	return n
+}
+
+func TestBadRuleEventLeavesDirectoryOpenable(t *testing.T) {
+	// An event the detectors cannot run must fail CreateRule before
+	// the rule object is persisted: a persisted one would fail every
+	// later Open of the directory.
+	dir := t.TempDir()
+	e, err := Open(Options{Dir: dir, NoSync: true, Clock: clock.NewVirtual(epoch)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range []string{"every(0s)", "after(-5s)", "every(external(X), 0s)"} {
+		if _, err := e.CreateRule(rule.Def{
+			Name:   fmt.Sprintf("bad-%d", i),
+			Event:  ev,
+			Action: []rule.Step{{Kind: rule.StepCall, Fn: "noop"}},
+		}); err == nil {
+			t.Errorf("CreateRule with event %q succeeded", ev)
+		}
+	}
+	e.Close()
+	e2, err := Open(Options{Dir: dir, NoSync: true, Clock: clock.NewVirtual(epoch)})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer e2.Close()
+	if n := ruleObjects(e2); n != 0 {
+		t.Fatalf("%d rule objects persisted, want 0", n)
+	}
+}
+
+func TestConcurrentCreateRuleSameName(t *testing.T) {
+	// Racing creators of one name: exactly one succeeds, and one rule
+	// is registered and persisted.
+	e, _ := newEngine(t)
+	const n = 16
+	var wg sync.WaitGroup
+	var ok atomic.Int32
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := e.CreateRule(rule.Def{
+				Name:   "dup",
+				Event:  "external(X)",
+				Action: []rule.Step{{Kind: rule.StepCall, Fn: "noop"}},
+			}); err == nil {
+				ok.Add(1)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := ok.Load(); got != 1 {
+		t.Fatalf("%d CreateRule calls succeeded, want 1", got)
+	}
+	if got := len(e.Rules.Rules()); got != 1 {
+		t.Fatalf("Rules() has %d entries, want 1", got)
+	}
+	if got := ruleObjects(e); got != 1 {
+		t.Fatalf("%d rule objects persisted, want 1", got)
 	}
 }

@@ -1,7 +1,6 @@
 package event
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,22 +145,21 @@ func (d *Detectors) SetAsyncErrorHandler(f func(error)) { d.asyncErr = f }
 
 // Define programs the detectors to report occurrences of spec,
 // returning the subscription id used in subsequent Enable, Disable,
-// and Delete calls and in emissions.
+// and Delete calls and in emissions. It rejects exactly the specs
+// Parse rejects, before it changes anything.
 func (d *Detectors) Define(spec Spec) (SubID, error) {
-	if spec == nil {
-		return 0, fmt.Errorf("event: nil spec")
+	if err := validate(spec); err != nil {
+		return 0, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s, err := d.defineLocked(spec, nil, 0)
-	if err != nil {
-		return 0, err
-	}
+	s := d.defineLocked(spec, nil, 0)
 	d.publishLocked()
 	return s.id, nil
 }
 
-func (d *Detectors) defineLocked(spec Spec, parent *sub, partIdx int) (*sub, error) {
+// defineLocked programs a validated spec. Caller holds d.mu.
+func (d *Detectors) defineLocked(spec Spec, parent *sub, partIdx int) *sub {
 	s := &sub{id: d.nextSub, spec: spec, parent: parent, partIdx: partIdx}
 	d.nextSub++
 	d.subs[s.id] = s
@@ -170,111 +168,23 @@ func (d *Detectors) defineLocked(spec Spec, parent *sub, partIdx int) (*sub, err
 		k := dbKey{op: v.Op, class: v.Class}
 		d.dbIndex[k] = append(d.dbIndex[k], s)
 	case External:
-		if v.Name == "" {
-			return nil, fmt.Errorf("event: external event needs a name")
-		}
 		d.extIdx[v.Name] = append(d.extIdx[v.Name], s)
 	case Temporal:
-		if err := d.defineTemporalLocked(s, v); err != nil {
-			return nil, err
-		}
+		d.defineTemporalLocked(s, v)
 	case Composite:
-		if len(v.Parts) < 2 {
-			return nil, fmt.Errorf("event: composite %s needs at least two parts", v.Op)
+		// The composite's parts are children whose role indices match
+		// the template's part numbering.
+		def := compOps[v.Op]
+		s.tmpl = cep.New(cep.Config{Kind: def.kind, Parts: len(v.Parts), Window: v.Window,
+			Count: v.Count, CorrelAttr: v.Correl.Attr, CorrelVar: v.Correl.Var,
+			MaxPartials: def.maxPartials}, cep.DefaultShards)
+		for i, part := range v.Parts {
+			s.children = append(s.children, d.defineLocked(part, s, i))
 		}
-		// A sequence is a within with no window whose fresh first part
-		// restarts it.
-		cfg := cep.Config{Parts: len(v.Parts)}
-		switch v.Op {
-		case Disjunction:
-			cfg.Kind = cep.KAny
-		case Sequence:
-			cfg.Kind, cfg.MaxPartials = cep.KWithin, 1
-		case Conjunction:
-			cfg.Kind = cep.KAll
-		default:
-			return nil, fmt.Errorf("event: unknown composite operator %q", v.Op)
-		}
-		if err := d.defineCEPLocked(s, cfg, v.Parts...); err != nil {
-			return nil, err
-		}
-	case Within:
-		if len(v.Parts) < 2 {
-			return nil, fmt.Errorf("event: within needs at least two parts")
-		}
-		if v.Window <= 0 {
-			return nil, fmt.Errorf("event: within needs a positive window")
-		}
-		cfg := cep.Config{Kind: cep.KWithin, Parts: len(v.Parts), Window: v.Window,
-			CorrelAttr: v.Correl.Attr, CorrelVar: v.Correl.Var}
-		if err := d.defineCEPLocked(s, cfg, v.Parts...); err != nil {
-			return nil, err
-		}
-	case During:
-		if v.Event == nil || v.Start == nil || v.End == nil {
-			return nil, fmt.Errorf("event: during needs event, start, and end parts")
-		}
-		cfg := cep.Config{Kind: cep.KDuring, Parts: 3,
-			CorrelAttr: v.Correl.Attr, CorrelVar: v.Correl.Var}
-		if err := d.defineCEPLocked(s, cfg, v.Event, v.Start, v.End); err != nil {
-			return nil, err
-		}
-	case Window:
-		if v.Part == nil {
-			return nil, fmt.Errorf("event: %s window needs a part", v.Mode)
-		}
-		if v.Count < 1 {
-			return nil, fmt.Errorf("event: %s window needs a positive count", v.Mode)
-		}
-		kind := cep.KSliding
-		switch v.Mode {
-		case Sliding:
-		case Tumbling:
-			kind = cep.KTumbling
-		default:
-			return nil, fmt.Errorf("event: unknown window mode %q", v.Mode)
-		}
-		cfg := cep.Config{Kind: kind, Parts: 1, Count: v.Count,
-			CorrelAttr: v.Correl.Attr, CorrelVar: v.Correl.Var}
-		if err := d.defineCEPLocked(s, cfg, v.Part); err != nil {
-			return nil, err
-		}
-	case Aggregate:
-		if v.Part == nil {
-			return nil, fmt.Errorf("event: count aggregate needs a part")
-		}
-		if v.Min < 1 {
-			return nil, fmt.Errorf("event: count aggregate needs a positive minimum")
-		}
-		if v.Window <= 0 {
-			return nil, fmt.Errorf("event: count aggregate needs a positive window")
-		}
-		cfg := cep.Config{Kind: cep.KAggregate, Parts: 1, Count: v.Min, Window: v.Window,
-			CorrelAttr: v.Correl.Attr, CorrelVar: v.Correl.Var}
-		if err := d.defineCEPLocked(s, cfg, v.Part); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("event: unsupported spec type %T", spec)
+		d.cepSubs = append(d.cepSubs, s)
+		d.scheduleCEPGCLocked(s)
 	}
-	return s, nil
-}
-
-// defineCEPLocked builds the cep template for s and defines its
-// constituent parts as children with role indices matching the
-// template's part numbering. Caller holds d.mu.
-func (d *Detectors) defineCEPLocked(s *sub, cfg cep.Config, parts ...Spec) error {
-	s.tmpl = cep.New(cfg, cep.DefaultShards)
-	for i, part := range parts {
-		child, err := d.defineLocked(part, s, i)
-		if err != nil {
-			return err
-		}
-		s.children = append(s.children, child)
-	}
-	d.cepSubs = append(d.cepSubs, s)
-	d.scheduleCEPGCLocked(s)
-	return nil
+	return s
 }
 
 // scheduleCEPGCLocked arms the periodic partial-match GC sweep for a
@@ -304,44 +214,19 @@ func (d *Detectors) cepGC(s *sub, w time.Duration) {
 	d.mu.Unlock()
 }
 
-func (d *Detectors) defineTemporalLocked(s *sub, v Temporal) error {
-	switch v.Kind {
-	case Absolute:
-		delay := v.At.Sub(d.clk.Now())
-		if delay < 0 {
-			return nil // already past: never fires
+func (d *Detectors) defineTemporalLocked(s *sub, v Temporal) {
+	switch {
+	case v.Kind == Absolute:
+		if delay := v.At.Sub(d.clk.Now()); delay >= 0 { // else already past: never fires
+			s.timer = d.clk.AfterFunc(delay, func() { d.temporalFire(s, false) })
 		}
-		s.timer = d.clk.AfterFunc(delay, func() { d.temporalFire(s, false) })
-	case Relative:
-		if v.Offset < 0 {
-			return fmt.Errorf("event: negative relative offset")
-		}
-		if v.Baseline == nil {
-			s.timer = d.clk.AfterFunc(v.Offset, func() { d.temporalFire(s, false) })
-		} else {
-			base, err := d.defineLocked(v.Baseline, s, -1)
-			if err != nil {
-				return err
-			}
-			s.children = append(s.children, base)
-		}
-	case Periodic:
-		if v.Period <= 0 {
-			return fmt.Errorf("event: periodic event needs a positive period")
-		}
-		if v.Baseline == nil {
-			s.timer = d.clk.AfterFunc(v.Period, func() { d.temporalFire(s, true) })
-		} else {
-			base, err := d.defineLocked(v.Baseline, s, -1)
-			if err != nil {
-				return err
-			}
-			s.children = append(s.children, base)
-		}
+	case v.Baseline != nil:
+		s.children = append(s.children, d.defineLocked(v.Baseline, s, -1))
+	case v.Kind == Relative:
+		s.timer = d.clk.AfterFunc(v.Offset, func() { d.temporalFire(s, false) })
 	default:
-		return fmt.Errorf("event: unknown temporal kind %q", v.Kind)
+		s.timer = d.clk.AfterFunc(v.Period, func() { d.temporalFire(s, true) })
 	}
-	return nil
 }
 
 // temporalFire handles a timer expiry for subscription s: it updates

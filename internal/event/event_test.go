@@ -113,44 +113,12 @@ func TestParseErrors(t *testing.T) {
 		"count(external(A)) >= 0 within 1m",           // min must be >= 1
 		"count(external(A)) >= 3 within -1s",          // window must be positive
 		"count(external(A) where x=y) >= 3 within 1m", // var needs $
+		"every(0s)", "after(-5s)", "every(external(X), 0s)", // Define rejects them
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}
-	}
-}
-
-func TestSpecJSONRoundTrip(t *testing.T) {
-	specs := []Spec{
-		Database{Op: OpModify, Class: "Stock"},
-		Database{Op: OpCommit},
-		External{Name: "Trade"},
-		Temporal{Kind: Absolute, At: epoch},
-		Temporal{Kind: Relative, Offset: 5 * time.Second},
-		Temporal{Kind: Periodic, Period: time.Minute, Baseline: External{Name: "Open"}},
-		Composite{Op: Sequence, Parts: []Spec{
-			Database{Op: OpModify, Class: "Stock"},
-			Composite{Op: Disjunction, Parts: []Spec{External{Name: "A"}, External{Name: "B"}}},
-		}},
-	}
-	for _, s := range specs {
-		raw, err := MarshalSpec(s)
-		if err != nil {
-			t.Fatalf("marshal %v: %v", s, err)
-		}
-		got, err := UnmarshalSpec(raw)
-		if err != nil {
-			t.Fatalf("unmarshal %s: %v", raw, err)
-		}
-		if got.String() != s.String() {
-			t.Errorf("json round trip %v -> %v", s, got)
-		}
-	}
-	// nil round-trips to nil.
-	raw, _ := MarshalSpec(nil)
-	if got, err := UnmarshalSpec(raw); err != nil || got != nil {
-		t.Errorf("nil spec round trip: %v %v", got, err)
 	}
 }
 

@@ -32,13 +32,13 @@ func goldenPart(rng *rand.Rand, depth int) Spec {
 	case 3:
 		return goldenComposite(rng, depth)
 	case 4:
-		w := Within{Window: []time.Duration{5 * time.Second, 10 * time.Second, 30 * time.Second}[rng.Intn(3)], Correl: correl}
+		w := Composite{Op: TimedSequence, Window: []time.Duration{5 * time.Second, 10 * time.Second, 30 * time.Second}[rng.Intn(3)], Correl: correl}
 		for i, n := 0, 2+rng.Intn(2); i < n; i++ {
 			w.Parts = append(w.Parts, goldenPart(rng, depth-1))
 		}
 		return w
 	case 5:
-		return Window{Mode: Tumbling, Part: goldenPart(rng, depth-1), Count: 1 + rng.Intn(3), Correl: correl}
+		return Composite{Op: Tumbling, Parts: []Spec{goldenPart(rng, depth-1)}, Count: 1 + rng.Intn(3), Correl: correl}
 	default:
 		return External{Name: string(rune('A' + rng.Intn(4)))}
 	}

@@ -24,10 +24,9 @@ import (
 //	seq(e1, e2, ...)        sequence
 //	and(e1, e2, ...)        conjunction (extension)
 //
-// CEP operators (composite-event runtime extensions; each form takes
-// an optional trailing `where attr=$var` correlation clause that
-// partitions detection by the named binding and exposes its value to
-// conditions/actions as $var):
+// and the windowed extensions, which take an optional trailing `where
+// attr=$var` correlation clause that partitions detection by the named
+// binding and exposes its value to conditions/actions as $var:
 //
 //	within(e1, e2, ..., 5s)              sequence within a duration
 //	during(ev, start, end)               interval relation
@@ -35,9 +34,15 @@ import (
 //	tumbling(e, 5)                       tumbling count window
 //	count(e where a=$v) >= 10 within 1m  windowed count aggregate
 //
-// Inside the CEP forms a bare identifier is shorthand for an external
-// event: count(PriceDrop ...) means count(external(PriceDrop) ...),
-// and likewise within(PriceDrop, Confirm, 30s) etc.
+// Every composite form parses to one Composite; its operator's row in
+// compOps gives its written form — op(parts), op(parts, arg) or
+// count(part) >= N within d — and the arguments it takes. Inside the windowed forms a bare
+// identifier is shorthand for an external event: count(PriceDrop ...)
+// means count(external(PriceDrop) ...), and likewise within(PriceDrop,
+// Confirm, 30s) etc.
+//
+// Parse rejects exactly the specs Detectors.Define rejects: both run
+// the same validation, so an event that parses can always be defined.
 func Parse(input string) (Spec, error) {
 	p := &specParser{src: input}
 	spec, err := p.parseSpec()
@@ -47,6 +52,9 @@ func Parse(input string) (Spec, error) {
 	p.skipSpace()
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("event: trailing input at %d: %q", p.pos, p.src[p.pos:])
+	}
+	if err := validate(spec); err != nil {
+		return nil, err
 	}
 	return spec, nil
 }
@@ -202,151 +210,76 @@ func (p *specParser) parseSpec() (Spec, error) {
 		}
 		return Temporal{Kind: Periodic, Period: d, Baseline: baseline}, nil
 
-	case "or", "seq", "and":
-		var parts []Spec
-		for {
-			part, err := p.parseSpec()
+	default:
+		if def, ok := compOps[CompOp(name)]; ok {
+			return p.composite(CompOp(name), def)
+		}
+		return nil, fmt.Errorf("event: unknown event form %q", name)
+	}
+}
+
+// composite parses an operator's arguments, after its '(', in the
+// form its compOps row gives. Parse validates the result.
+func (p *specParser) composite(op CompOp, def opDef) (Spec, error) {
+	c := Composite{Op: op}
+	for {
+		save := p.pos
+		part, err := p.parsePart(def.correl)
+		if err != nil {
+			if def.form != formArg || len(c.Parts) == 0 {
+				return nil, err
+			}
+			// Not a part: the trailing argument starts here.
+			p.pos = save
+			if def.window {
+				c.Window, err = p.duration(string(op))
+			} else {
+				c.Count, err = p.integer(string(op))
+			}
 			if err != nil {
 				return nil, err
 			}
-			parts = append(parts, part)
-			p.skipSpace()
-			if p.pos < len(p.src) && p.src[p.pos] == ',' {
-				p.pos++
-				continue
-			}
 			break
 		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("event: %s() needs at least two parts", name)
-		}
-		return Composite{Op: CompOp(name), Parts: parts}, nil
-
-	case "within":
-		// within(e1, ..., en, d [where attr=$var])
-		var parts []Spec
-		for {
-			save := p.pos
-			part, err := p.parsePart()
-			if err != nil {
-				// Not a spec: the duration argument starts here.
-				p.pos = save
-				break
-			}
-			parts = append(parts, part)
-			p.skipSpace()
-			if p.pos < len(p.src) && p.src[p.pos] == ',' {
-				p.pos++
-				continue
-			}
-			break
-		}
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("event: within() needs at least two event parts")
-		}
-		d, err := p.duration("within()")
-		if err != nil {
-			return nil, err
-		}
-		c, err := p.parseOptWhere()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return Within{Parts: parts, Window: d, Correl: c}, nil
-
-	case "during":
-		// during(event, start, end [where attr=$var])
-		ev, err := p.parsePart()
-		if err != nil {
-			return nil, fmt.Errorf("event: during(): %w", err)
-		}
-		if err := p.expect(','); err != nil {
-			return nil, err
-		}
-		st, err := p.parsePart()
-		if err != nil {
-			return nil, fmt.Errorf("event: during(): %w", err)
-		}
-		if err := p.expect(','); err != nil {
-			return nil, err
-		}
-		en, err := p.parsePart()
-		if err != nil {
-			return nil, fmt.Errorf("event: during(): %w", err)
-		}
-		c, err := p.parseOptWhere()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return During{Event: ev, Start: st, End: en, Correl: c}, nil
-
-	case "sliding", "tumbling":
-		// sliding(e, N [where attr=$var])
-		part, err := p.parsePart()
-		if err != nil {
-			return nil, fmt.Errorf("event: %s(): %w", name, err)
-		}
-		if err := p.expect(','); err != nil {
-			return nil, err
-		}
-		n, err := p.integer(name + "()")
-		if err != nil {
-			return nil, err
-		}
-		c, err := p.parseOptWhere()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return Window{Mode: WindowMode(name), Part: part, Count: n, Correl: c}, nil
-
-	case "count":
-		// count(e [where attr=$var]) >= N within D
-		part, err := p.parsePart()
-		if err != nil {
-			return nil, err
-		}
-		c, err := p.parseOptWhere()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		if err := p.expect('>'); err != nil {
-			return nil, err
-		}
-		if err := p.expect('='); err != nil {
-			return nil, err
-		}
-		n, err := p.integer("count")
-		if err != nil {
-			return nil, err
-		}
+		c.Parts = append(c.Parts, part)
 		p.skipSpace()
-		if kw := p.ident(); kw != "within" {
-			return nil, fmt.Errorf("event: count: expected 'within' at %d in %q", p.pos, p.src)
+		if p.pos < len(p.src) && p.src[p.pos] == ',' {
+			p.pos++
+			continue
 		}
-		d, err := p.duration("count")
-		if err != nil {
-			return nil, err
+		if def.form == formArg {
+			return nil, fmt.Errorf("event: %s(): expected ',' and an argument at %d in %q", op, p.pos, p.src)
 		}
-		return Aggregate{Part: part, Correl: c, Min: n, Window: d}, nil
-
-	default:
-		return nil, fmt.Errorf("event: unknown event form %q", name)
+		break
 	}
+	var err error
+	if c.Correl, err = p.parseOptWhere(); err != nil {
+		return nil, err
+	}
+	if err := p.expect(')'); err != nil {
+		return nil, err
+	}
+	if def.form != formCount {
+		return c, nil
+	}
+	// count(e [where attr=$var]) >= N within D
+	if err := p.expect('>'); err != nil {
+		return nil, err
+	}
+	if err := p.expect('='); err != nil {
+		return nil, err
+	}
+	if c.Count, err = p.integer("count"); err != nil {
+		return nil, err
+	}
+	p.skipSpace()
+	if kw := p.ident(); kw != "within" {
+		return nil, fmt.Errorf("event: count: expected 'within' at %d in %q", p.pos, p.src)
+	}
+	if c.Window, err = p.duration("count"); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // token reads a bare argument token (duration or integer): raw text
@@ -364,33 +297,22 @@ func (p *specParser) token() string {
 	return p.src[start:p.pos]
 }
 
-// duration parses a positive Go duration token.
+// duration parses a Go duration token.
 func (p *specParser) duration(form string) (time.Duration, error) {
 	tok := p.token()
 	d, err := time.ParseDuration(tok)
 	if err != nil {
 		return 0, fmt.Errorf("event: %s: bad duration %q: %w", form, tok, err)
 	}
-	if d <= 0 {
-		return 0, fmt.Errorf("event: %s: duration must be positive, got %q", form, tok)
-	}
 	return d, nil
 }
 
-// maxWindowCount bounds count-window and aggregate thresholds so a
-// malformed or hostile spec cannot demand unbounded per-instance
-// state.
-const maxWindowCount = 1 << 20
-
-// integer parses a positive integer token.
+// integer parses an integer token.
 func (p *specParser) integer(form string) (int, error) {
 	tok := p.token()
 	n, err := strconv.Atoi(tok)
 	if err != nil {
 		return 0, fmt.Errorf("event: %s: bad count %q: %w", form, tok, err)
-	}
-	if n < 1 || n > maxWindowCount {
-		return 0, fmt.Errorf("event: %s: count must be in [1, %d], got %d", form, maxWindowCount, n)
 	}
 	return n, nil
 }
@@ -422,16 +344,16 @@ func (p *specParser) parseOptWhere() (Correl, error) {
 	return Correl{Attr: attr, Var: v}, nil
 }
 
-// parsePart parses a CEP form's constituent event, accepting a bare
-// identifier as external-event shorthand (`PriceDrop` for
-// `external(PriceDrop)`). A bare `where` is never a part: it starts
-// the correlation clause.
-func (p *specParser) parsePart() (Spec, error) {
+// parsePart parses a composite's constituent event. Where the
+// operator takes a where clause (bare is true) a bare identifier is
+// external-event shorthand (`PriceDrop` for `external(PriceDrop)`); a
+// bare `where` is never a part: it starts the correlation clause.
+func (p *specParser) parsePart(bare bool) (Spec, error) {
 	save := p.pos
 	p.skipSpace()
 	name := p.ident()
 	p.skipSpace()
-	if name != "" && name != "where" && (p.pos >= len(p.src) || p.src[p.pos] != '(') {
+	if bare && name != "" && name != "where" && (p.pos >= len(p.src) || p.src[p.pos] != '(') {
 		return External{Name: name}, nil
 	}
 	p.pos = save

@@ -1,18 +1,20 @@
 // Package event implements the HiPAC event model (§2.1 of the paper):
 // primitive events — database operations, temporal events (absolute,
 // relative, periodic), and application-defined external events — and
-// composite events built from them with disjunction and sequence
-// operators (plus conjunction, an extension flagged as such). It also
-// implements the event detectors of §5.3, which the Rule Manager
-// programs when rules are created.
+// composite events built from them. A composite is one type,
+// Composite, whose operator (the paper's disjunction and sequence,
+// plus conjunction and the windowed extensions) is a row of one
+// operator table, compOps. It also implements the event detectors of
+// §5.3, which the Rule Manager programs when rules are created.
 package event
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/cep"
 	"repro/internal/datum"
 	"repro/internal/lock"
 )
@@ -34,10 +36,10 @@ const (
 	OpAbort       Op = "abort"       // transaction control
 )
 
-// Spec describes an event that can trigger rules. Specs are values;
-// they are stored in rule objects and shipped over IPC, so every
-// implementation is JSON-serializable via MarshalSpec/UnmarshalSpec
-// and has a canonical String form parseable by Parse.
+// Spec describes an event that can trigger rules. Specs are values
+// with a canonical String form that Parse reads back: rule objects
+// persist that text, and rules whose specs print alike share one
+// detector subscription.
 type Spec interface {
 	// String renders the spec in the canonical text syntax.
 	String() string
@@ -130,44 +132,110 @@ func (e External) String() string { return fmt.Sprintf("external(%s)", e.Name) }
 type CompOp string
 
 // Composite operators. The paper specifies disjunction and sequence;
-// conjunction is implemented as a documented extension.
+// conjunction and the rest are extensions along the axes of the
+// Reaction RuleML event-processing space (sequence within a duration,
+// interval relations, count windows and windowed aggregation).
 const (
-	Disjunction CompOp = "or"
-	Sequence    CompOp = "seq"
-	Conjunction CompOp = "and"
+	Disjunction    CompOp = "or"       // any part occurs
+	Sequence       CompOp = "seq"      // the parts occur in order; a fresh first part restarts
+	Conjunction    CompOp = "and"      // every part occurs, in any order
+	TimedSequence  CompOp = "within"   // the parts occur in order, all within Window of the first
+	Interval       CompOp = "during"   // Parts[0] occurs between a Parts[1] and the next Parts[2]; fires at that end
+	Sliding        CompOp = "sliding"  // fires on every occurrence once Count are in the window
+	Tumbling       CompOp = "tumbling" // fires on every Count-th occurrence, then resets
+	CountAggregate CompOp = "count"    // fires when Count occurrences fall within the trailing Window, consuming them
 )
 
-// Composite combines sub-events. Disjunction signals when any part
-// signals; Sequence when the parts signal in order; Conjunction when
-// all parts have signalled in any order. Bindings of the constituent
-// signals are merged, later parts winning name collisions; a fresh
-// first part restarts a sequence.
+// form is the way an operator's spec is written.
+type form int
+
+const (
+	formList  form = iota // op(p1, ..., pn[ where a=$v])
+	formArg               // op(p1, ..., pn, arg[ where a=$v]): arg is the Window if the operator takes one, else the Count
+	formCount             // count(p[ where a=$v]) >= Count within Window
+)
+
+// opDef is one operator's row in compOps.
+type opDef struct {
+	kind          cep.Kind
+	form          form
+	min, max      int  // bounds on len(Parts); max 0 means unbounded
+	window, count bool // the operator takes a positive Window, a Count in [1, maxWindowCount]
+	correl        bool // the operator takes a where clause, and bare names as parts
+	maxPartials   int  // cep.Config.MaxPartials
+}
+
+// compOps is the operator table: it drives Composite's String, its
+// validation, the parser's argument forms, and the cep.Config that
+// Define builds. A sequence is a within with no window whose fresh
+// first part restarts it.
+var compOps = map[CompOp]opDef{
+	Disjunction:    {kind: cep.KAny, min: 2},
+	Sequence:       {kind: cep.KWithin, min: 2, maxPartials: 1},
+	Conjunction:    {kind: cep.KAll, min: 2},
+	TimedSequence:  {kind: cep.KWithin, form: formArg, min: 2, window: true, correl: true},
+	Interval:       {kind: cep.KDuring, min: 3, max: 3, correl: true},
+	Sliding:        {kind: cep.KSliding, form: formArg, min: 1, max: 1, count: true, correl: true},
+	Tumbling:       {kind: cep.KTumbling, form: formArg, min: 1, max: 1, count: true, correl: true},
+	CountAggregate: {kind: cep.KAggregate, form: formCount, min: 1, max: 1, window: true, count: true, correl: true},
+}
+
+// maxWindowCount bounds count-window and aggregate thresholds so a
+// malformed or hostile spec cannot demand unbounded per-instance
+// state.
+const maxWindowCount = 1 << 20
+
+// Composite combines sub-events under one operator, detected by the
+// one composite-event runtime (internal/cep). Bindings of the
+// constituent signals are merged, later parts winning name
+// collisions. Window and Count are set only for the operators whose
+// compOps row takes them; Correl only for those taking a where clause.
 type Composite struct {
-	Op    CompOp
-	Parts []Spec
+	Op     CompOp
+	Parts  []Spec
+	Window time.Duration
+	Count  int
+	Correl Correl
 }
 
 func (Composite) isSpec() {}
 
-// String renders e.g. `seq(modify(Stock), external(TradeExecuted))`.
+// String renders e.g. `seq(modify(Stock), external(TradeExecuted))`,
+// `tumbling(modify(Stock), 100 where symbol=$s)` or
+// `count(external(PriceDrop) where ticker=$t) >= 10 within 1m0s`.
 func (c Composite) String() string {
-	parts := make([]string, len(c.Parts))
+	def := compOps[c.Op]
+	var b strings.Builder
+	b.WriteString(string(c.Op))
+	b.WriteByte('(')
 	for i, p := range c.Parts {
-		parts[i] = p.String()
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(p.String())
 	}
-	return fmt.Sprintf("%s(%s)", c.Op, strings.Join(parts, ", "))
+	if def.form == formArg {
+		b.WriteString(", ")
+		if def.window {
+			b.WriteString(c.Window.String())
+		} else {
+			b.WriteString(strconv.Itoa(c.Count))
+		}
+	}
+	if c.Correl.Attr != "" {
+		b.WriteString(" where ")
+		b.WriteString(c.Correl.Attr)
+		b.WriteString("=$")
+		b.WriteString(c.Correl.Var)
+	}
+	b.WriteByte(')')
+	if def.form == formCount {
+		fmt.Fprintf(&b, " >= %d within %s", c.Count, c.Window)
+	}
+	return b.String()
 }
 
-// --- CEP operators (composite-event runtime extensions) ---
-//
-// The operators below extend the paper's disjunction/sequence algebra
-// along the axes of the Reaction RuleML event-processing space:
-// sequence-within-duration, interval relations, count windows, and
-// windowed aggregation. Like or/seq/and they are kinds of the one
-// composite-event runtime (internal/cep); unlike them they take a
-// correlation clause, detected by one NFA instance per key.
-
-// Correl names a CEP operator's correlation: constituent occurrences
+// Correl names a composite's correlation: constituent occurrences
 // are partitioned by the value bound to Attr (occurrences without it
 // are ignored), and firings bind that value to Var. The zero Correl
 // means uncorrelated — one global automaton instance.
@@ -176,93 +244,59 @@ type Correl struct {
 	Var  string
 }
 
-// clause renders " where attr=$var", or "" for the zero Correl.
-func (c Correl) clause() string {
-	if c.Attr == "" {
-		return ""
+// validate reports why Define would reject s, or nil. Parse runs it on
+// every spec it accepts, so text that parses always defines.
+func validate(s Spec) error {
+	switch v := s.(type) {
+	case Database:
+	case External:
+		if v.Name == "" {
+			return fmt.Errorf("event: external event needs a name")
+		}
+	case Temporal:
+		switch {
+		case v.Kind == Relative && v.Offset < 0:
+			return fmt.Errorf("event: negative relative offset")
+		case v.Kind == Periodic && v.Period <= 0:
+			return fmt.Errorf("event: periodic event needs a positive period")
+		case v.Kind != Absolute && v.Kind != Relative && v.Kind != Periodic:
+			return fmt.Errorf("event: unknown temporal kind %q", v.Kind)
+		case v.Baseline != nil:
+			return validate(v.Baseline)
+		}
+	case Composite:
+		def, ok := compOps[v.Op]
+		switch n := len(v.Parts); {
+		case !ok:
+			return fmt.Errorf("event: unknown composite operator %q", v.Op)
+		case n < def.min:
+			return fmt.Errorf("event: %s() needs at least %d parts, got %d", v.Op, def.min, n)
+		case def.max > 0 && n > def.max:
+			return fmt.Errorf("event: %s() takes at most %d parts, got %d", v.Op, def.max, n)
+		case def.window && v.Window <= 0:
+			return fmt.Errorf("event: %s() needs a positive window", v.Op)
+		case !def.window && v.Window != 0:
+			return fmt.Errorf("event: %s() takes no window", v.Op)
+		case def.count && (v.Count < 1 || v.Count > maxWindowCount):
+			return fmt.Errorf("event: %s(): count must be in [1, %d], got %d", v.Op, maxWindowCount, v.Count)
+		case !def.count && v.Count != 0:
+			return fmt.Errorf("event: %s() takes no count", v.Op)
+		case v.Correl != (Correl{}) && !def.correl:
+			return fmt.Errorf("event: %s() takes no where clause", v.Op)
+		case v.Correl != (Correl{}) && (v.Correl.Attr == "" || v.Correl.Var == ""):
+			return fmt.Errorf("event: %s(): a where clause needs an attribute and a variable", v.Op)
+		}
+		for _, p := range v.Parts {
+			if err := validate(p); err != nil {
+				return err
+			}
+		}
+	case nil:
+		return fmt.Errorf("event: nil spec")
+	default:
+		return fmt.Errorf("event: unsupported spec type %T", s)
 	}
-	return fmt.Sprintf(" where %s=$%s", c.Attr, c.Var)
-}
-
-// Within is sequence-within-duration: the parts must occur in order,
-// all within Window of the first part's occurrence.
-type Within struct {
-	Parts  []Spec
-	Window time.Duration
-	Correl Correl
-}
-
-func (Within) isSpec() {}
-
-// String renders e.g. `within(external(A), external(B), 5s)` or
-// `within(external(A), external(B), 5s where ticker=$t)`.
-func (w Within) String() string {
-	parts := make([]string, len(w.Parts))
-	for i, p := range w.Parts {
-		parts[i] = p.String()
-	}
-	return fmt.Sprintf("within(%s, %s%s)", strings.Join(parts, ", "), w.Window, w.Correl.clause())
-}
-
-// During is the interval relation A during B: Event must occur inside
-// the interval delimited by a Start occurrence and the next End
-// occurrence. It fires once per interval containing at least one
-// Event, at the End occurrence.
-type During struct {
-	Event  Spec
-	Start  Spec
-	End    Spec
-	Correl Correl
-}
-
-func (During) isSpec() {}
-
-// String renders e.g. `during(external(A), external(S), external(E))`.
-func (d During) String() string {
-	return fmt.Sprintf("during(%s, %s, %s%s)", d.Event, d.Start, d.End, d.Correl.clause())
-}
-
-// WindowMode distinguishes the two count-window forms.
-type WindowMode string
-
-// Count-window modes.
-const (
-	Sliding  WindowMode = "sliding"  // fires on every occurrence once the window is full
-	Tumbling WindowMode = "tumbling" // fires on every Count-th occurrence, then resets
-)
-
-// Window is a count window over occurrences of Part.
-type Window struct {
-	Mode   WindowMode
-	Part   Spec
-	Count  int
-	Correl Correl
-}
-
-func (Window) isSpec() {}
-
-// String renders e.g. `sliding(external(A), 5)` or
-// `tumbling(modify(Stock), 100 where symbol=$s)`.
-func (w Window) String() string {
-	return fmt.Sprintf("%s(%s, %d%s)", w.Mode, w.Part, w.Count, w.Correl.clause())
-}
-
-// Aggregate is a windowed count aggregate: it fires when at least Min
-// occurrences of Part fall within the trailing Window, consuming them
-// (one qualifying burst fires exactly once).
-type Aggregate struct {
-	Part   Spec
-	Correl Correl
-	Min    int
-	Window time.Duration
-}
-
-func (Aggregate) isSpec() {}
-
-// String renders e.g.
-// `count(external(PriceDrop) where ticker=$t) >= 10 within 1m0s`.
-func (a Aggregate) String() string {
-	return fmt.Sprintf("count(%s%s) >= %d within %s", a.Part, a.Correl.clause(), a.Min, a.Window)
+	return nil
 }
 
 // Signal is an event occurrence: which spec matched, when, in which
@@ -278,201 +312,4 @@ type Signal struct {
 	Time     time.Time
 	Txn      lock.TxnID
 	Bindings map[string]datum.Value
-}
-
-// --- JSON encoding of specs (tagged union) ---
-
-type specJSON struct {
-	Type     string            `json:"type"`
-	Op       string            `json:"op,omitempty"`
-	Class    string            `json:"class,omitempty"`
-	Kind     string            `json:"kind,omitempty"`
-	At       int64             `json:"at,omitempty"` // UnixNano
-	HasAt    bool              `json:"hasAt,omitempty"`
-	Offset   int64             `json:"offset,omitempty"`
-	Period   int64             `json:"period,omitempty"`
-	Baseline json.RawMessage   `json:"baseline,omitempty"`
-	Name     string            `json:"name,omitempty"`
-	CompOp   string            `json:"compOp,omitempty"`
-	Parts    []json.RawMessage `json:"parts,omitempty"`
-
-	// CEP operator fields.
-	Window int64  `json:"window,omitempty"` // duration in ns
-	Count  int    `json:"count,omitempty"`
-	Mode   string `json:"mode,omitempty"`
-	Attr   string `json:"attr,omitempty"` // correlation attribute
-	Var    string `json:"var,omitempty"`  // correlation variable
-}
-
-// marshalParts encodes a list of sub-specs.
-func marshalParts(parts ...Spec) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, 0, len(parts))
-	for _, p := range parts {
-		raw, err := MarshalSpec(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, raw)
-	}
-	return out, nil
-}
-
-// MarshalSpec encodes a spec to JSON.
-func MarshalSpec(s Spec) ([]byte, error) {
-	switch v := s.(type) {
-	case Database:
-		return json.Marshal(specJSON{Type: "db", Op: string(v.Op), Class: v.Class})
-	case Temporal:
-		sj := specJSON{Type: "temporal", Kind: string(v.Kind),
-			Offset: int64(v.Offset), Period: int64(v.Period)}
-		if v.Kind == Absolute {
-			// Absolute instants round-trip as UnixNano; the zero At is
-			// not meaningful for the other kinds.
-			sj.At = v.At.UnixNano()
-			sj.HasAt = true
-		}
-		if v.Baseline != nil {
-			raw, err := MarshalSpec(v.Baseline)
-			if err != nil {
-				return nil, err
-			}
-			sj.Baseline = raw
-		}
-		return json.Marshal(sj)
-	case External:
-		return json.Marshal(specJSON{Type: "external", Name: v.Name})
-	case Composite:
-		sj := specJSON{Type: "composite", CompOp: string(v.Op)}
-		for _, p := range v.Parts {
-			raw, err := MarshalSpec(p)
-			if err != nil {
-				return nil, err
-			}
-			sj.Parts = append(sj.Parts, raw)
-		}
-		return json.Marshal(sj)
-	case Within:
-		parts, err := marshalParts(v.Parts...)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(specJSON{Type: "within", Parts: parts,
-			Window: int64(v.Window), Attr: v.Correl.Attr, Var: v.Correl.Var})
-	case During:
-		parts, err := marshalParts(v.Event, v.Start, v.End)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(specJSON{Type: "during", Parts: parts,
-			Attr: v.Correl.Attr, Var: v.Correl.Var})
-	case Window:
-		parts, err := marshalParts(v.Part)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(specJSON{Type: "window", Parts: parts,
-			Mode: string(v.Mode), Count: v.Count, Attr: v.Correl.Attr, Var: v.Correl.Var})
-	case Aggregate:
-		parts, err := marshalParts(v.Part)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(specJSON{Type: "aggregate", Parts: parts,
-			Count: v.Min, Window: int64(v.Window), Attr: v.Correl.Attr, Var: v.Correl.Var})
-	case nil:
-		return []byte("null"), nil
-	default:
-		return nil, fmt.Errorf("event: cannot marshal spec of type %T", s)
-	}
-}
-
-// unmarshalParts decodes a tagged union's part list, requiring
-// exactly want parts when want >= 0.
-func unmarshalParts(sj specJSON, want int) ([]Spec, error) {
-	if want >= 0 && len(sj.Parts) != want {
-		return nil, fmt.Errorf("event: spec type %q wants %d parts, got %d", sj.Type, want, len(sj.Parts))
-	}
-	out := make([]Spec, 0, len(sj.Parts))
-	for _, raw := range sj.Parts {
-		p, err := UnmarshalSpec(raw)
-		if err != nil {
-			return nil, err
-		}
-		if p == nil {
-			return nil, fmt.Errorf("event: spec type %q has a null part", sj.Type)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// UnmarshalSpec decodes a spec written by MarshalSpec.
-func UnmarshalSpec(b []byte) (Spec, error) {
-	if string(b) == "null" || len(b) == 0 {
-		return nil, nil
-	}
-	var sj specJSON
-	if err := json.Unmarshal(b, &sj); err != nil {
-		return nil, fmt.Errorf("event: bad spec json: %w", err)
-	}
-	switch sj.Type {
-	case "db":
-		return Database{Op: Op(sj.Op), Class: sj.Class}, nil
-	case "temporal":
-		t := Temporal{Kind: TemporalKind(sj.Kind), Offset: time.Duration(sj.Offset),
-			Period: time.Duration(sj.Period)}
-		if sj.HasAt {
-			t.At = time.Unix(0, sj.At)
-		}
-		if len(sj.Baseline) > 0 {
-			base, err := UnmarshalSpec(sj.Baseline)
-			if err != nil {
-				return nil, err
-			}
-			t.Baseline = base
-		}
-		return t, nil
-	case "external":
-		return External{Name: sj.Name}, nil
-	case "composite":
-		c := Composite{Op: CompOp(sj.CompOp)}
-		for _, raw := range sj.Parts {
-			p, err := UnmarshalSpec(raw)
-			if err != nil {
-				return nil, err
-			}
-			c.Parts = append(c.Parts, p)
-		}
-		return c, nil
-	case "within":
-		parts, err := unmarshalParts(sj, -1)
-		if err != nil {
-			return nil, err
-		}
-		return Within{Parts: parts, Window: time.Duration(sj.Window),
-			Correl: Correl{Attr: sj.Attr, Var: sj.Var}}, nil
-	case "during":
-		parts, err := unmarshalParts(sj, 3)
-		if err != nil {
-			return nil, err
-		}
-		return During{Event: parts[0], Start: parts[1], End: parts[2],
-			Correl: Correl{Attr: sj.Attr, Var: sj.Var}}, nil
-	case "window":
-		parts, err := unmarshalParts(sj, 1)
-		if err != nil {
-			return nil, err
-		}
-		return Window{Mode: WindowMode(sj.Mode), Part: parts[0], Count: sj.Count,
-			Correl: Correl{Attr: sj.Attr, Var: sj.Var}}, nil
-	case "aggregate":
-		parts, err := unmarshalParts(sj, 1)
-		if err != nil {
-			return nil, err
-		}
-		return Aggregate{Part: parts[0], Min: sj.Count, Window: time.Duration(sj.Window),
-			Correl: Correl{Attr: sj.Attr, Var: sj.Var}}, nil
-	default:
-		return nil, fmt.Errorf("event: unknown spec type %q", sj.Type)
-	}
 }

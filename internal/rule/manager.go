@@ -87,6 +87,7 @@ type Manager struct {
 	mu       sync.RWMutex
 	rules    map[datum.OID]*Rule
 	byName   map[string]datum.OID
+	creating map[string]struct{}    // names CreateRule is persisting
 	specSubs map[string]event.SubID // canonical spec -> shared subscription
 
 	subs  sync.Map // event.SubID -> *subscription
@@ -119,6 +120,7 @@ func NewManager(txns *txn.Manager, objects *object.Manager, eval *cond.Evaluator
 		eval:     eval,
 		rules:    map[datum.OID]*Rule{},
 		byName:   map[string]datum.OID{},
+		creating: map[string]struct{}{},
 		specSubs: map[string]event.SubID{},
 	}
 }
@@ -226,12 +228,23 @@ func (m *Manager) CreateRule(def Def) (*Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.mu.RLock()
+	// Reserve the name until the rule is registered or has failed, so
+	// racing creators of one name cannot both persist a rule.
+	m.mu.Lock()
 	_, dup := m.byName[def.Name]
-	m.mu.RUnlock()
-	if dup {
+	_, busy := m.creating[def.Name]
+	if !dup && !busy {
+		m.creating[def.Name] = struct{}{}
+	}
+	m.mu.Unlock()
+	if dup || busy {
 		return nil, fmt.Errorf("rule: %q already exists", def.Name)
 	}
+	defer func() {
+		m.mu.Lock()
+		delete(m.creating, def.Name)
+		m.mu.Unlock()
+	}()
 	attrs, err := encodeDef(def, r.Enabled)
 	if err != nil {
 		return nil, err
