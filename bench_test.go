@@ -15,11 +15,13 @@ import (
 
 	hipac "repro"
 	"repro/internal/client"
+	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/datum"
 	"repro/internal/feed"
 	"repro/internal/object"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/repl"
 	"repro/internal/rule"
 	"repro/internal/saa"
@@ -213,6 +215,53 @@ func benchConditionRules(b *testing.B, n int, overlap float64) {
 	for i := 0; i < b.N; i++ {
 		mustB(b, workload.UpdateOne(e, oids[i%200], float64(i)))
 	}
+}
+
+// BenchmarkConditionEval sends the SAA display rule's pin condition
+// (saa.DisplayQuoteRule), the query every price update evaluates,
+// through cond.Evaluate on a snapshot reader over 1 024 Stocks, as a
+// firing does. "first" is a node's first evaluation, which plans the
+// query; "steady" is every later one, which executes the node's plan
+// with the signal's arguments bound.
+func BenchmarkConditionEval(b *testing.B) {
+	e := setupEngine(b)
+	oids, err := workload.SeedStocks(e, 1024)
+	mustB(b, err)
+	c, err := cond.ParseCondition(saa.DisplayQuoteRule("display").Condition)
+	mustB(b, err)
+	tx := e.Begin()
+	defer tx.Commit()
+	reader := e.Objects.SnapshotReader(tx)
+	defer reader.Close()
+	evaluator := func() *cond.Evaluator {
+		ev := cond.New()
+		ev.SetPlanner(plan.Options{})
+		ev.AddRule(1, c)
+		return ev
+	}
+	eval := func(b *testing.B, ev *cond.Evaluator, i int) {
+		args := map[string]datum.Value{"oid": datum.ID(oids[(i*31)%len(oids)])}
+		out, err := ev.Evaluate(reader, args, false, []uint64{1})
+		mustB(b, err)
+		if !out[1].Satisfied {
+			b.Fatal("pin condition not satisfied")
+		}
+	}
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eval(b, evaluator(), i)
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		ev := evaluator()
+		eval(b, ev, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eval(b, ev, i)
+		}
+	})
 }
 
 // --- C5: active-vs-passive overhead ---

@@ -375,6 +375,9 @@ func (s *shell) exec(line string) error {
 				// Tested at signal time: a false one skips the firing.
 				fmt.Fprintf(s.out, "%-5s guards: %s\n", "", strings.Join(n.Guards, ", "))
 			}
+			if n.Plan != "" { // what the node runs per signal
+				fmt.Fprintf(s.out, "%6s%s\n", "", strings.ReplaceAll(strings.TrimSpace(n.Plan), "\n", "\n      "))
+			}
 		}
 		return nil
 

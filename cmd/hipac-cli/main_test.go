@@ -234,6 +234,16 @@ func TestShellGraphAndStats(t *testing.T) {
 			t.Fatalf("stats output lacks %s:\n%s", want, out.String())
 		}
 	}
+	// One past the limit evaluates the condition (and the action aborts
+	// the modify): the node now shows the plan it runs per signal.
+	if err := sh.exec("modify " + oid + " price=60"); err == nil {
+		t.Fatal("the rule's abort action did not fail the modify")
+	}
+	out.Reset()
+	run(t, sh, "graph")
+	if !strings.Contains(out.String(), "1. extent scan Stock as s") {
+		t.Fatalf("graph output lacks the node's plan:\n%s", out.String())
+	}
 }
 
 func TestShellErrors(t *testing.T) {

@@ -10,7 +10,9 @@
 // "multiple query optimization" of §5.5 in spirit. No result outlives
 // the Evaluate call that computed it: a cross-event cache could serve
 // only conditions that read no event argument, and no workload has
-// one (DESIGN.md "Condition graph"). Beside each node live its
+// one (DESIGN.md "Condition graph"). A node keeps its query's plan,
+// which binds each signal's arguments at execution, and re-plans only
+// when the catalog drifts (plan.Plan.Stale). Beside each node live its
 // query's guards (query.Guards): the event-only conjuncts the Rule
 // Manager tests at signal time, so that most unsatisfiable firings
 // never reach Evaluate at all.
@@ -32,6 +34,7 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -100,11 +103,13 @@ type Outcome struct {
 // Stats counts evaluator activity; Evaluations counts query-node
 // evaluations actually performed, and SharedHits counts rule-queries
 // answered from a node already evaluated for the same event.
+// PlanBuilds counts the plans nodes built: one per node and drift.
 // CacheHits is always zero; it stays for the benchmark's metrics.
 type Stats struct {
 	Evaluations uint64
 	SharedHits  uint64
 	CacheHits   uint64
+	PlanBuilds  uint64
 }
 
 type qnode struct {
@@ -115,6 +120,8 @@ type qnode struct {
 	// guards are the query's event-only conjuncts, compiled once per
 	// node and shared by every rule that uses the query.
 	guards []query.Guard
+
+	plan atomic.Pointer[plan.Plan] // nil until evaluated
 }
 
 type ruleEntry struct {
@@ -130,25 +137,15 @@ type Evaluator struct {
 	mu    sync.Mutex
 	nodes map[string]*qnode
 	rules map[uint64]*ruleEntry
-	obsm  *obs.Metrics // nil-safe evaluation-latency observer
-	exec  ExecFunc     // nil means query.Eval (tree-walk)
+	obsm  *obs.Metrics  // nil-safe evaluation-latency observer
+	popt  *plan.Options // nil: the tree-walk (query.Eval)
 
-	nEvals, nShared atomic.Uint64
+	nEvals, nShared, nBuilds atomic.Uint64
 }
 
-// ExecFunc runs one query against a reader — the pluggable execution
-// engine. The engine installs the cost-based planner here (plan.Exec
-// with its configured parallelism, so rule conditions get the same
-// range-parallel scans and partitioned hash joins as ad-hoc queries);
-// nil keeps the tree-walk evaluator. Any implementation must preserve
-// query.Eval's semantics exactly: condition satisfaction, the primary
-// query's action-parameter rows, and the as-of-commit snapshot view
-// all flow through the reader unchanged.
-type ExecFunc func(q *query.Query, r query.Reader, eventArgs map[string]datum.Value) (*query.Result, error)
-
-// SetExec installs the query-execution engine. Not safe to call
-// concurrently with evaluation.
-func (e *Evaluator) SetExec(fn ExecFunc) { e.exec = fn }
+// SetPlanner makes nodes run their queries through the planner with opt
+// instead of the tree-walk. Not safe to call concurrently with evaluation.
+func (e *Evaluator) SetPlanner(opt plan.Options) { e.popt = &opt }
 
 // SetObserver installs an evaluation-latency observer. Not safe to
 // call concurrently with evaluation.
@@ -222,6 +219,8 @@ type NodeInfo struct {
 	// Guards are the query's event-only conjuncts, tested at signal
 	// time before a firing is scheduled.
 	Guards []string `json:"guards,omitempty"`
+	// Plan is the node's current plan (plan.Plan.Explain), once it has one.
+	Plan string `json:"plan,omitempty"`
 }
 
 // Nodes returns the condition graph's nodes sorted by descending
@@ -234,6 +233,9 @@ func (e *Evaluator) Nodes() []NodeInfo {
 		info := NodeInfo{Query: n.canonical, Refs: n.refs}
 		for _, g := range n.guards {
 			info.Guards = append(info.Guards, g.Expr.String())
+		}
+		if p := n.plan.Load(); p != nil {
+			info.Plan = p.Explain()
 		}
 		out = append(out, info)
 	}
@@ -251,6 +253,7 @@ func (e *Evaluator) Stats() Stats {
 	return Stats{
 		Evaluations: e.nEvals.Load(),
 		SharedHits:  e.nShared.Load(),
+		PlanBuilds:  e.nBuilds.Load(),
 	}
 }
 
@@ -264,21 +267,25 @@ func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Val
 	clean bool, ruleIDs []uint64) (map[uint64]*Outcome, error) {
 
 	// Snapshot the per-rule node lists under the lock; query
-	// evaluation itself runs without holding it.
+	// evaluation itself runs without holding it. No map lives in this
+	// frame: it sits below every plan execution on a firing's new stack.
+	var buf [4]*ruleEntry
+	entries := buf[:0]
 	e.mu.Lock()
-	plan := make(map[uint64][]*qnode, len(ruleIDs))
 	for _, id := range ruleIDs {
-		if entry, ok := e.rules[id]; ok {
-			plan[id] = entry.nodes
-		}
+		entries = append(entries, e.rules[id])
 	}
 	e.mu.Unlock()
 
-	memo := map[*qnode]*query.Result{}
-	out := make(map[uint64]*Outcome, len(plan))
-	for id, nodes := range plan {
+	// memo dedups nodes; a lone one-query rule (a separate firing) skips it.
+	var memo map[*qnode]*query.Result
+	out := make(map[uint64]*Outcome, len(ruleIDs))
+	for k, entry := range entries {
+		if entry == nil {
+			continue
+		}
 		oc := &Outcome{Satisfied: true}
-		for i, n := range nodes {
+		for i, n := range entry.nodes {
 			res, ok := memo[n]
 			if ok {
 				e.nShared.Add(1)
@@ -286,9 +293,14 @@ func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Val
 				var err error
 				res, err = e.evalNode(n, reader, eventArgs)
 				if err != nil {
-					return nil, fmt.Errorf("cond: rule %d query %q: %w", id, n.canonical, err)
+					return nil, fmt.Errorf("cond: rule %d query %q: %w", ruleIDs[k], n.canonical, err)
 				}
-				memo[n] = res
+				if memo == nil && len(entries)+len(entry.nodes) > 2 {
+					memo = map[*qnode]*query.Result{}
+				}
+				if memo != nil {
+					memo[n] = res
+				}
 			}
 			if res.Empty() {
 				oc.Satisfied = false
@@ -299,22 +311,38 @@ func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Val
 				oc.Primary = res
 			}
 		}
-		out[id] = oc
+		out[ruleIDs[k]] = oc
 	}
 	return out, nil
 }
 
 func (e *Evaluator) evalNode(n *qnode, reader query.Reader, eventArgs map[string]datum.Value) (*query.Result, error) {
 	tm := e.obsm.Timer(obs.HCondEval)
-	run := e.exec
-	if run == nil {
-		run = query.Eval
+	var res *query.Result
+	var err error
+	if e.popt != nil {
+		res, err = e.prepare(n, reader).Execute(reader, eventArgs)
+	} else {
+		res, err = query.Eval(n.q, reader, eventArgs)
 	}
-	res, err := run(n.q, reader, eventArgs)
 	if err != nil {
 		return nil, err
 	}
 	tm.Done()
 	e.nEvals.Add(1)
 	return res, nil
+}
+
+// prepare returns n's plan, built without event arguments on the first
+// evaluation and again on drift. Concurrent evaluations may each build
+// one; the last stored stays, and any of them gives the same results.
+func (e *Evaluator) prepare(n *qnode, r query.Reader) *plan.Plan {
+	cat, _ := r.(plan.Catalog)
+	if p := n.plan.Load(); p != nil && !p.Stale(cat) {
+		return p
+	}
+	p := plan.Build(n.q, cat, nil, *e.popt)
+	n.plan.Store(p)
+	e.nBuilds.Add(1)
+	return p
 }

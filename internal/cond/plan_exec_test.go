@@ -1,5 +1,5 @@
 // Tests for the pluggable execution engine: the evaluator runs
-// conditions through plan.Run (the engine default) and must preserve
+// conditions through the planner (the engine default) and must preserve
 // the tree-walk's as-of-commit snapshot semantics even when the
 // planner picks an index access path. External test package: it
 // drives a full engine, which links against cond itself.
@@ -67,7 +67,7 @@ func addHolding(t *testing.T, e *core.Engine, owner, symbol string, qty int64) {
 
 // TestPlannerExecPinnedSnapshot pins a snapshot reader, commits more
 // matching rows afterwards, and checks that a condition evaluated
-// through plan.Run — with the live index already holding the new
+// through the planner — with the live index already holding the new
 // entries — still returns exactly the pinned state, identically to
 // the tree-walk.
 func TestPlannerExecPinnedSnapshot(t *testing.T) {
@@ -83,7 +83,7 @@ func TestPlannerExecPinnedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	planner := cond.New()
-	planner.SetExec(plan.Run)
+	planner.SetPlanner(plan.Options{})
 	planner.AddRule(1, c)
 	treewalk := cond.New()
 	treewalk.AddRule(1, c)
@@ -168,7 +168,7 @@ func TestPlannerExecJoinConditionMatchesTreeWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	planner := cond.New()
-	planner.SetExec(plan.Run)
+	planner.SetPlanner(plan.Options{})
 	planner.AddRule(7, c)
 	treewalk := cond.New()
 	treewalk.AddRule(7, c)

@@ -35,6 +35,7 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 		{"hipac_event_emissions_total", s.Detectors.Emissions},
 		{"hipac_cond_evaluations_total", s.Conditions.Evaluations},
 		{"hipac_cond_shared_hits_total", s.Conditions.SharedHits},
+		{"hipac_cond_plan_builds_total", s.Conditions.PlanBuilds},
 		{"hipac_rule_signals_total", s.Rules.Signals},
 		{"hipac_rule_triggered_total", s.Rules.Triggered},
 		{"hipac_rule_filtered_total", s.Rules.Filtered},
@@ -44,6 +45,7 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 		{"hipac_rule_conditions_satisfied_total", s.Rules.ConditionsSatisfied},
 		{"hipac_rule_actions_executed_total", s.Rules.ActionsExecuted},
 		{"hipac_rule_async_errors_total", s.Rules.AsyncErrors},
+		{"hipac_rule_cascade_aborted_total", s.Rules.CascadeAborted},
 		{"hipac_cep_firings_total", s.Detectors.CEPFirings},
 		{"hipac_cep_expired_partials_total", s.Detectors.CEPExpired},
 		{"hipac_store_version_gc_runs_total", s.Store.GCRuns},

@@ -283,6 +283,33 @@ func RowOf(m map[string]Value) Row {
 	return row
 }
 
+// Shape is an interned attribute-name set, for building many rows of
+// the same names from maps (a plan binding event arguments).
+type Shape struct{ s *shape }
+
+// ShapeOf returns the shape of names (distinct, and at least one),
+// which it sorts in place.
+func ShapeOf(names []string) Shape {
+	slices.Sort(names)
+	var kbuf [256]byte
+	return Shape{shapeFor(shapeKey(kbuf[:0], names))}
+}
+
+// Row returns m's values of the shape's names as a row: one allocation
+// and a map probe per name, no sort and no intern lookup. If m lacks a
+// name it returns RowOf(m), which lacks it too.
+func (s Shape) Row(m map[string]Value) Row {
+	row, vals := newRow(s.s)
+	for i, name := range s.s.names {
+		v, ok := m[name]
+		if !ok {
+			return RowOf(m)
+		}
+		vals[i] = v
+	}
+	return row
+}
+
 // Len returns the number of attributes.
 func (r Row) Len() int {
 	if r.p == nil {

@@ -546,6 +546,7 @@ type GraphNode struct {
 	// Guards are the query's event-only conjuncts, tested at signal
 	// time before a firing is scheduled.
 	Guards []string `json:"guards,omitempty"`
+	Plan   string   `json:"plan,omitempty"` // the node's plan, once evaluated
 }
 
 // GraphRep lists the condition graph.

@@ -8,6 +8,7 @@ package plan_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/saa"
 	"repro/internal/workload"
 )
 
@@ -409,4 +411,94 @@ func TestQueryAllocations(t *testing.T) {
 			t.Logf("%s: %.0f allocations, %.4f per scanned row", tc.shape, allocs, perRow)
 		}
 	}
+}
+
+// TestPreparedPlansMatchSignalPlans plans the repo benchmark's rule
+// conditions over data of its sizes twice: with a signal's arguments,
+// as each firing planned before condition-graph nodes kept their plans,
+// and prepared without them, as a node does now. Both must choose the
+// same access path for every FROM clause. The conditions are saa's
+// display (also remote's, over more stocks), buy and portfolio rules
+// and cep's tumbling rule.
+func TestPreparedPlansMatchSignalPlans(t *testing.T) {
+	e, err := core.Open(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tx := e.Begin()
+	classes := append(saa.Classes(), object.Class{Name: "Alert", Attrs: []object.AttrDef{
+		{Name: "ticker", Kind: datum.KindString, Required: true, Indexed: true},
+		{Name: "last_seq", Kind: datum.KindInt},
+	}})
+	for _, c := range classes {
+		if err := e.DefineClass(tx, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	create := func(class string, attrs map[string]datum.Value) datum.OID {
+		oid, err := e.Create(tx, class, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return oid
+	}
+	var stocks []datum.OID
+	for i := 0; i < 2000; i++ {
+		stocks = append(stocks, create(saa.ClassStock, map[string]datum.Value{
+			"symbol": datum.Str(fmt.Sprintf("S%05d", i)), "price": datum.Float(50)}))
+	}
+	for i := 0; i < 10_000; i++ {
+		o := i % 500
+		create(saa.ClassHolding, map[string]datum.Value{
+			"owner":  datum.Str(fmt.Sprintf("O%03d", o)),
+			"symbol": datum.Str(fmt.Sprintf("S%05d", (o+(i/500)*97)%2000)), "qty": datum.Int(100)})
+	}
+	for i := 0; i < 4096; i++ {
+		create("Alert", map[string]datum.Value{"ticker": datum.Str(fmt.Sprintf("T%04d", i)), "last_seq": datum.Int(-1)})
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		cond string
+		args map[string]datum.Value
+	}{
+		{saa.DisplayQuoteRule("display").Condition[0],
+			map[string]datum.Value{"oid": datum.ID(stocks[3]), "new_price": datum.Float(51)}},
+		{saa.BuyAtRule("buy", "O001", "S00001", 500, 55).Condition[0],
+			map[string]datum.Value{"oid": datum.ID(stocks[1]), "new_price": datum.Float(56)}},
+		{saa.PortfolioUpdateRule("portfolio").Condition[0],
+			map[string]datum.Value{"owner": datum.Str("O001"), "symbol": datum.Str("S00001"), "qty": datum.Int(500)}},
+		{"select a from Alert a where a.ticker = event.ticker",
+			map[string]datum.Value{"ticker": datum.Str("T0042"), "seq": datum.Int(9)}},
+	} {
+		rtx := e.Begin()
+		sr := e.Objects.SnapshotReader(rtx)
+		q := query.MustParse(c.cond)
+		signal, prepared := plan.Build(q, sr, c.args, plan.Options{}), plan.Build(q, sr, nil, plan.Options{})
+		want, got := accessPaths(signal.Explain()), accessPaths(prepared.Explain())
+		res, err := prepared.Execute(sr, c.args)
+		sr.Close()
+		rtx.Commit()
+		if !slices.Equal(want, got) {
+			t.Errorf("%s\nper-signal plan:\n%s\nprepared plan:\n%s", c.cond, signal.Explain(), prepared.Explain())
+		}
+		if err != nil || res.Empty() {
+			t.Errorf("%s: prepared plan returned %v, %v; want a row", c.cond, res, err)
+		}
+	}
+}
+
+// accessPaths returns the step lines of an Explain text without their
+// estimates: join order, access path, class, variable and bounds.
+func accessPaths(explain string) []string {
+	var out []string
+	for _, line := range strings.Split(explain, "\n") {
+		if t := strings.TrimSpace(line); len(t) > 2 && t[0] >= '1' && t[0] <= '9' && t[1] == '.' {
+			out = append(out, strings.SplitN(t, " (est", 2)[0])
+		}
+	}
+	return out
 }

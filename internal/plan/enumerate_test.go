@@ -24,7 +24,8 @@ func Enumerate(q *query.Query, cat Catalog, args map[string]datum.Value, opt Opt
 		known[f.Var] = true
 	}
 	conjuncts := query.SplitConjuncts(q.Where)
-	fc := query.NewFrameCompiler(vars, args)
+	fc := query.NewFrameCompiler(vars)
+	bounds := &boundEval{fc: fc, nvars: len(vars), args: args}
 
 	var orders [][]int
 	idx := make([]int, len(q.From))
@@ -63,10 +64,10 @@ func Enumerate(q *query.Query, cat Catalog, args map[string]datum.Value, opt Opt
 			// Hash joins need an outer side; skip the option set's
 			// hash entries at position 0 (accessOptions already omits
 			// them when the probe key has no bound variable).
-			opts := accessOptions(f, slot, conjuncts, bound, cat, Options{})
+			opts := accessOptions(f, slot, conjuncts, bound, cat, Options{}, new([][2]string))
 			bound[f.Var] = true
 			for _, s := range opts {
-				costStep(s, conjuncts, known, bound, fc, cat, outRows)
+				costStep(s, conjuncts, known, bound, bounds, cat, outRows)
 				rec(pos+1, append(steps, s), s.estRows)
 			}
 			delete(bound, f.Var)

@@ -25,12 +25,13 @@ func fuzzFixture() *fakeReader {
 }
 
 // FuzzPlan parses an arbitrary query string, compiles every plan the
-// planner admits, and executes each against the fixture store. The
-// run must be panic-free, and whenever the tree-walk oracle and a
-// plan both succeed they must return identical results. (Hard
-// evaluation errors — type errors, division by zero — may strike
-// different rows under different plans, so error cases only assert
-// crash-freedom.)
+// planner admits — and one prepared without arguments — once, and
+// executes each against the fixture store under every argument set of
+// argSets. The run must be panic-free, and whenever the tree-walk
+// oracle and a plan both succeed under the same arguments they must
+// return identical results. (Hard evaluation errors — type errors,
+// division by zero — may strike different rows under different plans,
+// so error cases only assert crash-freedom.)
 func FuzzPlan(f *testing.F) {
 	f.Add("select c from C0 c")
 	f.Add("select c from C0 c where c.a0 = 2")
@@ -40,11 +41,16 @@ func FuzzPlan(f *testing.F) {
 	f.Add("select a from C0 a where a = event.target")
 	f.Add("select a.a0 from C0 a order by a.a0 desc limit 2")
 	f.Add("select a, b, c from C0 a, C1 b, C0 c where a.a0 = b.a0 and c.a0 <= b.a1")
+	f.Add("select a from C0 a where a.a0 = event.absent")
+	f.Add("select a.a0, event.none from C0 a where a.a0 >= event.none or a = event.target")
+	f.Add("select count(*) as n from C1 b where b.a1 = event.p + 6 and b.a0 != event.none")
 
 	args := map[string]datum.Value{
 		"target": datum.ID(2),
 		"p":      datum.Int(1),
+		"none":   datum.Null(),
 	}
+	sets, _ := argSets(args)
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 512 {
@@ -55,24 +61,26 @@ func FuzzPlan(f *testing.F) {
 			return
 		}
 		store := fuzzFixture()
-		want, werr := query.Eval(q, store, args)
-
 		plans := []*Plan{
 			Build(q, store, args, Options{}),
 			Build(q, store, args, Options{DisableIndex: true}),
 			Build(q, store, args, Options{DisableHash: true}),
 			Build(q, nil, args, Options{ForceOrder: true}),
 			Build(q, store, args, Options{Parallelism: 4, ParallelThreshold: -1}),
+			Build(q, store, nil, Options{}),
 		}
 		plans = append(plans, Enumerate(q, store, args, Options{})...)
-		for i, p := range plans {
-			got, gerr := p.Execute(store, args)
-			if werr != nil || gerr != nil {
-				continue
-			}
-			if !want.Equal(got) {
-				t.Fatalf("plan %d diverges from tree-walk\nquery: %s\nwant: %+v\ngot:  %+v\n%s",
-					i, src, want, got, p.Explain())
+		for _, set := range sets {
+			want, werr := query.Eval(q, store, set)
+			for i, p := range plans {
+				got, gerr := p.Execute(store, set)
+				if werr != nil || gerr != nil {
+					continue
+				}
+				if !want.Equal(got) {
+					t.Fatalf("plan %d diverges from tree-walk under %v\nquery: %s\nwant: %+v\ngot:  %+v\n%s",
+						i, set, src, want, got, p.Explain())
+				}
 			}
 		}
 	})

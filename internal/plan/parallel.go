@@ -299,13 +299,13 @@ func scanBlock(rs RangeScanner, stop *stopper, bounds []datum.OID, class string,
 // extent scan fans out over blocks of OID ranges, all pinned at one
 // snapshot LSN. Each worker applies the step's residuals and keeps the
 // surviving tuples, one ascending run per worker.
-func (p *Plan) parallelBase(s *step, rs RangeScanner) (batch, error) {
+func (p *Plan) parallelBase(s *step, rs RangeScanner, ev tuple) (batch, error) {
 	lsn, cuts, release := rs.PinRanges(s.from.Class, s.par*rangesPerWorker)
 	defer release()
 	blocks := rangeBlocks(cuts, s.par)
 	outs := make([]batch, len(blocks))
 	err := p.fanOut(len(blocks), func(w int, stop *stopper) error {
-		out, t := p.newSink(s, s.extent/float64(len(blocks))), make(tuple, len(p.vars))
+		out, t := p.newSink(s, s.extent/float64(len(blocks))), append(make(tuple, len(p.vars)), ev...)
 		var evalErr error
 		err := scanBlock(rs, stop, blocks[w], s.from.Class, lsn, func(oid datum.OID, row datum.Row) bool {
 			t[s.slot] = cand{OID: oid, Row: row}

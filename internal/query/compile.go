@@ -14,10 +14,10 @@ import (
 // One compiler serves four contexts, which differ only in how the
 // leaves (range variables, paths, event arguments, aggregate calls)
 // resolve: a Frame for plans (a range variable is a slot of the join
-// tuple, the event arguments are constants), the signal's arguments for
-// guards, actionCtx for rule actions (named bindings, dereferenced
-// through the reader), and an aggregate's value for the expression
-// around it.
+// tuple, the event arguments the slot after them), the signal's
+// arguments for guards, actionCtx for rule actions (named bindings,
+// dereferenced through the reader), and an aggregate's value for the
+// expression around it.
 //
 // A closure returns ErrNoValue itself — never wrapped, so callers test
 // it with == — for a missing attribute, binding or argument, and any
@@ -206,24 +206,27 @@ func rowAggregate[C any](call *Call) node[C] {
 // --- frames: plans ---
 
 // FrameCompiler compiles a query's expressions over its join tuples.
-type FrameCompiler struct{ c compiler[Frame] }
+type FrameCompiler struct {
+	c      compiler[Frame]
+	events []string // the event arguments compiled so far, distinct
+}
 
 // NewFrameCompiler returns a compiler for frames whose slot i binds
-// vars[i]. eventArgs, the signal's arguments, fold into the closures as
-// constants; a variable not in vars is unbound, hence missing. A path
-// var.attr resolves here to its slot and attribute id, so reading it
+// vars[i] and whose slot len(vars) the event arguments, by name; a
+// variable not in vars is unbound, hence missing. A path var.attr (or
+// event.x) resolves here to its slot and attribute id, so reading it
 // from a row is two indexed loads (datum.Row.At), whatever the row's
-// shape — nothing compiled depends on a class's definition.
-func NewFrameCompiler(vars []string, eventArgs map[string]datum.Value) *FrameCompiler {
+// shape: nothing compiled depends on a class or on one execution.
+func NewFrameCompiler(vars []string) *FrameCompiler {
+	fc := &FrameCompiler{}
 	leaf := func(x Expr) node[Frame] {
 		switch v := x.(type) {
 		case *VarRef:
 			if slot := slices.Index(vars, v.Name); slot >= 0 {
 				return node[Frame]{fn: func(f Frame) (datum.Value, error) { return datum.ID(f[slot].OID), nil }}
 			}
-		case *Path:
-			if slot := slices.Index(vars, v.Var); slot >= 0 {
-				attr := datum.AttrOf(v.Attr)
+		case *Path, *EventRef:
+			if slot, attr, ok := fc.slotOf(vars, x); ok {
 				return node[Frame]{fn: func(f Frame) (datum.Value, error) {
 					if val, ok := f[slot].Row.At(attr); ok {
 						return val, nil
@@ -231,16 +234,28 @@ func NewFrameCompiler(vars []string, eventArgs map[string]datum.Value) *FrameCom
 					return datum.Null(), ErrNoValue
 				}}
 			}
-		case *EventRef:
-			if val, ok := eventArgs[v.Name]; ok {
-				return constant[Frame](val, nil)
-			}
 		case *Call:
 			return rowAggregate[Frame](v)
 		}
 		return constant[Frame](datum.Null(), ErrNoValue)
 	}
-	return &FrameCompiler{compiler[Frame]{leaf: leaf, fuse: fuseFrame(vars)}}
+	fc.c = compiler[Frame]{leaf: leaf, fuse: fc.fuse(vars)}
+	return fc
+}
+
+// slotOf resolves a path or event reference to its slot and attribute.
+func (fc *FrameCompiler) slotOf(vars []string, x Expr) (slot int, attr datum.Attr, ok bool) {
+	switch v := x.(type) {
+	case *Path:
+		slot = slices.Index(vars, v.Var)
+		return slot, datum.AttrOf(v.Attr), slot >= 0
+	case *EventRef:
+		if !slices.Contains(fc.events, v.Name) {
+			fc.events = append(fc.events, v.Name)
+		}
+		return len(vars), datum.AttrOf(v.Name), true
+	}
+	return 0, 0, false
 }
 
 // Value compiles x; the closure yields ErrNoValue for a missing value.
@@ -252,20 +267,16 @@ func (fc *FrameCompiler) Pred(x Expr) PredFunc {
 	return p
 }
 
-// fuseFrame compiles the comparisons a scan spends its time in — path
-// against constant, path against path — as one closure that looks the
-// attributes up itself rather than calling two leaf closures.
-func fuseFrame(vars []string) func(*Binary, node[Frame], node[Frame]) predFn[Frame] {
-	path := func(x Expr) (slot int, attr datum.Attr, ok bool) {
-		if p, isPath := x.(*Path); isPath {
-			slot = slices.Index(vars, p.Var)
-			return slot, datum.AttrOf(p.Attr), slot >= 0
-		}
-		return 0, 0, false
-	}
+// Events returns the event arguments everything compiled so far reads.
+func (fc *FrameCompiler) Events() []string { return fc.events }
+
+// fuse compiles the comparisons a scan spends its time in — path (or
+// event argument) against constant, path against path — as one closure
+// that looks the attributes up itself rather than calling two leaves.
+func (fc *FrameCompiler) fuse(vars []string) func(*Binary, node[Frame], node[Frame]) predFn[Frame] {
 	return func(b *Binary, l, r node[Frame]) predFn[Frame] {
-		ls, la, lok := path(b.L)
-		rs, ra, rok := path(b.R)
+		ls, la, lok := fc.slotOf(vars, b.L)
+		rs, ra, rok := fc.slotOf(vars, b.R)
 		k := cmpOf(b.Op)
 		if lok && rok {
 			return func(f Frame) (bool, error) {

@@ -26,9 +26,11 @@ func frameLeaf(rng *rand.Rand) func() Expr {
 	}
 }
 
-func genFrame(rng *rand.Rand) Frame {
-	f := make(Frame, 2)
-	for i := range f {
+// genFrame returns a frame binding a and b, then args in the event slot.
+func genFrame(rng *rand.Rand, args map[string]datum.Value) Frame {
+	f := make(Frame, 3)
+	f[2].Row = datum.RowOf(args)
+	for i := range f[:2] {
 		f[i].OID = datum.OID(1 + rng.Intn(3))
 		if rng.Intn(8) != 0 { // now and then an object without attributes
 			f[i].Row = datum.RowOf(genBindings(rng, "p", "q", "r"))
@@ -55,12 +57,12 @@ func TestCompiledMatchesEvaluator(t *testing.T) {
 		}
 		for set := 0; set < 2; set++ {
 			args := genBindings(rng, "x", "y", "z")
-			fc := NewFrameCompiler([]string{"a", "b"}, args)
+			fc := NewFrameCompiler([]string{"a", "b"})
 			val, pred, agg := fc.Value(x), fc.Pred(x), fc.Aggregate(item)
 			var st, want AggState
 			failed := false
 			for i := 0; i < 8; i++ {
-				f := genFrame(rng)
+				f := genFrame(rng, args)
 				ev := evaluator{event: args, env: map[string]object{
 					"a": {oid: f[0].OID, row: f[0].Row}, "b": {oid: f[1].OID, row: f[1].Row}}}
 				got, exp := resultClass(val(f)), resultClass(ev.eval(x))
@@ -120,8 +122,8 @@ func TestFusedComparisonsMatchEvaluator(t *testing.T) {
 			x.L, x.R = x.R, x.L
 		}
 		args := genBindings(rng, "x")
-		pred := NewFrameCompiler([]string{"a", "b"}, args).Pred(x)
-		f := genFrame(rng)
+		pred := NewFrameCompiler([]string{"a", "b"}).Pred(x)
+		f := genFrame(rng, args)
 		ev := evaluator{event: args, env: map[string]object{
 			"a": {oid: f[0].OID, row: f[0].Row}, "b": {oid: f[1].OID, row: f[1].Row}}}
 		gotOK, gotErr := pred(f)
@@ -170,7 +172,7 @@ func TestAggregateMergeIsExactOrDeclines(t *testing.T) {
 	// accumulating the rows in order gives — same value, same kind — or
 	// Merge declines. Int columns must not decline (except avg).
 	rng := rand.New(rand.NewSource(29))
-	fc := NewFrameCompiler([]string{"a"}, nil)
+	fc := NewFrameCompiler([]string{"a"})
 	merged, declined := 0, 0
 	for round := 0; round < 3000; round++ {
 		fn := []string{"count", "sum", "avg", "min", "max"}[rng.Intn(5)]

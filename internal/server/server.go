@@ -657,7 +657,7 @@ func (s *session) engineOp(req *ipc.Message) (any, error) {
 	case ipc.OpGraph:
 		var rep ipc.GraphRep
 		for _, n := range eng.Conditions.Nodes() {
-			rep.Nodes = append(rep.Nodes, ipc.GraphNode{Query: n.Query, Refs: n.Refs, Guards: n.Guards})
+			rep.Nodes = append(rep.Nodes, ipc.GraphNode{Query: n.Query, Refs: n.Refs, Guards: n.Guards, Plan: n.Plan})
 		}
 		return rep, nil
 
