@@ -328,7 +328,7 @@ func (r *Replica) Query(src string, args map[string]datum.Value) (*query.Result,
 	defer sr.Close()
 	// Planner-backed execution, same as the primary's query path: the
 	// snapshot reader doubles as the statistics catalog.
-	res, err := plan.Run(q, sr, args)
+	res, err := plan.Run(q, sr, args, plan.Options{})
 	if err != nil {
 		return nil, 0, err
 	}

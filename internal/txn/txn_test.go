@@ -48,7 +48,7 @@ func TestTopLevelCommit(t *testing.T) {
 	rec := &recorder{}
 	m.Register(rec)
 	tx := m.Begin()
-	if !tx.IsTop() || tx.Depth() != 0 {
+	if !tx.IsTop() || tx.Level != 0 {
 		t.Fatal("Begin should make a top-level txn")
 	}
 	if err := tx.Commit(); err != nil {
@@ -75,7 +75,7 @@ func TestNestedCommitFoldsToParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if child.Depth() != 1 || child.Parent() != parent || child.Top() != parent {
+	if child.Level != 1 || child.Parent() != parent || child.Top() != parent {
 		t.Fatal("child topology wrong")
 	}
 	if err := child.Commit(); err != nil {
@@ -216,7 +216,7 @@ func TestPreCommitHookRunsAndCanSpawnChildren(t *testing.T) {
 	var hookState State
 	var childOK bool
 	m.AddPreCommitHook(func(t *Txn) error {
-		if t.Depth() > 0 {
+		if !t.IsTop() {
 			return nil // hooks run on every commit; only act on the top txn
 		}
 		hookState = t.State()
@@ -319,8 +319,8 @@ func TestCascadingTreeDepth(t *testing.T) {
 		chain = append(chain, c)
 		cur = c
 	}
-	if cur.Depth() != 6 || cur.Top() != root {
-		t.Fatalf("depth = %d", cur.Depth())
+	if cur.Level != 6 || cur.Top() != root {
+		t.Fatalf("level = %d", cur.Level)
 	}
 	// Innermost-out commit order.
 	for i := len(chain) - 1; i >= 0; i-- {
