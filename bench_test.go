@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datum"
 	"repro/internal/feed"
+	"repro/internal/lock"
 	"repro/internal/object"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -393,6 +394,35 @@ func BenchmarkNestedTxnOverhead(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFiringTxn times the transaction bookkeeping every rule
+// firing pays, with no store or rule work: begin, the rule object's
+// read lock, a child, and the two commits, on all -cpu goroutines at
+// once, all read-locking one rule.
+func BenchmarkFiringTxn(b *testing.B) {
+	txns, _ := txn.NewSystem()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			tx := txns.Begin()
+			if err := tx.Lock("obj/#14", lock.Shared); err != nil {
+				b.Error(err)
+				return
+			}
+			c, err := tx.Child()
+			if err == nil {
+				err = c.Commit()
+			}
+			if err == nil {
+				err = tx.Commit()
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // --- C9: rule read-lock acquisition on the firing path ---

@@ -527,3 +527,70 @@ func TestConcurrentCreateRuleSameName(t *testing.T) {
 		t.Fatalf("%d rule objects persisted, want 1", got)
 	}
 }
+
+func TestRuleActionsDoNotLoseUpdates(t *testing.T) {
+	// The SAA portfolio rule's shape: the condition selects a Stock and
+	// the action adds the event's amount to its price. Many transactions
+	// signal it at once; each firing must read the price the previous
+	// one wrote, under every coupling that runs the action.
+	const signals = 400
+	for _, tc := range []struct{ ec, ca string }{
+		{"immediate", "immediate"},
+		{"deferred", "immediate"},
+		{"separate", "immediate"},
+		{"immediate", "separate"},
+	} {
+		t.Run(tc.ec+"/"+tc.ca, func(t *testing.T) {
+			e, _ := newEngine(t)
+			defineStockAndAudit(t, e)
+			if err := e.DefineEvent("Add", "sym", "amount"); err != nil {
+				t.Fatal(err)
+			}
+			oid := createStock(t, e, "XRX", 0)
+			if _, err := e.CreateRule(rule.Def{
+				Name:      "bump",
+				Event:     "external(Add)",
+				Condition: []string{"select s from Stock s where s.symbol = event.sym"},
+				Action: []rule.Step{{
+					Kind: rule.StepModify, Target: "s",
+					Attrs: map[string]string{"price": "s.price + event.amount"},
+				}},
+				EC: tc.ec, CA: tc.ca,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < signals; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tx := e.Begin()
+					if err := e.SignalEvent(tx, "Add", map[string]datum.Value{
+						"sym": datum.Str("XRX"), "amount": datum.Float(1),
+					}); err != nil {
+						tx.Abort()
+						t.Error(err)
+						return
+					}
+					if err := tx.Commit(); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			e.Quiesce()
+			for _, err := range e.AsyncErrors() {
+				t.Error(err)
+			}
+			tx := e.Begin()
+			defer tx.Commit()
+			rec, err := e.Get(tx, oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.Attrs["price"].AsFloat(); got != signals {
+				t.Fatalf("final price %v after %d committed firings", got, signals)
+			}
+		})
+	}
+}

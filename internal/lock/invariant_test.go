@@ -16,66 +16,35 @@ import (
 // that are not ancestor-related. Each stripe is checked under its own
 // mutex; the invariant is per-item, so a globally consistent view is
 // not needed.
-func checkMossInvariant(t *testing.T, m *Manager, topo Topology) {
+func checkMossInvariant(t *testing.T, m *Manager) {
 	t.Helper()
 	for i := range m.stripes {
 		st := &m.stripes[i]
 		st.mu.Lock()
-		checkStripeMossInvariant(t, st, topo)
+		checkStripeMossInvariant(t, st)
 		st.mu.Unlock()
 	}
 }
 
-func checkStripeMossInvariant(t *testing.T, st *stripe, topo Topology) {
+func checkStripeMossInvariant(t *testing.T, st *stripe) {
 	t.Helper()
 	for item, e := range st.locks {
-		holders := make([]TxnID, 0, len(e.holders))
-		for h := range e.holders {
-			holders = append(holders, h)
-		}
-		for i := 0; i < len(holders); i++ {
-			for j := i + 1; j < len(holders); j++ {
-				a, b := holders[i], holders[j]
-				if !conflicts(e.holders[a], e.holders[b]) {
+		for i, a := range e.holders {
+			for _, b := range e.holders[i+1:] {
+				if !conflicts(a.mode, b.mode) {
 					continue
 				}
-				if !topo.IsAncestorOrSelf(a, b) && !topo.IsAncestorOrSelf(b, a) {
+				if !b.o.within(a.o) && !a.o.within(b.o) {
 					t.Errorf("item %q: conflicting non-ancestor holders %d(%s) and %d(%s)",
-						item, a, e.holders[a], b, e.holders[b])
+						item, a.o.id, a.mode, b.o.id, b.mode)
 				}
 			}
 		}
 	}
 }
 
-type stressTopo struct {
-	mu     sync.Mutex
-	parent map[TxnID]TxnID
-}
-
-func (s *stressTopo) setParent(c, p TxnID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.parent[c] = p
-}
-
-func (s *stressTopo) IsAncestorOrSelf(anc, desc TxnID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if anc == desc {
-			return true
-		}
-		p, ok := s.parent[desc]
-		if !ok {
-			return false
-		}
-		desc = p
-	}
-}
-
 func TestMossInvariantUnderRandomWorkload(t *testing.T) {
-	topo := &stressTopo{parent: map[TxnID]TxnID{}}
+	topo := newTopo()
 	m := NewManager(topo)
 	items := []Item{"a", "b", "c", "d", "e"}
 
@@ -151,7 +120,7 @@ func TestMossInvariantUnderRandomWorkload(t *testing.T) {
 				// takes the manager lock).
 				if r%50 == 0 {
 					checkMu.Lock()
-					checkMossInvariant(t, m, topo)
+					checkMossInvariant(t, m)
 					checkMu.Unlock()
 				}
 				m.ReleaseAll(top)
@@ -159,7 +128,7 @@ func TestMossInvariantUnderRandomWorkload(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	checkMossInvariant(t, m, topo)
+	checkMossInvariant(t, m)
 	// Everything released at the end.
 	remaining := 0
 	for i := range m.stripes {
@@ -177,7 +146,7 @@ func TestDeadlockStressResolves(t *testing.T) {
 	// Workers locking two random items in RANDOM order: deadlocks
 	// happen; every one must be detected (no permanent hang) and the
 	// system must drain.
-	topo := &stressTopo{parent: map[TxnID]TxnID{}}
+	topo := newTopo()
 	m := NewManager(topo)
 	items := []Item{"x", "y", "z"}
 	const workers = 6

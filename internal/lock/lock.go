@@ -9,11 +9,19 @@
 // ancestor-held lock can never be in active use by a concurrent
 // computation, which is what makes the rule safe.
 //
+// Each transaction carries its lock record, an Owner: its id, its
+// parent's record and the entries it holds. Ancestry is a walk of the
+// records' parent pointers, which never change, and release and
+// inheritance visit the held entries directly, so the lock path looks
+// nothing up by transaction id.
+//
 // The lock table is striped: items hash to one of nStripes buckets,
 // each with its own mutex and condition variable, so requests for
-// unrelated items never contend. Only the wait registry (who is
-// blocked, on what) is global, under its own small mutex; the lock
-// order is stripe mutex before registry mutex, never the reverse.
+// unrelated items never contend. An entry emptied by its last release
+// goes on its stripe's free list for the next item to reuse. Only the
+// wait registry (who is blocked, on what) is global, under its own
+// small mutex; the lock order is stripe mutex before registry mutex,
+// never the reverse.
 //
 // Deadlocks are detected at block time by a cycle search over the
 // waits-for graph. The graph has two edge kinds: a waiter points at
@@ -84,19 +92,60 @@ func conflicts(a, b Mode) bool { return a == Exclusive || b == Exclusive }
 // "rule/#7", ...). Naming conventions live in the layers above.
 type Item string
 
-// Topology lets the lock manager ask about transaction ancestry. The
-// transaction manager implements it.
-type Topology interface {
-	// IsAncestorOrSelf reports whether anc is desc or a (transitive)
-	// parent of desc.
-	IsAncestorOrSelf(anc, desc TxnID) bool
+// Owner is one transaction's lock record. The transaction manager
+// embeds one in each transaction and sets it up with Init.
+type Owner struct {
+	id     TxnID
+	parent *Owner // never changes, so ancestry walks need no lock
+	// mu guards held: siblings that commit at once inherit into their
+	// parent's list together. It is a leaf, never held with a stripe's.
+	mu   sync.Mutex
+	held []*entry // the entries o holds, each once
 }
 
-// Errors returned by Acquire.
-var (
-	ErrDeadlock = errors.New("lock: deadlock detected")
-	ErrCanceled = errors.New("lock: wait canceled")
-)
+// Init sets the record's id and parent record (nil for a top-level
+// transaction). Call it once, before the record is used.
+func (o *Owner) Init(id TxnID, parent *Owner) { o.id, o.parent = id, parent }
+
+// ID returns the transaction id.
+func (o *Owner) ID() TxnID { return o.id }
+
+// within reports whether anc is o or one of o's transitive parents.
+func (o *Owner) within(anc *Owner) bool {
+	for ; o != nil; o = o.parent {
+		if o == anc {
+			return true
+		}
+	}
+	return false
+}
+
+// add appends entries to o's held list.
+func (o *Owner) add(entries ...*entry) {
+	o.mu.Lock()
+	o.held = append(o.held, entries...)
+	o.mu.Unlock()
+}
+
+// take removes and returns o's held list.
+func (o *Owner) take() []*entry {
+	o.mu.Lock()
+	held := o.held
+	o.held = nil
+	o.mu.Unlock()
+	return held
+}
+
+// Topology resolves a transaction id to its lock record for the
+// id-keyed entry points, Acquire and ReleaseAll; it returns nil for a
+// transaction that is not live. The transaction manager implements it.
+type Topology interface {
+	Owner(TxnID) *Owner
+}
+
+// ErrDeadlock is returned by a lock request that would close a
+// waits-for cycle.
+var ErrDeadlock = errors.New("lock: deadlock detected")
 
 // Stats counts lock-manager activity; read with Manager.Stats.
 type Stats struct {
@@ -110,23 +159,51 @@ type waitRecord struct {
 	mode Mode
 }
 
-type entry struct {
-	holders map[TxnID]Mode // strongest mode held by each transaction
+// holder is one transaction's hold on an entry, in the strongest mode
+// it was granted.
+type holder struct {
+	o    *Owner
+	mode Mode
 }
 
-// heldSet is one transaction's lock list: the items it was granted,
-// appended only on first grant so re-grants stay free and the list
-// holds no duplicates (transfers may introduce a few; release treats
-// them as no-ops). The mutex covers concurrent sibling transfers
-// merging into a shared parent's list.
-type heldSet struct {
-	mu    sync.Mutex
-	items []Item
+// entry is one locked item's holders, under its stripe's mutex.
+type entry struct {
+	item    Item
+	st      *stripe
+	holders []holder
+}
+
+// grantable implements Moss's rule: o may hold e in mode iff every
+// other holder of a conflicting mode is one of o's ancestors. It also
+// returns o's index among the holders, -1 if o holds nothing.
+func (e *entry) grantable(o *Owner, mode Mode) (ok bool, at int) {
+	at = -1
+	for i, h := range e.holders {
+		if h.o == o {
+			at = i
+		} else if conflicts(h.mode, mode) && !o.within(h.o) {
+			return false, at
+		}
+	}
+	return true, at
+}
+
+// index returns o's index among e's holders, -1 if none.
+func (e *entry) index(o *Owner) int {
+	for i, h := range e.holders {
+		if h.o == o {
+			return i
+		}
+	}
+	return -1
 }
 
 // nStripes is the lock-table stripe count. Power of two so the item
 // hash is a mask.
 const nStripes = 64
+
+// maxFree bounds each stripe's free list of emptied entries.
+const maxFree = 16
 
 // stripe is one bucket of the lock table: the entries whose items
 // hash here, under their own mutex. cond wakes waiters blocked on
@@ -137,12 +214,57 @@ type stripe struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	locks map[Item]*entry
-	// xfers counts the lock inheritances (TransferToParent) applied to
-	// this stripe's items. A transfer is the one way a waiter acquires
-	// a new waits-for edge it did not register itself, so a waiter
-	// re-runs the deadlock probe only when xfers moved since its last
-	// one; see Acquire.
+	free  []*entry // emptied entries, reused before allocating
+	// xfers counts the lock inheritances (Inherit) applied to this
+	// stripe's items. An inheritance is the one way a waiter acquires a
+	// new waits-for edge it did not register itself, so a waiter re-runs
+	// the deadlock probe only when xfers moved since its last one; see
+	// Lock.
 	xfers uint64
+}
+
+// grant gives o item in mode if Moss's rule allows, and reports
+// whether it did and, on o's first grant of item, the entry for the
+// caller to add to o's list once it has released st.mu. Caller holds
+// st.mu.
+func (st *stripe) grant(o *Owner, item Item, mode Mode) (added *entry, ok bool) {
+	e := st.locks[item]
+	if e == nil {
+		if n := len(st.free); n > 0 {
+			e, st.free = st.free[n-1], st.free[:n-1]
+		} else {
+			e = &entry{st: st}
+		}
+		e.item = item
+		st.locks[item] = e
+	}
+	ok, at := e.grantable(o, mode)
+	switch {
+	case !ok:
+		return nil, false
+	case at >= 0:
+		e.holders[at].mode = max(e.holders[at].mode, mode)
+		return nil, true
+	}
+	e.holders = append(e.holders, holder{o, mode})
+	return e, true
+}
+
+// drop removes e's holder at index i, recycling e once it has none,
+// and wakes the stripe's waiters. Caller holds st.mu.
+func (st *stripe) drop(e *entry, i int) {
+	last := len(e.holders) - 1
+	e.holders[i] = e.holders[last]
+	e.holders[last] = holder{}
+	e.holders = e.holders[:last]
+	if last == 0 {
+		delete(st.locks, e.item)
+		if len(st.free) < maxFree {
+			e.item = ""
+			st.free = append(st.free, e)
+		}
+	}
+	st.cond.Broadcast()
 }
 
 // Manager is the lock manager. It is safe for concurrent use.
@@ -154,17 +276,8 @@ type Manager struct {
 	// wmu guards waits. Lock order: a stripe's mu may be held when
 	// taking wmu, never the reverse. The never-blocked grant path does
 	// not touch wmu at all.
-	wmu      sync.Mutex
-	waits    map[TxnID]waitRecord // who is blocked, and on what
-	canceled sync.Map             // TxnID -> struct{}; lock-free read on the hot path
-
-	// held maps each transaction to the items it holds, so ReleaseAll
-	// and TransferToParent visit only the stripes involved instead of
-	// sweeping the whole table. Correct because a transaction's lock
-	// calls are serial: grants happen on its own goroutine, and release
-	// or transfer runs only after the transaction reached a terminal
-	// state. A heldSet's mu is never held while taking a stripe mutex.
-	held sync.Map // TxnID -> *heldSet
+	wmu   sync.Mutex
+	waits map[*Owner]waitRecord // who is blocked, and on what
 
 	nAcquired, nWaited, nDeadlocks atomic.Uint64
 	nProbes                        atomic.Uint64 // deadlock probes run; tests hold it against nWaited
@@ -175,13 +288,13 @@ type Manager struct {
 // concurrently with lock processing.
 func (m *Manager) SetObserver(o *obs.Metrics) { m.obsm = o }
 
-// NewManager returns a lock manager that resolves ancestry through
-// top.
+// NewManager returns a lock manager that resolves transaction ids
+// through top.
 func NewManager(top Topology) *Manager {
 	m := &Manager{
 		top:   top,
 		seed:  maphash.MakeSeed(),
-		waits: map[TxnID]waitRecord{},
+		waits: map[*Owner]waitRecord{},
 	}
 	for i := range m.stripes {
 		st := &m.stripes[i]
@@ -196,12 +309,28 @@ func (m *Manager) stripeOf(item Item) *stripe {
 	return &m.stripes[maphash.String(m.seed, string(item))&(nStripes-1)]
 }
 
-// Acquire blocks until tx holds item in at least the requested mode,
-// a deadlock is detected (ErrDeadlock), or the wait is canceled
-// (ErrCanceled). Re-acquiring an already-held mode is a cheap no-op;
-// requesting Exclusive over a held Shared is an upgrade and follows
-// the same conflict rule.
+// Acquire is Lock for the live transaction with id tx.
 func (m *Manager) Acquire(tx TxnID, item Item, mode Mode) error {
+	o := m.top.Owner(tx)
+	if o == nil {
+		return fmt.Errorf("lock: txn %d is not live", tx)
+	}
+	return m.Lock(o, item, mode)
+}
+
+// ReleaseAll is Release for the live transaction with id tx, and a
+// no-op for any other id.
+func (m *Manager) ReleaseAll(tx TxnID) {
+	if o := m.top.Owner(tx); o != nil {
+		m.Release(o)
+	}
+}
+
+// Lock blocks until o holds item in at least the requested mode, or a
+// deadlock is detected (ErrDeadlock). Re-acquiring an already-held
+// mode is a cheap no-op; requesting Exclusive over a held Shared is an
+// upgrade and follows the same conflict rule.
+func (m *Manager) Lock(o *Owner, item Item, mode Mode) error {
 	st := m.stripeOf(item)
 	st.mu.Lock()
 	// waitTimer stays zero (a no-op) unless the request blocks; it
@@ -212,32 +341,16 @@ func (m *Manager) Acquire(tx TxnID, item Item, mode Mode) error {
 	waited := false
 	var probed uint64 // st.xfers at this request's last deadlock probe
 	for {
-		if m.isCanceled(tx) {
-			if waited {
-				m.clearWait(tx)
-			}
-			st.mu.Unlock()
-			waitTimer.Done()
-			return fmt.Errorf("%w (txn %d, item %q)", ErrCanceled, tx, item)
-		}
-		e := st.locks[item]
-		if e == nil {
-			e = &entry{holders: map[TxnID]Mode{}}
-			st.locks[item] = e
-		}
-		if m.grantable(e, tx, mode) {
-			cur, already := e.holders[tx]
-			if !already || mode > cur {
-				e.holders[tx] = mode
-			}
+		if added, ok := st.grant(o, item, mode); ok {
 			// Clear the wait before releasing the stripe so no probe
 			// sees a granted request still registered as blocked.
 			if waited {
-				m.clearWait(tx)
+				m.clearWait(o)
 			}
 			st.mu.Unlock()
-			if !already {
-				m.noteHeld(tx, item)
+			// The list append may allocate: keep it out of the stripe.
+			if added != nil {
+				o.add(added)
 			}
 			m.nAcquired.Add(1)
 			waitTimer.Done()
@@ -260,174 +373,80 @@ func (m *Manager) Acquire(tx TxnID, item Item, mode Mode) error {
 		if !waited || st.xfers != probed {
 			// Register the wait before probing for deadlock: the probe
 			// of whichever waiter closes a cycle must be able to see
-			// every other edge. The canceled re-read inside
-			// registerWait closes the race with a concurrent Cancel
-			// that looked up our (not yet registered) wait record and
-			// broadcast nothing.
-			first, canceled := m.registerWait(tx, item, mode)
-			waited = true
-			if first {
+			// every other edge.
+			if m.registerWait(o, item, mode) {
 				m.nWaited.Add(1)
 				waitTimer = m.obsm.Timer(obs.HLockWait)
 			}
-			if canceled {
-				continue // loop top returns ErrCanceled
-			}
+			waited = true
 			// The cycle probe takes stripes one at a time, so it must
 			// not hold ours. Releasing the stripe opens a window in
-			// which the request may become grantable, a Cancel may
-			// land, or an inheritance may add an edge the probe did
-			// not see; the re-locked check below sends all three back
-			// to the loop top before sleeping, and any later change
-			// broadcasts under st.mu, so the sleep cannot miss its
-			// wakeup.
+			// which the request may become grantable or an inheritance
+			// may add an edge the probe did not see; the loop top
+			// re-checks both under the stripe before sleeping, and any
+			// later change broadcasts under st.mu, so the sleep cannot
+			// miss its wakeup.
 			probed = st.xfers
 			st.mu.Unlock()
-			dead := m.inCycle(tx)
+			dead := m.inCycle(o)
 			st.mu.Lock()
 			if dead {
-				m.clearWait(tx)
+				m.clearWait(o)
 				m.nDeadlocks.Add(1)
 				st.mu.Unlock()
 				waitTimer.Done()
-				return fmt.Errorf("%w (txn %d, item %q, mode %s)", ErrDeadlock, tx, item, mode)
+				return fmt.Errorf("%w (txn %d, item %q, mode %s)", ErrDeadlock, o.id, item, mode)
 			}
-			if st.xfers != probed || m.isCanceled(tx) || m.grantable(st.locks[item], tx, mode) {
-				continue
-			}
+			continue
 		}
 		st.cond.Wait()
 	}
 }
 
-// noteHeld appends item to tx's lock list. Callers invoke it only
-// when the grant created a new holder entry (not on re-grants or
-// upgrades), which keeps the list duplicate-free and the hot
-// re-acquire path unaffected.
-func (m *Manager) noteHeld(tx TxnID, item Item) {
-	v, ok := m.held.Load(tx)
-	if !ok {
-		v, _ = m.held.LoadOrStore(tx, &heldSet{})
-	}
-	h := v.(*heldSet)
-	h.mu.Lock()
-	h.items = append(h.items, item)
-	h.mu.Unlock()
-}
-
-// takeHeld removes and returns tx's lock list.
-func (m *Manager) takeHeld(tx TxnID) []Item {
-	v, ok := m.held.LoadAndDelete(tx)
-	if !ok {
-		return nil
-	}
-	h := v.(*heldSet)
-	h.mu.Lock()
-	items := h.items
-	h.items = nil
-	h.mu.Unlock()
-	return items
-}
-
-// isCanceled reads tx's cancellation mark. Lock-free: the mark lives
-// in a sync.Map so the never-blocked grant path stays off wmu.
-func (m *Manager) isCanceled(tx TxnID) bool {
-	_, ok := m.canceled.Load(tx)
-	return ok
-}
-
-// clearWait removes tx from the wait registry.
-func (m *Manager) clearWait(tx TxnID) {
+// clearWait removes o from the wait registry.
+func (m *Manager) clearWait(o *Owner) {
 	m.wmu.Lock()
-	delete(m.waits, tx)
+	delete(m.waits, o)
 	m.wmu.Unlock()
 }
 
-// registerWait records that tx blocks on item/mode, reporting whether
-// this is a fresh block (for stats) and whether tx is already
-// canceled.
-func (m *Manager) registerWait(tx TxnID, item Item, mode Mode) (first, canceled bool) {
+// registerWait records that o blocks on item/mode, reporting whether
+// this is a fresh block (for stats).
+func (m *Manager) registerWait(o *Owner, item Item, mode Mode) bool {
 	m.wmu.Lock()
-	_, already := m.waits[tx]
-	m.waits[tx] = waitRecord{item: item, mode: mode}
+	_, already := m.waits[o]
+	m.waits[o] = waitRecord{item: item, mode: mode}
 	m.wmu.Unlock()
-	// Read the mark only after the record is visible: either this load
-	// sees a concurrent Cancel's store, or the Cancel's registry lookup
-	// (which follows its store) sees the record and broadcasts our
-	// stripe — never both misses.
-	return !already, m.isCanceled(tx)
+	return !already
 }
 
-// TryAcquire attempts the grant without blocking, reporting success.
-func (m *Manager) TryAcquire(tx TxnID, item Item, mode Mode) bool {
-	st := m.stripeOf(item)
-	st.mu.Lock()
-	e := st.locks[item]
-	if e == nil {
-		e = &entry{holders: map[TxnID]Mode{}}
-		st.locks[item] = e
-	}
-	if !m.grantable(e, tx, mode) {
-		st.mu.Unlock()
-		return false
-	}
-	cur, already := e.holders[tx]
-	if !already || mode > cur {
-		e.holders[tx] = mode
-	}
-	st.mu.Unlock()
-	if !already {
-		m.noteHeld(tx, item)
-	}
-	m.nAcquired.Add(1)
-	return true
-}
-
-// grantable implements Moss's rule. Caller holds the entry's stripe
-// mutex; e may be nil (vacuously grantable).
-func (m *Manager) grantable(e *entry, tx TxnID, mode Mode) bool {
-	if e == nil {
-		return true
-	}
-	for h, hm := range e.holders {
-		if h == tx {
-			continue
-		}
-		if conflicts(hm, mode) && !m.top.IsAncestorOrSelf(h, tx) {
-			return false
-		}
-	}
-	return true
-}
-
-// inCycle reports whether tx participates in a waits-for cycle. It is
-// called with no stripe lock held: the wait registry is frozen into a
-// snapshot up front, and each visited item's holders are read under
+// inCycle reports whether start participates in a waits-for cycle. It
+// is called with no stripe lock held: the wait registry is frozen into
+// a snapshot up front, and each visited item's holders are read under
 // that item's stripe, one stripe at a time.
 //
-// A waiter in the snapshot that is granted and finishes mid-probe has
-// no ancestry left to consult, so every holder of its item — even its
-// own ancestor that inherited the lock — looks like a blocker, and a
-// cycle through it is a phantom. A cycle counts only if every waiter
-// on it is still registered; otherwise the probe runs again on a fresh
-// snapshot, which the finished waiter has left. The waiters of a real
-// cycle cannot leave, so it is never missed.
-func (m *Manager) inCycle(start TxnID) bool {
+// A waiter in the snapshot may have been granted since, and finished,
+// and its item passed on to transactions it never waited for; a cycle
+// through it is a phantom. A cycle counts only if every waiter on it
+// is still registered as the snapshot had it; otherwise the probe runs
+// again on a fresh snapshot, which the finished waiter has left. The
+// waiters of a real cycle cannot leave, so it is never missed.
+func (m *Manager) inCycle(start *Owner) bool {
 	m.nProbes.Add(1)
 	for {
 		m.wmu.Lock()
 		waits := maps.Clone(m.waits)
 		m.wmu.Unlock()
-		visited := map[TxnID]bool{}
-		var path []TxnID
-		var visit func(tx TxnID) bool
-		visit = func(tx TxnID) bool {
-			if visited[tx] {
+		visited := map[*Owner]bool{}
+		var path []*Owner
+		var visit func(o *Owner) bool
+		visit = func(o *Owner) bool {
+			if visited[o] {
 				return false
 			}
-			visited[tx] = true
-			path = append(path, tx)
-			for _, next := range m.blockers(waits, tx) {
+			visited[o] = true
+			path = append(path, o)
+			for _, next := range m.blockers(waits, o) {
 				if next == start || visit(next) {
 					return true
 				}
@@ -440,8 +459,8 @@ func (m *Manager) inCycle(start TxnID) bool {
 		}
 		m.wmu.Lock()
 		live := true
-		for _, tx := range path {
-			if w, ok := waits[tx]; ok && m.waits[tx] != w {
+		for _, o := range path {
+			if w, ok := waits[o]; ok && m.waits[o] != w {
 				live = false
 			}
 		}
@@ -452,134 +471,89 @@ func (m *Manager) inCycle(start TxnID) bool {
 	}
 }
 
-// blockers returns the transactions tx is directly waiting on:
+// blockers returns the transactions o is directly waiting on:
 // conflicting non-ancestor holders of its wanted item, plus — because
 // a holder with running descendants is suspended until they finish —
-// every waiting descendant of tx itself. waits is the probe's frozen
+// every waiting descendant of o itself. waits is the probe's frozen
 // registry snapshot; holders are read live under the item's stripe.
-func (m *Manager) blockers(waits map[TxnID]waitRecord, tx TxnID) []TxnID {
-	var out []TxnID
-	if w, ok := waits[tx]; ok {
+func (m *Manager) blockers(waits map[*Owner]waitRecord, o *Owner) []*Owner {
+	var out []*Owner
+	if w, ok := waits[o]; ok {
 		st := m.stripeOf(w.item)
 		st.mu.Lock()
 		if e := st.locks[w.item]; e != nil {
-			for h, hm := range e.holders {
-				if h != tx && conflicts(hm, w.mode) && !m.top.IsAncestorOrSelf(h, tx) {
-					out = append(out, h)
+			for _, h := range e.holders {
+				if h.o != o && conflicts(h.mode, w.mode) && !o.within(h.o) {
+					out = append(out, h.o)
 				}
 			}
 		}
 		st.mu.Unlock()
 	}
-	// Delegation edges: tx's progress depends on its blocked
-	// descendants (tx is suspended while they run).
+	// Delegation edges: o's progress depends on its blocked
+	// descendants (o is suspended while they run).
 	for w := range waits {
-		if w != tx && m.top.IsAncestorOrSelf(tx, w) {
+		if w != o && w.within(o) {
 			out = append(out, w)
 		}
 	}
 	return out
 }
 
-// ReleaseAll drops every lock held by tx (used at abort, and at
-// top-level commit) and clears any cancellation mark. The lock list
-// names the items, so only their stripes are touched and woken.
-func (m *Manager) ReleaseAll(tx TxnID) {
-	for _, item := range m.takeHeld(tx) {
-		st := m.stripeOf(item)
+// Release drops every lock o holds (at abort, and at top-level
+// commit). The held list names the entries, so only their stripes are
+// touched and woken.
+func (m *Manager) Release(o *Owner) {
+	for _, e := range o.take() {
+		st := e.st
 		st.mu.Lock()
-		if e := st.locks[item]; e != nil {
-			if _, ok := e.holders[tx]; ok {
-				delete(e.holders, tx)
-				if len(e.holders) == 0 {
-					delete(st.locks, item)
-				}
-				st.cond.Broadcast()
-			}
+		if i := e.index(o); i >= 0 {
+			st.drop(e, i)
 		}
 		st.mu.Unlock()
 	}
-	m.canceled.Delete(tx)
 }
 
-// TransferToParent implements lock inheritance at subtransaction
-// commit: every lock held by child is afterwards held by parent in
-// the stronger of the two modes. Waiters on affected stripes are
-// woken — ancestry-based grantability may have improved for waiters
-// that are descendants of the parent, and only items the child held
-// can be affected.
-func (m *Manager) TransferToParent(child, parent TxnID) {
-	items := m.takeHeld(child)
-	inherited := items[:0]
-	for _, item := range items {
-		st := m.stripeOf(item)
+// Inherit implements lock inheritance at subtransaction commit: every
+// lock o holds is afterwards held by o's parent in the stronger of the
+// two modes. Waiters on the affected stripes are woken: a waiter that
+// descends from the parent may have become grantable.
+func (m *Manager) Inherit(o *Owner) {
+	p := o.parent
+	held := o.take()
+	inherited := held[:0]
+	for _, e := range held {
+		st := e.st
 		st.mu.Lock()
-		if e := st.locks[item]; e != nil {
-			if cm, ok := e.holders[child]; ok {
-				pm, held := e.holders[parent]
-				if !held || cm > pm {
-					e.holders[parent] = cm
-				}
-				delete(e.holders, child)
-				if !held {
-					// Parent's list gains only items it did not already
-					// hold, so lists stay duplicate-free.
-					inherited = append(inherited, item)
-				}
-				st.xfers++
+		if i := e.index(o); i >= 0 {
+			if j := e.index(p); j >= 0 {
+				e.holders[j].mode = max(e.holders[j].mode, e.holders[i].mode)
+				st.drop(e, i)
+			} else {
+				// The parent takes the child's place, and its list gains
+				// only entries it did not already hold.
+				e.holders[i].o = p
+				inherited = append(inherited, e)
 				st.cond.Broadcast()
 			}
+			st.xfers++
 		}
 		st.mu.Unlock()
 	}
-	for _, item := range inherited {
-		m.noteHeld(parent, item)
-	}
-	m.canceled.Delete(child)
+	p.add(inherited...)
 }
 
-// Cancel wakes any in-progress or future waits by tx with
-// ErrCanceled. Used when a transaction is aborted from another
-// goroutine while it may be blocked.
-func (m *Manager) Cancel(tx TxnID) {
-	m.canceled.Store(tx, struct{}{})
-	m.wmu.Lock()
-	w, waiting := m.waits[tx]
-	m.wmu.Unlock()
-	if !waiting {
-		// Not blocked yet. If tx is racing toward a wait, it re-reads
-		// the mark inside registerWait (after publishing its record)
-		// and returns without sleeping.
-		return
-	}
-	st := m.stripeOf(w.item)
-	st.mu.Lock()
-	st.cond.Broadcast()
-	st.mu.Unlock()
-}
-
-// HeldMode reports the mode tx holds on item, if any.
-func (m *Manager) HeldMode(tx TxnID, item Item) (Mode, bool) {
+// HeldMode reports the mode o holds on item, if any.
+func (m *Manager) HeldMode(o *Owner, item Item) (Mode, bool) {
 	st := m.stripeOf(item)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e := st.locks[item]; e != nil {
-		mode, ok := e.holders[tx]
-		return mode, ok
+		if i := e.index(o); i >= 0 {
+			return e.holders[i].mode, true
+		}
 	}
 	return 0, false
-}
-
-// HeldItems returns the number of items on which tx holds a lock.
-func (m *Manager) HeldItems(tx TxnID) int {
-	v, ok := m.held.Load(tx)
-	if !ok {
-		return 0
-	}
-	h := v.(*heldSet)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.items)
 }
 
 // Stats returns a snapshot of the activity counters.

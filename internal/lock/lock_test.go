@@ -8,33 +8,75 @@ import (
 	"time"
 )
 
-// fakeTopology is a parent map implementing Topology for tests.
+// fakeTopology hands out a lock record per test transaction id, linked
+// to the record of the parent given to setParent.
 type fakeTopology struct {
-	mu     sync.Mutex
-	parent map[TxnID]TxnID
+	mu   sync.Mutex
+	recs map[TxnID]*Owner
 }
 
-func newTopo() *fakeTopology { return &fakeTopology{parent: map[TxnID]TxnID{}} }
+func newTopo() *fakeTopology { return &fakeTopology{recs: map[TxnID]*Owner{}} }
 
+// setParent makes parent the parent of child; call it before child's
+// record is first used, since a record's parent never changes.
 func (f *fakeTopology) setParent(child, parent TxnID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.parent[child] = parent
+	o := &Owner{}
+	o.Init(child, f.ownerLocked(parent))
+	f.recs[child] = o
 }
 
-func (f *fakeTopology) IsAncestorOrSelf(anc, desc TxnID) bool {
+func (f *fakeTopology) Owner(id TxnID) *Owner {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for {
-		if anc == desc {
-			return true
-		}
-		p, ok := f.parent[desc]
-		if !ok {
-			return false
-		}
-		desc = p
+	return f.ownerLocked(id)
+}
+
+func (f *fakeTopology) ownerLocked(id TxnID) *Owner {
+	o := f.recs[id]
+	if o == nil {
+		o = &Owner{}
+		o.Init(id, nil)
+		f.recs[id] = o
 	}
+	return o
+}
+
+// TryAcquire attempts the grant without blocking, reporting success.
+func (m *Manager) TryAcquire(tx TxnID, item Item, mode Mode) bool {
+	o := m.top.Owner(tx)
+	st := m.stripeOf(item)
+	st.mu.Lock()
+	added, ok := st.grant(o, item, mode)
+	st.mu.Unlock()
+	if added != nil {
+		o.add(added)
+	}
+	return ok
+}
+
+// TransferToParent is Inherit for the transaction with id child, whose
+// record's parent is parent.
+func (m *Manager) TransferToParent(child, parent TxnID) {
+	o := m.top.Owner(child)
+	if o.parent.id != parent {
+		panic("TransferToParent: not the record's parent")
+	}
+	m.Inherit(o)
+}
+
+// heldMode is HeldMode for the transaction with id tx.
+func (m *Manager) heldMode(tx TxnID, item Item) (Mode, bool) {
+	return m.HeldMode(m.top.Owner(tx), item)
+}
+
+// heldItems returns the number of items tx holds a lock on.
+func (m *Manager) heldItems(tx TxnID) int {
+	o := m.top.Owner(tx)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.held)
 }
 
 func TestSharedCompatible(t *testing.T) {
@@ -45,7 +87,7 @@ func TestSharedCompatible(t *testing.T) {
 	if err := m.Acquire(2, "a", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := m.HeldMode(1, "a"); !ok || got != Shared {
+	if got, ok := m.heldMode(1, "a"); !ok || got != Shared {
 		t.Fatalf("HeldMode = %v, %v", got, ok)
 	}
 }
@@ -129,14 +171,14 @@ func TestUpgrade(t *testing.T) {
 	if err := m.Acquire(1, "a", Exclusive); err != nil {
 		t.Fatalf("lone-holder upgrade failed: %v", err)
 	}
-	if got, _ := m.HeldMode(1, "a"); got != Exclusive {
+	if got, _ := m.heldMode(1, "a"); got != Exclusive {
 		t.Fatalf("mode after upgrade = %v", got)
 	}
 	// Downgrade requests are no-ops: mode stays Exclusive.
 	if err := m.Acquire(1, "a", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := m.HeldMode(1, "a"); got != Exclusive {
+	if got, _ := m.heldMode(1, "a"); got != Exclusive {
 		t.Fatal("re-acquiring Shared must not weaken the held mode")
 	}
 }
@@ -245,10 +287,10 @@ func TestTransferToParentUnblocksSibling(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if _, held := m.HeldMode(2, "a"); held {
+	if _, held := m.heldMode(2, "a"); held {
 		t.Fatal("child still holds after transfer")
 	}
-	if got, ok := m.HeldMode(1, "a"); !ok || got != Exclusive {
+	if got, ok := m.heldMode(1, "a"); !ok || got != Exclusive {
 		t.Fatalf("parent hold after transfer = %v, %v", got, ok)
 	}
 }
@@ -260,27 +302,8 @@ func TestTransferKeepsStrongestMode(t *testing.T) {
 	m.Acquire(1, "a", Shared)
 	m.Acquire(2, "a", Exclusive)
 	m.TransferToParent(2, 1)
-	if got, _ := m.HeldMode(1, "a"); got != Exclusive {
+	if got, _ := m.heldMode(1, "a"); got != Exclusive {
 		t.Fatalf("parent mode = %v, want X", got)
-	}
-}
-
-func TestCancelWakesWaiter(t *testing.T) {
-	m := NewManager(newTopo())
-	m.Acquire(1, "a", Exclusive)
-	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, "a", Exclusive) }()
-	time.Sleep(20 * time.Millisecond)
-	m.Cancel(2)
-	err := <-done
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	// ReleaseAll clears the cancel mark; tx 2 can lock again later.
-	m.ReleaseAll(2)
-	m.ReleaseAll(1)
-	if err := m.Acquire(2, "a", Exclusive); err != nil {
-		t.Fatalf("after clear: %v", err)
 	}
 }
 
@@ -288,11 +311,11 @@ func TestReleaseAllDropsEverything(t *testing.T) {
 	m := NewManager(newTopo())
 	m.Acquire(1, "a", Exclusive)
 	m.Acquire(1, "b", Shared)
-	if m.HeldItems(1) != 2 {
-		t.Fatalf("HeldItems = %d", m.HeldItems(1))
+	if m.heldItems(1) != 2 {
+		t.Fatalf("HeldItems = %d", m.heldItems(1))
 	}
 	m.ReleaseAll(1)
-	if m.HeldItems(1) != 0 {
+	if m.heldItems(1) != 0 {
 		t.Fatal("locks survived ReleaseAll")
 	}
 }
@@ -371,7 +394,7 @@ func waitBlocked(t *testing.T, m *Manager, tx TxnID) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		m.wmu.Lock()
-		_, waiting := m.waits[tx]
+		_, waiting := m.waits[m.top.Owner(tx)]
 		m.wmu.Unlock()
 		if waiting {
 			return
@@ -455,46 +478,24 @@ func TestHotItemHandoffDoesNotReprobe(t *testing.T) {
 	}
 }
 
-// hookTopology is a fakeTopology that lets a test act in the middle of
-// a deadlock probe, on the probe's own ancestry queries.
-type hookTopology struct {
-	*fakeTopology
-	hook func(anc, desc TxnID)
-}
-
-func (h *hookTopology) IsAncestorOrSelf(anc, desc TxnID) bool {
-	if h.hook != nil {
-		h.hook(anc, desc)
-	}
-	return h.fakeTopology.IsAncestorOrSelf(anc, desc)
-}
-
 func TestProbeDiscardsCycleThroughFinishedWaiter(t *testing.T) {
-	// Siblings 2 and 3 of transaction 1 wait for "a". 3's probe freezes
-	// the registry with 2 still waiting; then 2 is granted, commits into
-	// 1 and is forgotten. With no ancestry left for 2, 1's inherited lock
-	// looks like 2's blocker, and 1's waiting descendant 3 closes a cycle
-	// that never existed.
-	topo := &hookTopology{fakeTopology: newTopo()}
+	// Siblings 2 and 3 of transaction 1 wait for "a". 3's probe may
+	// freeze the registry with 2 still waiting after 2 was granted,
+	// committed into 1 and left. A finished transaction keeps its
+	// record's parent link, so 1's inherited lock is still an
+	// ancestor's lock to 2, not a blocker, and 1's waiting descendant 3
+	// closes no cycle through it.
+	topo := newTopo()
 	topo.setParent(2, 1)
 	topo.setParent(3, 1)
 	m := NewManager(topo)
 	if err := m.Acquire(2, "a", Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	m.waits[2] = waitRecord{item: "a", mode: Exclusive}
-	m.waits[3] = waitRecord{item: "a", mode: Exclusive}
-	topo.hook = func(anc, desc TxnID) {
-		if anc == 3 && desc == 2 { // 3's delegation edges, after its item's holders were read
-			topo.hook = nil
-			m.clearWait(2)
-			m.TransferToParent(2, 1)
-			topo.mu.Lock()
-			delete(topo.parent, 2)
-			topo.mu.Unlock()
-		}
-	}
-	if m.inCycle(3) {
+	m.waits[topo.Owner(2)] = waitRecord{item: "a", mode: Exclusive}
+	m.waits[topo.Owner(3)] = waitRecord{item: "a", mode: Exclusive}
+	m.TransferToParent(2, 1)
+	if m.inCycle(topo.Owner(3)) {
 		t.Fatal("a cycle through a finished waiter was reported as a deadlock")
 	}
 }

@@ -109,6 +109,7 @@ type Manager struct {
 // subscription, shared by every rule with the same event
 // specification.
 type subscription struct {
+	key   string                        // the specification's canonical text: its specSubs key and span name
 	rules int                           // registered rules, enabled or not; guarded by Manager.mu
 	table atomic.Pointer[dispatchTable] // the enabled ones; never nil
 }
@@ -297,11 +298,14 @@ func (m *Manager) registerLocked(r *Rule) error {
 			return err
 		}
 		m.specSubs[key] = sub
-		st := &subscription{}
+		st := &subscription{key: key}
 		st.table.Store(&dispatchTable{})
 		m.subs.Store(sub, st)
 	}
 	r.sub = sub
+	// Firing read-locks the rule object (§2.2), the item object.Manager
+	// write-locks to delete or update it.
+	r.item = lock.Item("obj/" + r.OID.String())
 	r.guards = m.eval.AddRule(uint64(r.OID), r.Condition)
 	r.access = chooseAccess(r.guards)
 	m.rules[r.OID] = r
@@ -375,7 +379,7 @@ func (m *Manager) unregisterLocked(r *Rule) {
 	}
 	if st.rules--; st.rules == 0 {
 		m.subs.Delete(r.sub)
-		delete(m.specSubs, r.Spec.String())
+		delete(m.specSubs, st.key)
 		m.det.Delete(r.sub)
 		return
 	}
@@ -615,10 +619,7 @@ func (m *Manager) HandleEmit(sub event.SubID, sig event.Signal) error {
 		return nil
 	}
 
-	var sp *obs.Span
-	if m.tr.On() { // spares building the span name when tracing is off
-		sp = m.openSpan(trigger, "signal", sig.Spec.String(), "", uint64(sig.Txn))
-	}
+	sp := m.openSpan(trigger, "signal", st.key, "", uint64(sig.Txn))
 
 	// Separate firings never wait (§6.2 "Meanwhile, the Rule Manager
 	// continues"). Without a triggering transaction, deferred and
@@ -694,7 +695,7 @@ func (m *Manager) fireGroup(parent *txn.Txn, rules []*Rule, sig event.Signal, sp
 	ids := make([]uint64, 0, len(rules))
 	for _, r := range rules {
 		// Firing takes a read lock on the rule object (§2.2).
-		if err := gc.Lock(ruleItem(r.OID), lock.Shared); err != nil {
+		if err := gc.Lock(r.item, lock.Shared); err != nil {
 			gc.Abort()
 			csp.End("aborted")
 			return err
@@ -786,7 +787,7 @@ func (m *Manager) spawnSeparate(r *Rule, sig event.Signal, level int) {
 		t := m.txns.Begin()
 		t.Internal, t.Level = true, level
 		sp := m.tr.StartRoot("separate", r.Name, r.EC.String()+"/"+r.CA.String(), uint64(t.ID()), 0)
-		if err := t.Lock(ruleItem(r.OID), lock.Shared); err != nil {
+		if err := t.Lock(r.item, lock.Shared); err != nil {
 			t.Abort()
 			sp.End("aborted")
 			m.reportAsync(r.Name, err)
@@ -1001,29 +1002,31 @@ func (m *Manager) execStep(tx *txn.Txn, r *Rule, st compiledStep,
 		_, err = m.objects.Create(tx, st.class, attrs)
 		return err
 
-	case StepModify:
+	case StepModify, StepDelete:
 		target, err := st.target.Eval(reader, vars, eventArgs)
 		if err != nil {
 			return err
 		}
 		if target.Kind() != datum.KindOID {
 			return fmt.Errorf("target expression yielded %s, want an object", target.Kind())
+		}
+		// X-lock the target before evaluating anything over it: the
+		// reader then sees the last committed writer's version, and no
+		// other writer can slip in between this read and the write.
+		// Evaluating first would let concurrent firings of
+		// "price = s.price + 1" lose updates.
+		oid := target.AsOID()
+		if _, err := m.objects.GetForUpdate(tx, oid); err != nil {
+			return err
+		}
+		if st.kind == StepDelete {
+			return m.objects.Delete(tx, oid)
 		}
 		attrs, err := evalExprs(st.attrs, reader, vars, eventArgs)
 		if err != nil {
 			return err
 		}
-		return m.objects.Modify(tx, target.AsOID(), attrs)
-
-	case StepDelete:
-		target, err := st.target.Eval(reader, vars, eventArgs)
-		if err != nil {
-			return err
-		}
-		if target.Kind() != datum.KindOID {
-			return fmt.Errorf("target expression yielded %s, want an object", target.Kind())
-		}
-		return m.objects.Delete(tx, target.AsOID())
+		return m.objects.Modify(tx, oid, attrs)
 
 	case StepSignal:
 		args, err := evalExprs(st.args, reader, vars, eventArgs)
@@ -1079,5 +1082,3 @@ func groupName(rules []*Rule) string {
 	}
 	return fmt.Sprintf("group(%d)", len(rules))
 }
-
-func ruleItem(oid datum.OID) lock.Item { return lock.Item("obj/" + oid.String()) }

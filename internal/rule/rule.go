@@ -19,6 +19,7 @@ import (
 	"repro/internal/cond"
 	"repro/internal/datum"
 	"repro/internal/event"
+	"repro/internal/lock"
 	"repro/internal/query"
 )
 
@@ -132,8 +133,9 @@ type Rule struct {
 	EC, CA    Coupling
 	Enabled   bool
 
-	def Def // original definition, for persistence and display
-	sub event.SubID
+	def  Def // original definition, for persistence and display
+	sub  event.SubID
+	item lock.Item // the rule object's lock item, set at registration
 
 	// guards are the condition's event-only conjuncts and access is
 	// where the dispatch table files the rule under them; both are set

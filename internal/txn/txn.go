@@ -7,9 +7,14 @@
 // commit; aborting a transaction discards the effects of its entire
 // subtree.
 //
-// The manager owns transaction identity and state, enforces parent
-// suspension, coordinates the lock manager (lock inheritance at
-// nested commit, release at abort/top commit), and drives registered
+// Each transaction is one record: its state and child count under its
+// own mutex, and its lock record (lock.Owner) embedded beside them, so
+// beginning, locking and completing a transaction takes no lock shared
+// with unrelated transactions. The manager hands out ids and counts
+// live transactions with atomics, keeps an id-keyed index for the
+// callers that know only an id (the rule manager's Find, the store's
+// Topology), coordinates the lock manager (lock inheritance at nested
+// commit, release at abort/top commit), and drives registered
 // Participants (the storage layer) and hooks (the rule manager's
 // deferred-firing processing runs as a pre-commit hook, exactly as in
 // §6.3: the "commit event signal" is delivered before commit
@@ -28,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lock"
 	"repro/internal/obs"
@@ -103,35 +109,64 @@ type Listener func(t *Txn, committed bool)
 
 // Manager creates and completes transactions.
 type Manager struct {
-	mu       sync.Mutex
-	nextID   lock.TxnID
-	live     sync.Map // lock.TxnID -> *Txn, pruned at termination
-	locks    *lock.Manager
-	parts    []Participant
-	hooks    []Hook
-	listen   []Listener
-	liveTxns int
-	obsm     *obs.Metrics // nil-safe commit-latency observer
+	nextID atomic.Uint64 // the last id handed out
+	live   atomic.Int64  // non-terminated transactions
+	index  index
+	locks  *lock.Manager
+	parts  []Participant
+	hooks  []Hook
+	listen []Listener
+	obsm   *obs.Metrics // nil-safe commit-latency observer
+}
+
+// nShards is the index's shard count. Power of two so the id is a
+// mask; consecutive ids land on different shards.
+const nShards = 32
+
+// index maps the ids of live transactions to their records. Each shard
+// has its own mutex, a leaf, so a Begin or Commit meets only the
+// transactions whose ids share its shard, and an insert into a warm
+// shard's map allocates nothing.
+type index [nShards]struct {
+	mu sync.Mutex
+	m  map[lock.TxnID]*Txn
+}
+
+func (ix *index) put(t *Txn) {
+	sh := &ix[t.ID()&(nShards-1)]
+	sh.mu.Lock()
+	if sh.m == nil {
+		sh.m = map[lock.TxnID]*Txn{}
+	}
+	sh.m[t.ID()] = t
+	sh.mu.Unlock()
+}
+
+func (ix *index) get(id lock.TxnID) *Txn {
+	sh := &ix[id&(nShards-1)]
+	sh.mu.Lock()
+	t := sh.m[id]
+	sh.mu.Unlock()
+	return t
+}
+
+func (ix *index) del(id lock.TxnID) {
+	sh := &ix[id&(nShards-1)]
+	sh.mu.Lock()
+	delete(sh.m, id)
+	sh.mu.Unlock()
 }
 
 // SetObserver installs a commit-latency observer. Not safe to call
 // concurrently with transaction processing.
 func (m *Manager) SetObserver(o *obs.Metrics) { m.obsm = o }
 
-// NewManager returns a transaction manager. The lock manager is
-// created by the caller against the returned manager's topology; use
-// Wire to connect them, or NewSystem for the common case.
-func NewManager() *Manager {
-	return &Manager{nextID: 1}
-}
-
 // NewSystem returns a transaction manager wired to a fresh lock
 // manager.
 func NewSystem() (*Manager, *lock.Manager) {
-	m := NewManager()
-	lm := lock.NewManager(m)
-	m.locks = lm
-	return m, lm
+	m := &Manager{}
+	m.locks = lock.NewManager(m)
+	return m, m.locks
 }
 
 // Register adds a participant (resource manager). Not safe to call
@@ -147,19 +182,19 @@ func (m *Manager) AddPreCommitHook(h Hook) { m.hooks = append(m.hooks, h) }
 // concurrently with transaction processing.
 func (m *Manager) AddListener(l Listener) { m.listen = append(m.listen, l) }
 
-// IsAncestorOrSelf implements lock.Topology: it reports whether anc
-// is desc or one of desc's transitive parents. Parent links are
+// IsAncestorOrSelf implements storage.Topology: it reports whether
+// anc is desc or one of desc's transitive parents. Parent links are
 // immutable, so only the initial id lookup needs synchronization.
 func (m *Manager) IsAncestorOrSelf(anc, desc lock.TxnID) bool {
 	if anc == desc {
 		return true
 	}
-	v, ok := m.live.Load(desc)
-	if !ok {
+	t := m.index.get(desc)
+	if t == nil {
 		return false
 	}
-	for t := v.(*Txn).parent; t != nil; t = t.parent {
-		if t.id == anc {
+	for t = t.parent; t != nil; t = t.parent {
+		if t.ID() == anc {
 			return true
 		}
 	}
@@ -169,10 +204,19 @@ func (m *Manager) IsAncestorOrSelf(anc, desc lock.TxnID) bool {
 // Parent implements storage.Topology: the id of tx's parent, false for
 // a top-level or no longer live transaction.
 func (m *Manager) Parent(tx lock.TxnID) (lock.TxnID, bool) {
-	if v, ok := m.live.Load(tx); ok && v.(*Txn).parent != nil {
-		return v.(*Txn).parent.id, true
+	if t := m.index.get(tx); t != nil && t.parent != nil {
+		return t.parent.ID(), true
 	}
 	return 0, false
+}
+
+// Owner implements lock.Topology: the lock record of a live
+// transaction, nil for any other id.
+func (m *Manager) Owner(id lock.TxnID) *lock.Owner {
+	if t := m.index.get(id); t != nil {
+		return &t.rec
+	}
+	return nil
 }
 
 // Find returns the live transaction with the given id. The Rule
@@ -181,19 +225,12 @@ func (m *Manager) Parent(tx lock.TxnID) (lock.TxnID, bool) {
 // transaction's own goroutine, the returned handle is safe to use
 // there.
 func (m *Manager) Find(id lock.TxnID) (*Txn, bool) {
-	v, ok := m.live.Load(id)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Txn), true
+	t := m.index.get(id)
+	return t, t != nil
 }
 
 // Live reports the number of non-terminated transactions.
-func (m *Manager) Live() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.liveTxns
-}
+func (m *Manager) Live() int { return int(m.live.Load()) }
 
 // Begin creates a new top-level transaction.
 func (m *Manager) Begin() *Txn {
@@ -201,17 +238,15 @@ func (m *Manager) Begin() *Txn {
 }
 
 func (m *Manager) newTxn(parent *Txn) *Txn {
-	m.mu.Lock()
-	id := m.nextID
-	m.nextID++
-	t := &Txn{m: m, id: id, parent: parent}
+	t := &Txn{m: m, parent: parent}
+	var prec *lock.Owner
 	if parent != nil {
 		t.Level = parent.Level + 1
-		parent.activeChildren++
+		prec = &parent.rec
 	}
-	m.liveTxns++
-	m.mu.Unlock()
-	m.live.Store(id, t)
+	t.rec.Init(lock.TxnID(m.nextID.Add(1)), prec)
+	m.live.Add(1)
+	m.index.put(t)
 	return t
 }
 
@@ -219,11 +254,15 @@ func (m *Manager) newTxn(parent *Txn) *Txn {
 // are driven by one goroutine at a time; concurrent siblings each
 // have their own Txn.
 type Txn struct {
-	m              *Manager
-	id             lock.TxnID
-	parent         *Txn
-	state          State
-	activeChildren int
+	m      *Manager
+	rec    lock.Owner // id, parent's record, held locks
+	parent *Txn
+
+	// mu guards state and children. It is a leaf: nothing is locked
+	// under it.
+	mu       sync.Mutex
+	state    State
+	children int // active subtransactions
 
 	// DeferredData is an opaque slot the rule manager uses to hang
 	// this transaction's deferred rule firings on (§6.3). It is
@@ -245,7 +284,7 @@ type Txn struct {
 }
 
 // ID returns the transaction identifier.
-func (t *Txn) ID() lock.TxnID { return t.id }
+func (t *Txn) ID() lock.TxnID { return t.rec.ID() }
 
 // Parent returns the parent transaction, or nil for a top-level one.
 func (t *Txn) Parent() *Txn { return t.parent }
@@ -263,8 +302,8 @@ func (t *Txn) Top() *Txn {
 
 // State returns the current lifecycle state.
 func (t *Txn) State() State {
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.state
 }
 
@@ -273,18 +312,22 @@ func (t *Txn) State() State {
 // issued by deferred rule firings) and not suspended by running
 // children.
 func (t *Txn) CheckOperable() error {
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	return t.checkOperableLocked()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.finishableLocked(); err != nil {
+		return err
+	}
+	if t.children > 0 {
+		return fmt.Errorf("%w (txn %d, %d children)", ErrSuspended, t.ID(), t.children)
+	}
+	return nil
 }
 
-func (t *Txn) checkOperableLocked() error {
-	switch t.state {
-	case Committed, Aborted:
-		return fmt.Errorf("%w (txn %d, %s)", ErrFinished, t.id, t.state)
-	}
-	if t.activeChildren > 0 {
-		return fmt.Errorf("%w (txn %d, %d children)", ErrSuspended, t.id, t.activeChildren)
+// finishableLocked returns ErrFinished for a terminated transaction.
+// Caller holds t.mu.
+func (t *Txn) finishableLocked() error {
+	if t.state == Committed || t.state == Aborted {
+		return fmt.Errorf("%w (txn %d, %s)", ErrFinished, t.ID(), t.state)
 	}
 	return nil
 }
@@ -292,14 +335,17 @@ func (t *Txn) checkOperableLocked() error {
 // Child creates a nested transaction. The parent becomes suspended
 // until every child terminates. Children may be created while the
 // parent is Active or Committing (the latter supports deferred rule
-// firings at commit, §6.3).
+// firings at commit, §6.3). The state check and the child count share
+// one critical section, so a child never attaches to a parent that
+// has just terminated.
 func (t *Txn) Child() (*Txn, error) {
-	t.m.mu.Lock()
-	if t.state == Committed || t.state == Aborted {
-		t.m.mu.Unlock()
-		return nil, fmt.Errorf("%w (txn %d)", ErrFinished, t.id)
+	t.mu.Lock()
+	if err := t.finishableLocked(); err != nil {
+		t.mu.Unlock()
+		return nil, err
 	}
-	t.m.mu.Unlock()
+	t.children++
+	t.mu.Unlock()
 	return t.m.newTxn(t), nil
 }
 
@@ -309,7 +355,25 @@ func (t *Txn) Lock(item lock.Item, mode lock.Mode) error {
 	if err := t.CheckOperable(); err != nil {
 		return err
 	}
-	return t.m.locks.Acquire(t.id, item, mode)
+	return t.m.locks.Lock(&t.rec, item, mode)
+}
+
+// terminate moves t to state to: Committing, or a terminal state. It
+// fails if t already terminated or children are still active.
+func (t *Txn) terminate(to State) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.finishableLocked(); err != nil {
+		return err
+	}
+	if t.children > 0 {
+		return fmt.Errorf("%w (txn %d)", ErrChildrenActive, t.ID())
+	}
+	t.state = to
+	if to != Committing {
+		t.m.live.Add(-1)
+	}
+	return nil
 }
 
 // Commit completes the transaction. For nested transactions, effects
@@ -319,17 +383,9 @@ func (t *Txn) Lock(item lock.Item, mode lock.Mode) error {
 // hook error aborts the transaction and is returned.
 func (t *Txn) Commit() error {
 	m := t.m
-	m.mu.Lock()
-	if t.state == Committed || t.state == Aborted {
-		m.mu.Unlock()
-		return fmt.Errorf("%w (txn %d)", ErrFinished, t.id)
+	if err := t.terminate(Committing); err != nil {
+		return err
 	}
-	if t.activeChildren > 0 {
-		m.mu.Unlock()
-		return fmt.Errorf("%w (txn %d)", ErrChildrenActive, t.id)
-	}
-	t.state = Committing
-	m.mu.Unlock()
 
 	// Time user-visible top-level commits: hooks (deferred firings),
 	// participant flush, WAL sync, lock release.
@@ -350,48 +406,32 @@ func (t *Txn) Commit() error {
 			return fmt.Errorf("txn: aborted by pre-commit hook: %w", err)
 		}
 	}
-
-	m.mu.Lock()
-	if t.state != Committing { // hook aborted us concurrently
-		st := t.state
-		m.mu.Unlock()
-		return fmt.Errorf("%w (txn %d, state %s)", ErrFinished, t.id, st)
+	if err := t.terminate(Committed); err != nil {
+		return err
 	}
-	if t.activeChildren > 0 {
-		m.mu.Unlock()
-		return fmt.Errorf("%w (txn %d after hooks)", ErrChildrenActive, t.id)
-	}
-	t.state = Committed
-	m.liveTxns--
-	parent := t.parent
-	m.mu.Unlock()
 
 	var err error
-	if parent != nil {
+	if parent := t.parent; parent != nil {
 		for _, p := range m.parts {
-			if perr := p.CommitNested(t.id, parent.id); perr != nil && err == nil {
+			if perr := p.CommitNested(t.ID(), parent.ID()); perr != nil && err == nil {
 				err = perr
 			}
 		}
-		m.locks.TransferToParent(t.id, parent.id)
+		m.locks.Inherit(&t.rec)
 	} else {
-		// CommitTop runs outside m.mu, so independent top-level
-		// commits overlap here; the storage layer exploits that by
-		// fsyncing outside its own lock and batching the concurrent
-		// WAL flushes into one group commit. Locks are released only
-		// after the participant reports the effects durable.
+		// Independent top-level commits overlap here; the storage
+		// layer exploits that by fsyncing outside its own lock and
+		// batching the concurrent WAL flushes into one group commit.
+		// Locks are released only after the participant reports the
+		// effects durable.
 		for _, p := range m.parts {
-			if perr := p.CommitTop(t.id); perr != nil && err == nil {
+			if perr := p.CommitTop(t.ID()); perr != nil && err == nil {
 				err = perr
 			}
 		}
-		m.locks.ReleaseAll(t.id)
+		m.locks.Release(&t.rec)
 	}
-	m.live.Delete(t.id)
-	t.detachFromParent()
-	for _, l := range m.listen {
-		l(t, true)
-	}
+	t.finish(true)
 	if err != nil {
 		return fmt.Errorf("txn: participant commit: %w", err)
 	}
@@ -402,40 +442,29 @@ func (t *Txn) Commit() error {
 // All children must already have terminated (the engine always waits
 // for its rule-firing subtransactions before aborting a parent).
 func (t *Txn) Abort() error {
-	m := t.m
-	m.mu.Lock()
-	if t.state == Committed || t.state == Aborted {
-		m.mu.Unlock()
-		return fmt.Errorf("%w (txn %d)", ErrFinished, t.id)
+	if err := t.terminate(Aborted); err != nil {
+		return err
 	}
-	if t.activeChildren > 0 {
-		m.mu.Unlock()
-		return fmt.Errorf("%w (txn %d)", ErrChildrenActive, t.id)
+	for _, p := range t.m.parts {
+		p.AbortTxn(t.ID())
 	}
-	t.state = Aborted
-	m.liveTxns--
-	m.mu.Unlock()
-
-	for _, p := range m.parts {
-		p.AbortTxn(t.id)
-	}
-	m.locks.ReleaseAll(t.id)
-	m.live.Delete(t.id)
-	t.detachFromParent()
-	for _, l := range m.listen {
-		l(t, false)
-	}
+	t.m.locks.Release(&t.rec)
+	t.finish(false)
 	return nil
 }
 
-// detachFromParent decrements the parent's active-children count,
-// resuming the parent when it reaches zero.
-func (t *Txn) detachFromParent() {
-	if t.parent == nil {
-		return
-	}
+// finish retires a terminated transaction: it leaves the index, its
+// parent resumes once this was the last active child, and the
+// listeners hear of it.
+func (t *Txn) finish(committed bool) {
 	m := t.m
-	m.mu.Lock()
-	t.parent.activeChildren--
-	m.mu.Unlock()
+	m.index.del(t.ID())
+	if p := t.parent; p != nil {
+		p.mu.Lock()
+		p.children--
+		p.mu.Unlock()
+	}
+	for _, l := range m.listen {
+		l(t, committed)
+	}
 }

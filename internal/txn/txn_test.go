@@ -164,14 +164,14 @@ func TestLockInheritanceAtNestedCommit(t *testing.T) {
 	if err := child.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if mode, held := lm.HeldMode(parent.ID(), "obj"); !held || mode != lock.Exclusive {
+	if mode, held := lm.HeldMode(&parent.rec, "obj"); !held || mode != lock.Exclusive {
 		t.Fatalf("parent hold = %v %v; lock not inherited", mode, held)
 	}
-	if _, held := lm.HeldMode(child.ID(), "obj"); held {
+	if _, held := lm.HeldMode(&child.rec, "obj"); held {
 		t.Fatal("child still holds after commit")
 	}
 	parent.Commit()
-	if _, held := lm.HeldMode(parent.ID(), "obj"); held {
+	if _, held := lm.HeldMode(&parent.rec, "obj"); held {
 		t.Fatal("lock survived top-level commit")
 	}
 }
@@ -185,7 +185,7 @@ func TestAbortReleasesLocks(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if _, held := lm.HeldMode(tx.ID(), "obj"); held {
+	if _, held := lm.HeldMode(&tx.rec, "obj"); held {
 		t.Fatal("lock survived abort")
 	}
 	if ev := rec.snapshot(); len(ev) != 1 || ev[0] != fmt.Sprintf("abort %d", tx.ID()) {
@@ -435,5 +435,32 @@ func TestConcurrentTopLevelStress(t *testing.T) {
 	wg.Wait()
 	if m.Live() != 0 {
 		t.Fatalf("Live = %d after stress", m.Live())
+	}
+}
+
+func TestFiringTxnAllocationBudget(t *testing.T) {
+	// Every rule firing runs in a transaction of its own: the firing's
+	// path through this package and the lock manager — begin, the rule
+	// read lock, a child, two commits — allocates the two Txns and the
+	// parent's held-lock list, and nothing per grant or per id.
+	m, _ := NewSystem()
+	allocs := testing.AllocsPerRun(1000, func() {
+		tx := m.Begin()
+		if err := tx.Lock("obj/#14", lock.Shared); err != nil {
+			t.Fatal(err)
+		}
+		c, err := tx.Child()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("a firing's transaction made %v allocations, budget 4", allocs)
 	}
 }
