@@ -235,8 +235,7 @@ func BenchmarkConditionEval(b *testing.B) {
 	reader := e.Objects.SnapshotReader(tx)
 	defer reader.Close()
 	evaluator := func() *cond.Evaluator {
-		ev := cond.New()
-		ev.SetPlanner(plan.Options{})
+		ev := cond.New(plan.Options{})
 		ev.AddRule(1, c)
 		return ev
 	}

@@ -137,23 +137,21 @@ type Evaluator struct {
 	mu    sync.Mutex
 	nodes map[string]*qnode
 	rules map[uint64]*ruleEntry
-	obsm  *obs.Metrics  // nil-safe evaluation-latency observer
-	popt  *plan.Options // nil: the tree-walk (query.Eval)
+	obsm  *obs.Metrics // nil-safe evaluation-latency observer
+	opt   plan.Options // every node's plan is built with these
 
 	nEvals, nShared, nBuilds atomic.Uint64
 }
-
-// SetPlanner makes nodes run their queries through the planner with opt
-// instead of the tree-walk. Not safe to call concurrently with evaluation.
-func (e *Evaluator) SetPlanner(opt plan.Options) { e.popt = &opt }
 
 // SetObserver installs an evaluation-latency observer. Not safe to
 // call concurrently with evaluation.
 func (e *Evaluator) SetObserver(o *obs.Metrics) { e.obsm = o }
 
-// New returns an empty evaluator.
-func New() *Evaluator {
+// New returns an empty evaluator whose nodes run their queries through
+// the planner with opt.
+func New(opt plan.Options) *Evaluator {
 	return &Evaluator{
+		opt:   opt,
 		nodes: map[string]*qnode{},
 		rules: map[uint64]*ruleEntry{},
 	}
@@ -318,13 +316,7 @@ func (e *Evaluator) Evaluate(reader query.Reader, eventArgs map[string]datum.Val
 
 func (e *Evaluator) evalNode(n *qnode, reader query.Reader, eventArgs map[string]datum.Value) (*query.Result, error) {
 	tm := e.obsm.Timer(obs.HCondEval)
-	var res *query.Result
-	var err error
-	if e.popt != nil {
-		res, err = e.prepare(n, reader).Execute(reader, eventArgs)
-	} else {
-		res, err = query.Eval(n.q, reader, eventArgs)
-	}
+	res, err := e.prepare(n, reader).Execute(reader, eventArgs)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +333,7 @@ func (e *Evaluator) prepare(n *qnode, r query.Reader) *plan.Plan {
 	if p := n.plan.Load(); p != nil && !p.Stale(cat) {
 		return p
 	}
-	p := plan.Build(n.q, cat, nil, *e.popt)
+	p := plan.Build(n.q, cat, nil, e.opt)
 	n.plan.Store(p)
 	e.nBuilds.Add(1)
 	return p

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datum"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -95,7 +96,7 @@ func TestConditionFootprint(t *testing.T) {
 }
 
 func TestEmptyConditionAlwaysSatisfied(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	e.AddRule(1, Condition{})
 	out, err := e.Evaluate(stockReader(), nil, false, []uint64{1})
 	if err != nil {
@@ -107,7 +108,7 @@ func TestEmptyConditionAlwaysSatisfied(t *testing.T) {
 }
 
 func TestSatisfiedAndUnsatisfied(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
 	e.AddRule(2, mustCond(t, "select s from Stock s where s.price >= 1000"))
 	out, err := e.Evaluate(stockReader(), nil, false, []uint64{1, 2})
@@ -123,7 +124,7 @@ func TestSatisfiedAndUnsatisfied(t *testing.T) {
 }
 
 func TestAllQueriesMustBeNonEmpty(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	e.AddRule(1, mustCond(t,
 		"select s from Stock s where s.price >= 100",  // non-empty
 		"select s from Stock s where s.price >= 1000", // empty -> unsatisfied
@@ -138,7 +139,7 @@ func TestAllQueriesMustBeNonEmpty(t *testing.T) {
 }
 
 func TestPrimaryIsFirstQuery(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	e.AddRule(1, mustCond(t,
 		"select s.symbol as sym from Stock s where s.price >= 100",
 		"select s from Stock s"))
@@ -153,7 +154,7 @@ func TestPrimaryIsFirstQuery(t *testing.T) {
 }
 
 func TestEventArgsReachQueries(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.symbol = event.sym"))
 	args := map[string]datum.Value{"sym": datum.Str("XRX")}
 	out, err := e.Evaluate(stockReader(), args, false, []uint64{1})
@@ -166,7 +167,7 @@ func TestEventArgsReachQueries(t *testing.T) {
 }
 
 func TestSharingEvaluatesOncePerEvent(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	const rules = 50
 	for i := 1; i <= rules; i++ {
 		e.AddRule(uint64(i), mustCond(t, "select s from Stock s where s.price >= 100"))
@@ -198,7 +199,7 @@ func TestSharingEvaluatesOncePerEvent(t *testing.T) {
 }
 
 func TestDistinctQueriesGetDistinctNodes(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.price >= 100"))
 	e.AddRule(2, mustCond(t, "select s from Stock s where s.price >= 200"))
 	if e.NodeCount() != 2 {
@@ -207,7 +208,7 @@ func TestDistinctQueriesGetDistinctNodes(t *testing.T) {
 }
 
 func TestWhitespaceVariantsShareNode(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	e.AddRule(1, mustCond(t, "select s from Stock s where s.price>=100"))
 	e.AddRule(2, mustCond(t, "select  s  from Stock s where (s.price >= 100)"))
 	if e.NodeCount() != 1 {
@@ -216,7 +217,7 @@ func TestWhitespaceVariantsShareNode(t *testing.T) {
 }
 
 func TestRemoveRuleDropsUnreferencedNodes(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	e.AddRule(1, mustCond(t, "select s from Stock s"))
 	e.AddRule(2, mustCond(t, "select s from Stock s"))
 	e.RemoveRule(1)
@@ -239,7 +240,7 @@ func TestRemoveRuleDropsUnreferencedNodes(t *testing.T) {
 }
 
 func TestQueryErrorSurfaces(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	e.AddRule(1, mustCond(t, "select s.price / 0 from Stock s"))
 	if _, err := e.Evaluate(stockReader(), nil, false, []uint64{1}); err == nil {
 		t.Fatal("runtime error must surface")
@@ -247,7 +248,7 @@ func TestQueryErrorSurfaces(t *testing.T) {
 }
 
 func TestMixedRulesOneEvaluatePass(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	shared := "select s from Stock s where s.price >= 100"
 	e.AddRule(1, mustCond(t, shared))
 	e.AddRule(2, mustCond(t, shared, "select s from Stock s where s.price >= 40"))
@@ -266,7 +267,7 @@ func TestMixedRulesOneEvaluatePass(t *testing.T) {
 }
 
 func TestNodesIntrospection(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	shared := "select s from Stock s where s.price >= 100"
 	e.AddRule(1, mustCond(t, shared))
 	e.AddRule(2, mustCond(t, shared, "select s from Stock s where s.symbol = event.sym"))

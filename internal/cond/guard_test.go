@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/datum"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -76,7 +77,8 @@ func genArgs(rng *rand.Rand) map[string]datum.Value {
 
 func TestRejectedConditionIsNeverSatisfied(t *testing.T) {
 	// Differential soundness: whenever a guard rejects a signal, the
-	// full condition evaluated by the tree-walk oracle is not satisfied.
+	// full condition evaluated by the tree-walk oracle (query.Eval) is
+	// not satisfied, and the evaluator agrees with the oracle.
 	rng := rand.New(rand.NewSource(29))
 	reader := stockReader()
 	reader.add("Stock", 3, map[string]datum.Value{"symbol": datum.Str("x"), "price": datum.Float(3)})
@@ -86,16 +88,19 @@ func TestRejectedConditionIsNeverSatisfied(t *testing.T) {
 		for n := 1 + rng.Intn(3); n > 0; n-- {
 			c.Queries = append(c.Queries, genQuery(t, rng))
 		}
-		e := New() // exec nil: query.Eval, the oracle
+		e := New(plan.Options{})
 		guards := e.AddRule(1, c)
 		for i := 0; i < 10; i++ {
 			args := genArgs(rng)
-			out, err := e.Evaluate(reader, args, false, []uint64{1})
+			ok, err := oracle(c, reader, args)
 			if err != nil {
 				failed++ // a hard error fails the firing, guard or no guard
 				continue
 			}
-			if out[1].Satisfied {
+			if out, err := e.Evaluate(reader, args, false, []uint64{1}); err != nil || out[1].Satisfied != ok {
+				t.Fatalf("round %d: %v on %v: evaluator says %v (%v), oracle %v", round, c.Strings(), args, out[1], err, ok)
+			}
+			if ok {
 				satisfied++
 			}
 			for _, g := range guards {
@@ -103,7 +108,7 @@ func TestRejectedConditionIsNeverSatisfied(t *testing.T) {
 					continue
 				}
 				rejected++
-				if out[1].Satisfied {
+				if ok {
 					t.Fatalf("round %d: guard %s rejects %v, but %v is satisfied", round, g.Expr, args, c.Strings())
 				}
 				break
@@ -115,8 +120,20 @@ func TestRejectedConditionIsNeverSatisfied(t *testing.T) {
 	}
 }
 
+// oracle judges c with the tree-walk: satisfied iff every query
+// returns a row.
+func oracle(c Condition, r query.Reader, args map[string]datum.Value) (bool, error) {
+	for _, q := range c.Queries {
+		res, err := query.Eval(q, r, args)
+		if err != nil || res.Empty() {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 func TestGuardsLiveBesideNodes(t *testing.T) {
-	e := New()
+	e := New(plan.Options{})
 	shared := "select s from Stock s where s.symbol = 'XRX' and event.new_price >= 50"
 	g1 := e.AddRule(1, mustCond(t, shared))
 	g2 := e.AddRule(2, mustCond(t, shared, "select count(*) from Stock s where event.x = 1",

@@ -1,7 +1,7 @@
 // Tests for the pluggable execution engine: the evaluator runs
 // conditions through the planner (the engine default) and must preserve
-// the tree-walk's as-of-commit snapshot semantics even when the
-// planner picks an index access path. External test package: it
+// the as-of-commit snapshot semantics of the tree-walk oracle
+// (query.Eval) even when the planner picks an index access path. External test package: it
 // drives a full engine, which links against cond itself.
 package cond_test
 
@@ -82,11 +82,8 @@ func TestPlannerExecPinnedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner := cond.New()
-	planner.SetPlanner(plan.Options{})
+	planner := cond.New(plan.Options{})
 	planner.AddRule(1, c)
-	treewalk := cond.New()
-	treewalk.AddRule(1, c)
 
 	// Pin the snapshot, THEN commit two more matching holdings. The
 	// live owner index now has four 'kim' entries; the pinned reader
@@ -108,19 +105,19 @@ func TestPlannerExecPinnedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := treewalk.Evaluate(sr, nil, false, []uint64{1})
+	want, err := query.Eval(q, sr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got[1].Satisfied || !want[1].Satisfied {
-		t.Fatalf("condition unsatisfied: plan=%v treewalk=%v", got[1].Satisfied, want[1].Satisfied)
+	if !got[1].Satisfied || want.Empty() {
+		t.Fatalf("condition unsatisfied: plan=%v treewalk=%v", got[1].Satisfied, !want.Empty())
 	}
 	if len(got[1].Primary.Rows) != 2 {
 		t.Fatalf("pinned snapshot leaked later commits: %d rows, want 2", len(got[1].Primary.Rows))
 	}
-	if !want[1].Primary.Equal(got[1].Primary) {
+	if !want.Equal(got[1].Primary) {
 		t.Fatalf("planner and tree-walk disagree on primary rows:\nwant %+v\ngot  %+v",
-			want[1].Primary, got[1].Primary)
+			want, got[1].Primary)
 	}
 
 	// A fresh snapshot sees all four.
@@ -137,9 +134,10 @@ func TestPlannerExecPinnedSnapshot(t *testing.T) {
 }
 
 // TestPlannerExecJoinConditionMatchesTreeWalk runs a join condition
-// (the planner reorders it through the owner index) through both
-// engines on the same snapshot and requires identical outcomes,
-// including the primary rows that drive action binding.
+// (the planner reorders it through the owner index) through the
+// evaluator and the tree-walk on the same snapshot and requires
+// identical outcomes, including the primary rows that drive action
+// binding.
 func TestPlannerExecJoinConditionMatchesTreeWalk(t *testing.T) {
 	e := condEngine(t)
 	tx := e.Begin()
@@ -167,11 +165,8 @@ func TestPlannerExecJoinConditionMatchesTreeWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner := cond.New()
-	planner.SetPlanner(plan.Options{})
+	planner := cond.New(plan.Options{})
 	planner.AddRule(7, c)
-	treewalk := cond.New()
-	treewalk.AddRule(7, c)
 
 	for _, args := range []map[string]datum.Value{
 		{"who": datum.Str("kim"), "floor": datum.Float(41)},
@@ -182,17 +177,30 @@ func TestPlannerExecJoinConditionMatchesTreeWalk(t *testing.T) {
 		rtx := e.Begin()
 		sr := e.Objects.SnapshotReader(rtx)
 		got, gerr := planner.Evaluate(sr, args, false, []uint64{7})
-		want, werr := treewalk.Evaluate(sr, args, false, []uint64{7})
+		// The tree-walk's primary rows: the first query's, nil unless
+		// every query returns a row.
+		var want *query.Result
+		var werr error
+		for i, q := range c.Queries {
+			res, err := query.Eval(q, sr, args)
+			if werr = err; err != nil || res.Empty() {
+				want = nil
+				break
+			}
+			if i == 0 {
+				want = res
+			}
+		}
 		sr.Close()
 		rtx.Commit()
 		if gerr != nil || werr != nil {
 			t.Fatalf("evaluate: plan=%v treewalk=%v", gerr, werr)
 		}
-		if got[7].Satisfied != want[7].Satisfied {
-			t.Fatalf("args %v: satisfied plan=%v treewalk=%v", args, got[7].Satisfied, want[7].Satisfied)
+		if got[7].Satisfied != (want != nil) {
+			t.Fatalf("args %v: satisfied plan=%v treewalk=%v", args, got[7].Satisfied, want != nil)
 		}
-		if !want[7].Primary.Equal(got[7].Primary) {
-			t.Fatalf("args %v: primary rows differ\nwant %+v\ngot  %+v", args, want[7].Primary, got[7].Primary)
+		if !want.Equal(got[7].Primary) {
+			t.Fatalf("args %v: primary rows differ\nwant %+v\ngot  %+v", args, want, got[7].Primary)
 		}
 	}
 }

@@ -167,8 +167,7 @@ func TestPreparedPlanConcurrentFirstEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := cond.New()
-	ev.SetPlanner(plan.Options{})
+	ev := cond.New(plan.Options{})
 	ev.AddRule(1, c)
 	tx := e.Begin()
 	defer tx.Commit()

@@ -142,10 +142,9 @@ func Open(opts Options) (*Engine, error) {
 	}
 	txns.Register(store)
 	objects := object.NewManager(store, nil)
-	conds := cond.New()
-	conds.SetObserver(o.Metrics())
 	planOpts := plan.Options{Obs: o.Metrics()}
-	conds.SetPlanner(planOpts)
+	conds := cond.New(planOpts)
+	conds.SetObserver(o.Metrics())
 	rules := rule.NewManager(txns, objects, conds)
 	rules.SetObs(o)
 	rules.SetErrorHandler(func(_ string, err error) { sink.record(err) })

@@ -167,9 +167,6 @@ func New(opts Options) *Obs {
 	}
 	m := &Metrics{}
 	tr := &Tracer{capacity: capacity, slow: opts.SlowFiring, logf: logf}
-	for i := range tr.bound {
-		tr.bound[i].m = map[uint64]*Span{}
-	}
 	if !opts.Disabled {
 		m.on.Store(true)
 		tr.on.Store(true)

@@ -67,6 +67,9 @@ func TestNilSafety(t *testing.T) {
 	o.Metrics().Timer(HOp).Done()
 	var sp *Span
 	sp.End("x")
+	if !sp.Ended() {
+		t.Fatal("nil span reads as open")
+	}
 	sp.Mark("k", "n", "", "", 0, 0)
 	if c := sp.StartChild("k", "n", "", 0, 0); c != nil {
 		t.Fatal("nil span spawned a child")
@@ -76,25 +79,19 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-func TestTracerTreeAndBinding(t *testing.T) {
+func TestTracerTree(t *testing.T) {
 	o := New(Options{})
 	tr := o.Tracer()
 	root := tr.StartRoot("signal", "modify(Stock)", "", 10, 0)
-	if tr.Bound(10) != root {
-		t.Fatal("root not bound to its txn")
-	}
 	cond := root.StartChild("cond", "audit", "immediate", 11, 10)
 	cond.End("ok")
-	if tr.Bound(11) != nil {
-		t.Fatal("ended child still bound")
+	if !cond.Ended() || root.Ended() {
+		t.Fatalf("ended: cond %v, root %v; want true, false", cond.Ended(), root.Ended())
 	}
 	act := root.StartChild("action", "audit", "immediate", 12, 10)
 	act.Mark("rule", "other", "", "not-satisfied", 0, 0)
 	act.End("fired")
 	root.End("")
-	if tr.Bound(10) != nil {
-		t.Fatal("ended root still bound")
-	}
 
 	last := tr.Last(1)
 	if len(last) != 1 {
@@ -120,24 +117,6 @@ func TestTracerTreeAndBinding(t *testing.T) {
 	got.Walk(func(*SpanSnapshot, int) { visited++ })
 	if visited != 4 {
 		t.Fatalf("walked %d nodes, want 4", visited)
-	}
-}
-
-func TestBindFirstWins(t *testing.T) {
-	o := New(Options{})
-	tr := o.Tracer()
-	a := tr.StartRoot("signal", "a", "", 5, 0)
-	b := tr.StartRoot("signal", "b", "", 5, 0) // same txn: must not rebind
-	if tr.Bound(5) != a {
-		t.Fatal("second binder displaced the first")
-	}
-	b.End("")
-	if tr.Bound(5) != a {
-		t.Fatal("ending the non-binder unbound the txn")
-	}
-	a.End("")
-	if tr.Bound(5) != nil {
-		t.Fatal("binding survived its span")
 	}
 }
 

@@ -12,11 +12,12 @@ import (
 // subtransactions, sibling action subtransactions, cascaded signals,
 // deferred drains at commit, and separate top-level firings.
 //
-// Spans whose transactions can host cascades are *bound* to their
-// transaction id while open; when a cascaded signal arrives, the rule
-// manager walks the trigger's ancestor chain and attaches the new
-// span under the innermost bound one, so cross-rule causality is
-// preserved without threading context through every call.
+// The tracer keeps no index of open spans. The rule manager carries a
+// firing's open span on its transaction record (txn.Txn.Span); when a
+// cascaded signal arrives, it walks the trigger's ancestor chain and
+// attaches the new span under the innermost one that has not ended
+// (Span.Ended), so cross-rule causality is preserved without
+// threading context through every call.
 //
 // Finished root spans are materialized into immutable snapshots and
 // kept in a fixed-capacity ring, newest-first on read.
@@ -27,30 +28,11 @@ type Tracer struct {
 	logf      func(format string, args ...any)
 	slowCount atomic.Uint64
 
-	// bound is sharded by transaction id so concurrent bind/lookup
-	// traffic (every span open/close on every firing) does not
-	// serialize on the ring's mutex or on a single map lock.
-	bound [boundShards]boundShard
-
 	mu       sync.Mutex // guards the ring below
 	ring     []SpanSnapshot
 	next     int // overwrite cursor once the ring is full
 	recorded uint64
 	dropped  uint64
-}
-
-// boundShards is the fixed shard count for the span↔transaction
-// binding table. Transaction ids are sequential, so simple modulo
-// spreads neighbors across shards.
-const boundShards = 16
-
-type boundShard struct {
-	mu sync.Mutex
-	m  map[uint64]*Span
-}
-
-func (t *Tracer) shard(txn uint64) *boundShard {
-	return &t.bound[txn%boundShards]
 }
 
 // On reports whether tracing is enabled. Safe on nil.
@@ -69,12 +51,11 @@ type Span struct {
 	txn       uint64
 	parentTxn uint64
 	start     time.Time
-	boundTo   uint64
+	ended     atomic.Bool
 
 	mu       sync.Mutex
 	outcome  string
 	dur      time.Duration
-	ended    bool
 	children []*Span
 }
 
@@ -82,47 +63,6 @@ func (t *Tracer) newSpan(kind, name, mode string, txn, parentTxn uint64) *Span {
 	s := &Span{tr: t, kind: kind, name: name, mode: mode,
 		txn: txn, parentTxn: parentTxn, start: time.Now()}
 	s.root = s
-	t.bind(txn, s)
-	return s
-}
-
-// bind associates txn with s unless the id is already bound (the
-// innermost span wins: the first binder for a transaction is the span
-// that created it).
-func (t *Tracer) bind(txn uint64, s *Span) {
-	if txn == 0 {
-		return
-	}
-	sh := t.shard(txn)
-	sh.mu.Lock()
-	if _, taken := sh.m[txn]; !taken {
-		sh.m[txn] = s
-		s.boundTo = txn
-	}
-	sh.mu.Unlock()
-}
-
-func (t *Tracer) unbind(s *Span) {
-	if s.boundTo == 0 {
-		return
-	}
-	sh := t.shard(s.boundTo)
-	sh.mu.Lock()
-	if sh.m[s.boundTo] == s {
-		delete(sh.m, s.boundTo)
-	}
-	sh.mu.Unlock()
-}
-
-// Bound returns the open span bound to the transaction id, if any.
-func (t *Tracer) Bound(txn uint64) *Span {
-	if t == nil || txn == 0 {
-		return nil
-	}
-	sh := t.shard(txn)
-	sh.mu.Lock()
-	s := sh.m[txn]
-	sh.mu.Unlock()
 	return s
 }
 
@@ -155,8 +95,8 @@ func (s *Span) Mark(kind, name, mode, outcome string, txn, parentTxn uint64) {
 		return
 	}
 	c := &Span{tr: s.tr, root: s.root, kind: kind, name: name, mode: mode,
-		txn: txn, parentTxn: parentTxn, start: time.Now(),
-		outcome: outcome, ended: true}
+		txn: txn, parentTxn: parentTxn, start: time.Now(), outcome: outcome}
+	c.ended.Store(true)
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
@@ -166,23 +106,20 @@ func (s *Span) Mark(kind, name, mode, outcome string, txn, parentTxn uint64) {
 // tree into the ring and runs the slow-firing check. Nil-safe and
 // idempotent.
 func (s *Span) End(outcome string) {
-	if s == nil {
+	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return
 	}
 	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
 	s.outcome = outcome
 	s.dur = time.Since(s.start)
 	s.mu.Unlock()
-	s.tr.unbind(s)
 	if s.root == s {
 		s.tr.finish(s)
 	}
 }
+
+// Ended reports whether the span has ended. A nil span has.
+func (s *Span) Ended() bool { return s == nil || s.ended.Load() }
 
 func (t *Tracer) finish(root *Span) {
 	snap := root.materialize()

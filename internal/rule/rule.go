@@ -8,6 +8,11 @@
 // are durable, and are subject to transaction semantics: firing a
 // rule takes a read lock on the rule object; create, modify, delete,
 // enable, and disable take write locks (§2.2).
+//
+// Every firing starts in firing.go, the only file of the package with a
+// go statement: nested firings through fireGroup, detached ones through
+// one runner, detach. A firing's open span lives on its transaction
+// record (txn.Txn.Span), where cascades raised in it find their parent.
 package rule
 
 import (

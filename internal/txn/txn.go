@@ -269,6 +269,12 @@ type Txn struct {
 	// managed entirely above this package.
 	DeferredData any
 
+	// Span is the open firing span that signals raised in this
+	// transaction nest under. Like DeferredData it is managed by the
+	// rule manager; it is atomic because sibling firings read their
+	// ancestors' spans concurrently.
+	Span atomic.Pointer[obs.Span]
+
 	// Internal marks transactions created by the rule manager and the
 	// engine itself (condition/action subtransactions, separate
 	// firings, rule-catalog updates). Internal transactions do not
