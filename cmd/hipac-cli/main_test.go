@@ -229,7 +229,8 @@ func TestShellGraphAndStats(t *testing.T) {
 	run(t, sh, "modify "+oid+" price=20")
 	out.Reset()
 	run(t, sh, "stats")
-	for _, want := range []string{"Rules", `"Filtered": 1`, `"Triggered": 0`, `"RowsScanned":`, "ipc_message_bytes"} {
+	for _, want := range []string{"Rules", `"Filtered": 1`, `"Triggered": 0`, `"RowsScanned":`, "ipc_message_bytes",
+		`"Queued": 0`, `"Overflowed": 0`, `"QueueDepth": 0`, "firing_queue_wait"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("stats output lacks %s:\n%s", want, out.String())
 		}

@@ -268,7 +268,10 @@ func TestRuleFiringCountersAreCapped(t *testing.T) {
 func TestTenThousandGuardedRulesOneFires(t *testing.T) {
 	// 10 000 separate-coupled rules on one event, each buying one
 	// symbol: an update schedules exactly the one firing that can be
-	// satisfied, and starts no goroutine for the other 9 999.
+	// satisfied, and starts no goroutine for the other 9 999. Firings
+	// go to the rule manager's workers, which start with the engine,
+	// so the goroutine count alone would not see a rejected rule that
+	// was queued; the queue counter does.
 	const n = 10_000
 	e, _ := newEngine(t)
 	defineStockAndAudit(t, e)
@@ -314,6 +317,7 @@ func TestTenThousandGuardedRulesOneFires(t *testing.T) {
 	e.Quiesce()
 	st := e.Stats().Rules
 	if st.Triggered-before.Triggered != 1 || st.SeparateFirings-before.SeparateFirings != 1 ||
+		st.Queued-before.Queued != 1 ||
 		st.Filtered-before.Filtered != n-1 || st.ActionsExecuted-before.ActionsExecuted != 1 {
 		t.Fatalf("stats moved %+v -> %+v, want one firing and %d filtered", before, st, n-1)
 	}

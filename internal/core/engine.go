@@ -177,21 +177,12 @@ func Open(opts Options) (*Engine, error) {
 		}
 	})
 
-	if err := rules.EnsureRuleClass(); err != nil {
-		store.Close()
-		return nil, err
-	}
-	if err := e.ensureEventClass(); err != nil {
-		store.Close()
-		return nil, err
-	}
-	if err := e.restoreEvents(); err != nil {
-		store.Close()
-		return nil, err
-	}
-	if err := rules.Restore(); err != nil {
-		store.Close()
-		return nil, err
+	for _, step := range []func() error{rules.EnsureRuleClass, e.ensureEventClass, e.restoreEvents, rules.Restore} {
+		if err := step(); err != nil {
+			rules.Close()
+			store.Close()
+			return nil, err
+		}
 	}
 	if opts.Dir != "" && opts.CheckpointInterval > 0 {
 		e.ckptStop = make(chan struct{})
@@ -221,14 +212,15 @@ func (e *Engine) checkpointLoop(interval time.Duration) {
 }
 
 // Close stops the checkpoint loop and the event detectors' timers,
-// quiesces asynchronous rule firings, and closes the store.
+// waits for asynchronous rule firings and stops the rule manager's
+// firing workers, and closes the store.
 func (e *Engine) Close() error {
 	if e.ckptStop != nil {
 		close(e.ckptStop)
 		<-e.ckptDone
 	}
 	e.Detectors.Close()
-	e.Rules.Quiesce()
+	e.Rules.Close()
 	return e.Store.Close()
 }
 
@@ -243,7 +235,7 @@ func (e *Engine) Checkpoint() (storage.CheckpointResult, error) {
 	return e.Store.Checkpoint()
 }
 
-// Quiesce waits for all in-flight separate rule firings.
+// Quiesce waits for every separate rule firing, queued or running.
 func (e *Engine) Quiesce() { e.Rules.Quiesce() }
 
 // AsyncErrors drains the errors recorded from asynchronous work:

@@ -46,6 +46,8 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 		{"hipac_rule_actions_executed_total", s.Rules.ActionsExecuted},
 		{"hipac_rule_async_errors_total", s.Rules.AsyncErrors},
 		{"hipac_rule_cascade_aborted_total", s.Rules.CascadeAborted},
+		{"hipac_rule_firing_queued_total", s.Rules.Queued},
+		{"hipac_rule_firing_overflow_total", s.Rules.Overflowed},
 		{"hipac_cep_firings_total", s.Detectors.CEPFirings},
 		{"hipac_cep_expired_partials_total", s.Detectors.CEPExpired},
 		{"hipac_store_version_gc_runs_total", s.Store.GCRuns},
@@ -57,6 +59,10 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 		}
 	}
 	if _, err := fmt.Fprintf(w, "# TYPE hipac_live_txns gauge\nhipac_live_txns %d\n", s.LiveTxns); err != nil {
+		return err
+	}
+	// Detached firings waiting for a firing worker.
+	if _, err := fmt.Fprintf(w, "# TYPE hipac_rule_firing_queue_depth gauge\nhipac_rule_firing_queue_depth %d\n", s.Rules.QueueDepth); err != nil {
 		return err
 	}
 	// Interned row shapes: a few per class; growth with the write count

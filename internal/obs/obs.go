@@ -92,6 +92,9 @@ const (
 	// HIPCMessage: payload bytes of one message a server's connection
 	// read or wrote. A count histogram like HWALGroup.
 	HIPCMessage
+	// HFiringQueueWait: time a detached (separate-coupled) firing spent
+	// in the rule manager's FIFO, enqueue through worker pickup.
+	HFiringQueueWait
 
 	numHists
 )
@@ -105,7 +108,7 @@ var histNames = [numHists]string{
 	"version_chain_len", "snapshot_read",
 	"repl_batch_bytes", "repl_lag",
 	"plan_parallel_fanout", "plan_gather_wait",
-	"ipc_message_bytes",
+	"ipc_message_bytes", "firing_queue_wait",
 }
 
 // histIsCount marks histograms whose observations are counts recorded

@@ -59,9 +59,9 @@ type Span struct {
 	children []*Span
 }
 
-func (t *Tracer) newSpan(kind, name, mode string, txn, parentTxn uint64) *Span {
+func (t *Tracer) newSpan(at time.Time, kind, name, mode string, txn, parentTxn uint64) *Span {
 	s := &Span{tr: t, kind: kind, name: name, mode: mode,
-		txn: txn, parentTxn: parentTxn, start: time.Now()}
+		txn: txn, parentTxn: parentTxn, start: at}
 	s.root = s
 	return s
 }
@@ -71,7 +71,16 @@ func (t *Tracer) StartRoot(kind, name, mode string, txn, parentTxn uint64) *Span
 	if !t.On() {
 		return nil
 	}
-	return t.newSpan(kind, name, mode, txn, parentTxn)
+	return t.newSpan(time.Now(), kind, name, mode, txn, parentTxn)
+}
+
+// StartRootAt is StartRoot for a caller that has read the clock
+// already: the tree starts at at.
+func (t *Tracer) StartRootAt(at time.Time, kind, name, mode string, txn, parentTxn uint64) *Span {
+	if !t.On() {
+		return nil
+	}
+	return t.newSpan(at, kind, name, mode, txn, parentTxn)
 }
 
 // StartChild opens a child span. Nil-safe; the child shares the
@@ -80,7 +89,7 @@ func (s *Span) StartChild(kind, name, mode string, txn, parentTxn uint64) *Span 
 	if s == nil {
 		return nil
 	}
-	c := s.tr.newSpan(kind, name, mode, txn, parentTxn)
+	c := s.tr.newSpan(time.Now(), kind, name, mode, txn, parentTxn)
 	c.root = s.root
 	s.mu.Lock()
 	s.children = append(s.children, c)
@@ -91,11 +100,19 @@ func (s *Span) StartChild(kind, name, mode string, txn, parentTxn uint64) *Span 
 // Mark appends an instantaneous child (queue markers, not-satisfied
 // verdicts). Nil-safe.
 func (s *Span) Mark(kind, name, mode, outcome string, txn, parentTxn uint64) {
+	if s != nil {
+		s.MarkAt(time.Now(), kind, name, mode, outcome, txn, parentTxn)
+	}
+}
+
+// MarkAt is Mark for a caller that has read the clock already: the
+// mark is dated at.
+func (s *Span) MarkAt(at time.Time, kind, name, mode, outcome string, txn, parentTxn uint64) {
 	if s == nil {
 		return
 	}
 	c := &Span{tr: s.tr, root: s.root, kind: kind, name: name, mode: mode,
-		txn: txn, parentTxn: parentTxn, start: time.Now(), outcome: outcome}
+		txn: txn, parentTxn: parentTxn, start: at, outcome: outcome}
 	c.ended.Store(true)
 	s.mu.Lock()
 	s.children = append(s.children, c)

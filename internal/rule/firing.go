@@ -3,6 +3,7 @@ package rule
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/cond"
 	"repro/internal/datum"
@@ -13,7 +14,8 @@ import (
 	"repro/internal/txn"
 )
 
-// Quiesce blocks until all in-flight detached firings complete.
+// Quiesce blocks until every detached firing, queued or running, has
+// completed.
 func (m *Manager) Quiesce() { m.sep.Wait() }
 
 // deferredSet hangs off a transaction's DeferredData slot.
@@ -137,8 +139,7 @@ func (m *Manager) fireGroup(parent *txn.Txn, rules []*Rule, sig event.Signal, sp
 		case Deferred:
 			wave2 = append(wave2, r)
 		case Separate:
-			csp.Mark("separate-spawn", r.Name, "separate", "", 0, 0)
-			m.detach(r, sig, oc, parent.Level+1)
+			m.detach(r, sig, oc, parent.Level+1, csp)
 		}
 	}
 	csp.End("ok")
@@ -184,39 +185,133 @@ func (m *Manager) runWave(parent *txn.Txn, wave []*Rule, sig event.Signal, outco
 	return nil
 }
 
-// detach is the one runner of detached firings (§3.2 separate
-// coupling): a goroutine that runs r in a new internal top-level
-// transaction at cascade level level and reports its error. With oc
-// nil it judges r's condition first (E-C separate); with oc set only
-// the action runs (C-A separate). judge and act are called from the
-// goroutine's own frame: a frame more above plan execution made
-// remote_oltp's firings grow their stacks (EXPERIMENTS.md C29).
-func (m *Manager) detach(r *Rule, sig event.Signal, oc *cond.Outcome, level int) {
+// Detached firings (§3.2 separate coupling) run on a fixed set of
+// workers fed by one bounded FIFO. A firing that finds the FIFO full,
+// or the manager closed, runs on a goroutine of its own instead, so
+// detach never blocks: not the signaling operation, and not a worker
+// whose action cascades into further separate firings.
+//
+// The FIFO is bounded so that a producer that outruns the workers
+// meets overflow goroutines, which are live transactions it can see,
+// instead of a queue that grows without limit. 4 096 slots hold a few
+// MiB of signals, and a saturated cep_stream never filled them.
+const (
+	workersPerProc = 8 // workers per GOMAXPROCS
+	fifoSlots      = 4096
+)
+
+// firing is one detached firing: r in a new internal top-level
+// transaction at cascade level level, with oc nil judging r's
+// condition first (E-C separate), with oc set running only the action
+// (C-A separate).
+type firing struct {
+	r      *Rule
+	sig    event.Signal
+	oc     *cond.Outcome
+	level  int
+	queued time.Time // when detach ran; zero when neither metrics nor tracing is on
+}
+
+// start starts n workers on a fresh FIFO with room for slots firings.
+func (m *Manager) start(n, slots int) {
+	m.fifo = make(chan firing, slots)
+	m.workers.Add(n)
+	for range n {
+		go m.runner(firing{}, m.fifo)
+	}
+}
+
+// Close waits for every queued and running detached firing, then stops
+// the workers. Firings detached after Close run on goroutines of their
+// own; Quiesce waits for them.
+func (m *Manager) Close() {
+	if m.closed.Swap(true) {
+		m.sep.Wait()
+		return
+	}
+	// A detach counts its firing in sep before it looks at closed, so
+	// once sep drains no firing can still be on its way into the FIFO.
+	m.sep.Wait()
+	close(m.fifo)
+	m.workers.Wait()
+}
+
+// now reads the clock when something will use the reading: the
+// firing's queue wait or its span.
+func (m *Manager) now() time.Time {
+	if m.met.On() || m.tr.On() {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// detach schedules a detached firing and marks it on sp, the span of
+// the firing stage it leaves. The mark's clock reading doubles as the
+// firing's enqueue time.
+func (m *Manager) detach(r *Rule, sig event.Signal, oc *cond.Outcome, level int, sp *obs.Span) {
 	if oc == nil {
 		m.n.separate.Add(1)
 	}
+	f := firing{r: r, sig: sig, oc: oc, level: level, queued: m.now()}
+	sp.MarkAt(f.queued, "separate-spawn", r.Name, "separate", "", 0, 0)
 	m.sep.Add(1)
-	go func() {
-		defer m.sep.Done()
-		t := m.txns.Begin()
-		t.Internal, t.Level = true, level
-		kind, mode := "action", "separate"
-		if oc == nil {
-			kind, mode = "separate", r.EC.String()+"/"+r.CA.String()
+	if !m.closed.Load() {
+		select {
+		case m.fifo <- f:
+			m.n.queued.Add(1)
+			return
+		default:
 		}
-		sp := bind(t, m.tr.StartRoot(kind, r.Name, mode, uint64(t.ID()), 0))
-		var err error
-		if oc == nil {
-			outcomes, jerr := m.judge(t, []*Rule{r}, sig)
-			oc, err = m.verdict(t, r, sig, sp, outcomes, jerr)
+	}
+	m.n.overflowed.Add(1)
+	go m.runner(f, nil)
+}
+
+// runner runs detached firings: f, unless it is the zero firing, and
+// then, if fifo is set (a worker), each firing it takes off fifo until
+// Close closes it. A firing begins its transaction, judges r's
+// condition unless oc is set, acts, and reports its error; judge and
+// act are called from the runner's own frame, since a frame more
+// above plan execution made remote_oltp's firings grow their stacks
+// (EXPERIMENTS.md C29). The clock reading at pickup dates both the
+// firing's root span and the end of its queue wait.
+func (m *Manager) runner(f firing, fifo <-chan firing) {
+	for {
+		if f.r != nil {
+			at := m.now()
+			if fifo != nil && !f.queued.IsZero() {
+				m.met.Observe(obs.HFiringQueueWait, at.Sub(f.queued))
+			}
+			r, oc := f.r, f.oc
+			t := m.txns.Begin()
+			t.Internal, t.Level = true, f.level
+			kind, mode := "action", "separate"
+			if oc == nil {
+				kind, mode = "separate", r.EC.String()+"/"+r.CA.String()
+			}
+			sp := bind(t, m.tr.StartRootAt(at, kind, r.Name, mode, uint64(t.ID()), 0))
+			var err error
+			if oc == nil {
+				outcomes, jerr := m.judge(t, []*Rule{r}, f.sig)
+				oc, err = m.verdict(t, r, f.sig, sp, outcomes, jerr)
+			}
+			if oc != nil {
+				err = m.act(t, r, f.sig, oc.Primary, sp)
+			}
+			if err != nil {
+				m.reportAsync(r.Name, err)
+			}
+			m.sep.Done()
 		}
-		if oc != nil {
-			err = m.act(t, r, sig, oc.Primary, sp)
+		if fifo == nil {
+			return
 		}
-		if err != nil {
-			m.reportAsync(r.Name, err)
+		var ok bool
+		if f, ok = <-fifo; !ok {
+			m.workers.Done()
+			return
 		}
-	}()
+	}
 }
 
 // verdict ends an E-C separate firing's condition stage in t. It
@@ -239,9 +334,8 @@ func (m *Manager) verdict(t *txn.Txn, r *Rule, sig event.Signal, sp *obs.Span, o
 	if err := t.Commit(); err != nil {
 		return nil, settle(sp, err, "")
 	}
-	sp.Mark("separate-spawn", r.Name, "separate", "", 0, 0)
+	m.detach(r, sig, oc, t.Level, sp)
 	sp.End("ok")
-	m.detach(r, sig, oc, t.Level)
 	return nil, nil
 }
 

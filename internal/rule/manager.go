@@ -3,6 +3,7 @@ package rule
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -54,6 +55,13 @@ type Stats struct {
 	AsyncErrors         uint64
 	CascadeAborted      uint64
 
+	// Detached firings by where they ran: Queued went through the FIFO
+	// to a worker, Overflowed found it full (or the manager closed) and
+	// ran on a goroutine of its own. QueueDepth is the FIFO's length now.
+	Queued     uint64
+	Overflowed uint64
+	QueueDepth int
+
 	// RuleFirings counts action executions per rule name. Cardinality
 	// is bounded: past MaxFiringCounters distinct names, further rules
 	// aggregate under FiringOverflowKey.
@@ -100,9 +108,14 @@ type Manager struct {
 		immediate, deferred, separate           atomic.Uint64
 		satisfied, actionsExecuted, asyncErrors atomic.Uint64
 		cascadeAborted                          atomic.Uint64 // firings refused past MaxCascadeDepth
+		queued, overflowed                      atomic.Uint64 // detached firings, by where they ran
 	}
 
-	sep sync.WaitGroup // in-flight separate firings
+	// The worker set that runs detached firings (firing.go).
+	fifo    chan firing    // closed by Close
+	closed  atomic.Bool    // set by Close: later firings run on goroutines of their own
+	workers sync.WaitGroup // running workers
+	sep     sync.WaitGroup // detached firings, queued or running
 }
 
 // subscription is the Rule Manager's side of one detector
@@ -114,11 +127,12 @@ type subscription struct {
 	table atomic.Pointer[dispatchTable] // the enabled ones; never nil
 }
 
-// NewManager returns a Rule Manager. Call SetDetectors once the event
-// detectors exist (they need the manager's HandleEmit as their sink),
-// and Restore to reload persisted rules.
+// NewManager returns a Rule Manager, its firing workers started. Call
+// SetDetectors once the event detectors exist (they need the manager's
+// HandleEmit as their sink), Restore to reload persisted rules, and
+// Close to stop the workers.
 func NewManager(txns *txn.Manager, objects *object.Manager, eval *cond.Evaluator) *Manager {
-	return &Manager{
+	m := &Manager{
 		txns:     txns,
 		objects:  objects,
 		eval:     eval,
@@ -127,6 +141,8 @@ func NewManager(txns *txn.Manager, objects *object.Manager, eval *cond.Evaluator
 		creating: map[string]struct{}{},
 		specSubs: map[string]event.SubID{},
 	}
+	m.start(workersPerProc*runtime.GOMAXPROCS(0), fifoSlots)
+	return m
 }
 
 // SetDetectors wires the event detectors. Not safe to call
@@ -165,6 +181,9 @@ func (m *Manager) Stats() Stats {
 		ActionsExecuted:     m.n.actionsExecuted.Load(),
 		AsyncErrors:         m.n.asyncErrors.Load(),
 		CascadeAborted:      m.n.cascadeAborted.Load(),
+		Queued:              m.n.queued.Load(),
+		Overflowed:          m.n.overflowed.Load(),
+		QueueDepth:          len(m.fifo),
 	}
 	// Per-rule counts live on the rules; the cardinality cap is applied
 	// here, in name order so the named set is stable between snapshots.
@@ -596,8 +615,7 @@ func (m *Manager) HandleEmit(sub event.SubID, sig event.Signal) error {
 		deferred, immediate = nil, nil
 	}
 	for _, r := range spawn {
-		sp.Mark("separate-spawn", r.Name, "separate", "", 0, 0)
-		m.detach(r, sig, nil, level+1)
+		m.detach(r, sig, nil, level+1, sp)
 	}
 
 	// Deferred firings join the triggering transaction's set.
@@ -647,7 +665,7 @@ func (m *Manager) Fire(tx *txn.Txn, name string, args map[string]datum.Value) er
 		sp := m.openSpan(tx, "fire", r.Name, "", uint64(tx.ID()))
 		return settle(sp, m.fireGroup(tx, []*Rule{r}, sig, sp, "fire"), "ok")
 	}
-	m.detach(r, sig, nil, 1)
+	m.detach(r, sig, nil, 1, nil)
 	return nil
 }
 
