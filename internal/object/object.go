@@ -7,14 +7,18 @@
 // operation is suspended while immediate rule firings run, per §6.2).
 //
 // Lock protocol (items are named "class/<name>", "extent/<class>",
-// "obj/<oid>"):
+// "obj/<oid>"), in the order each operation takes them:
 //
-//	DefineClass/DropClass  X class
+//	DefineClass/DropClass  X class, X obj (the class record)
+//	GetClass               S class
 //	Create                 S class, X extent, X obj
-//	Modify                 S class, X obj
-//	Delete                 S class, X extent, X obj
-//	Get                    S obj
-//	Scan (queries)         S extent, then S obj per visited object
+//	Modify                 X obj, S class
+//	Delete                 X obj, S class, X extent
+//	GetForUpdate           X obj
+//	Get, scans (queries)   none: they read committed versions at a
+//	                       snapshot (see Get)
+//
+// Only writers take the extent lock; nothing takes it shared.
 //
 // Class definitions are stored as ordinary records (class "__class"),
 // so DDL is transactional with the same visibility rules as data.
