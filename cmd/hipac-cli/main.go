@@ -7,8 +7,8 @@
 //
 // The second form is offline: it inspects a snapshot or delta file
 // from a durability directory without connecting to a server —
-// printing format, kind (full/delta), watermark, parent chain link,
-// record count, and CRC status.
+// printing kind (full/delta), watermark, parent chain link, class
+// statistics, record count, and CRC status.
 //
 // Commands (one per line):
 //
@@ -611,7 +611,6 @@ func runSnapshot(out io.Writer, args []string) error {
 		return err
 	}
 	fmt.Fprintf(out, "path:      %s\n", info.Path)
-	fmt.Fprintf(out, "format:    %s\n", info.Format)
 	fmt.Fprintf(out, "kind:      %s\n", info.Kind)
 	fmt.Fprintf(out, "watermark: %d\n", info.Watermark)
 	fmt.Fprintf(out, "next oid:  %d\n", info.NextOID)

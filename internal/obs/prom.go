@@ -6,6 +6,28 @@ import (
 	"strconv"
 )
 
+// Series is one unlabelled Prometheus sample: its name, its type
+// ("counter" or "gauge") and its value.
+type Series struct {
+	Name, Type string
+	Value      uint64
+}
+
+// Counter and Gauge build a Series of their type.
+func Counter(name string, v uint64) Series { return Series{name, "counter", v} }
+func Gauge(name string, v uint64) Series   { return Series{name, "gauge", v} }
+
+// WriteSeries renders each series as a TYPE line and its one sample,
+// in the order given.
+func WriteSeries(w io.Writer, series []Series) error {
+	for _, s := range series {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", s.Name, s.Type, s.Name, s.Value); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WritePrometheus renders a Snapshot in the Prometheus text
 // exposition format. Each histogram becomes
 // <prefix>_<name>_duration_seconds with cumulative le buckets; the

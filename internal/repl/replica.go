@@ -518,12 +518,13 @@ func (r *Replica) advanceApplied(lsn uint64) {
 }
 
 // bootstrap receives a shipped snapshot chain into a fresh data
-// generation, validates it, aligns a new WAL at the achieved
-// watermark, and atomically flips the CURRENT pointer to it. Old
-// state survives any crash before the flip; readers swap to the new
-// store only after it is fully built, and the applied frontier only
-// ever jumps forward (the shipped watermark is at or above the WAL
-// base that forced the resync, which is above our stale frontier).
+// generation, opens a store over it (which validates the chain and
+// starts the store's WAL at the achieved watermark), and atomically
+// flips the CURRENT pointer to it. Old state survives any crash
+// before the flip; readers swap to the new store only after it is
+// fully built, and the applied frontier only ever jumps forward (the
+// shipped watermark is at or above the WAL base that forced the
+// resync, which is above our stale frontier).
 func (r *Replica) bootstrap(conn net.Conn) error {
 	r.nBootstraps.Add(1)
 	r.mu.Lock()
@@ -543,26 +544,21 @@ func (r *Replica) bootstrap(conn net.Conn) error {
 		return err
 	}
 
-	watermark, err := storage.ChainWatermark(newDir)
-	if err != nil {
-		os.RemoveAll(newDir)
-		return err
-	}
-	if uint64(watermark) < r.applied.Load() {
-		// A racing compaction shipped a chain older than what we had
-		// already applied; installing it would regress reads. Drop it
-		// and re-handshake — the next resync ships the newer chain.
-		os.RemoveAll(newDir)
-		return fmt.Errorf("repl: shipped chain watermark %d below applied %d", watermark, r.AppliedLSN())
-	}
-	if err := wal.InitFile(filepath.Join(newDir, "wal"), watermark); err != nil {
-		os.RemoveAll(newDir)
-		return err
-	}
+	// Opening the store validates the chain and starts its empty WAL
+	// at the achieved watermark, so the log end is that watermark.
 	newStore, err := r.openStoreAt(newDir)
 	if err != nil {
 		os.RemoveAll(newDir)
 		return err
+	}
+	watermark := newStore.WAL().End()
+	if uint64(watermark) < r.applied.Load() {
+		// A racing compaction shipped a chain older than what we had
+		// already applied; installing it would regress reads. Drop it
+		// and re-handshake — the next resync ships the newer chain.
+		newStore.Close()
+		os.RemoveAll(newDir)
+		return fmt.Errorf("repl: shipped chain watermark %d below applied %d", watermark, r.AppliedLSN())
 	}
 
 	failpoint.Hit("repl.beforeCurrent")
@@ -640,7 +636,7 @@ func (r *Replica) receiveChain(conn net.Conn, dir string) error {
 			if err := closeCur(); err != nil {
 				return err
 			}
-			return syncDir(dir)
+			return wal.SyncDir(dir)
 		case frameHeartbeat:
 			// Harmless straggler from the previous tail phase.
 		case frameErr:
@@ -695,21 +691,11 @@ func writeCurrent(root, name string) error {
 	if err := os.Rename(tmp, filepath.Join(root, currentFile)); err != nil {
 		return err
 	}
-	return syncDir(root)
+	return wal.SyncDir(root)
 }
 
 func genOf(name string) int {
 	var g int
 	fmt.Sscanf(name, "data-%06d", &g)
 	return g
-}
-
-// syncDir fsyncs a directory so just-renamed entries survive a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

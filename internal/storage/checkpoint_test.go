@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/failpoint"
 	"repro/internal/lock"
+	"repro/internal/wal"
 )
 
 // commitOne writes a single record in its own top-level transaction.
@@ -450,9 +452,6 @@ func TestCheckpointPersistsClassCards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Format != snapshotMagic {
-		t.Fatalf("full format = %q, want %q", full.Format, snapshotMagic)
-	}
 	if full.ClassCards["C"] != 7 || full.ClassCards["D"] != 3 {
 		t.Fatalf("full cards = %v, want C:7 D:3", full.ClassCards)
 	}
@@ -488,7 +487,8 @@ func TestCheckpointPersistsClassCards(t *testing.T) {
 
 // TestInspectSnapshot drives the offline inspector over a real chain:
 // the full snapshot, a delta (whose parent link must match the full
-// file's trailing CRC), and a deliberately corrupted copy.
+// file's trailing CRC), a deliberately corrupted copy, and a file in
+// the retired "hipacsp2" format, which both readers refuse.
 func TestInspectSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(newTopo(), Options{Dir: dir, NoSync: true})
@@ -544,5 +544,102 @@ func TestInspectSnapshot(t *testing.T) {
 	}
 	if info.CRCOK {
 		t.Fatal("inspector missed a corrupted body")
+	}
+
+	if err := os.WriteFile(fullPath, legacySnapshot("hipacsp2"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := InspectSnapshotFile(fullPath); err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+		t.Fatalf("inspecting a hipacsp2 file: %v, want bad snapshot magic", err)
+	}
+	s2, err := Open(newTopo(), Options{Dir: dir, NoSync: true})
+	if err == nil {
+		s2.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+		t.Fatalf("opening over a hipacsp2 snapshot: %v, want bad snapshot magic", err)
+	}
+}
+
+// TestOpenRebasesLogBehindChain: a WAL that ends below the chain
+// watermark — missing, or an empty log at base 0 — must be replaced at
+// Open by an empty log based at the watermark. Otherwise the next
+// commit is logged below the watermark, and the following replay skips
+// it as already covered by the chain: an acknowledged commit lost.
+func TestOpenRebasesLogBehindChain(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, path string)
+	}{
+		{"removed", func(t *testing.T, path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"empty-at-base-0", func(t *testing.T, path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			l, err := wal.Open(path, wal.Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Base() != 0 || l.End() != 0 {
+				t.Fatalf("fresh log at [%d, %d), want [0, 0)", l.Base(), l.End())
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(newTopo(), Options{Dir: dir, NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 20
+			oids := make([]datum.OID, n)
+			for i := range oids {
+				oids[i] = s.AllocOID()
+				commitOne(t, s, lock.TxnID(i+1), rec(oids[i], "C",
+					map[string]datum.Value{"v": datum.Int(int64(i))}))
+			}
+			if _, err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			watermark := s.WAL().End()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, filepath.Join(dir, "wal"))
+
+			s2, err := Open(newTopo(), Options{Dir: dir, NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base, end := s2.WAL().Base(), s2.WAL().End(); base != watermark || end != watermark {
+				t.Fatalf("reopened log at [%d, %d), want empty at watermark %d", base, end, watermark)
+			}
+			last := s2.AllocOID()
+			commitOne(t, s2, n+1, rec(last, "C", map[string]datum.Value{"v": datum.Int(n)}))
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			s3, err := Open(newTopo(), Options{Dir: dir, NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s3.Close()
+			for i, oid := range append(oids, last) {
+				if got, ok := s3.Get(0, oid); !ok || got.AsMap()["v"].AsInt() != int64(i) {
+					t.Fatalf("acknowledged commit of oid %v lost after reopen", oid)
+				}
+			}
+			if base := s3.WAL().Base(); base != watermark {
+				t.Fatalf("log base %d after reopen, want chain watermark %d", base, watermark)
+			}
+		})
 	}
 }

@@ -7,6 +7,10 @@ package storage
 // encoder's output exactly.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"maps"
 	"testing"
 
 	"repro/internal/datum"
@@ -18,6 +22,20 @@ func fuzzSeedRecords() []Object {
 		{OID: 2, Class: "stock", Row: datum.RowOf(map[string]datum.Value{"list": datum.List(datum.Int(1), datum.Int(2))})},
 		{OID: 3, Class: "stock", Deleted: true},
 	}
+}
+
+// legacySnapshot builds a CRC-valid chain file in a retired layout:
+// "hipacsp1" (watermark, next OID, records) or "hipacsp2" (kind byte
+// first, no cardinality table). Both readers must refuse it by magic.
+func legacySnapshot(magic string) []byte {
+	buf := []byte(magic)
+	if magic == "hipacsp2" {
+		buf = append(buf, snapKindFull)
+	}
+	buf = binary.AppendUvarint(buf, 12345)
+	buf = binary.AppendUvarint(buf, 42)
+	buf = append(buf, encodeRedo(fuzzSeedRecords())...)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 func FuzzDecodeRedo(f *testing.F) {
@@ -45,7 +63,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(encodeSnapshot(&snapshot{watermark: 0, nextOID: 1}))
 	f.Add(encodeSnapshot(&snapshot{watermark: 12345, nextOID: 42, recs: fuzzSeedRecords()}))
 	f.Add([]byte(snapshotMagic))
-	f.Add([]byte(snapshotMagicV1))
+	f.Add(legacySnapshot("hipacsp1"))
+	f.Add(legacySnapshot("hipacsp2"))
 	f.Add([]byte{})
 	corrupt := encodeSnapshot(&snapshot{watermark: 7, nextOID: 9, recs: fuzzSeedRecords()})
 	corrupt[len(corrupt)-1] ^= 0xff // bad CRC
@@ -54,6 +73,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 		sn, err := decodeSnapshot(buf)
 		if err != nil {
 			return
+		}
+		if !bytes.HasPrefix(buf, []byte(snapshotMagic)) {
+			t.Fatalf("decoder accepted magic %q", buf[:len(snapshotMagic)])
 		}
 		again, err := decodeSnapshot(encodeSnapshot(sn))
 		if err != nil {
@@ -79,6 +101,8 @@ func FuzzDeltaSnapshot(f *testing.F) {
 		parentWatermark: 40, parentCRC: 0xdeadbeef, recs: fuzzSeedRecords()}))
 	f.Add(encodeSnapshot(&snapshot{kind: snapKindDelta, watermark: 1, nextOID: 1,
 		parentWatermark: 1, parentCRC: 0}))
+	f.Add(encodeSnapshot(&snapshot{kind: snapKindFull, watermark: 9, nextOID: 4,
+		cards: map[string]uint64{"stock": 3, "order": 0}, recs: fuzzSeedRecords()}))
 	valid := encodeSnapshot(&snapshot{kind: snapKindDelta, watermark: 55, nextOID: 5,
 		parentWatermark: 54, parentCRC: 7, recs: fuzzSeedRecords()})
 	f.Add(valid[:len(valid)/2]) // truncated mid-frame
@@ -101,6 +125,18 @@ func FuzzDeltaSnapshot(f *testing.F) {
 			again.parentWatermark != sn.parentWatermark || again.parentCRC != sn.parentCRC ||
 			len(again.recs) != len(sn.recs) {
 			t.Fatal("round trip changed delta header or chain link")
+		}
+		info, err := inspectSnapshot(buf)
+		if err != nil {
+			t.Fatalf("inspector refused a file the decoder accepted: %v", err)
+		}
+		kind := map[byte]string{snapKindFull: "full", snapKindDelta: "delta"}[sn.kind]
+		if info.Kind != kind || info.Watermark != uint64(sn.watermark) ||
+			info.NextOID != uint64(sn.nextOID) ||
+			info.ParentWatermark != uint64(sn.parentWatermark) || info.ParentCRC != sn.parentCRC ||
+			!maps.Equal(info.ClassCards, sn.cards) || info.Records != len(sn.recs) ||
+			info.CRC != sn.crc || !info.CRCOK {
+			t.Fatalf("inspector %+v disagrees with decoder %+v", info, sn)
 		}
 	})
 }

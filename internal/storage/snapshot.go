@@ -37,9 +37,10 @@
 // newest element's table, so a cold engine costs plans with real
 // extents before touching any live structure.
 //
-// Formats v1 ("hipacsp1": no kind byte, no parent link, read as a
-// full snapshot) and v2 ("hipacsp2": no cardinality table) are still
-// read so directories written by older builds keep opening.
+// One header decoder serves both readers: the loader, which verifies
+// the CRC first and then decodes every record, and the offline
+// inspector, which reports a CRC mismatch instead of failing and
+// reads only the record count. Any other magic is refused.
 package storage
 
 import (
@@ -59,13 +60,8 @@ import (
 )
 
 const (
-	// snapshotMagicV1 tags the legacy single-file snapshot format.
-	snapshotMagicV1 = "hipacsp1"
-	// snapshotMagicV2 tags the chain format without the class-
-	// cardinality table.
-	snapshotMagicV2 = "hipacsp2"
-	// snapshotMagic tags the current format: kind byte + parent link +
-	// checkpoint-time class cardinalities.
+	// snapshotMagic tags the chain-file format: kind byte + parent
+	// link + checkpoint-time class cardinalities.
 	snapshotMagic = "hipacsp3"
 
 	snapKindFull  byte = 0
@@ -92,7 +88,7 @@ type snapshot struct {
 	parentWatermark wal.LSN
 	parentCRC       uint32
 	// cards is the checkpoint-time per-class extent cardinality table
-	// (planner statistics); nil for pre-v3 files.
+	// (planner statistics).
 	cards map[string]uint64
 	recs  []Object
 	// crc is the file's own trailing CRC — the link value a child
@@ -126,75 +122,83 @@ func encodeSnapshot(sn *snapshot) []byte {
 	return binary.BigEndian.AppendUint32(buf, sn.crc)
 }
 
-// decodeSnapshot parses and verifies a snapshot produced by
-// encodeSnapshot (either format version).
-func decodeSnapshot(buf []byte) (*snapshot, error) {
+// splitCRC separates a chain file into its body and stored trailing
+// CRC.
+func splitCRC(buf []byte) ([]byte, uint32, error) {
 	if len(buf) < len(snapshotMagic)+4 {
-		return nil, errors.New("storage: snapshot too short")
+		return nil, 0, errors.New("storage: snapshot too short")
 	}
-	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	stored := binary.BigEndian.Uint32(tail)
-	if crc32.ChecksumIEEE(body) != stored {
+	n := len(buf) - 4
+	return buf[:n], binary.BigEndian.Uint32(buf[n:]), nil
+}
+
+// decodeSnapshot parses and verifies a snapshot produced by
+// encodeSnapshot: the CRC first, then the header, then every record.
+func decodeSnapshot(buf []byte) (*snapshot, error) {
+	body, crc, err := splitCRC(buf)
+	if err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(body) != crc {
 		return nil, errors.New("storage: snapshot checksum mismatch")
 	}
-	sn := &snapshot{crc: stored}
-	var n int
-	var hasCards bool
-	switch string(body[:len(snapshotMagic)]) {
-	case snapshotMagicV1:
-		sn.kind = snapKindFull
-		n = len(snapshotMagicV1)
-	case snapshotMagicV2, snapshotMagic:
-		hasCards = string(body[:len(snapshotMagic)]) == snapshotMagic
-		n = len(snapshotMagic)
-		if n >= len(body) {
-			return nil, errors.New("storage: snapshot missing kind")
-		}
-		sn.kind = body[n]
-		n++
-		if sn.kind != snapKindFull && sn.kind != snapKindDelta {
-			return nil, fmt.Errorf("storage: unknown snapshot kind %d", sn.kind)
-		}
-	default:
-		return nil, errors.New("storage: bad snapshot magic")
+	sn, n, err := decodeHeader(body)
+	if err != nil {
+		return nil, err
+	}
+	sn.crc = crc
+	if sn.recs, err = decodeRedo(body[n:]); err != nil {
+		return nil, fmt.Errorf("storage: snapshot: %w", err)
+	}
+	return sn, nil
+}
+
+// decodeHeader parses everything in body before the records — magic,
+// kind, watermark, next OID, the delta's parent link and the class-
+// cardinality table — returning the header and the records' offset.
+func decodeHeader(body []byte) (*snapshot, int, error) {
+	n := len(snapshotMagic)
+	if len(body) < n || string(body[:n]) != snapshotMagic {
+		return nil, 0, errors.New("storage: bad snapshot magic")
+	}
+	if n >= len(body) {
+		return nil, 0, errors.New("storage: snapshot missing kind")
+	}
+	sn := &snapshot{kind: body[n]}
+	n++
+	if sn.kind != snapKindFull && sn.kind != snapKindDelta {
+		return nil, 0, fmt.Errorf("storage: unknown snapshot kind %d", sn.kind)
 	}
 	watermark, m := binary.Uvarint(body[n:])
 	if m <= 0 {
-		return nil, errors.New("storage: bad snapshot watermark")
+		return nil, 0, errors.New("storage: bad snapshot watermark")
 	}
 	n += m
 	sn.watermark = wal.LSN(watermark)
 	nextOID, m := binary.Uvarint(body[n:])
 	if m <= 0 {
-		return nil, errors.New("storage: bad snapshot header")
+		return nil, 0, errors.New("storage: bad snapshot header")
 	}
 	n += m
 	sn.nextOID = datum.OID(nextOID)
 	if sn.kind == snapKindDelta {
 		pw, m := binary.Uvarint(body[n:])
 		if m <= 0 {
-			return nil, errors.New("storage: bad delta parent watermark")
+			return nil, 0, errors.New("storage: bad delta parent watermark")
 		}
 		n += m
 		if len(body)-n < 4 {
-			return nil, errors.New("storage: bad delta parent crc")
+			return nil, 0, errors.New("storage: bad delta parent crc")
 		}
 		sn.parentWatermark = wal.LSN(pw)
 		sn.parentCRC = binary.BigEndian.Uint32(body[n : n+4])
 		n += 4
 	}
-	if hasCards {
-		var err error
-		if sn.cards, n, err = decodeCards(body, n); err != nil {
-			return nil, err
-		}
+	var err error
+	if sn.cards, n, err = decodeCards(body, n); err != nil {
+		return nil, 0, err
 	}
-	recs, err := decodeRedo(body[n:])
-	if err != nil {
-		return nil, fmt.Errorf("storage: snapshot: %w", err)
-	}
-	sn.recs = recs
-	return sn, nil
+	return sn, n, nil
 }
 
 // decodeCards parses the class-cardinality table at body[n:],
@@ -297,41 +301,6 @@ func ChainFileNames(dir string) ([]string, error) {
 	return append(names, dn...), nil
 }
 
-// ChainWatermark validates the snapshot chain in dir exactly as Open
-// would — full snapshot, then every delta that extends the chain by
-// its parent watermark and CRC — and returns the achieved watermark,
-// without building a store. A replication follower uses it after
-// writing a shipped chain to learn the LSN its local WAL must start
-// at. A missing full snapshot yields watermark 0 (an empty chain, not
-// an error); a corrupt full snapshot is an error, matching loadChain.
-func ChainWatermark(dir string) (wal.LSN, error) {
-	var tip wal.LSN
-	var tipCRC uint32
-	full, _, err := readSnapshotFile(filepath.Join(dir, fullSnapshotName))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-	case err != nil:
-		return 0, fmt.Errorf("storage: read snapshot: %w", err)
-	case full.kind != snapKindFull:
-		return 0, errors.New("storage: snapshot file holds a delta")
-	default:
-		tip, tipCRC = full.watermark, full.crc
-	}
-	names, _, err := deltaFiles(dir)
-	if err != nil {
-		return 0, err
-	}
-	for _, name := range names {
-		d, _, err := readSnapshotFile(filepath.Join(dir, name))
-		if err != nil || d.kind != snapKindDelta ||
-			d.parentWatermark != tip || d.parentCRC != tipCRC || d.watermark < tip {
-			break
-		}
-		tip, tipCRC = d.watermark, d.crc
-	}
-	return tip, nil
-}
-
 // loadChain installs the snapshot chain at s.dir: the full snapshot if
 // present, then every delta that validly extends it, in order. It
 // returns the achieved watermark (the LSN below which the chain covers
@@ -391,7 +360,7 @@ func (s *Store) loadChain() (wal.LSN, error) {
 
 // seedStats records the per-class cardinalities of one chain element;
 // later elements overwrite earlier ones, so after loadChain the seed
-// is the newest checkpoint's statistics. Pre-v3 elements carry none.
+// is the newest checkpoint's statistics.
 func (s *Store) seedStats(cards map[string]uint64) {
 	if len(cards) == 0 {
 		return
@@ -457,7 +426,7 @@ func (s *Store) writeSnapshotFile(sn *snapshot, name, tmpName, midSite, renameSi
 	}
 	failpoint.Hit(renameSite)
 	if !s.noSync {
-		if err := syncDir(s.dir); err != nil {
+		if err := wal.SyncDir(s.dir); err != nil {
 			return 0, err
 		}
 	}
@@ -468,9 +437,6 @@ func (s *Store) writeSnapshotFile(sn *snapshot, name, tmpName, midSite, renameSi
 // as reported by InspectSnapshotFile and `hipac-cli snapshot inspect`.
 type SnapshotInfo struct {
 	Path string `json:"path"`
-	// Format is the magic string ("hipacsp1", "hipacsp2", or
-	// "hipacsp3").
-	Format string `json:"format"`
 	// Kind is "full" or "delta".
 	Kind      string `json:"kind"`
 	Watermark uint64 `json:"watermark"`
@@ -479,7 +445,7 @@ type SnapshotInfo struct {
 	ParentWatermark uint64 `json:"parentWatermark,omitempty"`
 	ParentCRC       uint32 `json:"parentCrc,omitempty"`
 	// ClassCards is the checkpoint-time per-class extent cardinality
-	// table (v3 files; planner statistics seeded at recovery).
+	// table (planner statistics seeded at recovery).
 	ClassCards map[string]uint64 `json:"classCards,omitempty"`
 	Records    int               `json:"records"`
 	// CRC is the file's stored trailing checksum; CRCOK reports
@@ -491,88 +457,51 @@ type SnapshotInfo struct {
 // InspectSnapshotFile reads the snapshot or delta file at path without
 // touching any store state — the offline half of `hipac-cli snapshot
 // inspect`. Unlike recovery it tolerates a checksum mismatch (the
-// header is still parsed best-effort and CRCOK reports false) so a
-// damaged file can be diagnosed; a file whose header does not parse at
-// all returns an error.
+// header is still parsed and CRCOK reports false) so a damaged file
+// can be diagnosed; a file whose header does not parse at all returns
+// an error.
 func InspectSnapshotFile(path string) (*SnapshotInfo, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < len(snapshotMagic)+4 {
-		return nil, errors.New("storage: snapshot too short")
+	info, err := inspectSnapshot(buf)
+	if err != nil {
+		return nil, err
 	}
-	info := &SnapshotInfo{Path: path}
-	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	info.CRC = binary.BigEndian.Uint32(tail)
-	info.CRCOK = crc32.ChecksumIEEE(body) == info.CRC
+	info.Path = path
+	return info, nil
+}
 
-	var kind byte
-	var n int
-	hasCards := false
-	switch magic := string(body[:len(snapshotMagic)]); magic {
-	case snapshotMagicV1:
-		info.Format, info.Kind = snapshotMagicV1, "full"
-		n = len(snapshotMagicV1)
-	case snapshotMagicV2, snapshotMagic:
-		info.Format = magic
-		hasCards = magic == snapshotMagic
-		n = len(magic)
-		if n >= len(body) {
-			return nil, errors.New("storage: snapshot missing kind")
-		}
-		kind = body[n]
-		n++
-		switch kind {
-		case snapKindFull:
-			info.Kind = "full"
-		case snapKindDelta:
-			info.Kind = "delta"
-		default:
-			return nil, fmt.Errorf("storage: unknown snapshot kind %d", kind)
-		}
-	default:
-		return nil, errors.New("storage: bad snapshot magic")
+// inspectSnapshot decodes buf's header with the loader's decoder but
+// reads only the record count: a damaged body should not block header
+// inspection.
+func inspectSnapshot(buf []byte) (*SnapshotInfo, error) {
+	body, crc, err := splitCRC(buf)
+	if err != nil {
+		return nil, err
 	}
-	watermark, m := binary.Uvarint(body[n:])
-	if m <= 0 {
-		return nil, errors.New("storage: bad snapshot watermark")
+	sn, n, err := decodeHeader(body)
+	if err != nil {
+		return nil, err
 	}
-	n += m
-	info.Watermark = watermark
-	nextOID, m := binary.Uvarint(body[n:])
-	if m <= 0 {
-		return nil, errors.New("storage: bad snapshot header")
-	}
-	n += m
-	info.NextOID = nextOID
-	if kind == snapKindDelta {
-		pw, m := binary.Uvarint(body[n:])
-		if m <= 0 {
-			return nil, errors.New("storage: bad delta parent watermark")
-		}
-		n += m
-		if len(body)-n < 4 {
-			return nil, errors.New("storage: bad delta parent crc")
-		}
-		info.ParentWatermark = pw
-		info.ParentCRC = binary.BigEndian.Uint32(body[n : n+4])
-		n += 4
-	}
-	if hasCards {
-		cards, m, err := decodeCards(body, n)
-		if err != nil {
-			return nil, err
-		}
-		info.ClassCards = cards
-		n = m
-	}
-	// The record count is the next uvarint; the frames themselves are
-	// not decoded (a damaged body should not block header inspection).
 	cnt, m := binary.Uvarint(body[n:])
 	if m <= 0 {
 		return nil, errors.New("storage: bad snapshot record count")
 	}
-	info.Records = int(cnt)
-	return info, nil
+	kind := "full"
+	if sn.kind == snapKindDelta {
+		kind = "delta"
+	}
+	return &SnapshotInfo{
+		Kind:            kind,
+		Watermark:       uint64(sn.watermark),
+		NextOID:         uint64(sn.nextOID),
+		ParentWatermark: uint64(sn.parentWatermark),
+		ParentCRC:       sn.parentCRC,
+		ClassCards:      sn.cards,
+		Records:         int(cnt),
+		CRC:             crc,
+		CRCOK:           crc32.ChecksumIEEE(body) == crc,
+	}, nil
 }

@@ -309,8 +309,9 @@ type Stats struct {
 }
 
 // Open creates a store. If opts.Dir is non-empty the store loads the
-// snapshot chain (full snapshot plus deltas, if present), replays the
-// WAL, and will log all future top-level commits there.
+// snapshot chain (full snapshot plus deltas, if present), starts a
+// fresh WAL at the chain watermark if the log ends below it, replays
+// the WAL, and will log all future top-level commits there.
 func Open(topo Topology, opts Options) (*Store, error) {
 	s := &Store{
 		topo:           topo,
@@ -342,10 +343,27 @@ func Open(topo Topology, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := wal.Open(filepath.Join(opts.Dir, "wal"),
-		wal.Options{NoSync: opts.NoSync, Obs: opts.Obs})
+	walPath := filepath.Join(opts.Dir, "wal")
+	walOpts := wal.Options{NoSync: opts.NoSync, Obs: opts.Obs}
+	l, err := wal.Open(walPath, walOpts)
 	if err != nil {
 		return nil, err
+	}
+	// A log that ends below the chain watermark holds only records the
+	// chain already covers (a missing WAL opens empty at base 0). The
+	// next commit would be logged below the watermark, where the
+	// following replay skips it, so start an empty log at the watermark.
+	if l.End() < watermark {
+		l.Close()
+		if err := os.Remove(walPath); err != nil {
+			return nil, fmt.Errorf("storage: rebase wal: %w", err)
+		}
+		if err := wal.InitFile(walPath, watermark); err != nil {
+			return nil, err
+		}
+		if l, err = wal.Open(walPath, walOpts); err != nil {
+			return nil, err
+		}
 	}
 	s.log = l
 	// The checkpointer renames the snapshot before truncating the log,
@@ -1100,11 +1118,12 @@ func (s *Store) Dir() string { return s.dir }
 // ApplyReplicated logs and installs one replicated redo batch on a
 // follower store. payload is the primary's WAL record verbatim and
 // primaryLSN its LSN there; batches must be applied in stream order.
-// The follower's log was initialized with the primary's base (see
-// wal.InitFile), so the append must land at exactly primaryLSN — the
-// logical LSNs of primary and follower line up byte for byte, which
-// makes the follower's log end its durable applied-LSN frontier and
-// lets recovery after a follower crash resume the stream from there.
+// The follower's store started its log at the shipped chain's
+// watermark, an LSN of the primary's log (see Open), so the append
+// must land at exactly primaryLSN — the logical LSNs of primary and
+// follower line up byte for byte, which makes the follower's log end
+// its durable applied-LSN frontier and lets recovery after a follower
+// crash resume the stream from there.
 //
 // The batch follows CommitTop's write-ahead discipline: append and
 // register in-flight under cmu, group-sync, then install and publish.
@@ -1386,17 +1405,4 @@ func (s *Store) checkpoint(forceFull bool) (CheckpointResult, error) {
 	}
 	tm.Done()
 	return res, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("storage: open dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("storage: sync dir: %w", err)
-	}
-	return nil
 }

@@ -170,9 +170,10 @@ func readFrameRange(f *os.File, base, from, limit LSN, maxBytes int) ([]Frame, L
 
 // InitFile creates an empty log file at path whose header names base
 // as the first LSN, so the first record appended lands exactly at
-// base. Replication followers use it to align their local log with
-// the primary's logical LSNs before opening their store over it. It
-// fails if path already exists.
+// base. A store opening over a snapshot chain uses it to start its log
+// at the chain watermark when the log ends below it; on a replication
+// follower that watermark is an LSN of the primary's log, so the two
+// logs line up. It fails if path already exists.
 func InitFile(path string, base LSN) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -192,5 +193,5 @@ func InitFile(path string, base LSN) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("wal: init close: %w", err)
 	}
-	return syncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(path))
 }

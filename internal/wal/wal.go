@@ -502,15 +502,15 @@ func (l *Log) truncateLocked(lsn LSN) (LSN, uint64, error) {
 	reclaimed := uint64(lsn - l.base)
 	l.base = lsn
 	if l.sync {
-		if err := syncDir(filepath.Dir(l.path)); err != nil {
+		if err := SyncDir(filepath.Dir(l.path)); err != nil {
 			return l.end, reclaimed, err
 		}
 	}
 	return l.end, reclaimed, nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-renamed entry survives a crash.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("wal: open dir: %w", err)
